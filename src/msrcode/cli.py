@@ -9,6 +9,7 @@ helper-row byte ranges only.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -149,10 +150,15 @@ def cmd_repair(args) -> int:
         bytes_per_helper[nd] = nbytes
     rebuilt = repair.repair_batch(failed, gamma_columns, sys_)
     path = out_dir / shard_filename(failed)
-    shardio.write_shard(path, manifest.header_for(failed), rebuilt)
-    expected = manifest.checksums.get(failed)
-    if expected is not None and shardio.crc32_file(path) != expected:
-        raise VerificationFailure(f"rebuilt {path.name} does not match manifest checksum")
+    tmp = path.with_name(path.name + ".tmp")
+    try:  # the shard appears under its name only once its checksum matches
+        shardio.write_shard(tmp, manifest.header_for(failed), rebuilt)
+        expected = manifest.checksums.get(failed)
+        if expected is not None and shardio.crc32_file(tmp) != expected:
+            raise VerificationFailure(f"rebuilt {path.name} does not match manifest checksum")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
     stripes = manifest.stripe_count
     read_total = sum(bytes_per_helper.values())

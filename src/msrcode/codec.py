@@ -3,14 +3,15 @@ verifier.
 
 A stripe of k*alpha message symbols is placed verbatim into the first k
 thick columns (node-major, then row-ordinal); the remaining q parity
-columns are the unique solution of the parity-check constraints, obtained
-through the cached inverse of the parity thick submatrix.  Decoding from
-any k nodes solves the same kind of square system for whichever q columns
-are missing.
+columns are the unique solution of the parity-check constraints.  Decoding
+from any k nodes solves the same kind of system for whichever q columns
+are missing.  Both run the one plan ParityCheckSystem.completion_map
+compiles for the missing nodes, on a workspace holding the known columns
+and then the missing ones.
 
-Scalar functions operate on one codeword array; the *_batch variants run
-the identical linear maps across whole stacks of stripes as numpy uint16
-arrays (the shape the CLI uses for files).
+Scalar functions run the plan on one codeword (a list of ints); the
+*_batch variants run it on numpy uint16 stacks of stripes, the shape the
+CLI uses for files.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .params import CodeParams, Node, Row
-from .parity import ParityCheckSystem, gf_matvec, node_subsets
+from .parity import ParityCheckSystem, node_subsets, run_plan, run_plan_batch
 
 
 @dataclass
@@ -60,29 +61,6 @@ def _require_valid_c0(sys: ParityCheckSystem) -> None:
         raise ValueError("parity-check system has no valid c0 (run the coefficient search)")
 
 
-def _complete_columns(sys: ParityCheckSystem, known: Mapping[Node, Sequence[int]],
-                      missing: Sequence[Node]) -> dict[Node, list[int]]:
-    """Solve the constraints for exactly q missing thick columns given all
-    others.  Returns the missing columns in row-ordinal order."""
-    p = sys.params
-    rhs = []
-    for con in sys.constraints:
-        acc = 0
-        for term in con.terms:
-            col = known.get(term.node)
-            if col is not None:
-                v = col[p.row_ordinal(term.row)]
-                if v:
-                    acc ^= p.gf.mul(term.coeff, v)
-        rhs.append(acc)
-    solution = gf_matvec(sys.inverse_for(missing), rhs, p.gf)
-    ordered = sorted(missing, key=p.node_ordinal)
-    return {
-        node: solution[i * p.alpha : (i + 1) * p.alpha]
-        for i, node in enumerate(ordered)
-    }
-
-
 def encode(message: Sequence[int], sys: ParityCheckSystem) -> CodewordArray:
     """Systematic encode of k*alpha symbols into an alpha x n array."""
     p = sys.params
@@ -91,15 +69,9 @@ def encode(message: Sequence[int], sys: ParityCheckSystem) -> CodewordArray:
         raise ValueError(f"message must hold {p.message_len} symbols, got {len(message)}")
     for v in message:
         p.gf.validate(v)
-    arr = CodewordArray.zeros(p)
-    known: dict[Node, Sequence[int]] = {}
-    for o, node in enumerate(p.systematic_nodes()):
-        col = list(message[o * p.alpha : (o + 1) * p.alpha])
-        known[node] = col
-        arr.set_column(node, col)
-    for node, col in _complete_columns(sys, known, p.parity_nodes()).items():
-        arr.set_column(node, col)
-    return arr
+    ws = [*message, *[0] * (p.q * p.alpha)]
+    run_plan(sys.completion_map(p.parity_nodes()), ws, p.gf)
+    return CodewordArray(p, [ws[r :: p.alpha] for r in range(p.alpha)])
 
 
 def check_codeword(arr: CodewordArray, sys: ParityCheckSystem) -> bool:
@@ -133,19 +105,13 @@ def decode_from_k(available: Mapping[Node, Sequence[int]],
             raise ValueError(f"column of node {node} must hold alpha={p.alpha} symbols")
         for v in col:
             p.gf.validate(v)
+    known = [nd for nd in p.nodes() if nd in available]
     missing = [nd for nd in p.nodes() if nd not in available]
-    systematic = p.systematic_nodes()
-    if all(nd in available for nd in systematic):
-        solved: Mapping[Node, Sequence[int]] = {}
-    else:
-        solved = _complete_columns(sys, available, missing)
-    message = []
-    for node in systematic:
-        col = available.get(node)
-        if col is None:
-            col = solved[node]
-        message.extend(col)
-    return message
+    ws = [v for nd in known for v in available[nd]] + [0] * (p.q * p.alpha)
+    if any(nd in missing for nd in p.systematic_nodes()):
+        run_plan(sys.completion_map(missing), ws, p.gf)
+    at = {nd: i * p.alpha for i, nd in enumerate(known + missing)}
+    return [v for nd in p.systematic_nodes() for v in ws[at[nd] : at[nd] + p.alpha]]
 
 
 @dataclass
@@ -190,31 +156,18 @@ def verify_mds(sys: ParityCheckSystem, trials: int, seed: int = 0) -> MdsReport:
 def complete_columns_batch(sys: ParityCheckSystem,
                            known: Mapping[Node, np.ndarray],
                            missing: Sequence[Node]) -> dict[Node, np.ndarray]:
-    """Batch variant of the missing-column solve: every value of `known`
-    is an (s, alpha) uint16 array of s stripes; returns the same shape per
-    missing node.  Applies the fused completion map column by column."""
+    """Batch solve for the missing columns: every value of `known` is an
+    (s, alpha) uint16 array of s stripes; returns the same shape per
+    missing node."""
     p = sys.params
-    gf = p.gf
-    ordered_missing = sorted(missing, key=p.node_ordinal)
-    ordered_known = [nd for nd in p.nodes() if nd not in set(ordered_missing)]
-    if set(ordered_known) != set(known):
+    missing = sorted(missing, key=p.node_ordinal)
+    if set(known) != set(p.nodes()) - set(missing):
         raise ValueError("known columns must be exactly the non-missing nodes")
-    mapping = sys.completion_map(ordered_missing)
-    stripes = next(iter(known.values())).shape[0]
-    stacked = np.empty((stripes, len(ordered_known) * p.alpha), dtype=np.uint16)
-    for i, nd in enumerate(ordered_known):
-        stacked[:, i * p.alpha : (i + 1) * p.alpha] = known[nd]
-    out = np.zeros((stripes, len(ordered_missing) * p.alpha), dtype=np.uint16)
-    for r, row in enumerate(mapping):
-        acc = out[:, r]
-        for c, coeff in enumerate(row):
-            if coeff:
-                acc ^= gf.mul_vec(coeff, stacked[:, c])
-        out[:, r] = acc
-    return {
-        node: out[:, i * p.alpha : (i + 1) * p.alpha]
-        for i, node in enumerate(ordered_missing)
-    }
+    blocks = [known[nd] for nd in p.nodes() if nd in known]
+    if any(b.shape != (blocks[0].shape[0], p.alpha) for b in blocks):
+        raise ValueError("known column stacks must all be (stripes, alpha)")
+    out = run_plan_batch(sys.completion_map(missing), blocks, len(missing) * p.alpha, p.gf)
+    return {nd: out[:, i * p.alpha : (i + 1) * p.alpha] for i, nd in enumerate(missing)}
 
 
 def encode_batch(messages: np.ndarray, sys: ParityCheckSystem) -> dict[Node, np.ndarray]:
@@ -239,17 +192,8 @@ def decode_batch(available: Mapping[Node, np.ndarray],
     _require_valid_c0(sys)
     if len(available) != p.k:
         raise ValueError(f"need exactly k={p.k} nodes, got {len(available)}")
-    systematic = p.systematic_nodes()
     missing = [nd for nd in p.nodes() if nd not in available]
-    if all(nd in available for nd in systematic):
-        solved: Mapping[Node, np.ndarray] = {}
-    else:
-        solved = complete_columns_batch(sys, available, missing)
-    stripes = next(iter(available.values())).shape[0]
-    out = np.empty((stripes, p.message_len), dtype=np.uint16)
-    for o, node in enumerate(systematic):
-        col = available.get(node)
-        if col is None:
-            col = solved[node]
-        out[:, o * p.alpha : (o + 1) * p.alpha] = col
-    return out
+    columns = dict(available)
+    if any(nd in missing for nd in p.systematic_nodes()):
+        columns.update(complete_columns_batch(sys, available, missing))
+    return np.concatenate([columns[nd] for nd in p.systematic_nodes()], axis=1)

@@ -1,5 +1,6 @@
 """The structured parity-check system H = J0 + c0*E, GF linear algebra,
-and the exhaustive search for an MDS-realizing coefficient c0.
+straight-line solve plans, and the exhaustive search for an MDS-realizing
+coefficient c0.
 
 The code on an alpha x n array is cut out by q^(t+1) linear constraints,
 one per (delta, anchor-row) pair:
@@ -16,6 +17,14 @@ product of the Vandermonde matrix with an alpha x alpha identity.  The MDS
 property is equivalent to every q-thick-column submatrix having full rank
 q^(t+1); find_c0 scans nonzero candidates in ascending order and returns
 the first one passing every subset rank check.
+
+Every linear solve of the codec and of repair is compiled into a Plan: a
+straight-line list of GF ops (dst, coeff, src) on a workspace of symbol
+slots.  completion_map(missing) is the plan that fills q erased thick
+columns: the syndrome of the known symbols, read straight off the sparse
+constraints, followed by the recorded Gaussian elimination of the square
+submatrix H_S over the erased columns (inverse_for).  run_plan executes a
+plan on one stripe; run_plan_batch runs it on numpy stacks of stripes.
 """
 
 from __future__ import annotations
@@ -25,12 +34,17 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
+import numpy as np
+
 from .gf import GF2M, ring_sub
 from .params import CodeParams, Node, Row, make_params
 
 # Exhaustive-check ceiling: refuse (rather than silently sample) when the
 # number of size-q node subsets exceeds this.
 MAX_SUBSET_CHECKS = 10**6
+
+# Stripes per pass of a batch plan: bounds the (slots, stripes) workspace.
+STRIPE_CHUNK = 4096
 
 
 class Term(NamedTuple):
@@ -58,8 +72,8 @@ class ParityCheckSystem:
     """All q^(t+1) constraints of one code instance, delta-major then
     anchor-row ordinal, together with the Vandermonde coefficient matrix.
 
-    Immutable once built (the lazily filled inverse caches are
-    confined to single-threaded use)."""
+    Immutable once built (the memoised last completion plan is confined to
+    single-threaded use)."""
 
     def __init__(self, params: CodeParams, hmds: list[list[int]], c0: int,
                  constraints: list[Constraint]):
@@ -67,8 +81,7 @@ class ParityCheckSystem:
         self.hmds = hmds
         self.c0 = c0
         self.constraints = constraints
-        self._inverse_cache: dict[tuple[Node, ...], list[list[int]]] = {}
-        self._map_cache: dict[tuple[Node, ...], list[list[int]]] = {}
+        self._last_plan: tuple[tuple[Node, ...], Plan] | None = None
 
     @property
     def n_constraints(self) -> int:
@@ -86,21 +99,14 @@ class ParityCheckSystem:
     def flatten(self) -> list[list[int]]:
         """Dense q^(t+1) x n*alpha matrix over the symbol field.
 
-        Asserts the support-disjointness invariant: within one constraint no
+        Checks the support-disjointness invariant: within one constraint no
         two terms may land on the same flattened column (in-row entries and
         shifted entries always differ in row, classes differ in node).
         """
-        p = self.params
-        width = p.n * p.alpha
-        mat = []
         for con in self.constraints:
-            dense = [0] * width
-            for term in con.terms:
-                col = self.flat_column(term.row, term.node)
-                assert dense[col] == 0, "J0/E supports must not collide"
-                dense[col] = term.coeff
-            mat.append(dense)
-        return mat
+            if len({self.flat_column(t.row, t.node) for t in con.terms}) != len(con.terms):
+                raise ValueError("J0/E supports must not collide")
+        return self.thick_submatrix(self.params.nodes())
 
     def thick_submatrix(self, nodes: Iterable[Node]) -> list[list[int]]:
         """Columns of the flattened matrix belonging to `nodes`, node-major
@@ -121,32 +127,38 @@ class ParityCheckSystem:
             mat.append(dense)
         return mat
 
-    def inverse_for(self, missing: Iterable[Node]) -> list[list[int]]:
-        """Cached inverse of the square thick submatrix over `missing`
-        (|missing| = q); the kernel of encode and of any-k decode."""
+    def inverse_for(self, missing: Iterable[Node]) -> Elimination:
+        """Recorded elimination of the square thick submatrix H_S over
+        `missing` (|missing| = q); raises ValueError if H_S is singular."""
         p = self.params
         key = tuple(sorted(set(missing), key=p.node_ordinal))
         if len(key) != p.q:
             raise ValueError(f"need exactly {p.q} missing nodes, got {len(key)}")
-        inv = self._inverse_cache.get(key)
-        if inv is None:
-            inv = gf_inv_matrix(self.thick_submatrix(key), p.gf)
-            self._inverse_cache[key] = inv
-        return inv
+        return _eliminate(self.thick_submatrix(key), p.gf)
 
-    def completion_map(self, missing: Iterable[Node]) -> list[list[int]]:
-        """Cached dense map M with  missing_vec = M . known_vec  over the
-        field, known columns node-major ascending.  Fuses the submatrix
-        inverse with the known-side coefficients so bulk paths can apply a
-        single matrix."""
+    def completion_map(self, missing: Iterable[Node]) -> Plan:
+        """Plan that fills the q `missing` thick columns from the others, on
+        a workspace of n*alpha slots: the known columns, then the missing
+        ones (zero on entry), each group in node order with alpha
+        row-ordinal slots per column.  Only the last plan is memoised."""
         p = self.params
         key = tuple(sorted(set(missing), key=p.node_ordinal))
-        mapped = self._map_cache.get(key)
-        if mapped is None:
-            known = [nd for nd in p.nodes() if nd not in set(key)]
-            mapped = gf_matmul(self.inverse_for(key), self.thick_submatrix(known), p.gf)
-            self._map_cache[key] = mapped
-        return mapped
+        if self._last_plan is not None and self._last_plan[0] == key:
+            return self._last_plan[1]
+        elim = self.inverse_for(key)
+        known = [nd for nd in p.nodes() if nd not in key]
+        base = {nd: i * p.alpha for i, nd in enumerate(known)}
+        out = p.k * p.alpha  # slot out + j holds unknown j of H_S
+        # syndrome of constraint r, accumulated where its pivot's unknown lives
+        plan = [
+            (out + elim.slot_of_row[r], term.coeff, base[term.node] + p.row_ordinal(term.row))
+            for r, con in enumerate(self.constraints)
+            for term in con.terms
+            if term.node not in key
+        ]
+        plan += [(out + dst, coeff, out + src) for dst, coeff, src in elim.plan]
+        self._last_plan = (key, plan)
+        return plan
 
 
 def build_hmds(params: CodeParams) -> list[list[int]]:
@@ -190,7 +202,51 @@ def build_system(params: CodeParams, c0: int) -> ParityCheckSystem:
     return ParityCheckSystem(params, hmds, c0, constraints)
 
 
-# -- dense linear algebra over the symbol field ------------------------------
+# -- solve plans and GF linear algebra ----------------------------------------
+
+# One plan step on workspace W: W[dst] ^= coeff*W[src], or, when dst == src,
+# W[dst] = coeff*W[dst].
+Op = tuple[int, int, int]
+Plan = list[Op]
+
+
+def run_plan(plan: Plan, ws: list[int] | np.ndarray, gf: GF2M) -> None:
+    """Execute `plan` in place on one stripe (a list of ints, via gf.mul)
+    or on a (slots, stripes) uint16 array (via gf.mul_vec)."""
+    mul = gf.mul if isinstance(ws, list) else gf.mul_vec
+    for dst, coeff, src in plan:
+        if dst == src:
+            ws[dst] = mul(coeff, ws[dst])
+        elif coeff == 1:
+            ws[dst] ^= ws[src]
+        else:
+            ws[dst] ^= mul(coeff, ws[src])
+
+
+def run_plan_batch(plan: Plan, blocks: Sequence[np.ndarray], n_out: int,
+                   gf: GF2M) -> np.ndarray:
+    """Run `plan` on stacks of stripes.  The (stripes, width) arrays of
+    `blocks` fill the first workspace slots in order, n_out zeroed output
+    slots follow, and their (stripes, n_out) stack is returned.  Stripes go
+    STRIPE_CHUNK at a time, so the workspace stays small for any file."""
+    stripes = blocks[0].shape[0]
+    out = np.empty((stripes, n_out), dtype=np.uint16)
+    for lo in range(0, stripes, STRIPE_CHUNK):
+        chunk = [b[lo : lo + STRIPE_CHUNK] for b in blocks]
+        zeros = np.zeros((chunk[0].shape[0], n_out), dtype=np.uint16)
+        ws = np.ascontiguousarray(np.concatenate([*chunk, zeros], axis=1).T)
+        run_plan(plan, ws, gf)
+        out[lo : lo + STRIPE_CHUNK] = ws[len(ws) - n_out :].T
+    return out
+
+
+class Elimination(NamedTuple):
+    """Recorded Gaussian elimination of a square matrix M: load rhs[r] into
+    slot slot_of_row[r] of a len(rhs)-slot workspace and run `plan`; slot j
+    then holds x[j] of the solution of M.x = rhs."""
+
+    slot_of_row: list[int]
+    plan: Plan
 
 
 def gf_rank(mat: Sequence[Sequence[int]], gf: GF2M) -> int:
@@ -222,69 +278,62 @@ def gf_rank(mat: Sequence[Sequence[int]], gf: GF2M) -> int:
     return rank
 
 
-def gf_inv_matrix(mat: Sequence[Sequence[int]], gf: GF2M) -> list[list[int]]:
-    """Inverse of a square matrix by Gauss-Jordan elimination."""
+def _eliminate(mat: Sequence[Sequence[int]], gf: GF2M) -> Elimination:
+    """Sparse Gaussian elimination of a square matrix, recorded as a plan on
+    the right-hand side.  Each column pivots on its sparsest candidate row
+    to keep fill (and so the plan) short."""
     n = len(mat)
     if any(len(r) != n for r in mat):
         raise ValueError("matrix is not square")
-    a = [list(r) for r in mat]
-    inv = [[int(i == j) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col]), None)
-        if pivot is None:
+    rows = [{c: v for c, v in enumerate(r) if v} for r in mat]
+    free = list(range(n))
+    pivot_row = []
+    forward = []  # (target row, factor, pivot row)
+    for j in range(n):
+        cands = [r for r in free if j in rows[r]]
+        if not cands:
             raise ValueError("singular matrix")
-        a[col], a[pivot] = a[pivot], a[col]
-        inv[col], inv[pivot] = inv[pivot], inv[col]
-        pinv = gf.inv(a[col][col])
-        a[col] = [gf.mul(pinv, v) for v in a[col]]
-        inv[col] = [gf.mul(pinv, v) for v in inv[col]]
-        acol, icol = a[col], inv[col]
-        for r in range(n):
-            if r == col:
+        piv = min(cands, key=lambda r: len(rows[r]))
+        free.remove(piv)
+        pivot_row.append(piv)
+        prow = rows[piv]
+        pinv = gf.inv(prow[j])
+        for r in cands:
+            if r == piv:
                 continue
-            f = a[r][col]
-            if f:
-                arow, irow = a[r], inv[r]
-                for c in range(n):
-                    if acol[c]:
-                        arow[c] ^= gf.mul(f, acol[c])
-                    if icol[c]:
-                        irow[c] ^= gf.mul(f, icol[c])
-    return inv
-
-
-def gf_matmul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]],
-              gf: GF2M) -> list[list[int]]:
-    rows, inner, cols = len(a), len(b), len(b[0])
-    out = [[0] * cols for _ in range(rows)]
-    for i in range(rows):
-        arow, orow = a[i], out[i]
-        for j in range(inner):
-            f = arow[j]
-            if f:
-                brow = b[j]
-                for c in range(cols):
-                    if brow[c]:
-                        orow[c] ^= gf.mul(f, brow[c])
-    return out
-
-
-def gf_matvec(mat: Sequence[Sequence[int]], vec: Sequence[int], gf: GF2M) -> list[int]:
-    out = []
-    for row in mat:
-        acc = 0
-        for coeff, v in zip(row, vec):
-            if coeff and v:
-                acc ^= gf.mul(coeff, v)
-        out.append(acc)
-    return out
+            row = rows[r]
+            f = gf.mul(row[j], pinv)
+            for c, v in prow.items():
+                nv = row.get(c, 0) ^ gf.mul(f, v)
+                if nv:
+                    row[c] = nv
+                else:
+                    del row[c]
+            forward.append((r, f, piv))
+    slot_of_row = [0] * n
+    for j, r in enumerate(pivot_row):
+        slot_of_row[r] = j
+    plan = [(slot_of_row[dst], f, slot_of_row[src]) for dst, f, src in forward]
+    # back substitution: pivot row j now has support only in columns >= j
+    for j in reversed(range(n)):
+        prow = rows[pivot_row[j]]
+        plan += [(j, v, c) for c, v in prow.items() if c != j]
+        pinv = gf.inv(prow[j])
+        if pinv != 1:
+            plan.append((j, pinv, j))
+    return Elimination(slot_of_row, plan)
 
 
 def solve_linear(mat: Sequence[Sequence[int]], rhs: Sequence[int], gf: GF2M) -> list[int]:
     """Unique solution of a full-rank square system M.x = rhs."""
     if len(rhs) != len(mat):
         raise ValueError("rhs length does not match matrix")
-    return gf_matvec(gf_inv_matrix(mat, gf), rhs, gf)
+    elim = _eliminate(mat, gf)
+    ws = [0] * len(rhs)
+    for r, v in enumerate(rhs):
+        ws[elim.slot_of_row[r]] = v
+    run_plan(elim.plan, ws, gf)
+    return ws
 
 
 # -- MDS verification and the c0 search ---------------------------------------

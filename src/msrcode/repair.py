@@ -14,6 +14,10 @@ The q-1 shifts of each of the q^(t-1) anchor rows cover the remaining
 alpha - beta symbols exactly once, so the failed column is rebuilt in full
 from d*beta downloaded symbols -- the minimum-storage optimum
 beta = alpha/(d-k+1).
+
+repair_plan checks both phases once, against the constraints themselves,
+and compiles them into one Plan that repair_node (one stripe) and
+repair_batch (a numpy stack of stripes) both run.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .params import CodeParams, Node, Row
-from .parity import Constraint, ParityCheckSystem
+from .parity import ParityCheckSystem, Plan, run_plan, run_plan_batch
 
 
 @dataclass(frozen=True)
@@ -78,90 +82,68 @@ def helper_extract(content: Sequence[int], helper: Node, failed: Node,
     return HelperPacket(helper, entries)
 
 
-def _single_unknown_solve(con: Constraint, known: dict[tuple[Row, Node], int],
-                          sys: ParityCheckSystem) -> tuple[tuple[Row, Node], int]:
-    """Solve a constraint in which exactly one symbol is not yet known."""
-    gf = sys.params.gf
-    unknown = None
-    acc = 0
-    for term in con.terms:
-        addr = (term.row, term.node)
-        v = known.get(addr)
-        if v is None:
-            if unknown is not None:
-                raise ValueError(f"constraint (delta={con.delta}, anchor={con.anchor}) "
-                                 "has more than one unknown symbol")
-            unknown = (addr, term.coeff)
-        elif v:
-            acc ^= gf.mul(term.coeff, v)
-    if unknown is None:
-        raise ValueError("constraint has no unknown symbol to solve for")
-    addr, coeff = unknown
-    return addr, gf.mul(gf.inv(coeff), acc)
+def repair_plan(failed: Node, sys: ParityCheckSystem) -> Plan:
+    """Compile the two repair phases for `failed` into a plan on a workspace
+    of d*beta + alpha slots: slot h*beta + g holds the g-th helper-row
+    symbol of the h-th helper (helpers in node order), and the last alpha
+    slots, zero on entry, receive the failed column in row-ordinal order.
+
+    Raises ValueError unless each constraint used is down to exactly one
+    unknown, the symbol the phase predicts.  The alpha solved symbols are
+    then distinct, so they cover every row exactly once.
+    """
+    p = sys.params
+    if not sys.c0:
+        raise ValueError("parity-check system has no valid c0")
+    gamma = p.gamma_rows(failed)
+    helpers = [nd for nd in p.nodes() if nd != failed]
+    slot = {(row, h): i * p.beta + g
+            for i, h in enumerate(helpers) for g, row in enumerate(gamma)}
+    plan: Plan = []
+
+    def solve(delta: int, anchor: Row, row: Row) -> None:
+        con = sys.constraint(delta, anchor)
+        unknown = [term for term in con.terms if (term.row, term.node) not in slot]
+        if [(term.row, term.node) for term in unknown] != [(row, failed)]:
+            raise ValueError(f"constraint (delta={delta}, anchor={anchor}) does not "
+                             f"leave exactly the one unknown {(row, failed)}")
+        dst = p.d * p.beta + p.row_ordinal(row)
+        plan.extend((dst, term.coeff, slot[(term.row, term.node)])
+                    for term in con.terms if term is not unknown[0])
+        inv = p.gf.inv(unknown[0].coeff)
+        if inv != 1:
+            plan.append((dst, inv, dst))
+        slot[(row, failed)] = dst
+
+    i0, theta0 = failed
+    for row in gamma:  # phase 1: row-parities on the helper rows
+        solve(0, row, row)
+    for row in gamma:  # phase 2: delta-parities anchored there
+        for delta in range(1, p.q):
+            solve(delta, row, row[: i0 - 1] + ((theta0 - delta) % p.q,) + row[i0:])
+    return plan
 
 
 def repair_node(failed: Node, packets: Sequence[HelperPacket],
                 sys: ParityCheckSystem) -> RepairResult:
     """Rebuild the failed column from d helper packets.
 
-    Validates the protocol strictly before solving: exactly d distinct
-    helpers, each shipping exactly the helper-row set.  The two phases are
-    asserted, not assumed: every constraint consumed must be down to a
-    single unknown at the time it is used, and the union of solved
-    addresses must cover each of the alpha rows exactly once.
+    Validates the protocol strictly before solving: exactly one packet from
+    each of the d other nodes, each shipping exactly the helper-row set.
     """
     p = sys.params
-    if not sys.c0:
-        raise ValueError("parity-check system has no valid c0")
-    p.node_ordinal(failed)
-    if len(packets) != p.d:
-        raise ValueError(f"need exactly d={p.d} helper packets, got {len(packets)}")
-    helpers = {pk.helper for pk in packets}
-    if len(helpers) != p.d:
-        raise ValueError("duplicate helper packets")
-    if failed in helpers:
-        raise ValueError("failed node cannot appear among helpers")
-    gamma = p.gamma_rows(failed)
-    expected_rows = tuple(gamma)
-    known: dict[tuple[Row, Node], int] = {}
-    downloaded = 0
+    plan = repair_plan(failed, sys)
+    helpers = [nd for nd in p.nodes() if nd != failed]
+    by_helper = {pk.helper: pk for pk in packets}
+    if len(packets) != p.d or set(by_helper) != set(helpers):
+        raise ValueError(f"need one packet from each of the d={p.d} nodes other than {failed}")
+    expected_rows = tuple(p.gamma_rows(failed))
     for pk in packets:
         if tuple(r for r, _ in pk.entries) != expected_rows:
             raise ValueError(f"packet of helper {pk.helper} does not carry the helper-row set")
-        downloaded += len(pk.entries)
-        for row, sym in pk.entries:
-            known[(row, pk.helper)] = sym
-
-    column = [None] * p.alpha  # type: list[int | None]
-
-    def write(row: Row, value: int) -> None:
-        o = p.row_ordinal(row)
-        if column[o] is not None:
-            raise ValueError(f"row {row} repaired twice")
-        column[o] = value
-
-    # phase 1: row-parities on the helper rows
-    for row in gamma:
-        addr, value = _single_unknown_solve(sys.constraint(0, row), known, sys)
-        if addr != (row, failed):
-            raise ValueError("row-parity solved an unexpected symbol")
-        known[addr] = value
-        write(row, value)
-    # phase 2: delta-parities anchored on the helper rows
-    i0, theta0 = failed
-    for row in gamma:
-        for delta in range(1, p.q):
-            addr, value = _single_unknown_solve(sys.constraint(delta, row), known, sys)
-            target = list(row)
-            target[i0 - 1] = (theta0 - delta) % p.q
-            if addr != (tuple(target), failed):
-                raise ValueError("delta-parity solved an unexpected symbol")
-            known[addr] = value
-            write(tuple(target), value)
-
-    if any(v is None for v in column):
-        raise ValueError("repair did not cover every row")
-    return RepairResult(failed, column, downloaded)
+    ws = [v for h in helpers for _, v in by_helper[h].entries] + [0] * p.alpha
+    run_plan(plan, ws, p.gf)
+    return RepairResult(failed, ws[p.d * p.beta :], p.d * p.beta)
 
 
 def repair_batch(failed: Node, gamma_columns: Mapping[Node, np.ndarray],
@@ -170,50 +152,14 @@ def repair_batch(failed: Node, gamma_columns: Mapping[Node, np.ndarray],
     (s, beta) uint16 array of its helper-row symbols (ascending row
     ordinal); returns the failed node's (s, alpha) column stack."""
     p = sys.params
-    gf = p.gf
-    if not sys.c0:
-        raise ValueError("parity-check system has no valid c0")
-    if len(gamma_columns) != p.d or failed in gamma_columns:
+    plan = repair_plan(failed, sys)
+    helpers = [nd for nd in p.nodes() if nd != failed]
+    if set(gamma_columns) != set(helpers):
         raise ValueError(f"need the {p.d} helpers other than {failed}")
-    gamma = p.gamma_rows(failed)
-    stripes = next(iter(gamma_columns.values())).shape[0]
-    known: dict[tuple[Row, Node], np.ndarray] = {}
-    for helper, cols in gamma_columns.items():
-        if cols.shape != (stripes, p.beta):
-            raise ValueError(f"helper {helper} columns must be (stripes, beta)")
-        for g, row in enumerate(gamma):
-            known[(row, helper)] = cols[:, g]
-    out = np.zeros((stripes, p.alpha), dtype=np.uint16)
-
-    def solve(con: Constraint) -> tuple[tuple[Row, Node], np.ndarray]:
-        unknown = None
-        acc = np.zeros(stripes, dtype=np.uint16)
-        for term in con.terms:
-            addr = (term.row, term.node)
-            vec = known.get(addr)
-            if vec is None:
-                assert unknown is None, "more than one unknown in batch repair"
-                unknown = (addr, term.coeff)
-            else:
-                acc ^= gf.mul_vec(term.coeff, vec)
-        assert unknown is not None
-        addr, coeff = unknown
-        return addr, gf.mul_vec(gf.inv(coeff), acc)
-
-    i0, theta0 = failed
-    for row in gamma:
-        addr, vec = solve(sys.constraint(0, row))
-        assert addr == (row, failed)
-        known[addr] = vec
-        out[:, p.row_ordinal(row)] = vec
-    for row in gamma:
-        for delta in range(1, p.q):
-            addr, vec = solve(sys.constraint(delta, row))
-            target = list(row)
-            target[i0 - 1] = (theta0 - delta) % p.q
-            assert addr == (tuple(target), failed)
-            out[:, p.row_ordinal(tuple(target))] = vec
-    return out
+    blocks = [gamma_columns[h] for h in helpers]
+    if any(b.shape != (blocks[0].shape[0], p.beta) for b in blocks):
+        raise ValueError("helper column stacks must all be (stripes, beta)")
+    return run_plan_batch(plan, blocks, p.alpha, p.gf)
 
 
 def bandwidth_report(params: CodeParams) -> BandwidthReport:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import pytest
 
-from msrcode import build_system, make_params
+from msrcode import CodewordArray, build_system, make_params
 
 # (q, t, m) -> first c0 the ascending search accepts
 FOUND_C0 = {
@@ -50,3 +50,22 @@ def sys23():
 @pytest.fixture(scope="session")
 def all_systems(sys22, sys32, sys23):
     return [sys22, sys32, sys23]
+
+
+def eval_constraints(arr, sys_):
+    """Oracle: evaluate every constraint straight off its term list."""
+    gf = sys_.params.gf
+    residuals = []
+    for con in sys_.constraints:
+        acc = 0
+        for term in con.terms:
+            acc ^= gf.mul(term.coeff, arr.get(term.row, term.node))
+        residuals.append(acc)
+    return residuals
+
+
+def stripe_array(columns, s, params):
+    """Stripe s of a batch {node: (stripes, alpha)} stack as a codeword array."""
+    return CodewordArray(params, [
+        [int(columns[nd][s, r]) for nd in params.nodes()] for r in range(params.alpha)
+    ])

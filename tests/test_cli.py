@@ -211,6 +211,21 @@ def test_repair_overwrites_stale_shard(store22):
     assert victim.read_bytes() == original
 
 
+def test_repair_checksum_mismatch_leaves_no_file(store22):
+    store, _ = store22
+    p = Manifest.read(store / "manifest.txt").params()
+    failed = (1, 0)
+    (store / shard_filename(failed)).unlink()
+    # flip one bit of a helper-row symbol in stripe 0; the header stays intact
+    helper = store / shard_filename((2, 0))
+    blob = bytearray(helper.read_bytes())
+    blob[HEADER_LEN + 2 * p.row_ordinal(p.gamma_rows(failed)[0])] ^= 1
+    helper.write_bytes(bytes(blob))
+    before = {f.name: f.read_bytes() for f in store.iterdir()}
+    assert main(["repair", "--node", "1,0", "--out-dir", str(store)]) == EXIT_VERIFY
+    assert {f.name: f.read_bytes() for f in store.iterdir()} == before
+
+
 def test_repair_mislabeled_helper_is_verification_failure(store22):
     store, _ = store22
     # a helper whose header claims a different node

@@ -1,13 +1,17 @@
 """Encode/decode: constraint satisfaction, linearity, any-k round trips,
-and agreement of the batched numpy paths with the scalar ones."""
+and the batched numpy paths checked against the term-list oracle."""
 
 import itertools
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from conftest import BAD_C0
+from conftest import BAD_C0, eval_constraints, stripe_array
 from msrcode import (
     CodewordArray,
     build_system,
@@ -17,28 +21,14 @@ from msrcode import (
     make_params,
     verify_mds,
 )
+from msrcode import parity
 from msrcode.codec import complete_columns_batch, decode_batch, encode_batch
-from msrcode.parity import gf_rank
+from msrcode.parity import check_mds_ranks, gf_rank
+from msrcode.repair import repair_batch
 
 
 def random_message(params, rng):
     return [rng.randrange(params.gf.order) for _ in range(params.message_len)]
-
-
-def eval_constraints(arr, sys_):
-    """Oracle: evaluate every constraint straight off its term list."""
-    gf = sys_.params.gf
-    return [
-        _xor_sum(gf.mul(term.coeff, arr.get(term.row, term.node)) for term in con.terms)
-        for con in sys_.constraints
-    ]
-
-
-def _xor_sum(values):
-    acc = 0
-    for v in values:
-        acc ^= v
-    return acc
 
 
 # -- encode -----------------------------------------------------------------------
@@ -219,16 +209,17 @@ def test_verify_mds_catches_bad_c0():
 # -- batched paths ------------------------------------------------------------------------
 
 
-def test_encode_batch_matches_scalar(sys22, sys23):
+def test_encode_batch_satisfies_constraints(sys22, sys23):
     rng = np.random.default_rng(11)
     for sys_ in (sys22, sys23):
         p = sys_.params
         msgs = rng.integers(0, p.gf.order, size=(20, p.message_len)).astype(np.uint16)
         columns = encode_batch(msgs, sys_)
         for s in range(msgs.shape[0]):
-            arr = encode([int(v) for v in msgs[s]], sys_)
-            for node in p.nodes():
-                assert [int(v) for v in columns[node][s]] == arr.column(node)
+            arr = stripe_array(columns, s, p)
+            assert eval_constraints(arr, sys_) == [0] * sys_.n_constraints
+            systematic = [v for nd in p.systematic_nodes() for v in arr.column(nd)]
+            assert systematic == msgs[s].tolist()
 
 
 def test_decode_batch_every_subset(sys23):
@@ -260,3 +251,36 @@ def test_complete_columns_batch_validates_known_set(sys22):
 def test_encode_batch_shape_validation(sys22):
     with pytest.raises(ValueError):
         encode_batch(np.zeros((4, 5), dtype=np.uint16), sys22)
+
+
+def test_decode_batch_rank_deficient_subset_raises():
+    q, t, m = 2, 2, 5
+    bad_sys = build_system(make_params(q, t, m), BAD_C0[(q, t, m)])
+    p = bad_sys.params
+    lost = next(s for s in check_mds_ranks(bad_sys) if set(s) & set(p.systematic_nodes()))
+    available = {nd: np.zeros((3, p.alpha), dtype=np.uint16)
+                 for nd in p.nodes() if nd not in lost}
+    with pytest.raises(ValueError):
+        decode_batch(available, bad_sys)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_batch_paths_property(all_systems, data):
+    sys_ = data.draw(st.sampled_from(all_systems))
+    p = sys_.params
+    stripes = data.draw(st.integers(0, 7))
+    msgs = data.draw(arrays(np.uint16, (stripes, p.message_len),
+                            elements=st.integers(0, p.gf.order - 1)))
+    subset = data.draw(st.sampled_from(list(itertools.combinations(p.nodes(), p.k))))
+    # small chunks make the batch paths cross stripe-chunk boundaries
+    with mock.patch.object(parity, "STRIPE_CHUNK", data.draw(st.integers(1, 8))):
+        columns = encode_batch(msgs, sys_)
+        assert np.array_equal(decode_batch({nd: columns[nd] for nd in subset}, sys_), msgs)
+        for failed in p.nodes():
+            gamma_idx = [p.row_ordinal(r) for r in p.gamma_rows(failed)]
+            helpers = {h: columns[h][:, gamma_idx] for h in p.nodes() if h != failed}
+            assert np.array_equal(repair_batch(failed, helpers, sys_), columns[failed])
+    for s in range(stripes):
+        picked = {nd: [int(v) for v in columns[nd][s]] for nd in subset}
+        assert decode_from_k(picked, sys_) == msgs[s].tolist()

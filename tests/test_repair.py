@@ -1,11 +1,18 @@
 """Single-node repair: exactness for every node, strict packet validation,
 verbatim help-by-transfer, coverage, and bandwidth accounting."""
 
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import msrcode
+from conftest import eval_constraints, stripe_array
 from msrcode import (
     CodewordArray,
     bandwidth_report,
@@ -184,12 +191,14 @@ def test_repair_coverage_each_row_once(sys23):
 # -- batch path ---------------------------------------------------------------------
 
 
-def test_repair_batch_matches_scalar(sys22, sys23):
+def test_repair_batch_rebuilds_codeword_column(sys22, sys23):
     rng = np.random.default_rng(22)
     for sys_ in (sys22, sys23):
         p = sys_.params
         msgs = rng.integers(0, p.gf.order, size=(9, p.message_len)).astype(np.uint16)
         columns = encode_batch(msgs, sys_)
+        for s in range(msgs.shape[0]):
+            assert eval_constraints(stripe_array(columns, s, p), sys_) == [0] * sys_.n_constraints
         for failed in p.nodes():
             gamma_idx = [p.row_ordinal(r) for r in p.gamma_rows(failed)]
             gamma_cols = {
@@ -208,6 +217,37 @@ def test_repair_batch_validates_helpers(sys22):
         repair_batch((2, 1), gamma_cols, sys22)  # (2,1) is inside the helper set
     with pytest.raises(ValueError):
         repair_batch((1, 0), dict(list(gamma_cols.items())[:-1]), sys22)
+
+
+def test_tampered_constraint_raises_under_optimize():
+    # a delta-parity whose shifted term on the failed node points at the
+    # wrong row; the protocol check must survive `python -O`
+    script = textwrap.dedent("""
+        import dataclasses
+        import numpy as np
+        from msrcode import build_system, make_params
+        from msrcode.repair import repair_batch
+
+        p = make_params(2, 2, 5).with_c0(1)
+        sys_ = build_system(p, p.c0)
+        failed = (1, 0)
+        idx = p.alpha + p.row_ordinal((0, 0))  # delta = 1, anchor (0, 0)
+        con = sys_.constraints[idx]
+        terms = tuple(
+            t._replace(row=(1, 1)) if t.node == failed and t.row != con.anchor else t
+            for t in con.terms
+        )
+        sys_.constraints[idx] = dataclasses.replace(con, terms=terms)
+        helpers = {h: np.zeros((2, p.beta), np.uint16) for h in p.nodes() if h != failed}
+        try:
+            repair_batch(failed, helpers, sys_)
+        except ValueError as err:
+            print("ValueError:", err)
+    """)
+    env = dict(os.environ, PYTHONPATH=str(Path(msrcode.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.startswith("ValueError: "), out.stdout + out.stderr
 
 
 # -- bandwidth report ------------------------------------------------------------------
