@@ -60,8 +60,11 @@ def _load_manifest(out_dir: str) -> Manifest:
 
 
 def _system_for(manifest: Manifest) -> ParityCheckSystem:
-    params = manifest.params()
-    return build_system(params, params.c0)
+    try:
+        params = manifest.params()
+        return build_system(params, params.c0)
+    except ValueError as err:
+        raise VerificationFailure(f"manifest parameters are invalid: {err}") from None
 
 
 # -- commands -----------------------------------------------------------------
@@ -116,6 +119,8 @@ def cmd_decode(args) -> int:
             raise VerificationFailure(f"{shard}: header disagrees with manifest")
         if hdr.node in available:
             raise _UsageError(f"duplicate shard for node {hdr.node}")
+        if hdr.node not in set(p.nodes()):
+            raise VerificationFailure(f"{shard}: header names node {hdr.node}, not in the code")
         expected = manifest.checksums.get(hdr.node)
         if expected is not None and shardio.crc32_file(shard) != expected:
             raise VerificationFailure(f"{shard}: checksum mismatch")
@@ -175,11 +180,7 @@ def cmd_repair(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    manifest = _load_manifest(args.out_dir)
-    try:
-        sys_ = _system_for(manifest)
-    except ValueError as err:
-        raise VerificationFailure(f"manifest parameters are invalid: {err}") from None
+    sys_ = _system_for(_load_manifest(args.out_dir))
     p = sys_.params
     bad = check_mds_ranks(sys_)
     if bad:

@@ -15,16 +15,16 @@ one per (delta, anchor-row) pair:
 Flattened node-by-node this is exactly J0 + c0*E with J0 the Kronecker
 product of the Vandermonde matrix with an alpha x alpha identity.  The MDS
 property is equivalent to every q-thick-column submatrix having full rank
-q^(t+1); find_c0 scans nonzero candidates in ascending order and returns
-the first one passing every subset rank check.
+q^(t+1); find_c0 scans nonzero candidates in ascending order, drops each
+at its first rank-deficient subset and returns the first that passes all.
 
 Every linear solve of the codec and of repair is compiled into a Plan: a
 straight-line list of GF ops (dst, coeff, src) on a workspace of symbol
 slots.  completion_map(missing) is the plan that fills q erased thick
-columns: the syndrome of the known symbols, read straight off the sparse
-constraints, followed by the recorded Gaussian elimination of the square
-submatrix H_S over the erased columns (inverse_for).  run_plan executes a
-plan on one stripe; run_plan_batch runs it on numpy stacks of stripes.
+columns: the syndrome of the known symbols, read off the sparse constraints,
+then the recorded elimination of the square submatrix H_S (inverse_for).
+One sparse Gaussian elimination records that plan and computes every gf_rank.
+run_plan executes a plan on one stripe; run_plan_batch on stacks of stripes.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -249,50 +249,20 @@ class Elimination(NamedTuple):
     plan: Plan
 
 
-def gf_rank(mat: Sequence[Sequence[int]], gf: GF2M) -> int:
-    """Row rank by Gaussian elimination; deterministic pivoting (first
-    nonzero row in column order)."""
-    rows = [list(r) for r in mat]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        prow = rows[rank]
-        pinv = gf.inv(prow[col])
-        for r in range(rank + 1, len(rows)):
-            f = rows[r][col]
-            if f:
-                scale = gf.mul(f, pinv)
-                row = rows[r]
-                for c in range(col, ncols):
-                    if prow[c]:
-                        row[c] ^= gf.mul(scale, prow[c])
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
-
-
-def _eliminate(mat: Sequence[Sequence[int]], gf: GF2M) -> Elimination:
-    """Sparse Gaussian elimination of a square matrix, recorded as a plan on
-    the right-hand side.  Each column pivots on its sparsest candidate row
-    to keep fill (and so the plan) short."""
-    n = len(mat)
-    if any(len(r) != n for r in mat):
-        raise ValueError("matrix is not square")
+def _reduce(mat: Sequence[Sequence[int]], gf: GF2M) -> tuple[list[dict], list[int], list[Op]]:
+    """Sparse forward Gaussian elimination of any matrix, rows as {column: value}.
+    Each column pivots on its sparsest candidate row, to keep fill (and so any
+    plan) short; a column with no candidate adds no pivot.  Returns the reduced
+    rows, the pivot rows in column order (as many as the rank) and the forward
+    ops (target row, factor, pivot row)."""
     rows = [{c: v for c, v in enumerate(r) if v} for r in mat]
-    free = list(range(n))
+    free = list(range(len(rows)))
     pivot_row = []
-    forward = []  # (target row, factor, pivot row)
-    for j in range(n):
+    forward = []
+    for j in range(max(map(len, mat), default=0)):
         cands = [r for r in free if j in rows[r]]
         if not cands:
-            raise ValueError("singular matrix")
+            continue
         piv = min(cands, key=lambda r: len(rows[r]))
         free.remove(piv)
         pivot_row.append(piv)
@@ -310,6 +280,23 @@ def _eliminate(mat: Sequence[Sequence[int]], gf: GF2M) -> Elimination:
                 else:
                     del row[c]
             forward.append((r, f, piv))
+    return rows, pivot_row, forward
+
+
+def gf_rank(mat: Sequence[Sequence[int]], gf: GF2M) -> int:
+    """Row rank, by the sparse elimination behind every solve."""
+    return len(_reduce(mat, gf)[1])
+
+
+def _eliminate(mat: Sequence[Sequence[int]], gf: GF2M) -> Elimination:
+    """Elimination of a square, nonsingular matrix, recorded as a plan on
+    the right-hand side: the forward ops of _reduce, then back substitution."""
+    n = len(mat)
+    if any(len(r) != n for r in mat):
+        raise ValueError("matrix is not square")
+    rows, pivot_row, forward = _reduce(mat, gf)
+    if len(pivot_row) != n:
+        raise ValueError("singular matrix")
     slot_of_row = [0] * n
     for j, r in enumerate(pivot_row):
         slot_of_row[r] = j
@@ -350,17 +337,18 @@ def node_subsets(params: CodeParams, size: int,
     return itertools.combinations(params.nodes(), size)
 
 
-def check_mds_ranks(system: ParityCheckSystem,
-                    max_subsets: int = MAX_SUBSET_CHECKS) -> list[tuple[Node, ...]]:
-    """Rank-check every size-q thick-column submatrix; returns the subsets
-    that are NOT full rank (empty list = MDS certificate)."""
+def _deficient_subsets(system: ParityCheckSystem) -> Iterator[tuple[Node, ...]]:
+    """Lazily yield the size-q node subsets whose thick submatrix is singular."""
     p = system.params
     full = p.q * p.alpha
-    bad = []
-    for subset in node_subsets(p, p.q, max_subsets):
-        if gf_rank(system.thick_submatrix(subset), p.gf) != full:
-            bad.append(subset)
-    return bad
+    return (s for s in node_subsets(p, p.q)
+            if gf_rank(system.thick_submatrix(s), p.gf) != full)
+
+
+def check_mds_ranks(system: ParityCheckSystem) -> list[tuple[Node, ...]]:
+    """Rank-check every size-q thick-column submatrix; returns the subsets
+    that are NOT full rank (empty list = MDS certificate)."""
+    return list(_deficient_subsets(system))
 
 
 def sufficient_field_size(params: CodeParams) -> int:
@@ -371,13 +359,13 @@ def sufficient_field_size(params: CodeParams) -> int:
     return math.comb(p.n, p.k) * p.alpha * (p.q - 1) + 1
 
 
-def find_c0(params: CodeParams, max_subsets: int = MAX_SUBSET_CHECKS) -> int:
+def find_c0(params: CodeParams) -> int:
     """Smallest nonzero coefficient making every size-q thick submatrix full
-    rank.  Ascending scan gives a canonical, reproducible choice; exhaustion
-    means the field is too small (guaranteed not to happen once the field
-    size exceeds sufficient_field_size)."""
+    rank, each candidate dropped at its first singular one.  Ascending scan
+    gives a canonical, reproducible choice; exhaustion means the field is too
+    small (guaranteed not to happen once it exceeds sufficient_field_size)."""
     for c in range(1, params.gf.order):
-        if not check_mds_ranks(build_system(params, c), max_subsets):
+        if next(_deficient_subsets(build_system(params, c)), None) is None:
             return c
     raise ValueError(
         f"no valid c0 in GF(2^{params.gf.m}); retry with a larger field "
@@ -385,22 +373,21 @@ def find_c0(params: CodeParams, max_subsets: int = MAX_SUBSET_CHECKS) -> int:
     )
 
 
-def find_code(q: int, t: int, m: int | None = None,
-              max_subsets: int = MAX_SUBSET_CHECKS) -> CodeParams:
+def find_code(q: int, t: int, m: int | None = None) -> CodeParams:
     """Parameter search entry point: fix the smallest workable field (or the
     one given) and the canonical c0.  With m omitted, starts at the smallest
     m whose field holds n evaluation points and escalates on search failure.
     """
     if m is not None:
         params = make_params(q, t, m)
-        return params.with_c0(find_c0(params, max_subsets))
+        return params.with_c0(find_c0(params))
     n = t * q
     start = next(mm for mm in range(1, 17) if (1 << mm) - 1 >= n)
     last_err: Exception | None = None
     for mm in range(start, 17):
         params = make_params(q, t, mm)
         try:
-            return params.with_c0(find_c0(params, max_subsets))
+            return params.with_c0(find_c0(params))
         except ValueError as err:
             last_err = err
     raise ValueError(f"no valid c0 up to GF(2^16): {last_err}")

@@ -110,7 +110,10 @@ class Manifest:
             if not sep:
                 raise ShardFormatError(f"manifest line {lineno} is not key=value: {line!r}")
             if key in _MANIFEST_KEYS:
-                values[key] = int(value)
+                try:
+                    values[key] = int(value)
+                except ValueError:
+                    raise ShardFormatError(f"manifest value {line!r} is not an integer") from None
             elif key.startswith("checksum_"):
                 try:
                     _, i, theta = key.split("_")

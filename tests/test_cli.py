@@ -177,6 +177,34 @@ def test_decode_header_mismatch_is_verification_failure(store22, tmp_path):
     assert main(["decode", str(tmp_path / "o"), str(shards[0]), str(shards[1])]) == EXIT_VERIFY
 
 
+def test_decode_shard_naming_foreign_node_is_verification_failure(store22, tmp_path):
+    # a node outside the code has no manifest checksum, so it must not get
+    # past the header checks
+    store, _ = store22
+    victim, other = shards_in(store)[:2]
+    blob = bytearray(victim.read_bytes())
+    blob[12] = 9  # node_i
+    victim.write_bytes(bytes(blob))
+    out = tmp_path / "o"
+    assert main(["decode", str(out), str(victim), str(other)]) == EXIT_VERIFY
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("line", ["stripe_count=12x", "q=1"])
+@pytest.mark.parametrize("command", ["decode", "repair", "verify"])
+def test_garbled_manifest_is_verification_failure(store22, tmp_path, command, line):
+    store, _ = store22
+    path = store / "manifest.txt"
+    key = line.split("=")[0]
+    path.write_text(re.sub(rf"^{key}=.*$", line, path.read_text(), flags=re.M))
+    argv = {
+        "decode": ["decode", str(tmp_path / "o"), *map(str, shards_in(store)[:2])],
+        "repair": ["repair", "--node", "1,0", "--out-dir", str(store)],
+        "verify": ["verify", "--out-dir", str(store)],
+    }[command]
+    assert main(argv) == EXIT_VERIFY
+
+
 # -- repair -------------------------------------------------------------------
 
 

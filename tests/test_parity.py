@@ -1,8 +1,8 @@
 """Constraint assembly, flattening, GF linear algebra, and the c0 search.
 
 Independent oracles used here: rank via row-space enumeration (small
-matrices), an explicit Kronecker-product builder, and multiply-then-solve
-round trips.
+matrices), rank via dense first-nonzero-pivot elimination, an explicit
+Kronecker-product builder, and multiply-then-solve round trips.
 """
 
 import itertools
@@ -41,6 +41,55 @@ def span_rank(rows, gf):
         size //= gf.order
         rank += 1
     return rank
+
+
+def dense_rank(mat, gf):
+    """Oracle: row rank by dense Gaussian elimination, pivoting on the first
+    nonzero row in column order."""
+    rows = [list(r) for r in mat]
+    if not rows:
+        return 0
+    ncols = len(rows[0])
+    rank = 0
+    for col in range(ncols):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        prow = rows[rank]
+        pinv = gf.inv(prow[col])
+        for r in range(rank + 1, len(rows)):
+            f = rows[r][col]
+            if f:
+                scale = gf.mul(f, pinv)
+                row = rows[r]
+                for c in range(col, ncols):
+                    if prow[c]:
+                        row[c] ^= gf.mul(scale, prow[c])
+        rank += 1
+        if rank == len(rows):
+            break
+    return rank
+
+
+def full_rank_factors(rng, r, k, c, order):
+    """A (r x k) and B (k x c), both of rank k: A is unit lower triangular in
+    its top k rows, B upper triangular with a nonzero diagonal."""
+    a = [[rng.randrange(order) if j < i else int(i == j) for j in range(k)] for i in range(r)]
+    b = [[rng.randrange(order) if j > i else 0 for j in range(c)] for i in range(k)]
+    for i in range(k):
+        b[i][i] = rng.randrange(1, order)
+    return a, b
+
+
+def matmul(a, b, width, gf):
+    """a (r x k) times b (k x width); width is explicit so k may be 0."""
+    out = [[0] * width for _ in a]
+    for i, row in enumerate(a):
+        for c, v in enumerate(row):
+            for j in range(width):
+                out[i][j] ^= gf.mul(v, b[c][j])
+    return out
 
 
 def kron_with_identity(h, block):
@@ -247,6 +296,39 @@ def test_rank_matches_span_oracle_random():
         assert gf_rank(mat, gf) == span_rank(mat, gf)
 
 
+@pytest.mark.parametrize("q,t,m,last_c", [(3, 2, 4, 15), (2, 3, 7, 8)])
+def test_rank_matches_dense_oracle_on_thick_submatrices(q, t, m, last_c):
+    # the candidates include c0 values whose subsets are rank deficient
+    p = make_params(q, t, m)
+    deficient = 0
+    for c in range(1, last_c + 1):
+        sys_ = build_system(p, c)
+        for subset in node_subsets(p, p.q):
+            sub = sys_.thick_submatrix(subset)
+            rank = gf_rank(sub, p.gf)
+            assert rank == dense_rank(sub, p.gf)
+            deficient += rank < len(sub)
+    assert deficient > 0
+
+
+@pytest.mark.parametrize("r,k,c", [
+    (7, 3, 4),  # tall
+    (5, 5, 5),
+    (2, 2, 9),  # wide
+    (3, 1, 6),
+    (0, 0, 5),  # no rows
+    (4, 0, 3),  # all-zero rows
+])
+def test_rank_of_rectangular_product(r, k, c):
+    gf = GF2M(4)
+    rng = random.Random(r * 100 + k * 10 + c)
+    for _ in range(5):
+        a, b = full_rank_factors(rng, r, k, c, gf.order)
+        mat = matmul(a, b, c, gf)
+        assert len(mat) == r
+        assert gf_rank(mat, gf) == k
+
+
 def test_rank_of_duplicated_rows():
     gf = GF2M(4)
     row = [3, 1, 9, 14]
@@ -266,16 +348,7 @@ def test_solve_linear_round_trip_random():
     for _ in range(30):
         n = rng.randrange(2, 6)
         # random full-rank matrix: product of unit lower and upper triangular
-        lower = [[rng.randrange(16) if j < i else int(i == j) for j in range(n)]
-                 for i in range(n)]
-        upper = [[rng.randrange(16) if j > i else 0 for j in range(n)] for i in range(n)]
-        for i in range(n):
-            upper[i][i] = rng.randrange(1, 16)
-        mat = [[0] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                for c in range(n):
-                    mat[i][j] ^= gf.mul(lower[i][c], upper[c][j])
+        mat = matmul(*full_rank_factors(rng, n, n, n, 16), n, gf)
         x = [rng.randrange(16) for _ in range(n)]
         rhs = [0] * n
         for i in range(n):
@@ -338,6 +411,12 @@ def test_find_code_escalates_m():
     params = find_code(3, 2)
     assert params.gf.m == 4
     assert params.c0 == FOUND_C0[(3, 2, 4)]
+
+
+def test_find_code_q4_t2_picks_m6_c0_6():
+    # the code the certify benchmark initialises: m=4 and m=5 are exhausted
+    params = find_code(4, 2)
+    assert (params.gf.m, params.c0) == (6, 6)
 
 
 def test_find_code_fixed_m():

@@ -93,6 +93,8 @@ def test_manifest_rejects_unknown_and_missing_keys():
         Manifest.from_text("q=2\nt=2\n")
     with pytest.raises(ShardFormatError):
         Manifest.from_text("q=2\nt,2\n")
+    with pytest.raises(ShardFormatError, match="not an integer"):
+        Manifest.from_text("q=2x\n")
 
 
 def test_manifest_matches_header():
