@@ -205,7 +205,7 @@ def cmd_stats(args) -> int:
             m = next(mm for mm in range(1, 17) if (1 << mm) - 1 >= n)
         p = make_params(args.q, args.t, m)
     else:
-        p = _load_manifest(args.out_dir).params()
+        p = _system_for(_load_manifest(args.out_dir)).params
     report = repair.bandwidth_report(p)
     print(f"q={p.q} t={p.t} field=GF(2^{p.gf.m})")
     print(f"n      = {p.n}")

@@ -1,11 +1,13 @@
 """Shard and manifest file formats, plus the byte<->symbol packing.
 
-Shard layout: a fixed 26-byte header, then stripe_count stripes of alpha
-symbols each, every symbol 2 bytes little-endian regardless of m (fixed
-stride keeps helper-row reads seekable).  The header's reduction_poly field
-stores the polynomial without its implicit leading x^m bit so degree-16
-polynomials fit in two bytes; the plain-text manifest records the full
-integer.
+Shard layout (format version 2): a fixed 26-byte header, then the payload
+in blocks of BLOCK_STRIPES stripes; the last block holds the remainder.
+The block for stripes [lo, hi) stores the alpha rows in row-ordinal order,
+each row as hi - lo contiguous symbols, so a helper's rows for one repair
+are a few long byte runs per block.  Every symbol is 2 bytes little-endian
+regardless of m.  The header's reduction_poly field stores the polynomial
+without its implicit leading x^m bit so degree-16 polynomials fit in two
+bytes; the plain-text manifest records the full integer.
 
 Files are packed m bits per message symbol, LSB-first within each byte, so
 any byte stream round-trips through any field; at m=16 this is exactly two
@@ -15,6 +17,7 @@ recovers the exact byte count after the zero-fill to a whole stripe.
 
 from __future__ import annotations
 
+import os
 import struct
 import zlib
 from dataclasses import dataclass, field
@@ -26,7 +29,8 @@ import numpy as np
 from .params import CodeParams, Node, make_params
 
 MAGIC = b"MSRC"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+BLOCK_STRIPES = 4096  # stripes per payload block; fixed by format version 2
 _HEADER = struct.Struct("<4sBBBBHHBBIQ")
 HEADER_LEN = _HEADER.size  # 26
 
@@ -162,46 +166,69 @@ def stripe_count_for(file_length: int, message_len: int, m: int) -> int:
 def symbols_from_bytes(data: bytes, m: int, total_symbols: int) -> np.ndarray:
     """Pack a byte stream into symbols: m bits each, LSB-first; zero-fills
     past the end of the data."""
-    bits_needed = total_symbols * m
-    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8), bitorder="little")
-    if bits.size < bits_needed:
-        bits = np.concatenate([bits, np.zeros(bits_needed - bits.size, dtype=np.uint8)])
-    bits = bits[:bits_needed].reshape(total_symbols, m)
-    weights = 1 << np.arange(m, dtype=np.uint32)
-    return (bits.astype(np.uint32) @ weights).astype(np.uint16)
+    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8), count=total_symbols * m,
+                         bitorder="little").reshape(total_symbols, m)
+    out = np.zeros(total_symbols, dtype=np.uint16)
+    for b in range(m):  # one bit plane at a time keeps the peak at 2 bytes per symbol
+        out |= bits[:, b].astype(np.uint16) << b
+    return out
 
 
 def bytes_from_symbols(symbols: np.ndarray, m: int, byte_length: int) -> bytes:
     """Inverse of symbols_from_bytes, truncated to the original byte count."""
-    flat = np.ascontiguousarray(symbols, dtype=np.uint16).reshape(-1)
-    bits = ((flat[:, None] >> np.arange(m, dtype=np.uint16)) & 1).astype(np.uint8)
+    flat = np.asarray(symbols, dtype=np.uint16).reshape(-1)
+    bits = np.empty((flat.size, m), dtype=np.uint8)
+    for b in range(m):
+        bits[:, b] = (flat >> b) & 1
     return np.packbits(bits.reshape(-1), bitorder="little").tobytes()[:byte_length]
 
 
 # -- shard reading/writing ----------------------------------------------------
 
 
+def _blocks(stripe_count: int):
+    """The [lo, hi) stripe range of every payload block, in file order."""
+    for lo in range(0, stripe_count, BLOCK_STRIPES):
+        yield lo, min(lo + BLOCK_STRIPES, stripe_count)
+
+
 def write_shard(path: Path | str, header: ShardHeader, columns: np.ndarray) -> None:
-    """Write header plus an (stripe_count, alpha) column stack."""
-    payload = np.ascontiguousarray(columns, dtype="<u2")
-    if payload.shape[0] != header.stripe_count:
+    """Write header plus an (stripe_count, alpha) column stack, one block
+    of row-contiguous symbols at a time."""
+    columns = np.asarray(columns, dtype="<u2")
+    if columns.shape[0] != header.stripe_count:
         raise ValueError("column stack does not match header stripe_count")
     with open(path, "wb") as f:
         f.write(header.pack())
-        f.write(payload.tobytes())
+        for lo, hi in _blocks(header.stripe_count):
+            f.write(columns[lo:hi].T.tobytes())
+
+
+def _check_file_size(f, hdr: ShardHeader, path) -> None:
+    """Reject a shard whose length disagrees with its header, reading nothing."""
+    size = os.fstat(f.fileno()).st_size
+    expected = HEADER_LEN + hdr.stripe_count * hdr.q**hdr.t * 2
+    if size != expected:
+        raise ShardFormatError(f"{path}: file is {size} bytes, header implies {expected}")
+
+
+def _read_symbols(f, count: int, path) -> np.ndarray:
+    data = f.read(count * 2)
+    if len(data) != count * 2:
+        raise ShardFormatError(f"{path}: truncated shard payload")
+    return np.frombuffer(data, dtype="<u2")
 
 
 def read_shard(path: Path | str) -> tuple[ShardHeader, np.ndarray]:
     """Read a whole shard back as (header, (stripe_count, alpha) array)."""
     with open(path, "rb") as f:
         hdr = ShardHeader.unpack(f.read(HEADER_LEN))
+        _check_file_size(f, hdr, path)
         alpha = hdr.q**hdr.t
-        payload = f.read()
-    expected = hdr.stripe_count * alpha * 2
-    if len(payload) != expected:
-        raise ShardFormatError(
-            f"{path}: payload is {len(payload)} bytes, header implies {expected}")
-    columns = np.frombuffer(payload, dtype="<u2").reshape(hdr.stripe_count, alpha)
+        columns = np.empty((hdr.stripe_count, alpha), dtype=np.uint16)
+        for lo, hi in _blocks(hdr.stripe_count):
+            block = _read_symbols(f, alpha * (hi - lo), path)
+            columns[lo:hi] = block.reshape(alpha, hi - lo).T
     _check_symbol_range(columns, hdr.m, path)
     return hdr, columns
 
@@ -212,12 +239,13 @@ def _check_symbol_range(symbols: np.ndarray, m: int, path) -> None:
 
 
 class CountingReader:
-    """Thin file wrapper that accounts every byte actually requested; the
-    instrumentation behind the partial-read guarantees."""
+    """Thin file wrapper that accounts every byte and read() call actually
+    requested; the instrumentation behind the partial-read guarantees."""
 
     def __init__(self, f: BinaryIO):
         self._f = f
         self.bytes_read = 0
+        self.reads = 0
 
     def seek(self, pos: int) -> None:
         self._f.seek(pos)
@@ -225,12 +253,13 @@ class CountingReader:
     def read(self, size: int) -> bytes:
         data = self._f.read(size)
         self.bytes_read += len(data)
+        self.reads += 1
         return data
 
 
 def gamma_runs(failed: Node, params: CodeParams) -> list[tuple[int, int]]:
     """Helper-row ordinals coalesced into (start, length) runs of
-    consecutive rows, so each stripe needs at most beta short reads."""
+    consecutive rows, so each block needs at most beta reads."""
     ordinals = [params.row_ordinal(r) for r in params.gamma_rows(failed)]
     runs: list[tuple[int, int]] = []
     start = prev = ordinals[0]
@@ -246,9 +275,10 @@ def gamma_runs(failed: Node, params: CodeParams) -> list[tuple[int, int]]:
 
 def read_gamma(path: Path | str, failed: Node,
                params: CodeParams) -> tuple[ShardHeader, np.ndarray, int]:
-    """Read only the helper-row symbols of a shard via seek-based partial
-    reads: exactly header + 2*beta bytes per stripe.  Returns the header,
-    the (stripe_count, beta) symbol stack, and the byte count read."""
+    """Read only the helper-row symbols of a shard: one seek and read per
+    run of gamma_runs per block, exactly header + 2*beta bytes per stripe.
+    Returns the header, the (stripe_count, beta) symbol stack, and the byte
+    count read."""
     runs = gamma_runs(failed, params)
     alpha = params.alpha
     with open(path, "rb") as raw:
@@ -256,17 +286,18 @@ def read_gamma(path: Path | str, failed: Node,
         hdr = ShardHeader.unpack(f.read(HEADER_LEN))
         if (hdr.q, hdr.t, hdr.m) != (params.q, params.t, params.gf.m):
             raise ShardFormatError(f"{path}: header parameters do not match")
+        _check_file_size(raw, hdr, path)
         out = np.empty((hdr.stripe_count, params.beta), dtype=np.uint16)
-        for s in range(hdr.stripe_count):
-            base = HEADER_LEN + s * alpha * 2
+        base = HEADER_LEN
+        for lo, hi in _blocks(hdr.stripe_count):
+            width = hi - lo
             filled = 0
             for start, length in runs:
-                f.seek(base + start * 2)
-                chunk = f.read(length * 2)
-                if len(chunk) != length * 2:
-                    raise ShardFormatError(f"{path}: truncated shard payload")
-                out[s, filled : filled + length] = np.frombuffer(chunk, dtype="<u2")
+                f.seek(base + start * width * 2)
+                rows = _read_symbols(f, length * width, path)
+                out[lo:hi, filled : filled + length] = rows.reshape(length, width).T
                 filled += length
+            base += alpha * width * 2
     _check_symbol_range(out, hdr.m, path)
     return hdr, out, f.bytes_read
 

@@ -8,7 +8,7 @@ import re
 import pytest
 
 from msrcode.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
-from msrcode.shardio import HEADER_LEN, Manifest, read_shard, shard_filename
+from msrcode.shardio import BLOCK_STRIPES, HEADER_LEN, Manifest, read_shard, shard_filename
 
 
 @pytest.fixture()
@@ -205,6 +205,25 @@ def test_garbled_manifest_is_verification_failure(store22, tmp_path, command, li
     assert main(argv) == EXIT_VERIFY
 
 
+@pytest.mark.parametrize("command", ["decode", "repair"])
+def test_version_1_shard_is_verification_failure(store22, tmp_path, command):
+    store, _ = store22
+    victim = store / shard_filename((2, 0))
+    blob = bytearray(victim.read_bytes())
+    blob[4] = 1  # format version
+    victim.write_bytes(bytes(blob))
+    rebuilt = store / shard_filename((1, 0))
+    rebuilt.unlink()
+    out = tmp_path / "o"
+    argv = {
+        "decode": ["decode", str(out), str(victim), str(store / shard_filename((2, 1)))],
+        "repair": ["repair", "--node", "1,0", "--out-dir", str(store)],
+    }[command]
+    assert main(argv) == EXIT_VERIFY
+    assert not out.exists() and not rebuilt.exists()
+    assert not list(store.glob("*.tmp"))
+
+
 # -- repair -------------------------------------------------------------------
 
 
@@ -244,10 +263,12 @@ def test_repair_checksum_mismatch_leaves_no_file(store22):
     p = Manifest.read(store / "manifest.txt").params()
     failed = (1, 0)
     (store / shard_filename(failed)).unlink()
-    # flip one bit of a helper-row symbol in stripe 0; the header stays intact
+    # flip one bit of a helper-row symbol in stripe 0; the header stays intact.
+    # Each row of the first block holds min(stripe_count, BLOCK_STRIPES) symbols.
     helper = store / shard_filename((2, 0))
     blob = bytearray(helper.read_bytes())
-    blob[HEADER_LEN + 2 * p.row_ordinal(p.gamma_rows(failed)[0])] ^= 1
+    width = min(read_shard(helper)[0].stripe_count, BLOCK_STRIPES)
+    blob[HEADER_LEN + 2 * p.row_ordinal(p.gamma_rows(failed)[0]) * width] ^= 1
     helper.write_bytes(bytes(blob))
     before = {f.name: f.read_bytes() for f in store.iterdir()}
     assert main(["repair", "--node", "1,0", "--out-dir", str(store)]) == EXIT_VERIFY
@@ -321,6 +342,15 @@ def test_stats_from_manifest(store22, capsys):
     store, _ = store22
     assert main(["stats", "--out-dir", str(store)]) == EXIT_OK
     assert "n      = 4" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("line", ["q=1", "c0=99"])
+def test_stats_invalid_manifest_is_verification_failure(store22, line):
+    store, _ = store22
+    path = store / "manifest.txt"
+    key = line.split("=")[0]
+    path.write_text(re.sub(rf"^{key}=.*$", line, path.read_text(), flags=re.M))
+    assert main(["stats", "--out-dir", str(store)]) == EXIT_VERIFY
 
 
 def test_stats_needs_both_q_and_t():

@@ -1,12 +1,18 @@
 """Shard header/manifest formats, bit packing, and partial-read accounting."""
 
 import random
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from msrcode import make_params
+from msrcode import make_params, shardio
 from msrcode.shardio import (
+    BLOCK_STRIPES,
     HEADER_LEN,
     CountingReader,
     Manifest,
@@ -55,7 +61,7 @@ def test_header_bad_magic_version_length():
     with pytest.raises(ShardFormatError):
         ShardHeader.unpack(b"XSRC" + good[4:])
     with pytest.raises(ShardFormatError):
-        ShardHeader.unpack(good[:4] + b"\x02" + good[5:])
+        ShardHeader.unpack(good[:4] + b"\x01" + good[5:])
     with pytest.raises(ShardFormatError):
         ShardHeader.unpack(good[:-1])
 
@@ -124,6 +130,21 @@ def test_packing_round_trip(m):
         assert bytes_from_symbols(symbols, m, length) == data
 
 
+def reference_symbols(data: bytes, m: int, total: int) -> list[int]:
+    """Bit-by-bit packing: LSB-first bits, m per symbol, zero-filled."""
+    bits = [(byte >> i) & 1 for byte in data for i in range(8)]
+    bits += [0] * max(0, total * m - len(bits))
+    return [sum(bits[s * m + b] << b for b in range(m)) for s in range(total)]
+
+
+@pytest.mark.parametrize("m", [1, 3, 5, 7, 8, 13, 16])
+def test_packing_matches_bitwise_reference(m):
+    rng = random.Random(100 + m)
+    data = bytes(rng.randrange(256) for _ in range(50))
+    for total in (0, 400 // m - 1, 400 // m + 3):  # short of, and past, the data
+        assert symbols_from_bytes(data, m, total).tolist() == reference_symbols(data, m, total)
+
+
 def test_packing_m16_is_two_byte_little_endian():
     data = bytes(range(32))
     symbols = symbols_from_bytes(data, 16, 16)
@@ -186,7 +207,36 @@ def test_write_shard_stripe_count_mismatch(tmp_path):
         write_shard(tmp_path / "s.msrc", hdr, np.zeros((2, 8), dtype=np.uint16))
 
 
+def test_payload_is_row_contiguous_per_block(tmp_path, monkeypatch):
+    assert BLOCK_STRIPES == 4096  # part of format version 2
+    monkeypatch.setattr(shardio, "BLOCK_STRIPES", 3)
+    rng = np.random.default_rng(3)
+    columns = rng.integers(0, 128, size=(7, 8)).astype(np.uint16)
+    hdr = ShardHeader(2, 3, 7, 0x89, 1, (2, 0), 7, 196)
+    path = tmp_path / "s.msrc"
+    write_shard(path, hdr, columns)
+    blob = path.read_bytes()
+    assert blob[:HEADER_LEN] == hdr.pack() and blob[4] == 2
+    # blocks [0,3), [3,6), [6,7); inside each, row after row
+    assert blob[HEADER_LEN:] == b"".join(
+        columns[lo:hi].T.astype("<u2").tobytes() for lo, hi in [(0, 3), (3, 6), (6, 7)])
+    assert np.array_equal(read_shard(path)[1], columns)
+
+
 # -- partial reads -----------------------------------------------------------------
+
+
+def recording_reader():
+    """A CountingReader subclass that keeps its instances, so a test can
+    inspect the one read_gamma used, and the list they go to."""
+    made = []
+
+    class Recording(CountingReader):
+        def __init__(self, f):
+            super().__init__(f)
+            made.append(self)
+
+    return Recording, made
 
 
 def test_gamma_runs_coalesced():
@@ -233,6 +283,50 @@ def test_read_gamma_truncated(tmp_path):
     path.write_bytes(path.read_bytes()[:-10])
     with pytest.raises(ShardFormatError):
         read_gamma(path, (1, 0), p)
+
+
+def test_read_gamma_checks_file_size_before_payload(tmp_path, monkeypatch):
+    # repair of (1,0) reads rows 0-3 only, which a short tail does not touch
+    reader, made = recording_reader()
+    monkeypatch.setattr(shardio, "CountingReader", reader)
+    p = make_params(2, 3, 7)
+    hdr = ShardHeader(2, 3, 7, p.gf.poly, 1, (1, 0), 3, 80)
+    path = tmp_path / "s.msrc"
+    write_shard(path, hdr, np.zeros((3, 8), dtype=np.uint16))
+    blob = path.read_bytes()
+    for bad in (blob[:-8], blob + b"\0\0"):
+        path.write_bytes(bad)
+        with pytest.raises(ShardFormatError, match="header implies"):
+            read_gamma(path, (1, 0), p)
+        assert made[-1].bytes_read == HEADER_LEN  # no payload read
+        with pytest.raises(ShardFormatError, match="header implies"):
+            read_shard(path)
+
+
+@settings(max_examples=60, deadline=None)
+@given(qtm=st.sampled_from([(2, 2, 5), (2, 3, 7), (3, 2, 4)]),
+       stripes=st.integers(0, 20), block=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+def test_block_layout_property(qtm, stripes, block, seed):
+    p = make_params(*qtm)
+    rng = np.random.default_rng(seed)
+    columns = rng.integers(0, 1 << p.gf.m, size=(stripes, p.alpha)).astype(np.uint16)
+    hdr = ShardHeader(p.q, p.t, p.gf.m, p.gf.poly, 1, (1, 0), stripes, 0)
+    blocks = -(-stripes // block)
+    reader, made = recording_reader()
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(shardio, "BLOCK_STRIPES", block), \
+            mock.patch.object(shardio, "CountingReader", reader):
+        path = Path(tmp) / "s.msrc"
+        write_shard(path, hdr, columns)
+        got_hdr, got = read_shard(path)
+        assert got_hdr == hdr and np.array_equal(got, columns)
+        for failed in p.nodes():
+            _, gamma_cols, nbytes = read_gamma(path, failed, p)
+            idx = [p.row_ordinal(r) for r in p.gamma_rows(failed)]
+            assert np.array_equal(gamma_cols, columns[:, idx])
+            assert nbytes == HEADER_LEN + 2 * p.beta * stripes
+            # the header, then one read per run per block
+            assert made[-1].reads == 1 + blocks * len(gamma_runs(failed, p))
 
 
 def test_counting_reader(tmp_path):
