@@ -4,16 +4,23 @@ Exit status: 0 success, 1 usage error, 2 verification failure, 3 I/O error.
 Shards and the manifest live together in a directory (--out-dir); the
 "network" between nodes is plain file reads, which repair keeps to the
 helper-row byte ranges only.
+
+encode, decode and repair each make one pass over 4096-stripe blocks, so
+their memory does not grow with the file.  Every file they write goes to a
+temp file, is fsynced and is renamed into place only when complete and
+checked: decode and repair rename only once every CRC they can check
+matches the manifest, and encode renames the manifest last.  A failure
+part-way leaves the earlier files as they were.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
+import stat
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from . import codec, repair, shardio
 from .params import Node, make_params
@@ -59,9 +66,21 @@ def _load_manifest(out_dir: str) -> Manifest:
     return Manifest.read(path)
 
 
-def _system_for(manifest: Manifest) -> ParityCheckSystem:
+def _system_for(manifest: Manifest, encoded: bool = False) -> ParityCheckSystem:
+    """The code the manifest names.  With encoded=True the manifest must
+    also be one that encode wrote: a checksum for every node of the code
+    and for no other, and a stripe count that fits the file length.  So a
+    dropped line or a garbled parameter fails closed, before any shard is
+    trusted or the (possibly huge) garbled code is built."""
     try:
         params = manifest.params()
+        if encoded:
+            if set(manifest.checksums) != set(params.nodes()):
+                raise VerificationFailure("manifest checksums do not name exactly the "
+                                          "nodes of the code")
+            if manifest.stripe_count != shardio.stripe_count_for(
+                    manifest.file_length, params.message_len, params.gf.m):
+                raise VerificationFailure("manifest stripe_count does not fit file_length")
         return build_system(params, params.c0)
     except ValueError as err:
         raise VerificationFailure(f"manifest parameters are invalid: {err}") from None
@@ -86,21 +105,29 @@ def cmd_encode(args) -> int:
     manifest = _load_manifest(args.out_dir)
     sys_ = _system_for(manifest)
     p = sys_.params
-    data = Path(args.input).read_bytes()
-    stripes = shardio.stripe_count_for(len(data), p.message_len, p.gf.m)
-    messages = shardio.symbols_from_bytes(data, p.gf.m, stripes * p.message_len)
-    columns = codec.encode_batch(messages.reshape(stripes, p.message_len), sys_)
-    manifest.stripe_count = stripes
-    manifest.file_length = len(data)
-    manifest.checksums = {}
     out_dir = Path(args.out_dir)
-    for node in p.nodes():
-        path = out_dir / shard_filename(node)
-        shardio.write_shard(path, manifest.header_for(node), columns[node])
-        manifest.checksums[node] = shardio.crc32_file(path)
-    manifest.write(_manifest_path(args.out_dir))
-    print(f"encoded {len(data)} bytes into {p.n} shards "
-          f"({stripes} stripes of {p.message_len} symbols)")
+    with open(args.input, "rb") as src, contextlib.ExitStack() as stack:
+        st = os.fstat(src.fileno())
+        if not stat.S_ISREG(st.st_mode):  # a pipe's size is 0, whatever it holds
+            raise _UsageError(f"{args.input} is not a regular file; the shard headers "
+                              "need its length before its data")
+        length = st.st_size
+        manifest.stripe_count = shardio.stripe_count_for(length, p.message_len, p.gf.m)
+        manifest.file_length = length
+        # entered first, so renamed last: until then the old manifest's CRCs
+        # disagree with any shard already replaced
+        manifest_file = stack.enter_context(shardio.replacing(_manifest_path(args.out_dir)))
+        writers = {node: stack.enter_context(shardio.create_shard(
+                       out_dir / shard_filename(node), manifest.header_for(node)))
+                   for node in p.nodes()}
+        for messages in shardio.read_messages(src, length, p):
+            columns = codec.encode_batch(messages, sys_)
+            for node, writer in writers.items():
+                writer.write_block(columns[node])
+        manifest.checksums = {node: writer.crc for node, writer in writers.items()}
+        manifest_file.write(manifest.to_text().encode())
+    print(f"encoded {length} bytes into {p.n} shards "
+          f"({manifest.stripe_count} stripes of {p.message_len} symbols)")
     return EXIT_OK
 
 
@@ -108,34 +135,39 @@ def cmd_decode(args) -> int:
     manifest_path = Path(args.manifest) if args.manifest else \
         Path(args.shards[0]).parent / shardio.MANIFEST_NAME
     manifest = Manifest.read(manifest_path)
-    sys_ = _system_for(manifest)
+    sys_ = _system_for(manifest, encoded=True)
     p = sys_.params
     if len(args.shards) != p.k:
         raise _UsageError(f"decoding needs exactly k={p.k} shards, got {len(args.shards)}")
-    available: dict[Node, np.ndarray] = {}
-    for shard in args.shards:
-        hdr, columns = shardio.read_shard(shard)
-        if not manifest.matches_header(hdr):
-            raise VerificationFailure(f"{shard}: header disagrees with manifest")
-        if hdr.node in available:
-            raise _UsageError(f"duplicate shard for node {hdr.node}")
-        if hdr.node not in set(p.nodes()):
-            raise VerificationFailure(f"{shard}: header names node {hdr.node}, not in the code")
-        expected = manifest.checksums.get(hdr.node)
-        if expected is not None and shardio.crc32_file(shard) != expected:
-            raise VerificationFailure(f"{shard}: checksum mismatch")
-        available[hdr.node] = columns
-    messages = codec.decode_batch(available, sys_)
-    data = shardio.bytes_from_symbols(messages, p.gf.m, manifest.file_length)
-    Path(args.output).write_bytes(data)
-    print(f"decoded {len(data)} bytes from {p.k} shards")
+    if len({Path(s).resolve() for s in args.shards}) != p.k:
+        raise _UsageError("the same shard file is given twice")
+    with contextlib.ExitStack() as stack:
+        shards = [stack.enter_context(shardio.open_shard(s)) for s in args.shards]
+        nodes = [shard.header.node for shard in shards]
+        for shard in shards:
+            if not manifest.matches_header(shard.header):
+                raise VerificationFailure(f"{shard.path}: header disagrees with manifest")
+            if shard.header.node not in manifest.checksums:
+                raise VerificationFailure(
+                    f"{shard.path}: header names node {shard.header.node}, not in the code")
+        if len(set(nodes)) != p.k:
+            raise VerificationFailure("two shard headers name the same node")
+        with shardio.replacing(args.output) as out:
+            for (_, nbytes), *blocks in zip(shardio.message_blocks(manifest.file_length, p),
+                                            *(shard.blocks() for shard in shards)):
+                messages = codec.decode_batch(dict(zip(nodes, blocks)), sys_)
+                out.write(shardio.bytes_from_symbols(messages, p.gf.m, nbytes))
+            for shard in shards:
+                if shard.crc != manifest.checksums[shard.header.node]:
+                    raise VerificationFailure(f"{shard.path}: checksum mismatch")
+    print(f"decoded {manifest.file_length} bytes from {p.k} shards")
     return EXIT_OK
 
 
 def cmd_repair(args) -> int:
     failed = _parse_node(args.node)
     manifest = _load_manifest(args.out_dir)
-    sys_ = _system_for(manifest)
+    sys_ = _system_for(manifest, encoded=True)
     p = sys_.params
     p.node_ordinal(failed)
     out_dir = Path(args.out_dir)
@@ -145,25 +177,21 @@ def cmd_repair(args) -> int:
         raise FileNotFoundError(
             f"repair needs all d={p.d} helper shards; missing: "
             + ", ".join(shard_filename(nd) for nd in missing))
-    gamma_columns: dict[Node, np.ndarray] = {}
-    bytes_per_helper: dict[Node, int] = {}
-    for nd in helpers:
-        hdr, cols, nbytes = shardio.read_gamma(out_dir / shard_filename(nd), failed, p)
-        if not manifest.matches_header(hdr) or hdr.node != nd:
-            raise VerificationFailure(f"{shard_filename(nd)}: header disagrees with manifest")
-        gamma_columns[nd] = cols
-        bytes_per_helper[nd] = nbytes
-    rebuilt = repair.repair_batch(failed, gamma_columns, sys_)
     path = out_dir / shard_filename(failed)
-    tmp = path.with_name(path.name + ".tmp")
-    try:  # the shard appears under its name only once its checksum matches
-        shardio.write_shard(tmp, manifest.header_for(failed), rebuilt)
-        expected = manifest.checksums.get(failed)
-        if expected is not None and shardio.crc32_file(tmp) != expected:
-            raise VerificationFailure(f"rebuilt {path.name} does not match manifest checksum")
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
+    runs = shardio.gamma_runs(failed, p)
+    with contextlib.ExitStack() as stack:
+        shards = [stack.enter_context(shardio.open_shard(out_dir / shard_filename(nd)))
+                  for nd in helpers]
+        for nd, shard in zip(helpers, shards):
+            if not manifest.matches_header(shard.header) or shard.header.node != nd:
+                raise VerificationFailure(f"{shard_filename(nd)}: header disagrees with manifest")
+        # the shard appears under its name only once its checksum matches
+        with shardio.create_shard(path, manifest.header_for(failed)) as rebuilt:
+            for blocks in zip(*(shard.gamma_blocks(runs) for shard in shards)):
+                rebuilt.write_block(repair.repair_batch(failed, dict(zip(helpers, blocks)), sys_))
+            if rebuilt.crc != manifest.checksums[failed]:
+                raise VerificationFailure(f"rebuilt {path.name} does not match manifest checksum")
+    bytes_per_helper = {nd: shard.counter.bytes_read for nd, shard in zip(helpers, shards)}
 
     stripes = manifest.stripe_count
     read_total = sum(bytes_per_helper.values())

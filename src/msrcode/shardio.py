@@ -1,4 +1,5 @@
-"""Shard and manifest file formats, plus the byte<->symbol packing.
+"""Shard and manifest file formats, block-at-a-time shard I/O, and the
+byte<->symbol packing.
 
 Shard layout (format version 2): a fixed 26-byte header, then the payload
 in blocks of BLOCK_STRIPES stripes; the last block holds the remainder.
@@ -9,10 +10,25 @@ regardless of m.  The header's reduction_poly field stores the polynomial
 without its implicit leading x^m bit so degree-16 polynomials fit in two
 bytes; the plain-text manifest records the full integer.
 
+Shards are read and written one block at a time, so memory is O(block)
+whatever the file size.  `open_shard` yields a ShardReader, which checks
+the header and the file size before any payload read, then streams whole
+blocks (keeping a running CRC-32 of the bytes it read, in file order) or
+only the helper-row runs of each block.  `create_shard` yields a
+ShardWriter that appends blocks after the header with a running CRC-32.
+Every file written here goes through `replacing`: it is written to
+<name>.tmp, fsynced, and only then renamed over <name>, so an error or a
+crash part-way never leaves a partial file under the real name.
+write_shard, read_shard and read_gamma are whole-file wrappers over them.
+
 Files are packed m bits per message symbol, LSB-first within each byte, so
 any byte stream round-trips through any field; at m=16 this is exactly two
-bytes little-endian per symbol.  file_length in the header/manifest
-recovers the exact byte count after the zero-fill to a whole stripe.
+bytes little-endian per symbol.  A payload block of stripes packs
+BLOCK_STRIPES * message_len * m / 8 input bytes, a whole number because
+BLOCK_STRIPES is a multiple of 8, so an input packed block by block
+(`read_messages`) gives the symbols of a whole-file packing.  file_length
+in the header/manifest recovers the exact byte count after the zero-fill
+to a whole stripe.
 """
 
 from __future__ import annotations
@@ -20,9 +36,10 @@ from __future__ import annotations
 import os
 import struct
 import zlib
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import BinaryIO
+from typing import BinaryIO, Iterator
 
 import numpy as np
 
@@ -30,7 +47,9 @@ from .params import CodeParams, Node, make_params
 
 MAGIC = b"MSRC"
 FORMAT_VERSION = 2
-BLOCK_STRIPES = 4096  # stripes per payload block; fixed by format version 2
+# stripes per payload block; fixed by format version 2, and a multiple of 8
+# so that every block but the last packs a whole number of input bytes
+BLOCK_STRIPES = 4096
 _HEADER = struct.Struct("<4sBBBBHHBBIQ")
 HEADER_LEN = _HEADER.size  # 26
 
@@ -132,11 +151,18 @@ class Manifest:
         return cls(checksums=checksums, **values)
 
     def write(self, path: Path | str) -> None:
-        Path(path).write_text(self.to_text())
+        """Replace the manifest file crash-safely (see `replacing`)."""
+        with replacing(path) as f:
+            f.write(self.to_text().encode())
 
     @classmethod
     def read(cls, path: Path | str) -> "Manifest":
-        return cls.from_text(Path(path).read_text())
+        try:
+            text = Path(path).read_bytes().decode("utf-8")
+        except UnicodeDecodeError as err:
+            raise ShardFormatError(f"{path}: manifest is not UTF-8 text "
+                                   f"(byte {err.start})") from None
+        return cls.from_text(text)
 
     def header_for(self, node: Node) -> ShardHeader:
         return ShardHeader(self.q, self.t, self.m, self.reduction_poly, self.c0,
@@ -183,6 +209,49 @@ def bytes_from_symbols(symbols: np.ndarray, m: int, byte_length: int) -> bytes:
     return np.packbits(bits.reshape(-1), bitorder="little").tobytes()[:byte_length]
 
 
+# -- crash-safe writes ---------------------------------------------------------
+
+
+@contextmanager
+def replacing(path: Path | str) -> Iterator[BinaryIO]:
+    """Yield <path>.tmp open for writing.  On a clean exit it is fsynced and
+    renamed over `path`; on an exception it is removed and `path` is left
+    as it was."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as f:
+            yield f
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+# -- streaming the input ----------------------------------------------------------
+
+
+def message_blocks(file_length: int, params: CodeParams) -> Iterator[tuple[int, int]]:
+    """(stripes, input bytes) of each payload block of a file_length-byte
+    input, in file order."""
+    bits = params.message_len * params.gf.m  # per stripe
+    for lo, hi in _blocks(stripe_count_for(file_length, params.message_len, params.gf.m)):
+        yield hi - lo, min(file_length, hi * bits // 8) - lo * bits // 8
+
+
+def read_messages(src: BinaryIO, file_length: int,
+                  params: CodeParams) -> Iterator[np.ndarray]:
+    """Read a file_length-byte input one payload block at a time, yielding
+    each block's (stripes, message_len) stack of packed symbols."""
+    for stripes, nbytes in message_blocks(file_length, params):
+        data = src.read(nbytes)
+        if len(data) != nbytes:
+            raise OSError(f"input is shorter than {file_length} bytes; it changed while read")
+        symbols = symbols_from_bytes(data, params.gf.m, stripes * params.message_len)
+        yield symbols.reshape(stripes, params.message_len)
+
+
 # -- shard reading/writing ----------------------------------------------------
 
 
@@ -192,16 +261,53 @@ def _blocks(stripe_count: int):
         yield lo, min(lo + BLOCK_STRIPES, stripe_count)
 
 
+class ShardWriter:
+    """Appends a shard's payload blocks, in file order, after its header,
+    keeping the CRC-32 of every byte written so far in `crc`."""
+
+    def __init__(self, f: BinaryIO, header: ShardHeader):
+        self._f = f
+        self.header = header
+        self.stripes_written = 0
+        self.crc = 0
+        self._put(header.pack())
+
+    def _put(self, data: bytes) -> None:
+        self._f.write(data)
+        self.crc = zlib.crc32(data, self.crc)
+
+    def write_block(self, columns: np.ndarray) -> None:
+        """Append the (stripes, alpha) column stack of the next block."""
+        hdr = self.header
+        width = min(BLOCK_STRIPES, hdr.stripe_count - self.stripes_written)
+        if width <= 0 or columns.shape != (width, hdr.q**hdr.t):
+            raise ValueError(f"a block of shape {columns.shape} is not the next block "
+                             f"of a {hdr.stripe_count}-stripe shard")
+        self._put(np.asarray(columns, dtype="<u2").T.tobytes())
+        self.stripes_written += width
+
+
+@contextmanager
+def create_shard(path: Path | str, header: ShardHeader) -> Iterator[ShardWriter]:
+    """Write one shard through `replacing`: the caller appends every block
+    to the yielded writer, and a shard short of blocks is never renamed
+    into place."""
+    with replacing(path) as f:
+        writer = ShardWriter(f, header)
+        yield writer
+        if writer.stripes_written != header.stripe_count:
+            raise ValueError(f"{path}: {writer.stripes_written} of "
+                             f"{header.stripe_count} stripes written")
+
+
 def write_shard(path: Path | str, header: ShardHeader, columns: np.ndarray) -> None:
-    """Write header plus an (stripe_count, alpha) column stack, one block
-    of row-contiguous symbols at a time."""
+    """Write header plus an (stripe_count, alpha) column stack."""
     columns = np.asarray(columns, dtype="<u2")
     if columns.shape[0] != header.stripe_count:
         raise ValueError("column stack does not match header stripe_count")
-    with open(path, "wb") as f:
-        f.write(header.pack())
+    with create_shard(path, header) as writer:
         for lo, hi in _blocks(header.stripe_count):
-            f.write(columns[lo:hi].T.tobytes())
+            writer.write_block(columns[lo:hi])
 
 
 def _check_file_size(f, hdr: ShardHeader, path) -> None:
@@ -210,32 +316,6 @@ def _check_file_size(f, hdr: ShardHeader, path) -> None:
     expected = HEADER_LEN + hdr.stripe_count * hdr.q**hdr.t * 2
     if size != expected:
         raise ShardFormatError(f"{path}: file is {size} bytes, header implies {expected}")
-
-
-def _read_symbols(f, count: int, path) -> np.ndarray:
-    data = f.read(count * 2)
-    if len(data) != count * 2:
-        raise ShardFormatError(f"{path}: truncated shard payload")
-    return np.frombuffer(data, dtype="<u2")
-
-
-def read_shard(path: Path | str) -> tuple[ShardHeader, np.ndarray]:
-    """Read a whole shard back as (header, (stripe_count, alpha) array)."""
-    with open(path, "rb") as f:
-        hdr = ShardHeader.unpack(f.read(HEADER_LEN))
-        _check_file_size(f, hdr, path)
-        alpha = hdr.q**hdr.t
-        columns = np.empty((hdr.stripe_count, alpha), dtype=np.uint16)
-        for lo, hi in _blocks(hdr.stripe_count):
-            block = _read_symbols(f, alpha * (hi - lo), path)
-            columns[lo:hi] = block.reshape(alpha, hi - lo).T
-    _check_symbol_range(columns, hdr.m, path)
-    return hdr, columns
-
-
-def _check_symbol_range(symbols: np.ndarray, m: int, path) -> None:
-    if m < 16 and symbols.size and int(symbols.max()) >= 1 << m:
-        raise ShardFormatError(f"{path}: symbol out of range for GF(2^{m})")
 
 
 class CountingReader:
@@ -255,6 +335,73 @@ class CountingReader:
         self.bytes_read += len(data)
         self.reads += 1
         return data
+
+
+class ShardReader:
+    """An open shard whose header and file size were checked on opening,
+    before any payload read.  Stream the payload with blocks() or
+    gamma_blocks(); `counter` counts the bytes and read() calls made."""
+
+    def __init__(self, f: BinaryIO, path):
+        self.path = path
+        self.counter = CountingReader(f)
+        head = self.counter.read(HEADER_LEN)
+        self.header = ShardHeader.unpack(head)
+        self.crc = zlib.crc32(head)  # of the bytes read in file order so far
+        _check_file_size(f, self.header, path)
+
+    def _symbols(self, count: int) -> tuple[bytes, np.ndarray]:
+        data = self.counter.read(count * 2)
+        if len(data) != count * 2:
+            raise ShardFormatError(f"{self.path}: truncated shard payload")
+        symbols = np.frombuffer(data, dtype="<u2")
+        if self.header.m < 16 and int(symbols.max()) >= 1 << self.header.m:
+            raise ShardFormatError(f"{self.path}: symbol out of range for GF(2^{self.header.m})")
+        return data, symbols
+
+    def blocks(self) -> Iterator[np.ndarray]:
+        """The (stripes, alpha) column stack of every block, in file order.
+        Once it is exhausted, `crc` is the CRC-32 of the whole file."""
+        alpha = self.header.q**self.header.t
+        for lo, hi in _blocks(self.header.stripe_count):
+            data, symbols = self._symbols(alpha * (hi - lo))
+            self.crc = zlib.crc32(data, self.crc)
+            yield symbols.reshape(alpha, hi - lo).T
+
+    def gamma_blocks(self, runs: list[tuple[int, int]]) -> Iterator[np.ndarray]:
+        """The (stripes, sum of run lengths) stack of the rows in `runs`
+        ((start ordinal, length) pairs) of every block, reading only those
+        rows: one seek and read per run per block."""
+        alpha = self.header.q**self.header.t
+        total = sum(length for _, length in runs)
+        base = HEADER_LEN
+        for lo, hi in _blocks(self.header.stripe_count):
+            width = hi - lo
+            out = np.empty((width, total), dtype=np.uint16)
+            filled = 0
+            for start, length in runs:
+                self.counter.seek(base + start * width * 2)
+                _, rows = self._symbols(length * width)
+                out[:, filled : filled + length] = rows.reshape(length, width).T
+                filled += length
+            base += alpha * width * 2
+            yield out
+
+
+@contextmanager
+def open_shard(path: Path | str) -> Iterator[ShardReader]:
+    with open(path, "rb") as f:
+        yield ShardReader(f, path)
+
+
+def read_shard(path: Path | str) -> tuple[ShardHeader, np.ndarray]:
+    """Read a whole shard back as (header, (stripe_count, alpha) array)."""
+    with open_shard(path) as shard:
+        hdr = shard.header
+        columns = np.empty((hdr.stripe_count, hdr.q**hdr.t), dtype=np.uint16)
+        for (lo, hi), block in zip(_blocks(hdr.stripe_count), shard.blocks()):
+            columns[lo:hi] = block
+    return hdr, columns
 
 
 def gamma_runs(failed: Node, params: CodeParams) -> list[tuple[int, int]]:
@@ -279,28 +426,20 @@ def read_gamma(path: Path | str, failed: Node,
     run of gamma_runs per block, exactly header + 2*beta bytes per stripe.
     Returns the header, the (stripe_count, beta) symbol stack, and the byte
     count read."""
-    runs = gamma_runs(failed, params)
-    alpha = params.alpha
-    with open(path, "rb") as raw:
-        f = CountingReader(raw)
-        hdr = ShardHeader.unpack(f.read(HEADER_LEN))
+    with open_shard(path) as shard:
+        hdr = shard.header
         if (hdr.q, hdr.t, hdr.m) != (params.q, params.t, params.gf.m):
             raise ShardFormatError(f"{path}: header parameters do not match")
-        _check_file_size(raw, hdr, path)
         out = np.empty((hdr.stripe_count, params.beta), dtype=np.uint16)
-        base = HEADER_LEN
-        for lo, hi in _blocks(hdr.stripe_count):
-            width = hi - lo
-            filled = 0
-            for start, length in runs:
-                f.seek(base + start * width * 2)
-                rows = _read_symbols(f, length * width, path)
-                out[lo:hi, filled : filled + length] = rows.reshape(length, width).T
-                filled += length
-            base += alpha * width * 2
-    _check_symbol_range(out, hdr.m, path)
-    return hdr, out, f.bytes_read
+        runs = gamma_runs(failed, params)
+        for (lo, hi), rows in zip(_blocks(hdr.stripe_count), shard.gamma_blocks(runs)):
+            out[lo:hi] = rows
+    return hdr, out, shard.counter.bytes_read
 
 
 def crc32_file(path: Path | str) -> int:
-    return zlib.crc32(Path(path).read_bytes()) & 0xFFFFFFFF
+    crc = 0
+    with open(path, "rb") as f:
+        while chunk := f.read(1 << 20):
+            crc = zlib.crc32(chunk, crc)
+    return crc

@@ -126,6 +126,20 @@ def test_encode_missing_input_is_io_error(store22):
     assert main(["encode", "/nonexistent/file", "--out-dir", str(store)]) == EXIT_IO
 
 
+def test_encode_pipe_is_usage_error(store22):
+    # a pipe reports size 0, so streaming it would encode nothing
+    store, _ = store22
+    before = {f.name: f.read_bytes() for f in store.iterdir()}
+    r, w = os.pipe()
+    try:
+        os.write(w, b"data")
+        os.close(w)
+        assert main(["encode", f"/dev/fd/{r}", "--out-dir", str(store)]) == EXIT_USAGE
+    finally:
+        os.close(r)
+    assert {f.name: f.read_bytes() for f in store.iterdir()} == before
+
+
 def test_encode_without_init_is_io_error(tmp_path):
     src = tmp_path / "in.bin"
     src.write_bytes(b"x")
@@ -222,6 +236,56 @@ def test_version_1_shard_is_verification_failure(store22, tmp_path, command):
     assert main(argv) == EXIT_VERIFY
     assert not out.exists() and not rebuilt.exists()
     assert not list(store.glob("*.tmp"))
+
+
+@pytest.mark.parametrize("command", ["decode", "repair"])
+def test_missing_checksum_is_verification_failure(store22, tmp_path, command):
+    # without its checksum a flipped payload byte of shard (1,0) went unseen
+    store, _ = store22
+    path = store / "manifest.txt"
+    path.write_text(re.sub(r"^checksum_1_0=.*\n", "", path.read_text(), flags=re.M))
+    victim = store / shard_filename((1, 0))
+    blob = bytearray(victim.read_bytes())
+    blob[HEADER_LEN] ^= 1
+    victim.write_bytes(bytes(blob))
+    before = {f.name: f.read_bytes() for f in store.iterdir()}
+    out = tmp_path / "o"
+    argv = {
+        "decode": ["decode", str(out), str(victim), str(store / shard_filename((2, 0)))],
+        "repair": ["repair", "--node", "1,0", "--out-dir", str(store)],
+    }[command]
+    assert main(argv) == EXIT_VERIFY
+    assert not out.exists()
+    assert {f.name: f.read_bytes() for f in store.iterdir()} == before
+
+
+@pytest.mark.parametrize("command", ["decode", "repair", "verify"])
+def test_non_utf8_manifest_is_verification_failure(store22, tmp_path, command):
+    store, _ = store22
+    path = store / "manifest.txt"
+    blob = bytearray(path.read_bytes())
+    blob[0] ^= 0x80
+    path.write_bytes(bytes(blob))
+    argv = {
+        "decode": ["decode", str(tmp_path / "o"), *map(str, shards_in(store)[:2])],
+        "repair": ["repair", "--node", "1,0", "--out-dir", str(store)],
+        "verify": ["verify", "--out-dir", str(store)],
+    }[command]
+    assert main(argv) == EXIT_VERIFY
+    assert not (tmp_path / "o").exists()
+
+
+def test_decode_two_shards_naming_one_node_is_verification_failure(store22, tmp_path):
+    # a damaged header, not a usage error: the two files differ
+    store, _ = store22
+    victim = store / shard_filename((1, 0))
+    blob = bytearray(victim.read_bytes())
+    blob[13] = 1  # node_theta: now names (1,1)
+    victim.write_bytes(bytes(blob))
+    out = tmp_path / "o"
+    assert main(["decode", str(out), str(store / shard_filename((1, 1))),
+                 str(victim)]) == EXIT_VERIFY
+    assert not out.exists()
 
 
 # -- repair -------------------------------------------------------------------

@@ -20,6 +20,7 @@ from msrcode.shardio import (
     ShardHeader,
     bytes_from_symbols,
     crc32_file,
+    create_shard,
     gamma_runs,
     read_gamma,
     read_shard,
@@ -205,6 +206,24 @@ def test_write_shard_stripe_count_mismatch(tmp_path):
     hdr = ShardHeader(2, 3, 7, 0x89, 1, (2, 0), 3, 50)
     with pytest.raises(ValueError):
         write_shard(tmp_path / "s.msrc", hdr, np.zeros((2, 8), dtype=np.uint16))
+
+
+def test_create_shard_renames_only_a_complete_shard(tmp_path):
+    hdr = ShardHeader(2, 3, 7, 0x89, 1, (2, 0), 5, 133)
+    path = tmp_path / "s.msrc"
+    path.write_bytes(b"earlier")
+    with pytest.raises(ValueError, match="0 of 5 stripes written"):
+        with create_shard(path, hdr):
+            pass
+    with pytest.raises(ValueError, match="not the next block"):
+        with create_shard(path, hdr) as writer:
+            writer.write_block(np.zeros((4, 8), dtype=np.uint16))
+    assert [p.name for p in tmp_path.iterdir()] == ["s.msrc"]
+    assert path.read_bytes() == b"earlier"
+    with create_shard(path, hdr) as writer:
+        writer.write_block(np.ones((5, 8), dtype=np.uint16))
+    assert writer.crc == crc32_file(path)
+    assert np.array_equal(read_shard(path)[1], np.ones((5, 8)))
 
 
 def test_payload_is_row_contiguous_per_block(tmp_path, monkeypatch):
