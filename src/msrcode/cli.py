@@ -10,7 +10,9 @@ their memory does not grow with the file.  Every file they write goes to a
 temp file, is fsynced and is renamed into place only when complete and
 checked: decode and repair rename only once every CRC they can check
 matches the manifest, and encode renames the manifest last.  A failure
-part-way leaves the earlier files as they were.
+before the renames leaves every file as it was.  encode renames its shards
+one by one, so a failed rename can leave some shards new under the old
+manifest; their CRCs then disagree with it, and decode and repair exit 2.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import sys
 from pathlib import Path
 
 from . import codec, repair, shardio
-from .params import Node, make_params
+from .params import CodeParams, Node, make_params
 from .parity import ParityCheckSystem, build_system, check_mds_ranks, find_code
 from .shardio import Manifest, ShardFormatError, shard_filename
 
@@ -66,24 +68,34 @@ def _load_manifest(out_dir: str) -> Manifest:
     return Manifest.read(path)
 
 
-def _system_for(manifest: Manifest, encoded: bool = False) -> ParityCheckSystem:
-    """The code the manifest names.  With encoded=True the manifest must
-    also be one that encode wrote: a checksum for every node of the code
-    and for no other, and a stripe count that fits the file length.  So a
-    dropped line or a garbled parameter fails closed, before any shard is
-    trusted or the (possibly huge) garbled code is built."""
+def _params_of(manifest: Manifest) -> CodeParams:
     try:
-        params = manifest.params()
-        if encoded:
-            if set(manifest.checksums) != set(params.nodes()):
-                raise VerificationFailure("manifest checksums do not name exactly the "
-                                          "nodes of the code")
-            if manifest.stripe_count != shardio.stripe_count_for(
-                    manifest.file_length, params.message_len, params.gf.m):
-                raise VerificationFailure("manifest stripe_count does not fit file_length")
+        return manifest.params()
+    except ValueError as err:
+        raise VerificationFailure(f"manifest parameters are invalid: {err}") from None
+
+
+def _system_for(manifest: Manifest) -> ParityCheckSystem:
+    """The code the manifest names."""
+    params = _params_of(manifest)
+    try:
         return build_system(params, params.c0)
     except ValueError as err:
         raise VerificationFailure(f"manifest parameters are invalid: {err}") from None
+
+
+def _check_encoded(manifest: Manifest) -> None:
+    """Fail closed unless the manifest is one that encode wrote: a checksum
+    for every node of the code and for no other, and a stripe count that
+    fits the file length.  Run before `_system_for`, so a dropped line or a
+    garbled parameter is caught before any shard is trusted or the
+    (possibly huge) garbled code is built."""
+    params = _params_of(manifest)
+    if set(manifest.checksums) != set(params.nodes()):
+        raise VerificationFailure("manifest checksums do not name exactly the nodes of the code")
+    if manifest.stripe_count != shardio.stripe_count_for(
+            manifest.file_length, params.message_len, params.gf.m):
+        raise VerificationFailure("manifest stripe_count does not fit file_length")
 
 
 # -- commands -----------------------------------------------------------------
@@ -106,7 +118,7 @@ def cmd_encode(args) -> int:
     sys_ = _system_for(manifest)
     p = sys_.params
     out_dir = Path(args.out_dir)
-    with open(args.input, "rb") as src, contextlib.ExitStack() as stack:
+    with open(args.input, "rb") as src, contextlib.ExitStack() as renames:
         st = os.fstat(src.fileno())
         if not stat.S_ISREG(st.st_mode):  # a pipe's size is 0, whatever it holds
             raise _UsageError(f"{args.input} is not a regular file; the shard headers "
@@ -116,16 +128,13 @@ def cmd_encode(args) -> int:
         manifest.file_length = length
         # entered first, so renamed last: until then the old manifest's CRCs
         # disagree with any shard already replaced
-        manifest_file = stack.enter_context(shardio.replacing(_manifest_path(args.out_dir)))
-        writers = {node: stack.enter_context(shardio.create_shard(
-                       out_dir / shard_filename(node), manifest.header_for(node)))
-                   for node in p.nodes()}
-        for messages in shardio.read_messages(src, length, p):
-            columns = codec.encode_batch(messages, sys_)
-            for node, writer in writers.items():
-                writer.write_block(columns[node])
-        manifest.checksums = {node: writer.crc for node, writer in writers.items()}
-        manifest_file.write(manifest.to_text().encode())
+        manifest_tmp = renames.enter_context(shardio.renaming(_manifest_path(args.out_dir)))
+        manifest.checksums = shardio.write_shard(
+            {out_dir / shard_filename(node): manifest.header_for(node) for node in p.nodes()},
+            (codec.encode_batch(messages, sys_)
+             for messages in shardio.read_messages(src, length, p)),
+            renames)
+        manifest.write(manifest_tmp)  # written and fsynced before any rename
     print(f"encoded {length} bytes into {p.n} shards "
           f"({manifest.stripe_count} stripes of {p.message_len} symbols)")
     return EXIT_OK
@@ -135,7 +144,8 @@ def cmd_decode(args) -> int:
     manifest_path = Path(args.manifest) if args.manifest else \
         Path(args.shards[0]).parent / shardio.MANIFEST_NAME
     manifest = Manifest.read(manifest_path)
-    sys_ = _system_for(manifest, encoded=True)
+    _check_encoded(manifest)
+    sys_ = _system_for(manifest)
     p = sys_.params
     if len(args.shards) != p.k:
         raise _UsageError(f"decoding needs exactly k={p.k} shards, got {len(args.shards)}")
@@ -167,7 +177,8 @@ def cmd_decode(args) -> int:
 def cmd_repair(args) -> int:
     failed = _parse_node(args.node)
     manifest = _load_manifest(args.out_dir)
-    sys_ = _system_for(manifest, encoded=True)
+    _check_encoded(manifest)
+    sys_ = _system_for(manifest)
     p = sys_.params
     p.node_ordinal(failed)
     out_dir = Path(args.out_dir)
@@ -185,12 +196,14 @@ def cmd_repair(args) -> int:
         for nd, shard in zip(helpers, shards):
             if not manifest.matches_header(shard.header) or shard.header.node != nd:
                 raise VerificationFailure(f"{shard_filename(nd)}: header disagrees with manifest")
-        # the shard appears under its name only once its checksum matches
-        with shardio.create_shard(path, manifest.header_for(failed)) as rebuilt:
-            for blocks in zip(*(shard.gamma_blocks(runs) for shard in shards)):
-                rebuilt.write_block(repair.repair_batch(failed, dict(zip(helpers, blocks)), sys_))
-            if rebuilt.crc != manifest.checksums[failed]:
-                raise VerificationFailure(f"rebuilt {path.name} does not match manifest checksum")
+        # renamed when the stack closes: only once its checksum matches
+        crc = shardio.write_shard(
+            {path: manifest.header_for(failed)},
+            ({failed: repair.repair_batch(failed, dict(zip(helpers, blocks)), sys_)}
+             for blocks in zip(*(shard.gamma_blocks(runs) for shard in shards))),
+            stack)[failed]
+        if crc != manifest.checksums[failed]:
+            raise VerificationFailure(f"rebuilt {path.name} does not match manifest checksum")
     bytes_per_helper = {nd: shard.counter.bytes_read for nd, shard in zip(helpers, shards)}
 
     stripes = manifest.stripe_count

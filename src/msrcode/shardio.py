@@ -14,12 +14,14 @@ Shards are read and written one block at a time, so memory is O(block)
 whatever the file size.  `open_shard` yields a ShardReader, which checks
 the header and the file size before any payload read, then streams whole
 blocks (keeping a running CRC-32 of the bytes it read, in file order) or
-only the helper-row runs of each block.  `create_shard` yields a
-ShardWriter that appends blocks after the header with a running CRC-32.
-Every file written here goes through `replacing`: it is written to
-<name>.tmp, fsynced, and only then renamed over <name>, so an error or a
-crash part-way never leaves a partial file under the real name.
-write_shard, read_shard and read_gamma are whole-file wrappers over them.
+only the helper-row runs of each block; read_shard and read_gamma are
+whole-file wrappers over it.  `write_shard` writes one or more shards in
+one pass over a stream of blocks, through a ShardWriter per shard that
+keeps a running CRC-32; given the whole column stack as the one "block",
+it writes a whole file.  Every file written here goes to <name>.tmp, is
+fsynced, and only then is renamed over <name> (`renaming`, `replacing`),
+so an error or a crash part-way never leaves a partial file under the
+real name.
 
 Files are packed m bits per message symbol, LSB-first within each byte, so
 any byte stream round-trips through any field; at m=16 this is exactly two
@@ -33,13 +35,14 @@ to a whole stripe.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import struct
 import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import BinaryIO, Iterator
+from typing import BinaryIO, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -213,20 +216,30 @@ def bytes_from_symbols(symbols: np.ndarray, m: int, byte_length: int) -> bytes:
 
 
 @contextmanager
-def replacing(path: Path | str) -> Iterator[BinaryIO]:
-    """Yield <path>.tmp open for writing.  On a clean exit it is fsynced and
-    renamed over `path`; on an exception it is removed and `path` is left
-    as it was."""
+def renaming(path: Path | str) -> Iterator[Path]:
+    """Yield the temp name <path>.tmp.  On a clean exit it is renamed over
+    `path`; on an exception it is removed and `path` is left as it was."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
-        with open(tmp, "wb") as f:
-            yield f
-            f.flush()
-            os.fsync(f.fileno())
+        yield tmp
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+
+
+def _sync(f: BinaryIO) -> None:
+    f.flush()
+    os.fsync(f.fileno())
+
+
+@contextmanager
+def replacing(path: Path | str) -> Iterator[BinaryIO]:
+    """Yield <path>.tmp open for writing; on a clean exit it is fsynced and
+    renamed over `path` (see `renaming`)."""
+    with renaming(path) as tmp, open(tmp, "wb") as f:
+        yield f
+        _sync(f)
 
 
 # -- streaming the input ----------------------------------------------------------
@@ -262,52 +275,59 @@ def _blocks(stripe_count: int):
 
 
 class ShardWriter:
-    """Appends a shard's payload blocks, in file order, after its header,
-    keeping the CRC-32 of every byte written so far in `crc`."""
+    """Appends a shard's payload, in file order, after its header, keeping
+    the CRC-32 of every byte written so far in `crc`."""
 
     def __init__(self, f: BinaryIO, header: ShardHeader):
-        self._f = f
+        self.file = f
         self.header = header
         self.stripes_written = 0
         self.crc = 0
         self._put(header.pack())
 
     def _put(self, data: bytes) -> None:
-        self._f.write(data)
+        self.file.write(data)
         self.crc = zlib.crc32(data, self.crc)
 
-    def write_block(self, columns: np.ndarray) -> None:
-        """Append the (stripes, alpha) column stack of the next block."""
+    def write(self, columns: np.ndarray) -> None:
+        """Append the (stripes, alpha) column stack of the next stripes:
+        whole blocks, or the rest of the shard."""
         hdr = self.header
-        width = min(BLOCK_STRIPES, hdr.stripe_count - self.stripes_written)
-        if width <= 0 or columns.shape != (width, hdr.q**hdr.t):
-            raise ValueError(f"a block of shape {columns.shape} is not the next block "
-                             f"of a {hdr.stripe_count}-stripe shard")
-        self._put(np.asarray(columns, dtype="<u2").T.tobytes())
-        self.stripes_written += width
+        stripes = columns.shape[0]
+        left = hdr.stripe_count - self.stripes_written
+        if columns.shape[1:] != (hdr.q**hdr.t,) or stripes > left or (
+                stripes % BLOCK_STRIPES and stripes != left):
+            raise ValueError(f"{stripes} stripes of shape {columns.shape[1:]} are not whole "
+                             f"next blocks of a {hdr.stripe_count}-stripe shard")
+        for lo, hi in _blocks(stripes):
+            self._put(np.asarray(columns[lo:hi], dtype="<u2").T.tobytes())
+        self.stripes_written += stripes
 
 
-@contextmanager
-def create_shard(path: Path | str, header: ShardHeader) -> Iterator[ShardWriter]:
-    """Write one shard through `replacing`: the caller appends every block
-    to the yielded writer, and a shard short of blocks is never renamed
-    into place."""
-    with replacing(path) as f:
-        writer = ShardWriter(f, header)
-        yield writer
-        if writer.stripes_written != header.stripe_count:
-            raise ValueError(f"{path}: {writer.stripes_written} of "
-                             f"{header.stripe_count} stripes written")
-
-
-def write_shard(path: Path | str, header: ShardHeader, columns: np.ndarray) -> None:
-    """Write header plus an (stripe_count, alpha) column stack."""
-    columns = np.asarray(columns, dtype="<u2")
-    if columns.shape[0] != header.stripe_count:
-        raise ValueError("column stack does not match header stripe_count")
-    with create_shard(path, header) as writer:
-        for lo, hi in _blocks(header.stripe_count):
-            writer.write_block(columns[lo:hi])
+def write_shard(shards: Mapping[Path | str, ShardHeader],
+                blocks: Iterable[Mapping[Node, np.ndarray]],
+                renames: contextlib.ExitStack) -> dict[Node, int]:
+    """Write one shard per (path, header) of `shards` in a single pass over
+    `blocks`, each of which maps every header's node to its next column
+    stack (whole blocks, or the rest of the shard).  Every shard is
+    written to its temp file and fsynced; a shard short of stripes raises.
+    The shards are renamed into place (see `renaming`) when `renames`
+    closes, so the caller can check or record their CRCs first.  Returns
+    the CRC-32 of each node's file, from the bytes as written."""
+    with contextlib.ExitStack() as files:
+        writers = {}
+        for path, header in shards.items():
+            tmp = renames.enter_context(renaming(path))
+            writers[path] = ShardWriter(files.enter_context(open(tmp, "wb")), header)
+        for block in blocks:
+            for writer in writers.values():
+                writer.write(block[writer.header.node])
+        for path, writer in writers.items():
+            if writer.stripes_written != writer.header.stripe_count:
+                raise ValueError(f"{path}: {writer.stripes_written} of "
+                                 f"{writer.header.stripe_count} stripes written")
+            _sync(writer.file)
+    return {writer.header.node: writer.crc for writer in writers.values()}
 
 
 def _check_file_size(f, hdr: ShardHeader, path) -> None:

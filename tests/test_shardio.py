@@ -1,5 +1,6 @@
 """Shard header/manifest formats, bit packing, and partial-read accounting."""
 
+import contextlib
 import random
 import tempfile
 from pathlib import Path
@@ -20,7 +21,6 @@ from msrcode.shardio import (
     ShardHeader,
     bytes_from_symbols,
     crc32_file,
-    create_shard,
     gamma_runs,
     read_gamma,
     read_shard,
@@ -171,12 +171,18 @@ def test_stripe_count_for():
 # -- shard files ------------------------------------------------------------------
 
 
+def write_whole(path, hdr, columns):
+    """Write one shard from its whole (stripe_count, alpha) column stack."""
+    with contextlib.ExitStack() as renames:
+        write_shard({path: hdr}, [{hdr.node: columns}], renames)
+
+
 def test_shard_write_read_round_trip(tmp_path):
     rng = np.random.default_rng(1)
     hdr = ShardHeader(2, 3, 7, 0x89, 1, (2, 0), 5, 133)
     columns = rng.integers(0, 128, size=(5, 8)).astype(np.uint16)
     path = tmp_path / "s.msrc"
-    write_shard(path, hdr, columns)
+    write_whole(path, hdr, columns)
     got_hdr, got_cols = read_shard(path)
     assert got_hdr == hdr
     assert np.array_equal(got_cols, columns)
@@ -185,7 +191,7 @@ def test_shard_write_read_round_trip(tmp_path):
 def test_shard_truncated_payload_detected(tmp_path):
     hdr = ShardHeader(2, 3, 7, 0x89, 1, (2, 0), 2, 50)
     path = tmp_path / "s.msrc"
-    write_shard(path, hdr, np.zeros((2, 8), dtype=np.uint16))
+    write_whole(path, hdr, np.zeros((2, 8), dtype=np.uint16))
     path.write_bytes(path.read_bytes()[:-3])
     with pytest.raises(ShardFormatError):
         read_shard(path)
@@ -195,7 +201,7 @@ def test_out_of_range_symbol_detected(tmp_path):
     # a payload value >= 2^m is malformed even when lengths check out
     hdr = ShardHeader(2, 3, 7, 0x89, 1, (2, 0), 1, 20)
     path = tmp_path / "s.msrc"
-    write_shard(path, hdr, np.full((1, 8), 0xFFFF, dtype=np.uint16))
+    write_whole(path, hdr, np.full((1, 8), 0xFFFF, dtype=np.uint16))
     with pytest.raises(ShardFormatError, match="out of range"):
         read_shard(path)
     with pytest.raises(ShardFormatError, match="out of range"):
@@ -205,24 +211,37 @@ def test_out_of_range_symbol_detected(tmp_path):
 def test_write_shard_stripe_count_mismatch(tmp_path):
     hdr = ShardHeader(2, 3, 7, 0x89, 1, (2, 0), 3, 50)
     with pytest.raises(ValueError):
-        write_shard(tmp_path / "s.msrc", hdr, np.zeros((2, 8), dtype=np.uint16))
+        write_whole(tmp_path / "s.msrc", hdr, np.zeros((2, 8), dtype=np.uint16))
 
 
-def test_create_shard_renames_only_a_complete_shard(tmp_path):
+def test_write_shard_renames_only_complete_shards(tmp_path):
     hdr = ShardHeader(2, 3, 7, 0x89, 1, (2, 0), 5, 133)
     path = tmp_path / "s.msrc"
     path.write_bytes(b"earlier")
     with pytest.raises(ValueError, match="0 of 5 stripes written"):
-        with create_shard(path, hdr):
-            pass
-    with pytest.raises(ValueError, match="not the next block"):
-        with create_shard(path, hdr) as writer:
-            writer.write_block(np.zeros((4, 8), dtype=np.uint16))
+        write_whole(path, hdr, np.zeros((0, 8), dtype=np.uint16))
+    with pytest.raises(ValueError, match="not whole next blocks"):
+        write_whole(path, hdr, np.zeros((4, 8), dtype=np.uint16))
+
+    def failing():
+        yield {hdr.node: np.zeros((5, 8), dtype=np.uint16)}
+        raise OSError("input went away")
+
+    with pytest.raises(OSError, match="went away"):
+        with contextlib.ExitStack() as renames:
+            write_shard({path: hdr}, failing(), renames)
     assert [p.name for p in tmp_path.iterdir()] == ["s.msrc"]
     assert path.read_bytes() == b"earlier"
-    with create_shard(path, hdr) as writer:
-        writer.write_block(np.ones((5, 8), dtype=np.uint16))
-    assert writer.crc == crc32_file(path)
+    with contextlib.ExitStack() as renames:
+        crc = write_shard({path: hdr}, [{hdr.node: np.ones((5, 8), dtype=np.uint16)}], renames)
+        assert path.read_bytes() == b"earlier"  # renamed when the stack closes
+    assert crc == {hdr.node: crc32_file(path)}
+    assert np.array_equal(read_shard(path)[1], np.ones((5, 8)))
+    with pytest.raises(RuntimeError):
+        with contextlib.ExitStack() as renames:
+            write_shard({path: hdr}, [{hdr.node: np.zeros((5, 8), dtype=np.uint16)}], renames)
+            raise RuntimeError("checksum mismatch")
+    assert [p.name for p in tmp_path.iterdir()] == ["s.msrc"]
     assert np.array_equal(read_shard(path)[1], np.ones((5, 8)))
 
 
@@ -233,7 +252,7 @@ def test_payload_is_row_contiguous_per_block(tmp_path, monkeypatch):
     columns = rng.integers(0, 128, size=(7, 8)).astype(np.uint16)
     hdr = ShardHeader(2, 3, 7, 0x89, 1, (2, 0), 7, 196)
     path = tmp_path / "s.msrc"
-    write_shard(path, hdr, columns)
+    write_whole(path, hdr, columns)
     blob = path.read_bytes()
     assert blob[:HEADER_LEN] == hdr.pack() and blob[4] == 2
     # blocks [0,3), [3,6), [6,7); inside each, row after row
@@ -274,7 +293,7 @@ def test_read_gamma_matches_full_read(tmp_path, sys23):
     columns = rng.integers(0, 128, size=(11, p.alpha)).astype(np.uint16)
     hdr = ShardHeader(2, 3, 7, p.gf.poly, sys23.c0, (2, 1), 11, 616)
     path = tmp_path / "s.msrc"
-    write_shard(path, hdr, columns)
+    write_whole(path, hdr, columns)
     for failed in [(1, 0), (3, 0), (3, 1)]:
         got_hdr, gamma_cols, nbytes = read_gamma(path, failed, p)
         assert got_hdr == hdr
@@ -289,7 +308,7 @@ def test_read_gamma_rejects_foreign_params(tmp_path):
     p22 = make_params(2, 2, 5)
     hdr = ShardHeader(2, 2, 5, p22.gf.poly, 1, (1, 0), 1, 4)
     path = tmp_path / "s.msrc"
-    write_shard(path, hdr, np.zeros((1, 4), dtype=np.uint16))
+    write_whole(path, hdr, np.zeros((1, 4), dtype=np.uint16))
     with pytest.raises(ShardFormatError):
         read_gamma(path, (1, 0), p23)
 
@@ -298,7 +317,7 @@ def test_read_gamma_truncated(tmp_path):
     p = make_params(2, 3, 7)
     hdr = ShardHeader(2, 3, 7, p.gf.poly, 1, (1, 0), 3, 80)
     path = tmp_path / "s.msrc"
-    write_shard(path, hdr, np.zeros((3, 8), dtype=np.uint16))
+    write_whole(path, hdr, np.zeros((3, 8), dtype=np.uint16))
     path.write_bytes(path.read_bytes()[:-10])
     with pytest.raises(ShardFormatError):
         read_gamma(path, (1, 0), p)
@@ -311,7 +330,7 @@ def test_read_gamma_checks_file_size_before_payload(tmp_path, monkeypatch):
     p = make_params(2, 3, 7)
     hdr = ShardHeader(2, 3, 7, p.gf.poly, 1, (1, 0), 3, 80)
     path = tmp_path / "s.msrc"
-    write_shard(path, hdr, np.zeros((3, 8), dtype=np.uint16))
+    write_whole(path, hdr, np.zeros((3, 8), dtype=np.uint16))
     blob = path.read_bytes()
     for bad in (blob[:-8], blob + b"\0\0"):
         path.write_bytes(bad)
@@ -336,7 +355,7 @@ def test_block_layout_property(qtm, stripes, block, seed):
             mock.patch.object(shardio, "BLOCK_STRIPES", block), \
             mock.patch.object(shardio, "CountingReader", reader):
         path = Path(tmp) / "s.msrc"
-        write_shard(path, hdr, columns)
+        write_whole(path, hdr, columns)
         got_hdr, got = read_shard(path)
         assert got_hdr == hdr and np.array_equal(got, columns)
         for failed in p.nodes():

@@ -3,6 +3,7 @@ memory flat in the input size, and fail-closed under injected faults."""
 
 from __future__ import annotations
 
+import contextlib
 import errno
 import os
 import random
@@ -98,7 +99,8 @@ def test_streamed_shards_match_whole_file_encode(tmp_path, monkeypatch, qtm, blo
         columns = codec.encode_batch(messages.reshape(stripes, p.message_len), sys_)
         ref = tmp_path / "ref.msrc"
         for node in p.nodes():
-            shardio.write_shard(ref, man.header_for(node), columns[node])
+            with contextlib.ExitStack() as renames:
+                shardio.write_shard({ref: man.header_for(node)}, [{node: columns[node]}], renames)
             assert (store / shard_filename(node)).read_bytes() == ref.read_bytes()
             assert man.checksums[node] == crc32_file(ref)
         assert not list(store.glob("*.tmp"))
@@ -116,14 +118,25 @@ def test_streamed_shards_match_whole_file_encode(tmp_path, monkeypatch, qtm, blo
 # -- memory --------------------------------------------------------------------------
 
 
+# ru_maxrss also counts the address space a child starts from, so a CLI
+# spawned straight from this (large) test process would report this
+# process's peak; a small launcher keeps the figure to the CLI's own
+LAUNCHER = """
+import os, subprocess, sys
+proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
 def peak_rss_mib(args: list[str]) -> float:
-    proc = subprocess.Popen([sys.executable, "-m", "msrcode.cli", *args],
-                            env=dict(os.environ, PYTHONPATH=str(SRC)),
-                            stdout=subprocess.DEVNULL)
-    _, status, usage = os.wait4(proc.pid, 0)
-    proc.returncode = os.waitstatus_to_exitcode(status)
-    assert proc.returncode == EXIT_OK, args
-    return usage.ru_maxrss / 1024
+    launched = subprocess.run([sys.executable, "-c", LAUNCHER,
+                               sys.executable, "-m", "msrcode.cli", *args],
+                              env=dict(os.environ, PYTHONPATH=str(SRC)),
+                              capture_output=True, text=True, check=True)
+    code, maxrss_kib = map(int, launched.stdout.split())
+    assert code == EXIT_OK, (args, launched.stderr)
+    return maxrss_kib / 1024
 
 
 def test_cli_peak_rss_does_not_grow_with_the_input(tmp_path):
@@ -170,22 +183,38 @@ def corrupt(blob: bytes, how: str, pick, is_text: bool) -> bytes:
     return blob[:pos] + blob[pos + 1:]  # drop a byte
 
 
+def failing_at(fn, calls_left: int):
+    """`fn`, but raising OSError on the call after `calls_left` more."""
+    left = [calls_left]
+
+    def call(*args, **kwargs):
+        if left[0] == 0:
+            raise OSError(errno.EIO, f"injected {fn.__name__} failure")
+        left[0] -= 1
+        return fn(*args, **kwargs)
+    return call
+
+
 # flips weigh triple: a cut or dropped byte always fails the file-size check,
 # while a flipped payload bit can pass every check but the checksum
-JOBS = [("encode", "write")] + [(command, fault) for command in ("decode", "repair")
-                                for fault in ("flip",) * 3 + ("cut", "drop byte",
-                                                              "drop line", "write")]
+SYSCALLS = ("fsync", "replace")
+JOBS = [("encode", fault) for fault in ("write",) + SYSCALLS] + [
+    (command, fault) for command in ("decode", "repair")
+    for fault in ("flip",) * 3 + ("cut", "drop byte", "drop line", "write") + SYSCALLS]
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(qt=st.sampled_from(CODES), old=st.binary(min_size=1, max_size=300),
        new=st.binary(max_size=300), job=st.sampled_from(JOBS), seed=st.integers(0, 2**32 - 1))
 def test_faults_give_right_bytes_or_exit_2_3_and_touch_nothing(codes, qt, old, new, job, seed):
     """Run encode, decode or repair on a good store after damaging one of
     the files it reads (a shard or the manifest), or with an OSError at one
-    of its writes.  Either the command exits 0 with the right bytes, or it
-    exits 2 or 3 and every file is as it was before, with no .tmp file left
-    behind.  encode reads no shard, so it only meets write faults."""
+    of its writes, fsyncs or renames.  Either the command exits 0 with the
+    right bytes, or it exits 2 or 3 with no .tmp file left behind, and every
+    file is as it was before.  The one exception is a failed rename in
+    encode, which renames its shards one by one: then the manifest is as it
+    was, and any k shards decode to the old bytes or exit 2, never to wrong
+    bytes.  encode reads no shard, so it only meets write-side faults."""
     command, fault = job
     pick = random.Random(seed)  # uniform positions, unlike a Hypothesis-drawn Random
     p = codes[qt]
@@ -207,8 +236,13 @@ def test_faults_give_right_bytes_or_exit_2_3_and_touch_nothing(codes, qt, old, n
         if command == "repair":
             (store / shard_filename(failed)).unlink()
         probe = Probe()
+        syscall = contextlib.nullcontext()
         if fault == "write":
             probe.writes_left = pick.randrange(16)
+        elif fault in SYSCALLS:  # encode makes n + 1 of each call, the others 1
+            calls = p.n + 1 if command == "encode" else 1
+            syscall = mock.patch.object(os, fault, failing_at(getattr(os, fault),
+                                                              pick.randrange(calls + 1)))
         else:  # damage the manifest or a shard the command reads
             victims = [shardio.MANIFEST_NAME] + [shard_filename(nd) for nd in read]
             victim = store / pick.choice(victims)
@@ -222,14 +256,24 @@ def test_faults_give_right_bytes_or_exit_2_3_and_touch_nothing(codes, qt, old, n
             "decode": ["decode", str(out), *(str(store / shard_filename(nd)) for nd in read)],
             "repair": ["repair", "--node", f"{failed[0]},{failed[1]}", "--out-dir", str(store)],
         }[command]
-        with mock.patch.object(shardio, "open", probe.open, create=True):
+        with mock.patch.object(shardio, "open", probe.open, create=True), syscall:
             code = main(argv)
         event(f"{command} after {fault}: exit {code}")
         after = snapshot(root)
         assert not [name for name in after if name.endswith(".tmp")]
         if code != EXIT_OK:
             assert code in (EXIT_VERIFY, EXIT_IO)
-            assert after == before
+            if (command, fault) != ("encode", "replace"):
+                assert after == before
+                return
+            manifest = f"store/{shardio.MANIFEST_NAME}"
+            assert after[manifest] == before[manifest]
+            for shards in (nodes[:p.k], nodes[-p.k:]):
+                decoded = root / "check.bin"
+                code = main(["decode", str(decoded),
+                             *(str(store / shard_filename(nd)) for nd in shards)])
+                event(f"decode after a failed encode rename: exit {code}")
+                assert code == EXIT_VERIFY or (code == EXIT_OK and decoded.read_bytes() == old)
         elif command == "decode":
             assert out.read_bytes() == old
         elif command == "repair":
