@@ -26,7 +26,7 @@ from pathlib import Path
 
 from . import codec, repair, shardio
 from .params import CodeParams, Node, make_params
-from .parity import ParityCheckSystem, build_system, check_mds_ranks, find_code
+from .parity import ParityCheckSystem, build_system, find_code
 from .shardio import Manifest, ShardFormatError, shard_filename
 
 EXIT_OK = 0
@@ -221,14 +221,15 @@ def cmd_repair(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.trials < 0:
+        raise _UsageError(f"--trials must be >= 0, got {args.trials}")
     sys_ = _system_for(_load_manifest(args.out_dir))
     p = sys_.params
-    bad = check_mds_ranks(sys_)
-    if bad:
-        raise VerificationFailure(
-            f"{len(bad)} node subsets are rank-deficient, e.g. {bad[0]}")
-    print(f"rank check: all size-{p.q} node subsets full rank")
     report = codec.verify_mds(sys_, args.trials)
+    if report.deficient:
+        raise VerificationFailure(f"{len(report.deficient)} node subsets are "
+                                  f"rank-deficient, e.g. {report.deficient[0]}")
+    print(f"rank check: all size-{p.q} node subsets full rank")
     print(f"round trips: {report.subset_count} k-subsets x {report.trials} messages, "
           f"{len(report.failures)} failures")
     if not report.ok:

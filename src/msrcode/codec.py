@@ -11,7 +11,11 @@ and then the missing ones.
 
 Scalar functions run the plan on one codeword (a list of ints); the
 *_batch variants run it on numpy uint16 stacks of stripes, the shape the
-CLI uses for files.
+CLI uses for files.  Only the batch variants touch numpy.
+
+verify_mds is the whole MDS certificate: it eliminates the thick submatrix
+of every size-q node subset once, which is the rank check, and reuses that
+plan for the subset's decode round trips.
 """
 
 from __future__ import annotations
@@ -20,8 +24,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-import numpy as np
-
+from ._lazy import np
 from .params import CodeParams, Node, Row
 from .parity import ParityCheckSystem, node_subsets, run_plan, run_plan_batch
 
@@ -116,20 +119,28 @@ def decode_from_k(available: Mapping[Node, Sequence[int]],
 
 @dataclass
 class MdsReport:
-    """Outcome of the exhaustive decode round-trip check."""
+    """Outcome of the exhaustive MDS check: the size-q node subsets whose
+    thick submatrix H_S is singular (in check_mds_ranks order), and the
+    (k-subset, message index) round trips that failed."""
 
     subset_count: int
     trials: int
     failures: list[tuple[tuple[Node, ...], int]] = field(default_factory=list)
+    deficient: list[tuple[Node, ...]] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
-        return not self.failures
+        return not self.failures and not self.deficient
 
 
 def verify_mds(sys: ParityCheckSystem, trials: int, seed: int = 0) -> MdsReport:
-    """Encode `trials` random messages and decode each from every k-subset
-    of nodes; any mismatch or singular solve is recorded as a failure."""
+    """The MDS certificate and its round trips, with one elimination per
+    subset.  For every k-subset of nodes, the thick submatrix H_S of the q
+    nodes left out is eliminated once: a singular one is recorded in
+    `deficient` (so `deficient == check_mds_ranks(sys)`, for any number of
+    trials), and otherwise its plan decodes each of `trials` random
+    messages from the k-subset.  A mismatch, or a round trip through a
+    singular H_S, is recorded as a failure."""
     p = sys.params
     rng = random.Random(seed)
     subsets = list(node_subsets(p, p.k))
@@ -138,15 +149,22 @@ def verify_mds(sys: ParityCheckSystem, trials: int, seed: int = 0) -> MdsReport:
         [rng.randrange(p.gf.order) for _ in range(p.message_len)]
         for _ in range(trials)
     ]
-    arrays = [encode(m, sys) for m in messages]
+    arrays = None
     for subset in subsets:
-        for idx, (msg, arr) in enumerate(zip(messages, arrays)):
-            picked = {nd: arr.column(nd) for nd in subset}
-            try:
-                if decode_from_k(picked, sys) != msg:
-                    report.failures.append((subset, idx))
-            except ValueError:
+        missing = tuple(nd for nd in p.nodes() if nd not in subset)
+        try:
+            sys.completion_map(missing)  # memoised: the calls below reuse it
+        except ValueError:  # H_S is singular
+            report.deficient.append(missing)
+            report.failures.extend((subset, idx) for idx in range(trials))
+            continue
+        if missing == p.parity_nodes():  # the first subset; its plan encodes
+            arrays = [encode(msg, sys) for msg in messages]
+        for idx, msg in enumerate(messages):
+            if arrays is None or decode_from_k(
+                    {nd: arrays[idx].column(nd) for nd in subset}, sys) != msg:
                 report.failures.append((subset, idx))
+    report.deficient.sort()  # complements of k-subsets come in reverse order
     return report
 
 

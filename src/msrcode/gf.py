@@ -13,7 +13,9 @@ structure: the ring of integers mod q (any q >= 2), provided here as
 
 from __future__ import annotations
 
-import numpy as np
+from functools import cached_property
+
+from ._lazy import np
 
 MAX_DEGREE = 16
 
@@ -97,8 +99,9 @@ def is_irreducible(poly: int) -> bool:
 class GF2M:
     """The symbol field GF(2^m), with its arithmetic tables.
 
-    Immutable after construction; all operations are pure functions, so one
-    instance can be shared freely across threads/tasks.
+    Immutable after construction (the numpy tables of mul_vec are built on
+    its first use); all operations are pure functions, so one instance can
+    be shared freely across threads/tasks.
     """
 
     def __init__(self, m: int, poly: int | None = None):
@@ -146,16 +149,19 @@ class GF2M:
                     break
             else:
                 raise ValueError(f"no generator found; {self.poly:#x} is not irreducible?")
-        # numpy variants for bulk (per-stripe-batch) kernels; log[0] is a
-        # sentinel pointing into the zero tail of the extended antilog table,
-        # which makes a*0 = 0 fall out of plain fancy indexing.
+
+    @cached_property
+    def _np_tables(self):
+        """numpy log and antilog tables for the bulk kernel, built on first
+        use.  log[0] is a sentinel pointing into the zero tail of the
+        extended antilog table, which makes a*0 = 0 fall out of plain fancy
+        indexing."""
         span = self.order - 1
         np_log = np.array(self._log, dtype=np.int64)
         np_log[0] = 2 * span
         np_exp3 = np.zeros(3 * span + 1, dtype=np.uint16)
         np_exp3[: 2 * span] = self._exp
-        self._np_log = np_log
-        self._np_exp3 = np_exp3
+        return np_log, np_exp3
 
     # -- scalar ops ---------------------------------------------------------
 
@@ -211,7 +217,8 @@ class GF2M:
             return np.zeros(v.shape, dtype=np.uint16)
         if c == 1:
             return v.astype(np.uint16, copy=True)
-        return self._np_exp3[self._np_log[v] + self._log[c]]
+        np_log, np_exp3 = self._np_tables
+        return np_exp3[np_log[v] + self._log[c]]
 
     # -- identity -----------------------------------------------------------
 

@@ -25,6 +25,12 @@ columns: the syndrome of the known symbols, read off the sparse constraints,
 then the recorded elimination of the square submatrix H_S (inverse_for).
 One sparse Gaussian elimination records that plan and computes every gf_rank.
 run_plan executes a plan on one stripe; run_plan_batch on stacks of stripes.
+
+The rows of H_S are built sparse, {column: coeff}, straight from the
+constraint terms (thick_rows), and the elimination works on them with a
+column -> rows index, so no dense matrix is formed on the certificate path.
+The dense thick_submatrix and flatten derive from the same rows and serve
+tests and callers that want a plain matrix.
 """
 
 from __future__ import annotations
@@ -34,8 +40,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-import numpy as np
-
+from ._lazy import np
 from .gf import GF2M, ring_sub
 from .params import CodeParams, Node, Row, make_params
 
@@ -72,6 +77,10 @@ class ParityCheckSystem:
     """All q^(t+1) constraints of one code instance, delta-major then
     anchor-row ordinal, together with the Vandermonde coefficient matrix.
 
+    Each constraint's terms are also kept as (node ordinal, row ordinal,
+    coeff) triples: in term order, for the syndrome of a plan, and sorted,
+    which is flattened-column order, for the sparse rows of H_S.
+
     Immutable once built (the memoised last completion plan is confined to
     single-threaded use)."""
 
@@ -81,6 +90,11 @@ class ParityCheckSystem:
         self.hmds = hmds
         self.c0 = c0
         self.constraints = constraints
+        node_ord = {nd: o for o, nd in enumerate(params.nodes())}
+        row_ord = {row: o for o, row in enumerate(params.rows())}
+        self._terms = [tuple((node_ord[t.node], row_ord[t.row], t.coeff) for t in con.terms)
+                       for con in constraints]
+        self._sorted_terms = [sorted(terms) for terms in self._terms]
         self._last_plan: tuple[tuple[Node, ...], Plan] | None = None
 
     @property
@@ -103,27 +117,33 @@ class ParityCheckSystem:
         two terms may land on the same flattened column (in-row entries and
         shifted entries always differ in row, classes differ in node).
         """
-        for con in self.constraints:
-            if len({self.flat_column(t.row, t.node) for t in con.terms}) != len(con.terms):
+        for terms in self._sorted_terms:
+            if len({(node, row) for node, row, _ in terms}) != len(terms):
                 raise ValueError("J0/E supports must not collide")
         return self.thick_submatrix(self.params.nodes())
 
-    def thick_submatrix(self, nodes: Iterable[Node]) -> list[list[int]]:
-        """Columns of the flattened matrix belonging to `nodes`, node-major
-        in ascending node-ordinal order."""
+    def thick_rows(self, nodes: Iterable[Node]) -> list[SparseRow]:
+        """The rows of the thick submatrix over `nodes`, sparse: one
+        {column: coeff} dict per constraint, columns ascending.  Columns are
+        those of the flattened matrix belonging to `nodes`, node-major in
+        ascending node-ordinal order."""
         p = self.params
-        chosen = sorted(set(nodes), key=p.node_ordinal)
+        chosen = sorted({p.node_ordinal(nd) for nd in nodes})
         if not chosen:
             raise ValueError("empty node set")
-        col_base = {node: i * p.alpha for i, node in enumerate(chosen)}
-        width = len(chosen) * p.alpha
+        base = {node: i * p.alpha for i, node in enumerate(chosen)}
+        return [{base[node] + row: coeff for node, row, coeff in terms if node in base}
+                for terms in self._sorted_terms]
+
+    def thick_submatrix(self, nodes: Iterable[Node]) -> list[list[int]]:
+        """thick_rows(nodes) as a dense matrix."""
+        chosen = set(nodes)
+        width = len(chosen) * self.params.alpha
         mat = []
-        for con in self.constraints:
+        for row in self.thick_rows(chosen):
             dense = [0] * width
-            for term in con.terms:
-                base = col_base.get(term.node)
-                if base is not None:
-                    dense[base + p.row_ordinal(term.row)] = term.coeff
+            for c, v in row.items():
+                dense[c] = v
             mat.append(dense)
         return mat
 
@@ -134,7 +154,7 @@ class ParityCheckSystem:
         key = tuple(sorted(set(missing), key=p.node_ordinal))
         if len(key) != p.q:
             raise ValueError(f"need exactly {p.q} missing nodes, got {len(key)}")
-        return _eliminate(self.thick_submatrix(key), p.gf)
+        return _eliminate(self.thick_rows(key), p.gf)
 
     def completion_map(self, missing: Iterable[Node]) -> Plan:
         """Plan that fills the q `missing` thick columns from the others, on
@@ -146,15 +166,15 @@ class ParityCheckSystem:
         if self._last_plan is not None and self._last_plan[0] == key:
             return self._last_plan[1]
         elim = self.inverse_for(key)
-        known = [nd for nd in p.nodes() if nd not in key]
-        base = {nd: i * p.alpha for i, nd in enumerate(known)}
+        lost = {p.node_ordinal(nd) for nd in key}
+        base = {node: i * p.alpha for i, node in enumerate(o for o in range(p.n) if o not in lost)}
         out = p.k * p.alpha  # slot out + j holds unknown j of H_S
         # syndrome of constraint r, accumulated where its pivot's unknown lives
         plan = [
-            (out + elim.slot_of_row[r], term.coeff, base[term.node] + p.row_ordinal(term.row))
-            for r, con in enumerate(self.constraints)
-            for term in con.terms
-            if term.node not in key
+            (out + elim.slot_of_row[r], coeff, base[node] + row)
+            for r, terms in enumerate(self._terms)
+            for node, row, coeff in terms
+            if node in base
         ]
         plan += [(out + dst, coeff, out + src) for dst, coeff, src in elim.plan]
         self._last_plan = (key, plan)
@@ -249,52 +269,73 @@ class Elimination(NamedTuple):
     plan: Plan
 
 
-def _reduce(mat: Sequence[Sequence[int]], gf: GF2M) -> tuple[list[dict], list[int], list[Op]]:
-    """Sparse forward Gaussian elimination of any matrix, rows as {column: value}.
-    Each column pivots on its sparsest candidate row, to keep fill (and so any
-    plan) short; a column with no candidate adds no pivot.  Returns the reduced
-    rows, the pivot rows in column order (as many as the rank) and the forward
-    ops (target row, factor, pivot row)."""
-    rows = [{c: v for c, v in enumerate(r) if v} for r in mat]
-    free = list(range(len(rows)))
-    pivot_row = []
-    forward = []
-    for j in range(max(map(len, mat), default=0)):
-        cands = [r for r in free if j in rows[r]]
+SparseRow = dict[int, int]  # {column: nonzero value}
+
+
+def _sparse(mat: Sequence[Sequence[int] | SparseRow]) -> list[SparseRow]:
+    """Fresh sparse copies of dense or sparse rows, zeros dropped."""
+    return [{c: v for c, v in (r.items() if isinstance(r, dict) else enumerate(r)) if v}
+            for r in mat]
+
+
+def _reduce(rows: list[SparseRow], gf: GF2M) -> tuple[list[SparseRow], list[int], list[Op]]:
+    """Sparse forward Gaussian elimination of any matrix, in place on its
+    rows.  Each column pivots on its sparsest candidate row, the lowest
+    index on ties, to keep fill (and so any plan) short; a column with no
+    candidate adds no pivot.  A column -> rows index keeps each pivot search
+    to the rows that hold the column, and row updates go through the
+    log/antilog tables.  Returns the reduced rows, the pivot rows in column
+    order (as many as the rank) and the forward ops (target row, factor,
+    pivot row)."""
+    exp, log = gf._exp, gf._log
+    span = gf.order - 1
+    holders: dict[int, set[int]] = {}  # column -> the non-pivot rows holding it
+    for r, row in enumerate(rows):
+        for c in row:
+            holders.setdefault(c, set()).add(r)
+    pivot_row: list[int] = []
+    forward: list[Op] = []
+    for j in sorted(holders):  # fill only ever lands in columns some row holds
+        cands = holders[j]
         if not cands:
             continue
-        piv = min(cands, key=lambda r: len(rows[r]))
-        free.remove(piv)
-        pivot_row.append(piv)
+        piv = min(cands, key=lambda r: (len(rows[r]), r))
         prow = rows[piv]
-        pinv = gf.inv(prow[j])
-        for r in cands:
-            if r == piv:
-                continue
+        for c in prow:
+            holders[c].discard(piv)
+        pivot_row.append(piv)
+        plogs = [(c, log[v]) for c, v in prow.items()]
+        pinv_log = span - log[prow[j]]
+        for r in sorted(cands):
             row = rows[r]
-            f = gf.mul(row[j], pinv)
-            for c, v in prow.items():
-                nv = row.get(c, 0) ^ gf.mul(f, v)
-                if nv:
-                    row[c] = nv
-                else:
+            f_log = (log[row[j]] + pinv_log) % span
+            for c, v_log in plogs:
+                fv = exp[f_log + v_log]
+                old = row.get(c)
+                if old is None:
+                    row[c] = fv
+                    holders[c].add(r)
+                elif old == fv:
                     del row[c]
-            forward.append((r, f, piv))
+                    holders[c].discard(r)
+                else:
+                    row[c] = old ^ fv
+            forward.append((r, exp[f_log], piv))
     return rows, pivot_row, forward
 
 
-def gf_rank(mat: Sequence[Sequence[int]], gf: GF2M) -> int:
-    """Row rank, by the sparse elimination behind every solve."""
-    return len(_reduce(mat, gf)[1])
+def gf_rank(mat: Sequence[Sequence[int] | SparseRow], gf: GF2M) -> int:
+    """Row rank, by the sparse elimination behind every solve.  Rows may be
+    dense sequences or {column: value} dicts, such as thick_rows gives."""
+    return len(_reduce(_sparse(mat), gf)[1])
 
 
-def _eliminate(mat: Sequence[Sequence[int]], gf: GF2M) -> Elimination:
-    """Elimination of a square, nonsingular matrix, recorded as a plan on
-    the right-hand side: the forward ops of _reduce, then back substitution."""
-    n = len(mat)
-    if any(len(r) != n for r in mat):
-        raise ValueError("matrix is not square")
-    rows, pivot_row, forward = _reduce(mat, gf)
+def _eliminate(rows: list[SparseRow], gf: GF2M) -> Elimination:
+    """Elimination of the sparse rows of a square, nonsingular matrix (in
+    place), recorded as a plan on the right-hand side: the forward ops of
+    _reduce, then back substitution."""
+    n = len(rows)
+    rows, pivot_row, forward = _reduce(rows, gf)
     if len(pivot_row) != n:
         raise ValueError("singular matrix")
     slot_of_row = [0] * n
@@ -315,7 +356,9 @@ def solve_linear(mat: Sequence[Sequence[int]], rhs: Sequence[int], gf: GF2M) -> 
     """Unique solution of a full-rank square system M.x = rhs."""
     if len(rhs) != len(mat):
         raise ValueError("rhs length does not match matrix")
-    elim = _eliminate(mat, gf)
+    if any(len(r) != len(mat) for r in mat):
+        raise ValueError("matrix is not square")
+    elim = _eliminate(_sparse(mat), gf)
     ws = [0] * len(rhs)
     for r, v in enumerate(rhs):
         ws[elim.slot_of_row[r]] = v
@@ -342,7 +385,7 @@ def _deficient_subsets(system: ParityCheckSystem) -> Iterator[tuple[Node, ...]]:
     p = system.params
     full = p.q * p.alpha
     return (s for s in node_subsets(p, p.q)
-            if gf_rank(system.thick_submatrix(s), p.gf) != full)
+            if gf_rank(system.thick_rows(s), p.gf) != full)
 
 
 def check_mds_ranks(system: ParityCheckSystem) -> list[tuple[Node, ...]]:

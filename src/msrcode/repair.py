@@ -25,8 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-import numpy as np
-
+from ._lazy import np
 from .params import CodeParams, Node, Row
 from .parity import ParityCheckSystem, Plan, run_plan, run_plan_batch
 

@@ -44,8 +44,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator, Mapping
 
-import numpy as np
-
+from ._lazy import np
 from .params import CodeParams, Node, make_params
 
 MAGIC = b"MSRC"
@@ -58,6 +57,7 @@ HEADER_LEN = _HEADER.size  # 26
 
 MANIFEST_NAME = "manifest.txt"
 _MANIFEST_KEYS = ("q", "t", "m", "reduction_poly", "c0", "stripe_count", "file_length")
+_REQUIRED_KEYS = (*_MANIFEST_KEYS, "params_crc")
 
 
 class ShardFormatError(ValueError):
@@ -97,8 +97,10 @@ class ShardHeader:
 
 @dataclass
 class Manifest:
-    """Plain-text key=value sidecar: code parameters plus one whole-file
-    CRC-32 per shard (hex), keyed checksum_<i>_<theta>."""
+    """Plain-text key=value sidecar: code parameters, then params_crc (the
+    CRC-32 of the parameter lines, decimal), then one whole-file CRC-32 per
+    shard (hex), keyed checksum_<i>_<theta>.  Reading checks params_crc, so
+    a garbled parameter fails before any code is built from it."""
 
     q: int
     t: int
@@ -118,8 +120,15 @@ class Manifest:
     def params(self) -> CodeParams:
         return make_params(self.q, self.t, self.m, self.reduction_poly).with_c0(self.c0)
 
+    def _param_lines(self) -> list[str]:
+        return [f"{key}={getattr(self, key)}" for key in _MANIFEST_KEYS]
+
+    def _params_crc(self) -> int:
+        """CRC-32 of the parameter lines, as to_text writes them."""
+        return zlib.crc32("".join(line + "\n" for line in self._param_lines()).encode())
+
     def to_text(self) -> str:
-        lines = [f"{key}={getattr(self, key)}" for key in _MANIFEST_KEYS]
+        lines = [*self._param_lines(), f"params_crc={self._params_crc()}"]
         for (i, theta), crc in sorted(self.checksums.items()):
             lines.append(f"checksum_{i}_{theta}={crc:08x}")
         return "\n".join(lines) + "\n"
@@ -135,7 +144,7 @@ class Manifest:
             key, sep, value = line.partition("=")
             if not sep:
                 raise ShardFormatError(f"manifest line {lineno} is not key=value: {line!r}")
-            if key in _MANIFEST_KEYS:
+            if key in _REQUIRED_KEYS:
                 try:
                     values[key] = int(value)
                 except ValueError:
@@ -148,10 +157,14 @@ class Manifest:
                     raise ShardFormatError(f"bad checksum key {key!r}") from None
             else:
                 raise ShardFormatError(f"unknown manifest key {key!r}")
-        missing = [k for k in _MANIFEST_KEYS if k not in values]
+        missing = [k for k in _REQUIRED_KEYS if k not in values]
         if missing:
             raise ShardFormatError(f"manifest is missing keys: {', '.join(missing)}")
-        return cls(checksums=checksums, **values)
+        crc = values.pop("params_crc")
+        manifest = cls(checksums=checksums, **values)
+        if manifest._params_crc() != crc:
+            raise ShardFormatError("manifest parameter lines do not match their params_crc")
+        return manifest
 
     def write(self, path: Path | str) -> None:
         """Replace the manifest file crash-safely (see `replacing`)."""

@@ -2,11 +2,20 @@
 and the partial-read bound on the repair path."""
 
 import itertools
+import json
 import os
 import re
+import subprocess
+import sys
+import textwrap
+import time
+from pathlib import Path
+from unittest import mock
 
 import pytest
 
+import msrcode
+from msrcode import make_params, parity
 from msrcode.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
 from msrcode.shardio import BLOCK_STRIPES, HEADER_LEN, Manifest, read_shard, shard_filename
 
@@ -380,6 +389,55 @@ def test_verify_tampered_c0_fails(store22):
     man.c0 = 6  # rank-deficient for (2,2) over the auto-chosen GF(2^3)
     man.write(store / "manifest.txt")
     assert main(["verify", "--trials", "2", "--out-dir", str(store)]) == EXIT_VERIFY
+
+
+def test_verify_eliminates_each_subset_once(store22):
+    # one elimination per size-q subset serves the rank check and the decodes
+    store, _ = store22
+    with mock.patch.object(parity, "_reduce", wraps=parity._reduce) as reduce:
+        assert main(["verify", "--trials", "3", "--out-dir", str(store)]) == EXIT_OK
+    assert reduce.call_count == 6  # comb(n=4, q=2)
+
+
+def test_verify_negative_trials_is_usage_error(store22, capsys):
+    store, _ = store22
+    assert main(["verify", "--trials", "-1", "--out-dir", str(store)]) == EXIT_USAGE
+    assert "messages" not in capsys.readouterr().out
+
+
+def test_verify_garbled_parameter_fails_fast(tmp_path):
+    # t=9 would make verify build and rank-check a code with 3^10 constraints
+    path = tmp_path / "manifest.txt"
+    Manifest.for_params(make_params(3, 3, 8).with_c0(1)).write(path)
+    path.write_text(re.sub(r"^t=3$", "t=9", path.read_text(), flags=re.M))
+    start = time.perf_counter()
+    assert main(["verify", "--out-dir", str(tmp_path)]) == EXIT_VERIFY
+    assert time.perf_counter() - start < 1
+
+
+def test_scalar_commands_do_not_load_numpy(tmp_path):
+    # init, verify and stats run on ints; only the batch paths import numpy
+    script = textwrap.dedent("""
+        import json, sys
+        from msrcode.cli import main
+        store, data = sys.argv[1:]
+        codes = [main(["init", "--q", "2", "--t", "2", "--out-dir", store]),
+                 main(["verify", "--trials", "1", "--out-dir", store]),
+                 main(["stats", "--out-dir", store])]
+        loaded = [sorted(m for m in sys.modules if m.startswith("numpy."))]
+        codes.append(main(["encode", data, "--out-dir", store]))
+        loaded.append(sorted(m for m in sys.modules if m.startswith("numpy.")))
+        print(json.dumps([codes, loaded]))
+    """)
+    data = tmp_path / "in.bin"
+    data.write_bytes(bytes(range(256)))
+    env = dict(os.environ, PYTHONPATH=str(Path(msrcode.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", script, str(tmp_path / "store"), str(data)],
+                         env=env, capture_output=True, text=True, check=True)
+    codes, (before, after) = json.loads(out.stdout.splitlines()[-1])
+    assert codes == [EXIT_OK] * 4
+    assert before == []
+    assert after
 
 
 def test_verify_zero_c0_fails(store22):

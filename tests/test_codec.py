@@ -206,6 +206,27 @@ def test_verify_mds_catches_bad_c0():
     assert not report.ok
 
 
+@pytest.mark.parametrize("trials", [0, 2])
+def test_verify_mds_deficient_is_the_rank_check(all_systems, trials):
+    # verify_mds eliminates each subset once; what it finds singular must be
+    # exactly what the separate rank pass finds, in the same order
+    # c0=7 at (3,2,4) leaves three singular subsets; c0=24 at (2,2,5) makes
+    # the parity nodes' own H_S singular, so nothing encodes
+    for (q, t, m), bad in [*BAD_C0.items(), ((3, 2, 4), 7), ((2, 2, 5), 24)]:
+        bad_sys = build_system(make_params(q, t, m), bad)
+        report = verify_mds(bad_sys, trials=trials)
+        assert report.deficient == check_mds_ranks(bad_sys) != []
+        assert not report.ok
+        # every round trip fails when the encoder's subset is singular, else
+        # exactly those through a singular subset
+        failing = report.subset_count if bad_sys.params.parity_nodes() in report.deficient \
+            else len(report.deficient)
+        assert len(report.failures) == failing * trials
+    for sys_ in all_systems:
+        report = verify_mds(sys_, trials=trials)
+        assert report.deficient == [] and report.ok
+
+
 # -- batched paths ------------------------------------------------------------------------
 
 

@@ -305,8 +305,11 @@ def test_rank_matches_dense_oracle_on_thick_submatrices(q, t, m, last_c):
         sys_ = build_system(p, c)
         for subset in node_subsets(p, p.q):
             sub = sys_.thick_submatrix(subset)
+            rows = sys_.thick_rows(subset)
+            assert rows == [{j: v for j, v in enumerate(r) if v} for r in sub]
+            assert all(list(row) == sorted(row) for row in rows)
             rank = gf_rank(sub, p.gf)
-            assert rank == dense_rank(sub, p.gf)
+            assert rank == dense_rank(sub, p.gf) == gf_rank(rows, p.gf)
             deficient += rank < len(sub)
     assert deficient > 0
 

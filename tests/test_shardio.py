@@ -2,7 +2,9 @@
 
 import contextlib
 import random
+import re
 import tempfile
+import zlib
 from pathlib import Path
 from unittest import mock
 
@@ -102,6 +104,22 @@ def test_manifest_rejects_unknown_and_missing_keys():
         Manifest.from_text("q=2\nt,2\n")
     with pytest.raises(ShardFormatError, match="not an integer"):
         Manifest.from_text("q=2x\n")
+
+
+def test_manifest_params_crc_guards_the_parameter_lines():
+    text = Manifest(3, 3, 8, 0x11D, 1, stripe_count=5, file_length=99,
+                    checksums={(1, 0): 7}).to_text()
+    crc = zlib.crc32(text[: text.index("params_crc=")].encode())
+    assert f"params_crc={crc}\n" in text  # decimal, as every non-checksum value
+    with pytest.raises(ShardFormatError, match="missing keys: params_crc"):
+        Manifest.from_text(re.sub(r"^params_crc=.*\n", "", text, flags=re.M))
+    for line in ("t=9", "file_length=98", f"params_crc={crc ^ 1}"):
+        key = line.split("=")[0]
+        with pytest.raises(ShardFormatError, match="params_crc"):
+            Manifest.from_text(re.sub(rf"^{key}=.*$", line, text, flags=re.M))
+    # a checksum line is not a parameter line; decode checks it against the shard
+    changed = Manifest.from_text(text.replace("checksum_1_0=00000007", "checksum_1_0=8"))
+    assert changed.checksums == {(1, 0): 8}
 
 
 def test_manifest_matches_header():
