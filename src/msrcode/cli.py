@@ -25,7 +25,7 @@ import sys
 from pathlib import Path
 
 from . import codec, repair, shardio
-from .params import CodeParams, Node, make_params
+from .params import CodeParams, Node, make_params, smallest_field_degree
 from .parity import ParityCheckSystem, build_system, find_code
 from .shardio import Manifest, ShardFormatError, shard_filename
 
@@ -125,6 +125,7 @@ def cmd_encode(args) -> int:
                               "need its length before its data")
         length = st.st_size
         manifest.stripe_count = shardio.stripe_count_for(length, p.message_len, p.gf.m)
+        shardio.check_stripe_count(manifest.stripe_count)
         manifest.file_length = length
         # entered first, so renamed last: until then the old manifest's CRCs
         # disagree with any shard already replaced
@@ -238,16 +239,15 @@ def cmd_verify(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    if args.q is not None or args.t is not None:
-        if args.q is None or args.t is None:
-            raise _UsageError("stats needs both --q and --t (or neither)")
-        m = args.m
-        if m is None:
-            n = args.q * args.t
-            m = next(mm for mm in range(1, 17) if (1 << mm) - 1 >= n)
-        p = make_params(args.q, args.t, m)
-    else:
+    if args.q is None and args.t is None:
+        if args.m is not None:
+            raise _UsageError("stats takes --m only with --q and --t")
         p = _system_for(_load_manifest(args.out_dir)).params
+    elif args.q is None or args.t is None:
+        raise _UsageError("stats needs both --q and --t (or neither)")
+    else:
+        m = args.m if args.m is not None else smallest_field_degree(args.q * args.t)
+        p = make_params(args.q, args.t, m)
     report = repair.bandwidth_report(p)
     print(f"q={p.q} t={p.t} field=GF(2^{p.gf.m})")
     print(f"n      = {p.n}")

@@ -10,8 +10,9 @@ compiles for the missing nodes, on a workspace holding the known columns
 and then the missing ones.
 
 Scalar functions run the plan on one codeword (a list of ints); the
-*_batch variants run it on numpy uint16 stacks of stripes, the shape the
-CLI uses for files.  Only the batch variants touch numpy.
+*_batch variants run it on a block of stripes, numpy uint16 arrays of
+(rows, stripes) as shards store them: a message block is (k*alpha, s) and
+a node's stack (alpha, s).  Only the batch variants touch numpy.
 
 verify_mds is the whole MDS certificate: it eliminates the thick submatrix
 of every size-q node subset once, which is the rank check, and reuses that
@@ -175,37 +176,35 @@ def complete_columns_batch(sys: ParityCheckSystem,
                            known: Mapping[Node, np.ndarray],
                            missing: Sequence[Node]) -> dict[Node, np.ndarray]:
     """Batch solve for the missing columns: every value of `known` is an
-    (s, alpha) uint16 array of s stripes; returns the same shape per
+    (alpha, s) uint16 array of s stripes; returns the same shape per
     missing node."""
     p = sys.params
     missing = sorted(missing, key=p.node_ordinal)
     if set(known) != set(p.nodes()) - set(missing):
         raise ValueError("known columns must be exactly the non-missing nodes")
     blocks = [known[nd] for nd in p.nodes() if nd in known]
-    if any(b.shape != (blocks[0].shape[0], p.alpha) for b in blocks):
-        raise ValueError("known column stacks must all be (stripes, alpha)")
+    if any(b.shape != (p.alpha, blocks[0].shape[-1]) for b in blocks):
+        raise ValueError("known column stacks must all be (alpha, stripes)")
     out = run_plan_batch(sys.completion_map(missing), blocks, len(missing) * p.alpha, p.gf)
-    return {nd: out[:, i * p.alpha : (i + 1) * p.alpha] for i, nd in enumerate(missing)}
+    return {nd: out[i * p.alpha : (i + 1) * p.alpha] for i, nd in enumerate(missing)}
 
 
 def encode_batch(messages: np.ndarray, sys: ParityCheckSystem) -> dict[Node, np.ndarray]:
-    """Encode an (s, k*alpha) stack of stripes; returns one (s, alpha)
-    column stack per node (systematic views plus solved parity)."""
+    """Encode a (k*alpha, s) block of stripes; returns one (alpha, s)
+    stack per node (systematic row slices plus solved parity)."""
     p = sys.params
     _require_valid_c0(sys)
-    if messages.ndim != 2 or messages.shape[1] != p.message_len:
-        raise ValueError(f"messages must be (stripes, {p.message_len})")
-    messages = np.ascontiguousarray(messages, dtype=np.uint16)
-    columns: dict[Node, np.ndarray] = {}
-    for o, node in enumerate(p.systematic_nodes()):
-        columns[node] = messages[:, o * p.alpha : (o + 1) * p.alpha]
+    if messages.ndim != 2 or messages.shape[0] != p.message_len:
+        raise ValueError(f"messages must be ({p.message_len}, stripes)")
+    columns = {node: messages[o * p.alpha : (o + 1) * p.alpha]
+               for o, node in enumerate(p.systematic_nodes())}
     columns.update(complete_columns_batch(sys, columns, p.parity_nodes()))
     return columns
 
 
 def decode_batch(available: Mapping[Node, np.ndarray],
                  sys: ParityCheckSystem) -> np.ndarray:
-    """Recover (s, k*alpha) message stripes from k node column stacks."""
+    """Recover the (k*alpha, s) message block from k (alpha, s) node stacks."""
     p = sys.params
     _require_valid_c0(sys)
     if len(available) != p.k:
@@ -214,4 +213,4 @@ def decode_batch(available: Mapping[Node, np.ndarray],
     columns = dict(available)
     if any(nd in missing for nd in p.systematic_nodes()):
         columns.update(complete_columns_batch(sys, available, missing))
-    return np.concatenate([columns[nd] for nd in p.systematic_nodes()], axis=1)
+    return np.concatenate([columns[nd] for nd in p.systematic_nodes()])

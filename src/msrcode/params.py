@@ -155,6 +155,14 @@ class CodeParams:
         return f"CodeParams(q={self.q}, t={self.t}, gf={self.gf!r}{c})"
 
 
+def smallest_field_degree(n: int) -> int:
+    """The least m whose GF(2^m) has n nonzero evaluation points, m <= 16."""
+    m = max(n, 1).bit_length()  # the least m with 2^m - 1 >= n
+    if m > 16:
+        raise ValueError(f"n={n} nodes need more nonzero elements than GF(2^16) has")
+    return m
+
+
 def make_params(q: int, t: int, m: int, poly: int | None = None) -> CodeParams:
     """Build a parameter set over GF(2^m) with the default (or given)
     reduction polynomial.  c0 is left unset."""

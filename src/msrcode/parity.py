@@ -24,7 +24,8 @@ slots.  completion_map(missing) is the plan that fills q erased thick
 columns: the syndrome of the known symbols, read off the sparse constraints,
 then the recorded elimination of the square submatrix H_S (inverse_for).
 One sparse Gaussian elimination records that plan and computes every gf_rank.
-run_plan executes a plan on one stripe; run_plan_batch on stacks of stripes.
+run_plan executes a plan on one stripe; run_plan_batch on a block of
+stripes, in a (slots, stripes) workspace: the order shards store a block.
 
 The rows of H_S are built sparse, {column: coeff}, straight from the
 constraint terms (thick_rows), and the elimination works on them with a
@@ -42,14 +43,11 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from ._lazy import np
 from .gf import GF2M, ring_sub
-from .params import CodeParams, Node, Row, make_params
+from .params import CodeParams, Node, Row, make_params, smallest_field_degree
 
 # Exhaustive-check ceiling: refuse (rather than silently sample) when the
 # number of size-q node subsets exceeds this.
 MAX_SUBSET_CHECKS = 10**6
-
-# Stripes per pass of a batch plan: bounds the (slots, stripes) workspace.
-STRIPE_CHUNK = 4096
 
 
 class Term(NamedTuple):
@@ -245,19 +243,14 @@ def run_plan(plan: Plan, ws: list[int] | np.ndarray, gf: GF2M) -> None:
 
 def run_plan_batch(plan: Plan, blocks: Sequence[np.ndarray], n_out: int,
                    gf: GF2M) -> np.ndarray:
-    """Run `plan` on stacks of stripes.  The (stripes, width) arrays of
-    `blocks` fill the first workspace slots in order, n_out zeroed output
-    slots follow, and their (stripes, n_out) stack is returned.  Stripes go
-    STRIPE_CHUNK at a time, so the workspace stays small for any file."""
-    stripes = blocks[0].shape[0]
-    out = np.empty((stripes, n_out), dtype=np.uint16)
-    for lo in range(0, stripes, STRIPE_CHUNK):
-        chunk = [b[lo : lo + STRIPE_CHUNK] for b in blocks]
-        zeros = np.zeros((chunk[0].shape[0], n_out), dtype=np.uint16)
-        ws = np.ascontiguousarray(np.concatenate([*chunk, zeros], axis=1).T)
-        run_plan(plan, ws, gf)
-        out[lo : lo + STRIPE_CHUNK] = ws[len(ws) - n_out :].T
-    return out
+    """Run `plan` on a block of stripes.  The (width, stripes) arrays of
+    `blocks` fill the first workspace rows in order, n_out zero rows
+    follow, and a copy of those (n_out, stripes) output rows is returned
+    (a copy, so the workspace and its inputs are freed with the call)."""
+    zeros = np.zeros((n_out, blocks[0].shape[1]), dtype=np.uint16)
+    ws = np.concatenate([*blocks, zeros])
+    run_plan(plan, ws, gf)
+    return ws[len(ws) - n_out :].copy()
 
 
 class Elimination(NamedTuple):
@@ -424,8 +417,7 @@ def find_code(q: int, t: int, m: int | None = None) -> CodeParams:
     if m is not None:
         params = make_params(q, t, m)
         return params.with_c0(find_c0(params))
-    n = t * q
-    start = next(mm for mm in range(1, 17) if (1 << mm) - 1 >= n)
+    start = smallest_field_degree(t * q)
     last_err: Exception | None = None
     for mm in range(start, 17):
         params = make_params(q, t, mm)

@@ -17,7 +17,7 @@ beta = alpha/(d-k+1).
 
 repair_plan checks both phases once, against the constraints themselves,
 and compiles them into one Plan that repair_node (one stripe) and
-repair_batch (a numpy stack of stripes) both run.
+repair_batch (a block of stripes, one row per symbol) both run.
 """
 
 from __future__ import annotations
@@ -147,17 +147,17 @@ def repair_node(failed: Node, packets: Sequence[HelperPacket],
 
 def repair_batch(failed: Node, gamma_columns: Mapping[Node, np.ndarray],
                  sys: ParityCheckSystem) -> np.ndarray:
-    """Batch repair across stripes: `gamma_columns` maps each helper to an
-    (s, beta) uint16 array of its helper-row symbols (ascending row
-    ordinal); returns the failed node's (s, alpha) column stack."""
+    """Batch repair across stripes: `gamma_columns` maps each helper to a
+    (beta, s) uint16 array of its helper-row symbols (ascending row
+    ordinal); returns the failed node's (alpha, s) stack."""
     p = sys.params
     plan = repair_plan(failed, sys)
     helpers = [nd for nd in p.nodes() if nd != failed]
     if set(gamma_columns) != set(helpers):
         raise ValueError(f"need the {p.d} helpers other than {failed}")
     blocks = [gamma_columns[h] for h in helpers]
-    if any(b.shape != (blocks[0].shape[0], p.beta) for b in blocks):
-        raise ValueError("helper column stacks must all be (stripes, beta)")
+    if any(b.shape != (p.beta, blocks[0].shape[-1]) for b in blocks):
+        raise ValueError("helper row stacks must all be (beta, stripes)")
     return run_plan_batch(plan, blocks, p.alpha, p.gf)
 
 

@@ -11,26 +11,28 @@ without its implicit leading x^m bit so degree-16 polynomials fit in two
 bytes; the plain-text manifest records the full integer.
 
 Shards are read and written one block at a time, so memory is O(block)
-whatever the file size.  `open_shard` yields a ShardReader, which checks
-the header and the file size before any payload read, then streams whole
-blocks (keeping a running CRC-32 of the bytes it read, in file order) or
-only the helper-row runs of each block; read_shard and read_gamma are
-whole-file wrappers over it.  `write_shard` writes one or more shards in
-one pass over a stream of blocks, through a ShardWriter per shard that
-keeps a running CRC-32; given the whole column stack as the one "block",
-it writes a whole file.  Every file written here goes to <name>.tmp, is
-fsynced, and only then is renamed over <name> (`renaming`, `replacing`),
-so an error or a crash part-way never leaves a partial file under the
-real name.
+whatever the file size.  In memory, as on disk, a block is (rows, stripes):
+a uint16 array with one row per symbol of the node.  `open_shard` yields a
+ShardReader, which checks the header and the file size before any payload
+read, then streams whole (alpha, stripes) blocks as read (keeping a running
+CRC-32 of the bytes it read, in file order) or only the helper-row runs of
+each block, as (beta, stripes); read_shard and read_gamma join the blocks.
+`write_shard` writes one or more shards in one pass over a stream of
+blocks, through a ShardWriter per shard that takes exactly the next block
+and keeps a running CRC-32.  Every file written here goes to <name>.tmp, is
+fsynced, and only then is renamed over <name> (`renaming`, `replacing`), so
+an error or a crash part-way never leaves a partial file under the real
+name.
 
 Files are packed m bits per message symbol, LSB-first within each byte, so
 any byte stream round-trips through any field; at m=16 this is exactly two
 bytes little-endian per symbol.  A payload block of stripes packs
 BLOCK_STRIPES * message_len * m / 8 input bytes, a whole number because
 BLOCK_STRIPES is a multiple of 8, so an input packed block by block
-(`read_messages`) gives the symbols of a whole-file packing.  file_length
-in the header/manifest recovers the exact byte count after the zero-fill
-to a whole stripe.
+(`read_messages`) gives the symbols of a whole-file packing; the stream
+runs stripe by stripe, so a (message_len, stripes) block is its transpose.
+file_length in the header/manifest recovers the exact byte count after the
+zero-fill to a whole stripe.
 """
 
 from __future__ import annotations
@@ -54,6 +56,13 @@ FORMAT_VERSION = 2
 BLOCK_STRIPES = 4096
 _HEADER = struct.Struct("<4sBBBBHHBBIQ")
 HEADER_LEN = _HEADER.size  # 26
+
+
+def check_stripe_count(stripe_count: int) -> None:
+    """Refuse a stripe count too large for the header's uint32 field."""
+    if stripe_count >> 32:
+        raise ValueError(f"{stripe_count} stripes exceed the shard header's limit of {2**32 - 1}")
+
 
 MANIFEST_NAME = "manifest.txt"
 _MANIFEST_KEYS = ("q", "t", "m", "reduction_poly", "c0", "stripe_count", "file_length")
@@ -217,11 +226,13 @@ def symbols_from_bytes(data: bytes, m: int, total_symbols: int) -> np.ndarray:
 
 
 def bytes_from_symbols(symbols: np.ndarray, m: int, byte_length: int) -> bytes:
-    """Inverse of symbols_from_bytes, truncated to the original byte count."""
-    flat = np.asarray(symbols, dtype=np.uint16).reshape(-1)
-    bits = np.empty((flat.size, m), dtype=np.uint8)
+    """Inverse of symbols_from_bytes, truncated to the original byte count.
+    `symbols` is a (message_len, stripes) block, or a flat symbol stream;
+    its bit planes are filled from the transpose, in stream order."""
+    stream = symbols.T
+    bits = np.empty((*stream.shape, m), dtype=np.uint8)
     for b in range(m):
-        bits[:, b] = (flat >> b) & 1
+        bits[..., b] = (stream >> b) & 1
     return np.packbits(bits.reshape(-1), bitorder="little").tobytes()[:byte_length]
 
 
@@ -269,13 +280,13 @@ def message_blocks(file_length: int, params: CodeParams) -> Iterator[tuple[int, 
 def read_messages(src: BinaryIO, file_length: int,
                   params: CodeParams) -> Iterator[np.ndarray]:
     """Read a file_length-byte input one payload block at a time, yielding
-    each block's (stripes, message_len) stack of packed symbols."""
+    each block's packed symbols as a (message_len, stripes) view."""
     for stripes, nbytes in message_blocks(file_length, params):
         data = src.read(nbytes)
         if len(data) != nbytes:
             raise OSError(f"input is shorter than {file_length} bytes; it changed while read")
         symbols = symbols_from_bytes(data, params.gf.m, stripes * params.message_len)
-        yield symbols.reshape(stripes, params.message_len)
+        yield symbols.reshape(stripes, params.message_len).T
 
 
 # -- shard reading/writing ----------------------------------------------------
@@ -302,31 +313,27 @@ class ShardWriter:
         self.file.write(data)
         self.crc = zlib.crc32(data, self.crc)
 
-    def write(self, columns: np.ndarray) -> None:
-        """Append the (stripes, alpha) column stack of the next stripes:
-        whole blocks, or the rest of the shard."""
+    def write(self, block: np.ndarray) -> None:
+        """Append the next payload block: its (alpha, stripes) rows, as is."""
         hdr = self.header
-        stripes = columns.shape[0]
-        left = hdr.stripe_count - self.stripes_written
-        if columns.shape[1:] != (hdr.q**hdr.t,) or stripes > left or (
-                stripes % BLOCK_STRIPES and stripes != left):
-            raise ValueError(f"{stripes} stripes of shape {columns.shape[1:]} are not whole "
-                             f"next blocks of a {hdr.stripe_count}-stripe shard")
-        for lo, hi in _blocks(stripes):
-            self._put(np.asarray(columns[lo:hi], dtype="<u2").T.tobytes())
-        self.stripes_written += stripes
+        shape = (hdr.q**hdr.t, min(BLOCK_STRIPES, hdr.stripe_count - self.stripes_written))
+        if block.shape != shape:
+            raise ValueError(f"a block of shape {block.shape} is not the next block, "
+                             f"{shape}, of a {hdr.stripe_count}-stripe shard")
+        self._put(np.asarray(block, dtype="<u2").tobytes())
+        self.stripes_written += shape[1]
 
 
 def write_shard(shards: Mapping[Path | str, ShardHeader],
                 blocks: Iterable[Mapping[Node, np.ndarray]],
                 renames: contextlib.ExitStack) -> dict[Node, int]:
     """Write one shard per (path, header) of `shards` in a single pass over
-    `blocks`, each of which maps every header's node to its next column
-    stack (whole blocks, or the rest of the shard).  Every shard is
-    written to its temp file and fsynced; a shard short of stripes raises.
-    The shards are renamed into place (see `renaming`) when `renames`
-    closes, so the caller can check or record their CRCs first.  Returns
-    the CRC-32 of each node's file, from the bytes as written."""
+    `blocks`, each of which maps every header's node to its next payload
+    block.  Every shard is written to its temp file and fsynced; a shard
+    short of stripes raises.  The shards are renamed into place (see
+    `renaming`) when `renames` closes, so the caller can check or record
+    their CRCs first.  Returns the CRC-32 of each node's file, from the
+    bytes as written."""
     with contextlib.ExitStack() as files:
         writers = {}
         for path, header in shards.items():
@@ -393,32 +400,28 @@ class ShardReader:
         return data, symbols
 
     def blocks(self) -> Iterator[np.ndarray]:
-        """The (stripes, alpha) column stack of every block, in file order.
+        """The (alpha, stripes) rows of every block, as read, in file order.
         Once it is exhausted, `crc` is the CRC-32 of the whole file."""
         alpha = self.header.q**self.header.t
         for lo, hi in _blocks(self.header.stripe_count):
             data, symbols = self._symbols(alpha * (hi - lo))
             self.crc = zlib.crc32(data, self.crc)
-            yield symbols.reshape(alpha, hi - lo).T
+            yield symbols.reshape(alpha, hi - lo)
 
     def gamma_blocks(self, runs: list[tuple[int, int]]) -> Iterator[np.ndarray]:
-        """The (stripes, sum of run lengths) stack of the rows in `runs`
-        ((start ordinal, length) pairs) of every block, reading only those
-        rows: one seek and read per run per block."""
+        """The rows in `runs` ((start ordinal, length) pairs) of every block,
+        stacked as (sum of run lengths, stripes), reading only those rows:
+        one seek and read per run per block."""
         alpha = self.header.q**self.header.t
-        total = sum(length for _, length in runs)
         base = HEADER_LEN
         for lo, hi in _blocks(self.header.stripe_count):
             width = hi - lo
-            out = np.empty((width, total), dtype=np.uint16)
-            filled = 0
+            rows = []
             for start, length in runs:
                 self.counter.seek(base + start * width * 2)
-                _, rows = self._symbols(length * width)
-                out[:, filled : filled + length] = rows.reshape(length, width).T
-                filled += length
+                rows.append(self._symbols(length * width)[1].reshape(length, width))
             base += alpha * width * 2
-            yield out
+            yield np.concatenate(rows)
 
 
 @contextmanager
@@ -428,13 +431,11 @@ def open_shard(path: Path | str) -> Iterator[ShardReader]:
 
 
 def read_shard(path: Path | str) -> tuple[ShardHeader, np.ndarray]:
-    """Read a whole shard back as (header, (stripe_count, alpha) array)."""
+    """Read a whole shard back as (header, (alpha, stripe_count) array)."""
     with open_shard(path) as shard:
         hdr = shard.header
-        columns = np.empty((hdr.stripe_count, hdr.q**hdr.t), dtype=np.uint16)
-        for (lo, hi), block in zip(_blocks(hdr.stripe_count), shard.blocks()):
-            columns[lo:hi] = block
-    return hdr, columns
+        rows = np.concatenate([np.empty((hdr.q**hdr.t, 0), "<u2"), *shard.blocks()], axis=1)
+    return hdr, rows
 
 
 def gamma_runs(failed: Node, params: CodeParams) -> list[tuple[int, int]]:
@@ -457,17 +458,15 @@ def read_gamma(path: Path | str, failed: Node,
                params: CodeParams) -> tuple[ShardHeader, np.ndarray, int]:
     """Read only the helper-row symbols of a shard: one seek and read per
     run of gamma_runs per block, exactly header + 2*beta bytes per stripe.
-    Returns the header, the (stripe_count, beta) symbol stack, and the byte
+    Returns the header, the (beta, stripe_count) symbol stack, and the byte
     count read."""
     with open_shard(path) as shard:
         hdr = shard.header
         if (hdr.q, hdr.t, hdr.m) != (params.q, params.t, params.gf.m):
             raise ShardFormatError(f"{path}: header parameters do not match")
-        out = np.empty((hdr.stripe_count, params.beta), dtype=np.uint16)
-        runs = gamma_runs(failed, params)
-        for (lo, hi), rows in zip(_blocks(hdr.stripe_count), shard.gamma_blocks(runs)):
-            out[lo:hi] = rows
-    return hdr, out, shard.counter.bytes_read
+        blocks = shard.gamma_blocks(gamma_runs(failed, params))
+        rows = np.concatenate([np.empty((params.beta, 0), "<u2"), *blocks], axis=1)
+    return hdr, rows, shard.counter.bytes_read
 
 
 def crc32_file(path: Path | str) -> int:

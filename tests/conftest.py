@@ -65,7 +65,7 @@ def eval_constraints(arr, sys_):
 
 
 def stripe_array(columns, s, params):
-    """Stripe s of a batch {node: (stripes, alpha)} stack as a codeword array."""
+    """Stripe s of a batch {node: (alpha, stripes)} block as a codeword array."""
     return CodewordArray(params, [
-        [int(columns[nd][s, r]) for nd in params.nodes()] for r in range(params.alpha)
+        [int(columns[nd][r, s]) for nd in params.nodes()] for r in range(params.alpha)
     ])

@@ -94,9 +94,9 @@ def test_encode_empty_file(tmp_path):
     main(["init", "--q", "2", "--t", "2", "--out-dir", str(store)])
     assert main(["encode", str(src), "--out-dir", str(store)]) == EXIT_OK
     for shard in shards_in(store):
-        hdr, columns = read_shard(shard)
+        hdr, rows = read_shard(shard)
         assert hdr.stripe_count == 0
-        assert columns.shape == (0, 4)
+        assert rows.shape == (4, 0)
     out = tmp_path / "out.bin"
     picked = shards_in(store)[:2]
     assert main(["decode", str(out), *map(str, picked)]) == EXIT_OK
@@ -116,6 +116,22 @@ def test_encode_exact_stripe_at_m16(tmp_path):
     picked = shards_in(store)[2:]  # the two parity shards
     assert main(["decode", str(out), *map(str, picked)]) == EXIT_OK
     assert out.read_bytes() == data
+
+
+def test_encode_refuses_more_stripes_than_the_header_holds(store22, tmp_path, capsys):
+    # (2,2) over GF(2^3) packs 3 bytes per stripe, so 13 GiB is over 2^32
+    # stripes; the sparse input is refused before anything is read or made
+    store, _ = store22
+    assert Manifest.read(store / "manifest.txt").m == 3
+    src = tmp_path / "huge.bin"
+    src.touch()
+    os.truncate(src, 13 << 30)
+    before = {f.name: f.read_bytes() for f in store.iterdir()}
+    with mock.patch("builtins.open", wraps=open) as opened:
+        assert main(["encode", str(src), "--out-dir", str(store)]) == EXIT_USAGE
+    assert [call.args[0] for call in opened.call_args_list] == [str(src)]
+    assert "limit of 4294967295" in capsys.readouterr().err
+    assert {f.name: f.read_bytes() for f in store.iterdir()} == before
 
 
 def test_encode_is_deterministic(tmp_path):
@@ -477,6 +493,21 @@ def test_stats_invalid_manifest_is_verification_failure(store22, line):
 
 def test_stats_needs_both_q_and_t():
     assert main(["stats", "--q", "3"]) == EXIT_USAGE
+
+
+@pytest.mark.parametrize("command", ["stats", "init"])
+def test_too_many_nodes_for_any_field_is_usage_error(tmp_path, capsys, command):
+    # n = 90,000 nodes need more evaluation points than GF(2^16) has
+    assert main([command, "--q", "300", "--t", "300", "--out-dir", str(tmp_path)]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: n=90000 nodes")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_stats_m_without_q_and_t_is_usage_error(store22, capsys):
+    store, _ = store22
+    capsys.readouterr()
+    assert main(["stats", "--m", "7", "--out-dir", str(store)]) == EXIT_USAGE
+    assert capsys.readouterr().out == ""
 
 
 def test_unknown_command_is_usage_error():

@@ -3,7 +3,6 @@ and the batched numpy paths checked against the term-list oracle."""
 
 import itertools
 import random
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,7 +20,6 @@ from msrcode import (
     make_params,
     verify_mds,
 )
-from msrcode import parity
 from msrcode.codec import complete_columns_batch, decode_batch, encode_batch
 from msrcode.parity import check_mds_ranks, gf_rank
 from msrcode.repair import repair_batch
@@ -234,19 +232,19 @@ def test_encode_batch_satisfies_constraints(sys22, sys23):
     rng = np.random.default_rng(11)
     for sys_ in (sys22, sys23):
         p = sys_.params
-        msgs = rng.integers(0, p.gf.order, size=(20, p.message_len)).astype(np.uint16)
+        msgs = rng.integers(0, p.gf.order, size=(p.message_len, 20)).astype(np.uint16)
         columns = encode_batch(msgs, sys_)
-        for s in range(msgs.shape[0]):
+        for s in range(msgs.shape[1]):
             arr = stripe_array(columns, s, p)
             assert eval_constraints(arr, sys_) == [0] * sys_.n_constraints
             systematic = [v for nd in p.systematic_nodes() for v in arr.column(nd)]
-            assert systematic == msgs[s].tolist()
+            assert systematic == msgs[:, s].tolist()
 
 
 def test_decode_batch_every_subset(sys23):
     p = sys23.params
     rng = np.random.default_rng(12)
-    msgs = rng.integers(0, p.gf.order, size=(17, p.message_len)).astype(np.uint16)
+    msgs = rng.integers(0, p.gf.order, size=(p.message_len, 17)).astype(np.uint16)
     columns = encode_batch(msgs, sys23)
     for subset in itertools.combinations(p.nodes(), p.k):
         got = decode_batch({nd: columns[nd] for nd in subset}, sys23)
@@ -255,23 +253,25 @@ def test_decode_batch_every_subset(sys23):
 
 def test_batch_zero_stripes(sys22):
     p = sys22.params
-    columns = encode_batch(np.zeros((0, p.message_len), dtype=np.uint16), sys22)
-    assert all(c.shape == (0, p.alpha) for c in columns.values())
+    columns = encode_batch(np.zeros((p.message_len, 0), dtype=np.uint16), sys22)
+    assert all(c.shape == (p.alpha, 0) for c in columns.values())
     got = decode_batch({nd: columns[nd] for nd in list(p.nodes())[: p.k]}, sys22)
-    assert got.shape == (0, p.message_len)
+    assert got.shape == (p.message_len, 0)
 
 
 def test_complete_columns_batch_validates_known_set(sys22):
     p = sys22.params
     nodes = list(p.nodes())
-    known = {nodes[0]: np.zeros((3, p.alpha), dtype=np.uint16)}
+    known = {nodes[0]: np.zeros((p.alpha, 3), dtype=np.uint16)}
     with pytest.raises(ValueError):
         complete_columns_batch(sys22, known, p.parity_nodes())
 
 
 def test_encode_batch_shape_validation(sys22):
     with pytest.raises(ValueError):
-        encode_batch(np.zeros((4, 5), dtype=np.uint16), sys22)
+        encode_batch(np.zeros((5, 4), dtype=np.uint16), sys22)
+    with pytest.raises(ValueError):  # a (stripes, k*alpha) stack is the wrong way round
+        encode_batch(np.zeros((4, sys22.params.message_len), dtype=np.uint16), sys22)
 
 
 def test_decode_batch_rank_deficient_subset_raises():
@@ -279,7 +279,7 @@ def test_decode_batch_rank_deficient_subset_raises():
     bad_sys = build_system(make_params(q, t, m), BAD_C0[(q, t, m)])
     p = bad_sys.params
     lost = next(s for s in check_mds_ranks(bad_sys) if set(s) & set(p.systematic_nodes()))
-    available = {nd: np.zeros((3, p.alpha), dtype=np.uint16)
+    available = {nd: np.zeros((p.alpha, 3), dtype=np.uint16)
                  for nd in p.nodes() if nd not in lost}
     with pytest.raises(ValueError):
         decode_batch(available, bad_sys)
@@ -291,17 +291,15 @@ def test_batch_paths_property(all_systems, data):
     sys_ = data.draw(st.sampled_from(all_systems))
     p = sys_.params
     stripes = data.draw(st.integers(0, 7))
-    msgs = data.draw(arrays(np.uint16, (stripes, p.message_len),
+    msgs = data.draw(arrays(np.uint16, (p.message_len, stripes),
                             elements=st.integers(0, p.gf.order - 1)))
     subset = data.draw(st.sampled_from(list(itertools.combinations(p.nodes(), p.k))))
-    # small chunks make the batch paths cross stripe-chunk boundaries
-    with mock.patch.object(parity, "STRIPE_CHUNK", data.draw(st.integers(1, 8))):
-        columns = encode_batch(msgs, sys_)
-        assert np.array_equal(decode_batch({nd: columns[nd] for nd in subset}, sys_), msgs)
-        for failed in p.nodes():
-            gamma_idx = [p.row_ordinal(r) for r in p.gamma_rows(failed)]
-            helpers = {h: columns[h][:, gamma_idx] for h in p.nodes() if h != failed}
-            assert np.array_equal(repair_batch(failed, helpers, sys_), columns[failed])
+    columns = encode_batch(msgs, sys_)
+    assert np.array_equal(decode_batch({nd: columns[nd] for nd in subset}, sys_), msgs)
+    for failed in p.nodes():
+        gamma_idx = [p.row_ordinal(r) for r in p.gamma_rows(failed)]
+        helpers = {h: columns[h][gamma_idx] for h in p.nodes() if h != failed}
+        assert np.array_equal(repair_batch(failed, helpers, sys_), columns[failed])
     for s in range(stripes):
-        picked = {nd: [int(v) for v in columns[nd][s]] for nd in subset}
-        assert decode_from_k(picked, sys_) == msgs[s].tolist()
+        picked = {nd: [int(v) for v in columns[nd][:, s]] for nd in subset}
+        assert decode_from_k(picked, sys_) == msgs[:, s].tolist()

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from msrcode import make_params
+from msrcode.params import smallest_field_degree
 
 
 def test_q2_t3_dimensions():
@@ -40,6 +41,12 @@ def test_field_too_small_rejected():
     with pytest.raises(ValueError):
         make_params(3, 3, 3)  # n=9 > 2^3 - 1
     make_params(3, 3, 4)  # 15 >= 9 is fine
+
+
+def test_smallest_field_degree():
+    assert [smallest_field_degree(n) for n in (1, 2, 4, 7, 8, 65535)] == [1, 2, 3, 3, 4, 16]
+    with pytest.raises(ValueError, match="GF\\(2\\^16\\)"):
+        smallest_field_degree(65536)
 
 
 def test_msr_point_identities():

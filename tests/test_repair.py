@@ -195,14 +195,14 @@ def test_repair_batch_rebuilds_codeword_column(sys22, sys23):
     rng = np.random.default_rng(22)
     for sys_ in (sys22, sys23):
         p = sys_.params
-        msgs = rng.integers(0, p.gf.order, size=(9, p.message_len)).astype(np.uint16)
+        msgs = rng.integers(0, p.gf.order, size=(p.message_len, 9)).astype(np.uint16)
         columns = encode_batch(msgs, sys_)
-        for s in range(msgs.shape[0]):
+        for s in range(msgs.shape[1]):
             assert eval_constraints(stripe_array(columns, s, p), sys_) == [0] * sys_.n_constraints
         for failed in p.nodes():
             gamma_idx = [p.row_ordinal(r) for r in p.gamma_rows(failed)]
             gamma_cols = {
-                h: columns[h][:, gamma_idx] for h in p.nodes() if h != failed
+                h: columns[h][gamma_idx] for h in p.nodes() if h != failed
             }
             rebuilt = repair_batch(failed, gamma_cols, sys_)
             assert np.array_equal(rebuilt, columns[failed])
@@ -211,7 +211,7 @@ def test_repair_batch_rebuilds_codeword_column(sys22, sys23):
 def test_repair_batch_validates_helpers(sys22):
     p = sys22.params
     gamma_cols = {
-        h: np.zeros((2, p.beta), dtype=np.uint16) for h in list(p.nodes())[1:]
+        h: np.zeros((p.beta, 2), dtype=np.uint16) for h in list(p.nodes())[1:]
     }
     with pytest.raises(ValueError):
         repair_batch((2, 1), gamma_cols, sys22)  # (2,1) is inside the helper set
@@ -238,7 +238,7 @@ def test_tampered_constraint_raises_under_optimize():
             for t in con.terms
         )
         sys_.constraints[idx] = dataclasses.replace(con, terms=terms)
-        helpers = {h: np.zeros((2, p.beta), np.uint16) for h in p.nodes() if h != failed}
+        helpers = {h: np.zeros((p.beta, 2), np.uint16) for h in p.nodes() if h != failed}
         try:
             repair_batch(failed, helpers, sys_)
         except ValueError as err:

@@ -189,27 +189,34 @@ def test_stripe_count_for():
 # -- shard files ------------------------------------------------------------------
 
 
-def write_whole(path, hdr, columns):
-    """Write one shard from its whole (stripe_count, alpha) column stack."""
+def whole_blocks(node, rows):
+    """The stream of blocks of one shard's whole (alpha, stripes) rows."""
+    width = shardio.BLOCK_STRIPES
+    return [{node: rows[:, lo : lo + width]} for lo in range(0, rows.shape[1], width)]
+
+
+def write_whole(path, hdr, rows):
+    """Write one shard from its whole (alpha, stripe_count) rows, block by
+    block."""
     with contextlib.ExitStack() as renames:
-        write_shard({path: hdr}, [{hdr.node: columns}], renames)
+        write_shard({path: hdr}, whole_blocks(hdr.node, rows), renames)
 
 
 def test_shard_write_read_round_trip(tmp_path):
     rng = np.random.default_rng(1)
     hdr = ShardHeader(2, 3, 7, 0x89, 1, (2, 0), 5, 133)
-    columns = rng.integers(0, 128, size=(5, 8)).astype(np.uint16)
+    rows = rng.integers(0, 128, size=(8, 5)).astype(np.uint16)
     path = tmp_path / "s.msrc"
-    write_whole(path, hdr, columns)
-    got_hdr, got_cols = read_shard(path)
+    write_whole(path, hdr, rows)
+    got_hdr, got_rows = read_shard(path)
     assert got_hdr == hdr
-    assert np.array_equal(got_cols, columns)
+    assert np.array_equal(got_rows, rows)
 
 
 def test_shard_truncated_payload_detected(tmp_path):
     hdr = ShardHeader(2, 3, 7, 0x89, 1, (2, 0), 2, 50)
     path = tmp_path / "s.msrc"
-    write_whole(path, hdr, np.zeros((2, 8), dtype=np.uint16))
+    write_whole(path, hdr, np.zeros((8, 2), dtype=np.uint16))
     path.write_bytes(path.read_bytes()[:-3])
     with pytest.raises(ShardFormatError):
         read_shard(path)
@@ -219,7 +226,7 @@ def test_out_of_range_symbol_detected(tmp_path):
     # a payload value >= 2^m is malformed even when lengths check out
     hdr = ShardHeader(2, 3, 7, 0x89, 1, (2, 0), 1, 20)
     path = tmp_path / "s.msrc"
-    write_whole(path, hdr, np.full((1, 8), 0xFFFF, dtype=np.uint16))
+    write_whole(path, hdr, np.full((8, 1), 0xFFFF, dtype=np.uint16))
     with pytest.raises(ShardFormatError, match="out of range"):
         read_shard(path)
     with pytest.raises(ShardFormatError, match="out of range"):
@@ -229,7 +236,7 @@ def test_out_of_range_symbol_detected(tmp_path):
 def test_write_shard_stripe_count_mismatch(tmp_path):
     hdr = ShardHeader(2, 3, 7, 0x89, 1, (2, 0), 3, 50)
     with pytest.raises(ValueError):
-        write_whole(tmp_path / "s.msrc", hdr, np.zeros((2, 8), dtype=np.uint16))
+        write_whole(tmp_path / "s.msrc", hdr, np.zeros((8, 2), dtype=np.uint16))
 
 
 def test_write_shard_renames_only_complete_shards(tmp_path):
@@ -237,12 +244,14 @@ def test_write_shard_renames_only_complete_shards(tmp_path):
     path = tmp_path / "s.msrc"
     path.write_bytes(b"earlier")
     with pytest.raises(ValueError, match="0 of 5 stripes written"):
-        write_whole(path, hdr, np.zeros((0, 8), dtype=np.uint16))
-    with pytest.raises(ValueError, match="not whole next blocks"):
-        write_whole(path, hdr, np.zeros((4, 8), dtype=np.uint16))
+        write_whole(path, hdr, np.zeros((8, 0), dtype=np.uint16))
+    with pytest.raises(ValueError, match="is not the next block"):
+        write_whole(path, hdr, np.zeros((8, 4), dtype=np.uint16))
+    with pytest.raises(ValueError, match="is not the next block"):  # the old (stripes, alpha)
+        write_whole(path, hdr, np.zeros((5, 8), dtype=np.uint16))
 
     def failing():
-        yield {hdr.node: np.zeros((5, 8), dtype=np.uint16)}
+        yield {hdr.node: np.zeros((8, 5), dtype=np.uint16)}
         raise OSError("input went away")
 
     with pytest.raises(OSError, match="went away"):
@@ -251,32 +260,32 @@ def test_write_shard_renames_only_complete_shards(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["s.msrc"]
     assert path.read_bytes() == b"earlier"
     with contextlib.ExitStack() as renames:
-        crc = write_shard({path: hdr}, [{hdr.node: np.ones((5, 8), dtype=np.uint16)}], renames)
+        crc = write_shard({path: hdr}, [{hdr.node: np.ones((8, 5), dtype=np.uint16)}], renames)
         assert path.read_bytes() == b"earlier"  # renamed when the stack closes
     assert crc == {hdr.node: crc32_file(path)}
-    assert np.array_equal(read_shard(path)[1], np.ones((5, 8)))
+    assert np.array_equal(read_shard(path)[1], np.ones((8, 5)))
     with pytest.raises(RuntimeError):
         with contextlib.ExitStack() as renames:
-            write_shard({path: hdr}, [{hdr.node: np.zeros((5, 8), dtype=np.uint16)}], renames)
+            write_shard({path: hdr}, [{hdr.node: np.zeros((8, 5), dtype=np.uint16)}], renames)
             raise RuntimeError("checksum mismatch")
     assert [p.name for p in tmp_path.iterdir()] == ["s.msrc"]
-    assert np.array_equal(read_shard(path)[1], np.ones((5, 8)))
+    assert np.array_equal(read_shard(path)[1], np.ones((8, 5)))
 
 
 def test_payload_is_row_contiguous_per_block(tmp_path, monkeypatch):
     assert BLOCK_STRIPES == 4096  # part of format version 2
     monkeypatch.setattr(shardio, "BLOCK_STRIPES", 3)
     rng = np.random.default_rng(3)
-    columns = rng.integers(0, 128, size=(7, 8)).astype(np.uint16)
+    rows = rng.integers(0, 128, size=(8, 7)).astype(np.uint16)
     hdr = ShardHeader(2, 3, 7, 0x89, 1, (2, 0), 7, 196)
     path = tmp_path / "s.msrc"
-    write_whole(path, hdr, columns)
+    write_whole(path, hdr, rows)
     blob = path.read_bytes()
     assert blob[:HEADER_LEN] == hdr.pack() and blob[4] == 2
     # blocks [0,3), [3,6), [6,7); inside each, row after row
     assert blob[HEADER_LEN:] == b"".join(
-        columns[lo:hi].T.astype("<u2").tobytes() for lo, hi in [(0, 3), (3, 6), (6, 7)])
-    assert np.array_equal(read_shard(path)[1], columns)
+        rows[:, lo:hi].astype("<u2").tobytes() for lo, hi in [(0, 3), (3, 6), (6, 7)])
+    assert np.array_equal(read_shard(path)[1], rows)
 
 
 # -- partial reads -----------------------------------------------------------------
@@ -308,15 +317,15 @@ def test_gamma_runs_coalesced():
 def test_read_gamma_matches_full_read(tmp_path, sys23):
     p = sys23.params
     rng = np.random.default_rng(2)
-    columns = rng.integers(0, 128, size=(11, p.alpha)).astype(np.uint16)
+    rows = rng.integers(0, 128, size=(p.alpha, 11)).astype(np.uint16)
     hdr = ShardHeader(2, 3, 7, p.gf.poly, sys23.c0, (2, 1), 11, 616)
     path = tmp_path / "s.msrc"
-    write_whole(path, hdr, columns)
+    write_whole(path, hdr, rows)
     for failed in [(1, 0), (3, 0), (3, 1)]:
-        got_hdr, gamma_cols, nbytes = read_gamma(path, failed, p)
+        got_hdr, gamma_rows, nbytes = read_gamma(path, failed, p)
         assert got_hdr == hdr
         idx = [p.row_ordinal(r) for r in p.gamma_rows(failed)]
-        assert np.array_equal(gamma_cols, columns[:, idx])
+        assert np.array_equal(gamma_rows, rows[idx])
         # exact accounting: header plus 2*beta bytes per stripe, nothing else
         assert nbytes == HEADER_LEN + 11 * 2 * p.beta
 
@@ -326,7 +335,7 @@ def test_read_gamma_rejects_foreign_params(tmp_path):
     p22 = make_params(2, 2, 5)
     hdr = ShardHeader(2, 2, 5, p22.gf.poly, 1, (1, 0), 1, 4)
     path = tmp_path / "s.msrc"
-    write_whole(path, hdr, np.zeros((1, 4), dtype=np.uint16))
+    write_whole(path, hdr, np.zeros((4, 1), dtype=np.uint16))
     with pytest.raises(ShardFormatError):
         read_gamma(path, (1, 0), p23)
 
@@ -335,7 +344,7 @@ def test_read_gamma_truncated(tmp_path):
     p = make_params(2, 3, 7)
     hdr = ShardHeader(2, 3, 7, p.gf.poly, 1, (1, 0), 3, 80)
     path = tmp_path / "s.msrc"
-    write_whole(path, hdr, np.zeros((3, 8), dtype=np.uint16))
+    write_whole(path, hdr, np.zeros((8, 3), dtype=np.uint16))
     path.write_bytes(path.read_bytes()[:-10])
     with pytest.raises(ShardFormatError):
         read_gamma(path, (1, 0), p)
@@ -348,7 +357,7 @@ def test_read_gamma_checks_file_size_before_payload(tmp_path, monkeypatch):
     p = make_params(2, 3, 7)
     hdr = ShardHeader(2, 3, 7, p.gf.poly, 1, (1, 0), 3, 80)
     path = tmp_path / "s.msrc"
-    write_whole(path, hdr, np.zeros((3, 8), dtype=np.uint16))
+    write_whole(path, hdr, np.zeros((8, 3), dtype=np.uint16))
     blob = path.read_bytes()
     for bad in (blob[:-8], blob + b"\0\0"):
         path.write_bytes(bad)
@@ -365,7 +374,7 @@ def test_read_gamma_checks_file_size_before_payload(tmp_path, monkeypatch):
 def test_block_layout_property(qtm, stripes, block, seed):
     p = make_params(*qtm)
     rng = np.random.default_rng(seed)
-    columns = rng.integers(0, 1 << p.gf.m, size=(stripes, p.alpha)).astype(np.uint16)
+    rows = rng.integers(0, 1 << p.gf.m, size=(p.alpha, stripes)).astype(np.uint16)
     hdr = ShardHeader(p.q, p.t, p.gf.m, p.gf.poly, 1, (1, 0), stripes, 0)
     blocks = -(-stripes // block)
     reader, made = recording_reader()
@@ -373,13 +382,13 @@ def test_block_layout_property(qtm, stripes, block, seed):
             mock.patch.object(shardio, "BLOCK_STRIPES", block), \
             mock.patch.object(shardio, "CountingReader", reader):
         path = Path(tmp) / "s.msrc"
-        write_whole(path, hdr, columns)
+        write_whole(path, hdr, rows)
         got_hdr, got = read_shard(path)
-        assert got_hdr == hdr and np.array_equal(got, columns)
+        assert got_hdr == hdr and np.array_equal(got, rows)
         for failed in p.nodes():
-            _, gamma_cols, nbytes = read_gamma(path, failed, p)
+            _, gamma_rows, nbytes = read_gamma(path, failed, p)
             idx = [p.row_ordinal(r) for r in p.gamma_rows(failed)]
-            assert np.array_equal(gamma_cols, columns[:, idx])
+            assert np.array_equal(gamma_rows, rows[idx])
             assert nbytes == HEADER_LEN + 2 * p.beta * stripes
             # the header, then one read per run per block
             assert made[-1].reads == 1 + blocks * len(gamma_runs(failed, p))

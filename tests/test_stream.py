@@ -96,11 +96,12 @@ def test_streamed_shards_match_whole_file_encode(tmp_path, monkeypatch, qtm, blo
         man = Manifest.read(store / shardio.MANIFEST_NAME)
         stripes = shardio.stripe_count_for(length, p.message_len, p.gf.m)
         messages = shardio.symbols_from_bytes(data, p.gf.m, stripes * p.message_len)
-        columns = codec.encode_batch(messages.reshape(stripes, p.message_len), sys_)
+        columns = codec.encode_batch(messages.reshape(stripes, p.message_len).T, sys_)
         ref = tmp_path / "ref.msrc"
-        for node in p.nodes():
+        for node in p.nodes():  # the whole-file encode, written block by block
+            blocks = [{node: columns[node][:, lo : lo + block]} for lo in range(0, stripes, block)]
             with contextlib.ExitStack() as renames:
-                shardio.write_shard({ref: man.header_for(node)}, [{node: columns[node]}], renames)
+                shardio.write_shard({ref: man.header_for(node)}, blocks, renames)
             assert (store / shard_filename(node)).read_bytes() == ref.read_bytes()
             assert man.checksums[node] == crc32_file(ref)
         assert not list(store.glob("*.tmp"))
@@ -113,6 +114,30 @@ def test_streamed_shards_match_whole_file_encode(tmp_path, monkeypatch, qtm, blo
         assert out.read_bytes() == data
         assert probe.read == {s: os.path.getsize(s) for s in shards}
         probe.read.clear()
+
+
+def test_blocks_are_the_payload_as_stored(tmp_path, monkeypatch):
+    # one layout from disk to kernel: a block read back is the (alpha,
+    # stripes) array of its payload bytes, with no transposed view between
+    monkeypatch.setattr(shardio, "BLOCK_STRIPES", 8)
+    p = find_code(2, 3, 7)
+    store = tmp_path / "store"
+    new_store(store, p)
+    src = tmp_path / "in.bin"
+    src.write_bytes(os.urandom(3 * 8 * p.message_len * p.gf.m // 8 + 5))
+    assert main(["encode", str(src), "--out-dir", str(store)]) == EXIT_OK
+    for node in p.nodes():
+        path = store / shard_filename(node)
+        payload = path.read_bytes()[shardio.HEADER_LEN :]
+        with shardio.open_shard(path) as shard:
+            blocks = list(shard.blocks())
+        assert [b.shape for b in blocks] == [(p.alpha, 8)] * 3 + [(p.alpha, 1)]
+        at = 0
+        for block in blocks:
+            assert block.flags.c_contiguous
+            assert block.tobytes() == payload[at : at + block.nbytes]
+            at += block.nbytes
+        assert at == len(payload)
 
 
 # -- memory --------------------------------------------------------------------------
