@@ -5,6 +5,10 @@ An (n = t*q, k = (t-1)*q, d = n-1) vector MDS code storing alpha = q^t
 symbols per node.  Any k nodes recover the data; a single failed node is
 rebuilt exactly from verbatim symbols -- beta = q^(t-1) per helper, the
 minimum-storage optimum -- with no computation at the helpers.
+
+A codeword is {node: column}.  encode and decode_from_k work on one stripe
+of ints and load no numpy; encode_batch, decode_batch and repair_batch work
+on blocks of stripes, numpy uint16 arrays of (rows, stripes).
 """
 
 from .gf import GF2M, default_poly, is_irreducible, ring_sub
@@ -22,22 +26,8 @@ from .parity import (
     solve_linear,
     sufficient_field_size,
 )
-from .codec import (
-    CodewordArray,
-    MdsReport,
-    check_codeword,
-    decode_from_k,
-    encode,
-    verify_mds,
-)
-from .repair import (
-    BandwidthReport,
-    HelperPacket,
-    RepairResult,
-    bandwidth_report,
-    helper_extract,
-    repair_node,
-)
+from .codec import MdsReport, decode_batch, decode_from_k, encode, encode_batch, verify_mds
+from .repair import BandwidthReport, bandwidth_report, repair_batch
 
 __version__ = "0.1.0"
 
@@ -59,17 +49,14 @@ __all__ = [
     "gf_rank",
     "solve_linear",
     "sufficient_field_size",
-    "CodewordArray",
     "MdsReport",
     "encode",
-    "check_codeword",
     "decode_from_k",
+    "encode_batch",
+    "decode_batch",
     "verify_mds",
-    "HelperPacket",
-    "RepairResult",
     "BandwidthReport",
-    "helper_extract",
-    "repair_node",
+    "repair_batch",
     "bandwidth_report",
     "__version__",
 ]

@@ -150,8 +150,14 @@ def cmd_decode(args) -> int:
     p = sys_.params
     if len(args.shards) != p.k:
         raise _UsageError(f"decoding needs exactly k={p.k} shards, got {len(args.shards)}")
-    if len({Path(s).resolve() for s in args.shards}) != p.k:
+    inputs = {Path(s).resolve() for s in args.shards}
+    if len(inputs) != p.k:
         raise _UsageError("the same shard file is given twice")
+    store = {manifest_path.resolve(),
+             *((manifest_path.parent / shard_filename(nd)).resolve() for nd in p.nodes())}
+    if Path(args.output).resolve() in inputs | store:
+        raise _UsageError(f"{args.output} is the manifest or a shard file; "
+                          "decode does not overwrite its store")
     with contextlib.ExitStack() as stack:
         shards = [stack.enter_context(shardio.open_shard(s)) for s in args.shards]
         nodes = [shard.header.node for shard in shards]

@@ -9,10 +9,11 @@ are missing.  Both run the one plan ParityCheckSystem.completion_map
 compiles for the missing nodes, on a workspace holding the known columns
 and then the missing ones.
 
-Scalar functions run the plan on one codeword (a list of ints); the
-*_batch variants run it on a block of stripes, numpy uint16 arrays of
-(rows, stripes) as shards store them: a message block is (k*alpha, s) and
-a node's stack (alpha, s).  Only the batch variants touch numpy.
+Both paths pass a codeword as {node: column}.  The scalar encode and
+decode_from_k run the plan on one stripe, a column being a list of alpha
+ints; they serve verify_mds and load no numpy.  The *_batch variants run
+it on a block of stripes, numpy uint16 arrays of (rows, stripes) as shards
+store them: a message block is (k*alpha, s) and a node's stack (alpha, s).
 
 verify_mds is the whole MDS certificate: it eliminates the thick submatrix
 of every size-q node subset once, which is the rank check, and reuses that
@@ -26,38 +27,8 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from ._lazy import np
-from .params import CodeParams, Node, Row
+from .params import Node
 from .parity import ParityCheckSystem, node_subsets, run_plan, run_plan_batch
-
-
-@dataclass
-class CodewordArray:
-    """The alpha x n symbol grid, one thick column per node; addressed by
-    (row tuple, node tuple) or directly by ordinals via `symbols`."""
-
-    params: CodeParams
-    symbols: list[list[int]]  # [row_ordinal][node_ordinal]
-
-    @classmethod
-    def zeros(cls, params: CodeParams) -> "CodewordArray":
-        return cls(params, [[0] * params.n for _ in range(params.alpha)])
-
-    def get(self, row: Row, node: Node) -> int:
-        return self.symbols[self.params.row_ordinal(row)][self.params.node_ordinal(node)]
-
-    def set(self, row: Row, node: Node, value: int) -> None:
-        self.symbols[self.params.row_ordinal(row)][self.params.node_ordinal(node)] = value
-
-    def column(self, node: Node) -> list[int]:
-        o = self.params.node_ordinal(node)
-        return [r[o] for r in self.symbols]
-
-    def set_column(self, node: Node, values: Sequence[int]) -> None:
-        if len(values) != self.params.alpha:
-            raise ValueError("column length must be alpha")
-        o = self.params.node_ordinal(node)
-        for r, v in zip(self.symbols, values):
-            r[o] = v
 
 
 def _require_valid_c0(sys: ParityCheckSystem) -> None:
@@ -65,8 +36,9 @@ def _require_valid_c0(sys: ParityCheckSystem) -> None:
         raise ValueError("parity-check system has no valid c0 (run the coefficient search)")
 
 
-def encode(message: Sequence[int], sys: ParityCheckSystem) -> CodewordArray:
-    """Systematic encode of k*alpha symbols into an alpha x n array."""
+def encode(message: Sequence[int], sys: ParityCheckSystem) -> dict[Node, list[int]]:
+    """Systematic encode of one stripe of k*alpha symbols; returns each
+    node's column of alpha symbols in row-ordinal order."""
     p = sys.params
     _require_valid_c0(sys)
     if len(message) != p.message_len:
@@ -75,25 +47,7 @@ def encode(message: Sequence[int], sys: ParityCheckSystem) -> CodewordArray:
         p.gf.validate(v)
     ws = [*message, *[0] * (p.q * p.alpha)]
     run_plan(sys.completion_map(p.parity_nodes()), ws, p.gf)
-    return CodewordArray(p, [ws[r :: p.alpha] for r in range(p.alpha)])
-
-
-def check_codeword(arr: CodewordArray, sys: ParityCheckSystem) -> bool:
-    """True iff every parity-check constraint sums to zero."""
-    p = sys.params
-    if arr.params != p:
-        raise ValueError("codeword array belongs to different parameters")
-    gf = p.gf
-    grid = arr.symbols
-    for con in sys.constraints:
-        acc = 0
-        for term in con.terms:
-            v = grid[p.row_ordinal(term.row)][p.node_ordinal(term.node)]
-            if v:
-                acc ^= gf.mul(term.coeff, v)
-        if acc:
-            return False
-    return True
+    return {nd: ws[o * p.alpha : (o + 1) * p.alpha] for o, nd in enumerate(p.nodes())}
 
 
 def decode_from_k(available: Mapping[Node, Sequence[int]],
@@ -150,7 +104,7 @@ def verify_mds(sys: ParityCheckSystem, trials: int, seed: int = 0) -> MdsReport:
         [rng.randrange(p.gf.order) for _ in range(p.message_len)]
         for _ in range(trials)
     ]
-    arrays = None
+    codewords = None
     for subset in subsets:
         missing = tuple(nd for nd in p.nodes() if nd not in subset)
         try:
@@ -160,10 +114,10 @@ def verify_mds(sys: ParityCheckSystem, trials: int, seed: int = 0) -> MdsReport:
             report.failures.extend((subset, idx) for idx in range(trials))
             continue
         if missing == p.parity_nodes():  # the first subset; its plan encodes
-            arrays = [encode(msg, sys) for msg in messages]
+            codewords = [encode(msg, sys) for msg in messages]
         for idx, msg in enumerate(messages):
-            if arrays is None or decode_from_k(
-                    {nd: arrays[idx].column(nd) for nd in subset}, sys) != msg:
+            if codewords is None or decode_from_k(
+                    {nd: codewords[idx][nd] for nd in subset}, sys) != msg:
                 report.failures.append((subset, idx))
     report.deficient.sort()  # complements of k-subsets come in reverse order
     return report

@@ -16,34 +16,20 @@ from d*beta downloaded symbols -- the minimum-storage optimum
 beta = alpha/(d-k+1).
 
 repair_plan checks both phases once, against the constraints themselves,
-and compiles them into one Plan that repair_node (one stripe) and
-repair_batch (a block of stripes, one row per symbol) both run.
+and compiles them into one Plan.  repair_batch, the one repair entry point,
+runs it on a block of stripes: each helper's (beta, s) stack of stored
+rows, as ShardReader.gamma_blocks reads them, in; the failed node's
+(alpha, s) stack out.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from ._lazy import np
 from .params import CodeParams, Node, Row
-from .parity import ParityCheckSystem, Plan, run_plan, run_plan_batch
-
-
-@dataclass(frozen=True)
-class HelperPacket:
-    """What one helper sends: its stored symbols on the failed node's helper
-    rows, copied verbatim (helpers never compute), ascending row ordinal."""
-
-    helper: Node
-    entries: tuple[tuple[Row, int], ...]
-
-
-@dataclass
-class RepairResult:
-    node: Node
-    symbols: list[int]  # row-ordinal order
-    downloaded_total: int
+from .parity import ParityCheckSystem, Plan, run_plan_batch
 
 
 @dataclass(frozen=True)
@@ -64,21 +50,6 @@ class BandwidthReport:
             f"naive download (B) : {self.naive}\n"
             f"ratio              : {self.ratio:.4f}"
         )
-
-
-def helper_extract(content: Sequence[int], helper: Node, failed: Node,
-                   params: CodeParams) -> HelperPacket:
-    """Cut the helper's packet out of its stored column (alpha symbols in
-    row-ordinal order).  Pure copying; this is the help-by-transfer step."""
-    if helper == failed:
-        raise ValueError("a failed node cannot help repair itself")
-    params.node_ordinal(helper)
-    if len(content) != params.alpha:
-        raise ValueError(f"node content must hold alpha={params.alpha} symbols")
-    entries = tuple(
-        (row, content[params.row_ordinal(row)]) for row in params.gamma_rows(failed)
-    )
-    return HelperPacket(helper, entries)
 
 
 def repair_plan(failed: Node, sys: ParityCheckSystem) -> Plan:
@@ -123,33 +94,13 @@ def repair_plan(failed: Node, sys: ParityCheckSystem) -> Plan:
     return plan
 
 
-def repair_node(failed: Node, packets: Sequence[HelperPacket],
-                sys: ParityCheckSystem) -> RepairResult:
-    """Rebuild the failed column from d helper packets.
-
-    Validates the protocol strictly before solving: exactly one packet from
-    each of the d other nodes, each shipping exactly the helper-row set.
-    """
-    p = sys.params
-    plan = repair_plan(failed, sys)
-    helpers = [nd for nd in p.nodes() if nd != failed]
-    by_helper = {pk.helper: pk for pk in packets}
-    if len(packets) != p.d or set(by_helper) != set(helpers):
-        raise ValueError(f"need one packet from each of the d={p.d} nodes other than {failed}")
-    expected_rows = tuple(p.gamma_rows(failed))
-    for pk in packets:
-        if tuple(r for r, _ in pk.entries) != expected_rows:
-            raise ValueError(f"packet of helper {pk.helper} does not carry the helper-row set")
-    ws = [v for h in helpers for _, v in by_helper[h].entries] + [0] * p.alpha
-    run_plan(plan, ws, p.gf)
-    return RepairResult(failed, ws[p.d * p.beta :], p.d * p.beta)
-
-
 def repair_batch(failed: Node, gamma_columns: Mapping[Node, np.ndarray],
                  sys: ParityCheckSystem) -> np.ndarray:
-    """Batch repair across stripes: `gamma_columns` maps each helper to a
-    (beta, s) uint16 array of its helper-row symbols (ascending row
-    ordinal); returns the failed node's (alpha, s) stack."""
+    """Rebuild the failed node on a block of s stripes: `gamma_columns` maps
+    each of the d helpers to a (beta, s) uint16 array of its stored
+    helper-row symbols (ascending row ordinal), sent as-is; returns the
+    failed node's (alpha, s) stack.  Raises ValueError unless the helpers
+    are exactly the d other nodes, each with a (beta, s) stack."""
     p = sys.params
     plan = repair_plan(failed, sys)
     helpers = [nd for nd in p.nodes() if nd != failed]

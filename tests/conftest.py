@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import pytest
 
-from msrcode import CodewordArray, build_system, make_params
+from msrcode import build_system, make_params
 
 # (q, t, m) -> first c0 the ascending search accepts
 FOUND_C0 = {
@@ -52,20 +52,20 @@ def all_systems(sys22, sys32, sys23):
     return [sys22, sys32, sys23]
 
 
-def eval_constraints(arr, sys_):
-    """Oracle: evaluate every constraint straight off its term list."""
-    gf = sys_.params.gf
+def eval_constraints(codeword, sys_):
+    """Oracle: evaluate every constraint straight off its term list, on a
+    {node: column} codeword of one stripe."""
+    p = sys_.params
     residuals = []
     for con in sys_.constraints:
         acc = 0
         for term in con.terms:
-            acc ^= gf.mul(term.coeff, arr.get(term.row, term.node))
+            acc ^= p.gf.mul(term.coeff, codeword[term.node][p.row_ordinal(term.row)])
         residuals.append(acc)
     return residuals
 
 
 def stripe_array(columns, s, params):
-    """Stripe s of a batch {node: (alpha, stripes)} block as a codeword array."""
-    return CodewordArray(params, [
-        [int(columns[nd][r, s]) for nd in params.nodes()] for r in range(params.alpha)
-    ])
+    """Stripe s of a batch {node: (alpha, stripes)} block as a {node: column}
+    codeword of ints."""
+    return {nd: columns[nd][:, s].tolist() for nd in params.nodes()}

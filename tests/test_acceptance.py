@@ -14,22 +14,22 @@ from fractions import Fraction
 
 import numpy as np
 
-from conftest import FOUND_C0, system_for
+from conftest import FOUND_C0, eval_constraints, system_for
 from msrcode import (
     build_system,
     check_mds_ranks,
     encode,
+    encode_batch,
     find_c0,
-    helper_extract,
     make_params,
-    repair_node,
+    repair_batch,
     sufficient_field_size,
     verify_mds,
 )
 from msrcode.cli import EXIT_OK, main
 from msrcode.gf import GF2M
 from msrcode.parity import build_hmds
-from msrcode.shardio import HEADER_LEN, Manifest, read_gamma, shard_filename
+from msrcode.shardio import HEADER_LEN, Manifest, read_gamma, read_shard, shard_filename
 
 PARAM_SETS = [(2, 2, 5), (3, 2, 4), (2, 3, 7)]
 SUBSET_COUNTS = {(2, 2, 5): 6, (3, 2, 4): 20, (2, 3, 7): 15}
@@ -63,23 +63,24 @@ def test_criterion_1_mds_exhaustive():
 
 def test_criterion_2_repair_exact_and_bandwidth():
     t0 = time.monotonic()
-    rng = random.Random(42)
+    rng = np.random.default_rng(42)
     problems = []
+    stripes = 4
     for q, t, m in PARAM_SETS:
         sys_ = system_for(q, t, m)
         p = sys_.params
-        msg = [rng.randrange(p.gf.order) for _ in range(p.message_len)]
-        arr = encode(msg, sys_)
+        msgs = rng.integers(0, p.gf.order, size=(p.message_len, stripes)).astype(np.uint16)
+        columns = encode_batch(msgs, sys_)
         for failed in p.nodes():
-            packets = [helper_extract(arr.column(h), h, failed, p)
-                       for h in p.nodes() if h != failed]
-            if any(len(pk.entries) != p.q ** (p.t - 1) for pk in packets):
+            gamma = [p.row_ordinal(r) for r in p.gamma_rows(failed)]
+            helpers = {h: columns[h][gamma] for h in p.nodes() if h != failed}
+            if any(stack.shape != (p.q ** (p.t - 1), stripes) for stack in helpers.values()):
                 problems.append(f"per-helper download != beta at {(q, t, m)}")
-            result = repair_node(failed, packets, sys_)
-            if result.symbols != arr.column(failed):
+            if not np.array_equal(repair_batch(failed, helpers, sys_), columns[failed]):
                 problems.append(f"repair mismatch for node {failed} at {(q, t, m)}")
-            if result.downloaded_total != (p.n - 1) * p.q ** (p.t - 1):
-                problems.append(f"total download {result.downloaded_total} at {(q, t, m)}")
+            total = sum(stack.shape[0] for stack in helpers.values())
+            if total != (p.n - 1) * p.q ** (p.t - 1):
+                problems.append(f"total download {total} at {(q, t, m)}")
     # spot value from the statement: 20 symbols vs naive 32 for (2,3)
     p23 = system_for(2, 3, 7).params
     if (p23.d * p23.beta, p23.message_len) != (20, 32):
@@ -153,26 +154,26 @@ def test_criterion_5_parameter_identities():
 
 def test_criterion_6_help_by_transfer(tmp_path, capsys):
     problems = []
-    # (a) every transmitted symbol is a verbatim stored symbol
-    rng = random.Random(6)
+    # (a) every transmitted symbol is a verbatim stored symbol: what repair
+    # reads from each CLI helper shard is exactly its stored helper rows
+    src = tmp_path / "in.bin"
+    src.write_bytes(os.urandom(5000))
     for q, t, m in PARAM_SETS:
-        sys_ = system_for(q, t, m)
-        p = sys_.params
-        arr = encode([rng.randrange(p.gf.order) for _ in range(p.message_len)], sys_)
+        store = tmp_path / f"store_{q}_{t}"
+        main(["init", "--q", str(q), "--t", str(t), "--m", str(m), "--out-dir", str(store)])
+        main(["encode", str(src), "--out-dir", str(store)])
+        p = Manifest.read(store / "manifest.txt").params()
+        stored = {nd: read_shard(store / shard_filename(nd))[1] for nd in p.nodes()}
         for failed in p.nodes():
+            gamma = [p.row_ordinal(r) for r in p.gamma_rows(failed)]
             for helper in p.nodes():
                 if helper == failed:
                     continue
-                packet = helper_extract(arr.column(helper), helper, failed, p)
-                for row, value in packet.entries:
-                    if value != arr.get(row, helper):
-                        problems.append(f"non-verbatim symbol at {(q, t, m)}")
+                _, sent, _ = read_gamma(store / shard_filename(helper), failed, p)
+                if not np.array_equal(sent, stored[helper][gamma]):
+                    problems.append(f"non-verbatim symbol at {(q, t, m)}")
     # (b) CLI repair reads at most header + 2*beta bytes per stripe per helper
-    store = tmp_path / "store"
-    src = tmp_path / "in.bin"
-    src.write_bytes(os.urandom(5000))
-    main(["init", "--q", "2", "--t", "3", "--m", "7", "--out-dir", str(store)])
-    main(["encode", str(src), "--out-dir", str(store)])
+    store = tmp_path / "store_2_3"
     man = Manifest.read(store / "manifest.txt")
     p = man.params()
     bound = HEADER_LEN + man.stripe_count * 2 * p.beta
@@ -189,7 +190,7 @@ def test_criterion_6_help_by_transfer(tmp_path, capsys):
     got = int(re.search(r"per-helper read : (\d+) bytes", out).group(1))
     if got > bound:
         problems.append(f"cli repair read {got} > bound {bound}")
-    report(6, problems, "packets verbatim; repair reads "
+    report(6, problems, "helper rows read verbatim; repair reads "
                         f"{got} bytes/helper <= header + 2*beta/stripe = {bound}")
 
 
@@ -254,8 +255,6 @@ def test_criterion_8_property_suites():
     # encode linearity + perturbation detection
     sys22 = system_for(2, 2, 5)
     p = sys22.params
-    from msrcode import check_codeword
-
     for _ in range(125):
         cases += 1
         m1 = [rng.randrange(p.gf.order) for _ in range(p.message_len)]
@@ -263,13 +262,12 @@ def test_criterion_8_property_suites():
         a = rng.randrange(1, p.gf.order)
         combo = encode([p.gf.mul(a, x) ^ y for x, y in zip(m1, m2)], sys22)
         e1, e2 = encode(m1, sys22), encode(m2, sys22)
-        for r in range(p.alpha):
-            for col in range(p.n):
-                if combo.symbols[r][col] != p.gf.mul(a, e1.symbols[r][col]) ^ e2.symbols[r][col]:
-                    problems.append("linearity failure")
+        for nd in p.nodes():
+            if combo[nd] != [p.gf.mul(a, x) ^ y for x, y in zip(e1[nd], e2[nd])]:
+                problems.append("linearity failure")
         cases += 1
-        e1.symbols[rng.randrange(p.alpha)][rng.randrange(p.n)] ^= rng.randrange(1, p.gf.order)
-        if check_codeword(e1, sys22):
+        e1[p.node_at(rng.randrange(p.n))][rng.randrange(p.alpha)] ^= rng.randrange(1, p.gf.order)
+        if not any(eval_constraints(e1, sys22)):
             problems.append("perturbation not detected")
     # ordinal bijections
     for q, t, m in [(2, 3, 7), (3, 3, 8)]:

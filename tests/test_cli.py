@@ -313,6 +313,21 @@ def test_decode_two_shards_naming_one_node_is_verification_failure(store22, tmp_
     assert not out.exists()
 
 
+@pytest.mark.parametrize("target", ["manifest", "input shard", "other store shard"])
+def test_decode_refuses_to_overwrite_its_store(store22, target):
+    # decoding over the manifest or a shard destroyed the store it read
+    store, _ = store22
+    picked = [store / shard_filename((1, 0)), store / shard_filename((1, 1))]
+    out = {
+        "manifest": store.parent / store.name / ".." / store.name / "manifest.txt",
+        "input shard": picked[0],
+        "other store shard": store / shard_filename((2, 0)),
+    }[target]
+    before = {f.name: f.read_bytes() for f in store.iterdir()}
+    assert main(["decode", str(out), *map(str, picked)]) == EXIT_USAGE
+    assert {f.name: f.read_bytes() for f in store.iterdir()} == before
+
+
 # -- repair -------------------------------------------------------------------
 
 

@@ -11,15 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import BAD_C0, eval_constraints, stripe_array
-from msrcode import (
-    CodewordArray,
-    build_system,
-    check_codeword,
-    decode_from_k,
-    encode,
-    make_params,
-    verify_mds,
-)
+from msrcode import build_system, decode_from_k, encode, make_params, verify_mds
 from msrcode.codec import complete_columns_batch, decode_batch, encode_batch
 from msrcode.parity import check_mds_ranks, gf_rank
 from msrcode.repair import repair_batch
@@ -29,30 +21,33 @@ def random_message(params, rng):
     return [rng.randrange(params.gf.order) for _ in range(params.message_len)]
 
 
+def zero_codeword(params):
+    return {nd: [0] * params.alpha for nd in params.nodes()}
+
+
 # -- encode -----------------------------------------------------------------------
 
 
 def test_zero_message_encodes_to_zero(sys22):
-    arr = encode([0] * sys22.params.message_len, sys22)
-    assert all(v == 0 for row in arr.symbols for v in row)
-    assert check_codeword(arr, sys22)
+    assert encode([0] * sys22.params.message_len, sys22) == zero_codeword(sys22.params)
 
 
 def test_encode_satisfies_every_constraint(sys22, sys23):
     rng = random.Random(5)
     for sys_ in (sys22, sys23):
-        arr = encode(random_message(sys_.params, rng), sys_)
-        assert eval_constraints(arr, sys_) == [0] * sys_.n_constraints
-        assert check_codeword(arr, sys_)
+        codeword = encode(random_message(sys_.params, rng), sys_)
+        assert list(codeword) == list(sys_.params.nodes())
+        assert all(len(col) == sys_.params.alpha for col in codeword.values())
+        assert eval_constraints(codeword, sys_) == [0] * sys_.n_constraints
 
 
 def test_encode_is_systematic(sys23):
     p = sys23.params
     rng = random.Random(6)
     msg = random_message(p, rng)
-    arr = encode(msg, sys23)
+    codeword = encode(msg, sys23)
     for o, node in enumerate(p.systematic_nodes()):
-        assert arr.column(node) == msg[o * p.alpha : (o + 1) * p.alpha]
+        assert codeword[node] == msg[o * p.alpha : (o + 1) * p.alpha]
 
 
 def test_encode_linearity(sys22):
@@ -67,9 +62,8 @@ def test_encode_linearity(sys22):
         e1 = encode(m1, sys22)
         e2 = encode(m2, sys22)
         ec = encode(combo, sys22)
-        for row in range(p.alpha):
-            for col in range(p.n):
-                assert ec.symbols[row][col] == gf.mul(a, e1.symbols[row][col]) ^ e2.symbols[row][col]
+        for nd in p.nodes():
+            assert ec[nd] == [gf.mul(a, x) ^ y for x, y in zip(e1[nd], e2[nd])]
 
 
 def test_encode_rejects_bad_input(sys22):
@@ -82,46 +76,39 @@ def test_encode_rejects_bad_input(sys22):
         encode([0] * sys22.params.message_len, plain)
 
 
-def test_codeword_array_addressing(sys23):
-    p = sys23.params
-    arr = CodewordArray.zeros(p)
-    arr.set((0, 1, 1), (2, 0), 99)
-    assert arr.get((0, 1, 1), (2, 0)) == 99
-    assert arr.symbols[p.row_ordinal((0, 1, 1))][p.node_ordinal((2, 0))] == 99
-    assert arr.column((2, 0))[p.row_ordinal((0, 1, 1))] == 99
-    with pytest.raises(ValueError):
-        arr.set_column((2, 0), [0] * (p.alpha - 1))
+def test_encode_is_one_stripe_of_encode_batch(all_systems):
+    # the scalar and batch encoders return the same {node: column} codeword
+    rng = np.random.default_rng(4)
+    for sys_ in all_systems:
+        p = sys_.params
+        msgs = rng.integers(0, p.gf.order, size=(p.message_len, 3)).astype(np.uint16)
+        columns = encode_batch(msgs, sys_)
+        for s in range(msgs.shape[1]):
+            assert encode(msgs[:, s].tolist(), sys_) == stripe_array(columns, s, p)
 
 
-# -- check_codeword ------------------------------------------------------------------
+# -- the constraint oracle -------------------------------------------------------------
 
 
 def test_all_zero_array_is_codeword(sys22):
-    assert check_codeword(CodewordArray.zeros(sys22.params), sys22)
+    assert eval_constraints(zero_codeword(sys22.params), sys22) == [0] * sys22.n_constraints
 
 
 def test_single_perturbation_detected(sys22, sys23):
     rng = random.Random(8)
     for sys_ in (sys22, sys23):
         p = sys_.params
-        arr = encode(random_message(p, rng), sys_)
+        codeword = encode(random_message(p, rng), sys_)
         for _ in range(50):
             row = rng.randrange(p.alpha)
-            col = rng.randrange(p.n)
+            node = p.node_at(rng.randrange(p.n))
             delta = rng.randrange(1, p.gf.order)
-            arr.symbols[row][col] ^= delta
-            assert not check_codeword(arr, sys_)
+            codeword[node][row] ^= delta
             # at least one constraint contains the perturbed symbol with a
             # nonzero coefficient, so some residual must be nonzero
-            residuals = eval_constraints(arr, sys_)
-            assert any(residuals)
-            arr.symbols[row][col] ^= delta
-            assert check_codeword(arr, sys_)
-
-
-def test_params_mismatch_rejected(sys22, sys23):
-    with pytest.raises(ValueError):
-        check_codeword(CodewordArray.zeros(sys23.params), sys22)
+            assert any(eval_constraints(codeword, sys_))
+            codeword[node][row] ^= delta
+            assert not any(eval_constraints(codeword, sys_))
 
 
 # -- decode ---------------------------------------------------------------------------
@@ -131,8 +118,8 @@ def test_decode_from_systematic_nodes_direct(sys23):
     p = sys23.params
     rng = random.Random(9)
     msg = random_message(p, rng)
-    arr = encode(msg, sys23)
-    available = {nd: arr.column(nd) for nd in p.systematic_nodes()}
+    codeword = encode(msg, sys23)
+    available = {nd: codeword[nd] for nd in p.systematic_nodes()}
     assert decode_from_k(available, sys23) == msg
 
 
@@ -140,29 +127,29 @@ def test_decode_every_k_subset(sys23):
     p = sys23.params
     rng = random.Random(10)
     msg = random_message(p, rng)
-    arr = encode(msg, sys23)
+    codeword = encode(msg, sys23)
     subsets = list(itertools.combinations(p.nodes(), p.k))
     assert len(subsets) == 15
     for subset in subsets:
-        available = {nd: arr.column(nd) for nd in subset}
+        available = {nd: codeword[nd] for nd in subset}
         assert decode_from_k(available, sys23) == msg
 
 
 def test_decode_zero_codeword(sys22):
     p = sys22.params
-    arr = CodewordArray.zeros(p)
+    zero = zero_codeword(p)
     for subset in itertools.combinations(p.nodes(), p.k):
-        assert decode_from_k({nd: arr.column(nd) for nd in subset}, sys22) == [0] * p.message_len
+        assert decode_from_k({nd: zero[nd] for nd in subset}, sys22) == [0] * p.message_len
 
 
 def test_decode_wrong_node_count(sys22):
     p = sys22.params
-    arr = CodewordArray.zeros(p)
+    zero = zero_codeword(p)
     nodes = list(p.nodes())
     with pytest.raises(ValueError):
-        decode_from_k({nd: arr.column(nd) for nd in nodes[: p.k - 1]}, sys22)
+        decode_from_k({nd: zero[nd] for nd in nodes[: p.k - 1]}, sys22)
     with pytest.raises(ValueError):
-        decode_from_k({nd: arr.column(nd) for nd in nodes[: p.k + 1]}, sys22)
+        decode_from_k({nd: zero[nd] for nd in nodes[: p.k + 1]}, sys22)
 
 
 def test_decode_wrong_column_length(sys22):
@@ -235,9 +222,9 @@ def test_encode_batch_satisfies_constraints(sys22, sys23):
         msgs = rng.integers(0, p.gf.order, size=(p.message_len, 20)).astype(np.uint16)
         columns = encode_batch(msgs, sys_)
         for s in range(msgs.shape[1]):
-            arr = stripe_array(columns, s, p)
-            assert eval_constraints(arr, sys_) == [0] * sys_.n_constraints
-            systematic = [v for nd in p.systematic_nodes() for v in arr.column(nd)]
+            codeword = stripe_array(columns, s, p)
+            assert eval_constraints(codeword, sys_) == [0] * sys_.n_constraints
+            systematic = [v for nd in p.systematic_nodes() for v in codeword[nd]]
             assert systematic == msgs[:, s].tolist()
 
 

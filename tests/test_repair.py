@@ -1,8 +1,8 @@
-"""Single-node repair: exactness for every node, strict packet validation,
-verbatim help-by-transfer, coverage, and bandwidth accounting."""
+"""Single-node repair on the block path: exactness for every node, strict
+helper validation, verbatim help-by-transfer, coverage, and bandwidth
+accounting."""
 
 import os
-import random
 import subprocess
 import sys
 import textwrap
@@ -13,162 +13,129 @@ import pytest
 
 import msrcode
 from conftest import eval_constraints, stripe_array
-from msrcode import (
-    CodewordArray,
-    bandwidth_report,
-    encode,
-    helper_extract,
-    make_params,
-    repair_node,
-)
+from msrcode import bandwidth_report, build_system, make_params
 from msrcode.codec import encode_batch
-from msrcode.repair import HelperPacket, repair_batch
+from msrcode.repair import repair_batch
+from msrcode.shardio import gamma_runs
 
 
-def random_message(params, rng):
-    return [rng.randrange(params.gf.order) for _ in range(params.message_len)]
+def random_block(params, rng, stripes):
+    """A random (k*alpha, stripes) message block."""
+    return rng.integers(0, params.gf.order, size=(params.message_len, stripes)).astype(np.uint16)
 
 
-def packets_for(arr, failed, params):
-    return [
-        helper_extract(arr.column(h), h, failed, params)
-        for h in params.nodes()
-        if h != failed
-    ]
+def helper_rows(columns, failed, params):
+    """What each helper sends: its stored (alpha, s) stack cut along the
+    gamma_runs the CLI reads, a (beta, s) stack of rows copied as-is."""
+    return {h: np.concatenate([columns[h][start : start + length]
+                               for start, length in gamma_runs(failed, params)])
+            for h in params.nodes() if h != failed}
 
 
-# -- helper_extract -------------------------------------------------------------
+def zero_columns(params):
+    return {nd: np.zeros((params.alpha, 2), np.uint16) for nd in params.nodes()}
+
+
+# -- the helper rows ------------------------------------------------------------
 
 
 def test_extract_zero_content(sys23):
     p = sys23.params
-    packet = helper_extract([0] * p.alpha, (2, 0), (1, 0), p)
-    assert len(packet.entries) == p.beta
-    assert all(v == 0 for _, v in packet.entries)
+    for stack in helper_rows(zero_columns(p), (1, 0), p).values():
+        assert stack.shape == (p.beta, 2)
+        assert not stack.any()
 
 
 def test_extract_rows_are_gamma(sys23):
     p = sys23.params
-    packet = helper_extract(list(range(p.alpha)), (3, 0), (1, 0), p)
-    assert [r for r, _ in packet.entries] == p.gamma_rows((1, 0))
-    assert all(r[0] == 0 for r, _ in packet.entries)
+    ordinals = [o for start, length in gamma_runs((1, 0), p)
+                for o in range(start, start + length)]
+    assert ordinals == [p.row_ordinal(r) for r in p.gamma_rows((1, 0))]
+    assert all(r[0] == 0 for r in p.gamma_rows((1, 0)))
 
 
 def test_extract_packet_size_all_nodes(all_systems):
     for sys_ in all_systems:
         p = sys_.params
         for failed in p.nodes():
-            for helper in p.nodes():
-                if helper == failed:
-                    continue
-                packet = helper_extract([0] * p.alpha, helper, failed, p)
-                assert len(packet.entries) == p.beta
+            stacks = helper_rows(zero_columns(p), failed, p)
+            assert sorted(stacks) == sorted(h for h in p.nodes() if h != failed)
+            assert all(stack.shape == (p.beta, 2) for stack in stacks.values())
 
 
 def test_extract_is_verbatim(sys23):
     p = sys23.params
-    rng = random.Random(20)
-    arr = encode(random_message(p, rng), sys23)
+    columns = encode_batch(random_block(p, np.random.default_rng(20), 5), sys23)
     for failed in p.nodes():
-        for helper in p.nodes():
-            if helper == failed:
-                continue
-            column = arr.column(helper)
-            packet = helper_extract(column, helper, failed, p)
-            for row, value in packet.entries:
-                assert value == column[p.row_ordinal(row)] == arr.get(row, helper)
+        for helper, stack in helper_rows(columns, failed, p).items():
+            for g, row in enumerate(p.gamma_rows(failed)):
+                assert np.array_equal(stack[g], columns[helper][p.row_ordinal(row)])
 
 
-def test_extract_self_help_rejected(sys23):
-    p = sys23.params
-    with pytest.raises(ValueError):
-        helper_extract([0] * p.alpha, (1, 0), (1, 0), p)
-
-
-def test_extract_bad_content_length(sys23):
-    with pytest.raises(ValueError):
-        helper_extract([0] * 3, (2, 0), (1, 0), sys23.params)
-
-
-# -- repair_node -----------------------------------------------------------------
+# -- repair_batch -------------------------------------------------------------------
 
 
 def test_repair_zero_codeword(sys23):
     p = sys23.params
-    arr = CodewordArray.zeros(p)
+    columns = zero_columns(p)
     for failed in p.nodes():
-        result = repair_node(failed, packets_for(arr, failed, p), sys23)
-        assert result.symbols == [0] * p.alpha
-        assert result.downloaded_total == p.d * p.beta == (p.n - 1) * p.q ** (p.t - 1)
+        helpers = helper_rows(columns, failed, p)
+        assert np.array_equal(repair_batch(failed, helpers, sys23), columns[failed])
+        assert sum(len(stack) for stack in helpers.values()) \
+            == p.d * p.beta == (p.n - 1) * p.q ** (p.t - 1)
 
 
 def test_repair_every_node_exact(all_systems):
-    rng = random.Random(21)
+    rng = np.random.default_rng(21)
     for sys_ in all_systems:
         p = sys_.params
-        for trial in range(3):
-            arr = encode(random_message(p, rng), sys_)
-            for failed in p.nodes():
-                result = repair_node(failed, packets_for(arr, failed, p), sys_)
-                assert result.symbols == arr.column(failed)
-                assert result.node == failed
-                assert result.downloaded_total == p.d * p.beta
+        columns = encode_batch(random_block(p, rng, 3), sys_)
+        for failed in p.nodes():
+            rebuilt = repair_batch(failed, helper_rows(columns, failed, p), sys_)
+            assert rebuilt.shape == (p.alpha, 3)
+            assert np.array_equal(rebuilt, columns[failed])
 
 
 def test_repair_download_is_msr_optimal(all_systems):
     for sys_ in all_systems:
         p = sys_.params
-        arr = CodewordArray.zeros(p)
-        result = repair_node((1, 0), packets_for(arr, (1, 0), p), sys_)
-        # count actual symbols moved, not the formula
-        assert result.downloaded_total == sum(
-            len(pk.entries) for pk in packets_for(arr, (1, 0), p))
-        assert result.downloaded_total == p.d * (p.alpha // (p.d - p.k + 1))
+        helpers = helper_rows(zero_columns(p), (1, 0), p)
+        # count actual rows moved, not the formula
+        assert sum(len(stack) for stack in helpers.values()) \
+            == p.d * (p.alpha // (p.d - p.k + 1))
 
 
 def test_repair_wrong_packet_count(sys23):
     p = sys23.params
-    arr = CodewordArray.zeros(p)
-    packets = packets_for(arr, (1, 0), p)
+    helpers = helper_rows(zero_columns(p), (1, 0), p)
+    del helpers[(3, 1)]
     with pytest.raises(ValueError):
-        repair_node((1, 0), packets[:-1], sys23)
+        repair_batch((1, 0), helpers, sys23)
 
 
 def test_repair_duplicate_helpers(sys23):
+    # d stacks, but not one from each of the d helpers: one is keyed by a
+    # node outside the code
     p = sys23.params
-    arr = CodewordArray.zeros(p)
-    packets = packets_for(arr, (1, 0), p)
+    helpers = helper_rows(zero_columns(p), (1, 0), p)
+    helpers[(9, 0)] = helpers.pop((3, 1))
     with pytest.raises(ValueError):
-        repair_node((1, 0), packets[:-1] + [packets[0]], sys23)
+        repair_batch((1, 0), helpers, sys23)
 
 
 def test_repair_packet_from_failed_node(sys23):
     p = sys23.params
-    arr = CodewordArray.zeros(p)
-    packets = packets_for(arr, (1, 0), p)
-    bogus = HelperPacket((1, 0), packets[0].entries)
+    helpers = helper_rows(zero_columns(p), (1, 0), p)
+    helpers[(1, 0)] = helpers.pop((3, 1))
     with pytest.raises(ValueError):
-        repair_node((1, 0), packets[:-1] + [bogus], sys23)
-
-
-def test_repair_wrong_row_set(sys23):
-    p = sys23.params
-    arr = CodewordArray.zeros(p)
-    packets = packets_for(arr, (1, 0), p)
-    # rows extracted for a different failed node
-    wrong = helper_extract(arr.column((3, 1)), (3, 1), (1, 1), p)
-    with pytest.raises(ValueError):
-        repair_node((1, 0), packets[:-1] + [wrong], sys23)
+        repair_batch((1, 0), helpers, sys23)
 
 
 def test_repair_rejects_system_without_c0(sys23):
-    from msrcode import build_system
-
     p = sys23.params
     plain = build_system(p, 0)
-    arr = CodewordArray.zeros(p)
     with pytest.raises(ValueError):
-        repair_node((1, 0), packets_for(arr, (1, 0), p), plain)
+        repair_batch((1, 0), helper_rows(zero_columns(p), (1, 0), p), plain)
 
 
 def test_repair_coverage_each_row_once(sys23):
@@ -195,16 +162,11 @@ def test_repair_batch_rebuilds_codeword_column(sys22, sys23):
     rng = np.random.default_rng(22)
     for sys_ in (sys22, sys23):
         p = sys_.params
-        msgs = rng.integers(0, p.gf.order, size=(p.message_len, 9)).astype(np.uint16)
-        columns = encode_batch(msgs, sys_)
-        for s in range(msgs.shape[1]):
+        columns = encode_batch(random_block(p, rng, 9), sys_)
+        for s in range(9):
             assert eval_constraints(stripe_array(columns, s, p), sys_) == [0] * sys_.n_constraints
         for failed in p.nodes():
-            gamma_idx = [p.row_ordinal(r) for r in p.gamma_rows(failed)]
-            gamma_cols = {
-                h: columns[h][gamma_idx] for h in p.nodes() if h != failed
-            }
-            rebuilt = repair_batch(failed, gamma_cols, sys_)
+            rebuilt = repair_batch(failed, helper_rows(columns, failed, p), sys_)
             assert np.array_equal(rebuilt, columns[failed])
 
 
@@ -217,6 +179,10 @@ def test_repair_batch_validates_helpers(sys22):
         repair_batch((2, 1), gamma_cols, sys22)  # (2,1) is inside the helper set
     with pytest.raises(ValueError):
         repair_batch((1, 0), dict(list(gamma_cols.items())[:-1]), sys22)
+    with pytest.raises(ValueError):  # a whole (alpha, s) stack, not the (beta, s) rows
+        repair_batch((1, 0), {**gamma_cols, (2, 1): np.zeros((p.alpha, 2), np.uint16)}, sys22)
+    with pytest.raises(ValueError):  # one helper sends 3 stripes, the others 2
+        repair_batch((1, 0), {**gamma_cols, (2, 1): np.zeros((p.beta, 3), np.uint16)}, sys22)
 
 
 def test_tampered_constraint_raises_under_optimize():
