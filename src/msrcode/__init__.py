@@ -23,7 +23,6 @@ from .parity import (
     find_c0,
     find_code,
     gf_rank,
-    solve_linear,
     sufficient_field_size,
 )
 from .codec import MdsReport, decode_batch, decode_from_k, encode, encode_batch, verify_mds
@@ -47,7 +46,6 @@ __all__ = [
     "find_c0",
     "find_code",
     "gf_rank",
-    "solve_linear",
     "sufficient_field_size",
     "MdsReport",
     "encode",

@@ -215,11 +215,12 @@ def cmd_repair(args) -> int:
 
     stripes = manifest.stripe_count
     read_total = sum(bytes_per_helper.values())
-    naive = p.k * (shardio.HEADER_LEN + stripes * p.alpha * 2)
+    naive = p.k * (shardio.HEADER_LEN + shardio.payload_bytes(stripes, p.alpha))
     report = repair.bandwidth_report(p)
     print(f"rebuilt {path.name} from {p.d} helpers")
     print(f"per-helper read : {max(bytes_per_helper.values(), default=0)} bytes "
-          f"(header {shardio.HEADER_LEN} + {stripes} stripes x {2 * p.beta} bytes)")
+          f"(header {shardio.HEADER_LEN} + {stripes} stripes x "
+          f"{shardio.payload_bytes(1, p.beta)} bytes)")
     print(f"total read      : {read_total} bytes")
     print(f"naive (k full shards): {naive} bytes")
     print(f"per-stripe symbols: {report.total} repair vs {report.naive} naive "
@@ -248,7 +249,7 @@ def cmd_stats(args) -> int:
     if args.q is None and args.t is None:
         if args.m is not None:
             raise _UsageError("stats takes --m only with --q and --t")
-        p = _system_for(_load_manifest(args.out_dir)).params
+        p = _params_of(_load_manifest(args.out_dir))
     elif args.q is None or args.t is None:
         raise _UsageError("stats needs both --q and --t (or neither)")
     else:
@@ -322,16 +323,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as exc:  # --help
         return exc.code or EXIT_OK
-    except _UsageError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    except VerificationFailure as err:
+    except (VerificationFailure, ShardFormatError) as err:  # before ValueError, its base
         print(f"verification failed: {err}", file=sys.stderr)
         return EXIT_VERIFY
-    except ShardFormatError as err:
-        print(f"verification failed: {err}", file=sys.stderr)
-        return EXIT_VERIFY
-    except ValueError as err:
+    except (_UsageError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as err:

@@ -5,15 +5,16 @@ A stripe of k*alpha message symbols is placed verbatim into the first k
 thick columns (node-major, then row-ordinal); the remaining q parity
 columns are the unique solution of the parity-check constraints.  Decoding
 from any k nodes solves the same kind of system for whichever q columns
-are missing.  Both run the one plan ParityCheckSystem.completion_map
-compiles for the missing nodes, on a workspace holding the known columns
-and then the missing ones.
+are missing.  All four entry points go through one column completion,
+complete_columns: it checks the known columns, and when a wanted column is
+missing it runs the plan ParityCheckSystem.completion_map compiles for the
+missing nodes, through parity.run_plan.
 
 Both paths pass a codeword as {node: column}.  The scalar encode and
-decode_from_k run the plan on one stripe, a column being a list of alpha
-ints; they serve verify_mds and load no numpy.  The *_batch variants run
-it on a block of stripes, numpy uint16 arrays of (rows, stripes) as shards
-store them: a message block is (k*alpha, s) and a node's stack (alpha, s).
+decode_from_k work on one stripe, a column being a list of alpha ints;
+they serve verify_mds and load no numpy.  The *_batch variants work on a
+block of stripes, numpy uint16 arrays of (rows, stripes) as shards store
+them: a message block is (k*alpha, s) and a node's stack (alpha, s).
 
 verify_mds is the whole MDS certificate: it eliminates the thick submatrix
 of every size-q node subset once, which is the rank check, and reuses that
@@ -24,16 +25,37 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from ._lazy import np
 from .params import Node
-from .parity import ParityCheckSystem, node_subsets, run_plan, run_plan_batch
+from .parity import ParityCheckSystem, check_columns, node_subsets, run_plan
 
 
 def _require_valid_c0(sys: ParityCheckSystem) -> None:
     if not sys.c0:
         raise ValueError("parity-check system has no valid c0 (run the coefficient search)")
+
+
+def complete_columns(sys: ParityCheckSystem, known: Mapping[Node, Sequence],
+                     wanted: Iterable[Node]) -> dict[Node, Sequence]:
+    """The columns of the `wanted` nodes of the codeword with the k `known`
+    columns, in `wanted` order: lists of alpha ints on one stripe, or
+    (alpha, s) uint16 arrays on a block of s stripes.  Raises ValueError
+    unless `known` is k nodes of the code, each column alpha field
+    symbols.  The plan runs only when a wanted column is missing."""
+    p = sys.params
+    missing = [nd for nd in p.nodes() if nd not in known]
+    if len(known) != p.k or len(missing) != p.q:
+        raise ValueError(f"known columns must be k={p.k} nodes of the code")
+    columns = [known[nd] for nd in p.nodes() if nd in known]
+    check_columns(columns, p.alpha, p.gf)
+    wanted = list(wanted)
+    solved = {}
+    if any(nd in missing for nd in wanted):
+        out = run_plan(sys.completion_map(missing), columns, p.q * p.alpha, p.gf)
+        solved = {nd: out[i * p.alpha : (i + 1) * p.alpha] for i, nd in enumerate(missing)}
+    return {nd: solved[nd] if nd in solved else known[nd] for nd in wanted}
 
 
 def encode(message: Sequence[int], sys: ParityCheckSystem) -> dict[Node, list[int]]:
@@ -43,11 +65,8 @@ def encode(message: Sequence[int], sys: ParityCheckSystem) -> dict[Node, list[in
     _require_valid_c0(sys)
     if len(message) != p.message_len:
         raise ValueError(f"message must hold {p.message_len} symbols, got {len(message)}")
-    for v in message:
-        p.gf.validate(v)
-    ws = [*message, *[0] * (p.q * p.alpha)]
-    run_plan(sys.completion_map(p.parity_nodes()), ws, p.gf)
-    return {nd: ws[o * p.alpha : (o + 1) * p.alpha] for o, nd in enumerate(p.nodes())}
+    return complete_columns(sys, {nd: list(message[o * p.alpha : (o + 1) * p.alpha])
+                                  for o, nd in enumerate(p.systematic_nodes())}, p.nodes())
 
 
 def decode_from_k(available: Mapping[Node, Sequence[int]],
@@ -57,19 +76,9 @@ def decode_from_k(available: Mapping[Node, Sequence[int]],
     _require_valid_c0(sys)
     if len(available) != p.k:
         raise ValueError(f"need exactly k={p.k} nodes, got {len(available)}")
-    for node, col in available.items():
-        p.node_ordinal(node)  # validate node
-        if len(col) != p.alpha:
-            raise ValueError(f"column of node {node} must hold alpha={p.alpha} symbols")
-        for v in col:
-            p.gf.validate(v)
-    known = [nd for nd in p.nodes() if nd in available]
-    missing = [nd for nd in p.nodes() if nd not in available]
-    ws = [v for nd in known for v in available[nd]] + [0] * (p.q * p.alpha)
-    if any(nd in missing for nd in p.systematic_nodes()):
-        run_plan(sys.completion_map(missing), ws, p.gf)
-    at = {nd: i * p.alpha for i, nd in enumerate(known + missing)}
-    return [v for nd in p.systematic_nodes() for v in ws[at[nd] : at[nd] + p.alpha]]
+    columns = complete_columns(sys, {nd: list(col) for nd, col in available.items()},
+                               p.systematic_nodes())
+    return [v for col in columns.values() for v in col]
 
 
 @dataclass
@@ -126,23 +135,6 @@ def verify_mds(sys: ParityCheckSystem, trials: int, seed: int = 0) -> MdsReport:
 # -- batched (multi-stripe) paths ---------------------------------------------
 
 
-def complete_columns_batch(sys: ParityCheckSystem,
-                           known: Mapping[Node, np.ndarray],
-                           missing: Sequence[Node]) -> dict[Node, np.ndarray]:
-    """Batch solve for the missing columns: every value of `known` is an
-    (alpha, s) uint16 array of s stripes; returns the same shape per
-    missing node."""
-    p = sys.params
-    missing = sorted(missing, key=p.node_ordinal)
-    if set(known) != set(p.nodes()) - set(missing):
-        raise ValueError("known columns must be exactly the non-missing nodes")
-    blocks = [known[nd] for nd in p.nodes() if nd in known]
-    if any(b.shape != (p.alpha, blocks[0].shape[-1]) for b in blocks):
-        raise ValueError("known column stacks must all be (alpha, stripes)")
-    out = run_plan_batch(sys.completion_map(missing), blocks, len(missing) * p.alpha, p.gf)
-    return {nd: out[i * p.alpha : (i + 1) * p.alpha] for i, nd in enumerate(missing)}
-
-
 def encode_batch(messages: np.ndarray, sys: ParityCheckSystem) -> dict[Node, np.ndarray]:
     """Encode a (k*alpha, s) block of stripes; returns one (alpha, s)
     stack per node (systematic row slices plus solved parity)."""
@@ -150,10 +142,8 @@ def encode_batch(messages: np.ndarray, sys: ParityCheckSystem) -> dict[Node, np.
     _require_valid_c0(sys)
     if messages.ndim != 2 or messages.shape[0] != p.message_len:
         raise ValueError(f"messages must be ({p.message_len}, stripes)")
-    columns = {node: messages[o * p.alpha : (o + 1) * p.alpha]
-               for o, node in enumerate(p.systematic_nodes())}
-    columns.update(complete_columns_batch(sys, columns, p.parity_nodes()))
-    return columns
+    return complete_columns(sys, {nd: messages[o * p.alpha : (o + 1) * p.alpha]
+                                  for o, nd in enumerate(p.systematic_nodes())}, p.nodes())
 
 
 def decode_batch(available: Mapping[Node, np.ndarray],
@@ -163,8 +153,5 @@ def decode_batch(available: Mapping[Node, np.ndarray],
     _require_valid_c0(sys)
     if len(available) != p.k:
         raise ValueError(f"need exactly k={p.k} nodes, got {len(available)}")
-    missing = [nd for nd in p.nodes() if nd not in available]
-    columns = dict(available)
-    if any(nd in missing for nd in p.systematic_nodes()):
-        columns.update(complete_columns_batch(sys, available, missing))
-    return np.concatenate([columns[nd] for nd in p.systematic_nodes()])
+    columns = complete_columns(sys, available, p.systematic_nodes())
+    return np.concatenate(list(columns.values()))

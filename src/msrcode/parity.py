@@ -24,14 +24,14 @@ slots.  completion_map(missing) is the plan that fills q erased thick
 columns: the syndrome of the known symbols, read off the sparse constraints,
 then the recorded elimination of the square submatrix H_S (inverse_for).
 One sparse Gaussian elimination records that plan and computes every gf_rank.
-run_plan executes a plan on one stripe; run_plan_batch on a block of
-stripes, in a (slots, stripes) workspace: the order shards store a block.
+run_plan, the one plan runner, executes a plan on one stripe of ints or on
+a block of stripes, in a (slots, stripes) workspace: the order shards store
+a block.
 
-The rows of H_S are built sparse, {column: coeff}, straight from the
-constraint terms (thick_rows), and the elimination works on them with a
-column -> rows index, so no dense matrix is formed on the certificate path.
-The dense thick_submatrix and flatten derive from the same rows and serve
-tests and callers that want a plain matrix.
+H exists only as sparse rows: thick_rows gives the rows of any thick
+submatrix as {column: coeff} dicts, built straight from the constraint
+terms, and the elimination works on them with a column -> rows index, so
+no dense matrix is formed.
 """
 
 from __future__ import annotations
@@ -77,7 +77,7 @@ class ParityCheckSystem:
 
     Each constraint's terms are also kept as (node ordinal, row ordinal,
     coeff) triples: in term order, for the syndrome of a plan, and sorted,
-    which is flattened-column order, for the sparse rows of H_S.
+    which is the column order of H, for its sparse rows (thick_rows).
 
     Immutable once built (the memoised last completion plan is confined to
     single-threaded use)."""
@@ -93,6 +93,11 @@ class ParityCheckSystem:
         self._terms = [tuple((node_ord[t.node], row_ord[t.row], t.coeff) for t in con.terms)
                        for con in constraints]
         self._sorted_terms = [sorted(terms) for terms in self._terms]
+        # support disjointness: no two terms of one constraint on one symbol
+        # (in-row and shifted entries differ in row, classes differ in node)
+        if any(len({(node, row) for node, row, _ in terms}) != len(terms)
+               for terms in self._sorted_terms):
+            raise ValueError("J0/E supports must not collide")
         self._last_plan: tuple[tuple[Node, ...], Plan] | None = None
 
     @property
@@ -103,28 +108,12 @@ class ParityCheckSystem:
         p = self.params
         return self.constraints[delta * p.alpha + p.row_ordinal(anchor)]
 
-    def flat_column(self, row: Row, node: Node) -> int:
-        """Column of symbol (row, node) in the flattened (vectorized) matrix."""
-        p = self.params
-        return p.node_ordinal(node) * p.alpha + p.row_ordinal(row)
-
-    def flatten(self) -> list[list[int]]:
-        """Dense q^(t+1) x n*alpha matrix over the symbol field.
-
-        Checks the support-disjointness invariant: within one constraint no
-        two terms may land on the same flattened column (in-row entries and
-        shifted entries always differ in row, classes differ in node).
-        """
-        for terms in self._sorted_terms:
-            if len({(node, row) for node, row, _ in terms}) != len(terms):
-                raise ValueError("J0/E supports must not collide")
-        return self.thick_submatrix(self.params.nodes())
-
     def thick_rows(self, nodes: Iterable[Node]) -> list[SparseRow]:
         """The rows of the thick submatrix over `nodes`, sparse: one
-        {column: coeff} dict per constraint, columns ascending.  Columns are
-        those of the flattened matrix belonging to `nodes`, node-major in
-        ascending node-ordinal order."""
+        {column: coeff} dict per constraint, columns ascending.  The columns
+        are the symbols of `nodes`, node-major in ascending node-ordinal
+        order, alpha row-ordinal columns per node: over all nodes, the
+        columns of H = J0 + c0*E."""
         p = self.params
         chosen = sorted({p.node_ordinal(nd) for nd in nodes})
         if not chosen:
@@ -132,18 +121,6 @@ class ParityCheckSystem:
         base = {node: i * p.alpha for i, node in enumerate(chosen)}
         return [{base[node] + row: coeff for node, row, coeff in terms if node in base}
                 for terms in self._sorted_terms]
-
-    def thick_submatrix(self, nodes: Iterable[Node]) -> list[list[int]]:
-        """thick_rows(nodes) as a dense matrix."""
-        chosen = set(nodes)
-        width = len(chosen) * self.params.alpha
-        mat = []
-        for row in self.thick_rows(chosen):
-            dense = [0] * width
-            for c, v in row.items():
-                dense[c] = v
-            mat.append(dense)
-        return mat
 
     def inverse_for(self, missing: Iterable[Node]) -> Elimination:
         """Recorded elimination of the square thick submatrix H_S over
@@ -228,10 +205,19 @@ Op = tuple[int, int, int]
 Plan = list[Op]
 
 
-def run_plan(plan: Plan, ws: list[int] | np.ndarray, gf: GF2M) -> None:
-    """Execute `plan` in place on one stripe (a list of ints, via gf.mul)
-    or on a (slots, stripes) uint16 array (via gf.mul_vec)."""
-    mul = gf.mul if isinstance(ws, list) else gf.mul_vec
+def run_plan(plan: Plan, columns: Sequence, n_out: int,
+             gf: GF2M) -> list[int] | np.ndarray:
+    """Run `plan` on a workspace of the rows of `columns`, in order, then
+    n_out zero rows, and return a copy of those n_out output rows (so the
+    workspace and its inputs are freed with the call).  On one stripe the
+    columns are lists of ints and the ops use gf.mul; on a block they are
+    (rows, stripes) uint16 arrays and the ops use gf.mul_vec."""
+    if isinstance(columns[0], list):
+        ws = [v for col in columns for v in col] + [0] * n_out
+        mul = gf.mul
+    else:
+        ws = np.concatenate([*columns, np.zeros((n_out, columns[0].shape[1]), np.uint16)])
+        mul = gf.mul_vec
     for dst, coeff, src in plan:
         if dst == src:
             ws[dst] = mul(coeff, ws[dst])
@@ -239,18 +225,24 @@ def run_plan(plan: Plan, ws: list[int] | np.ndarray, gf: GF2M) -> None:
             ws[dst] ^= ws[src]
         else:
             ws[dst] ^= mul(coeff, ws[src])
-
-
-def run_plan_batch(plan: Plan, blocks: Sequence[np.ndarray], n_out: int,
-                   gf: GF2M) -> np.ndarray:
-    """Run `plan` on a block of stripes.  The (width, stripes) arrays of
-    `blocks` fill the first workspace rows in order, n_out zero rows
-    follow, and a copy of those (n_out, stripes) output rows is returned
-    (a copy, so the workspace and its inputs are freed with the call)."""
-    zeros = np.zeros((n_out, blocks[0].shape[1]), dtype=np.uint16)
-    ws = np.concatenate([*blocks, zeros])
-    run_plan(plan, ws, gf)
     return ws[len(ws) - n_out :].copy()
+
+
+def check_columns(columns: Sequence, rows: int, gf: GF2M) -> None:
+    """Refuse plan inputs that are not `rows` field symbols each: lists of
+    ints on one stripe, or (rows, stripes) arrays of one stripe count on a
+    block, range-checked with one min and one max per array."""
+    if isinstance(columns[0], list):
+        if any(len(col) != rows for col in columns):
+            raise ValueError(f"columns must hold {rows} symbols each")
+        for col in columns:
+            for v in col:
+                gf.validate(v)
+        return
+    if any(col.shape != (rows, columns[0].shape[-1]) for col in columns):
+        raise ValueError(f"column stacks must all be ({rows}, stripes)")
+    gf.validate(min(int(col.min(initial=0)) for col in columns))  # < 0 only if signed
+    gf.validate(max(int(col.max(initial=0)) for col in columns))
 
 
 class Elimination(NamedTuple):
@@ -343,20 +335,6 @@ def _eliminate(rows: list[SparseRow], gf: GF2M) -> Elimination:
         if pinv != 1:
             plan.append((j, pinv, j))
     return Elimination(slot_of_row, plan)
-
-
-def solve_linear(mat: Sequence[Sequence[int]], rhs: Sequence[int], gf: GF2M) -> list[int]:
-    """Unique solution of a full-rank square system M.x = rhs."""
-    if len(rhs) != len(mat):
-        raise ValueError("rhs length does not match matrix")
-    if any(len(r) != len(mat) for r in mat):
-        raise ValueError("matrix is not square")
-    elim = _eliminate(_sparse(mat), gf)
-    ws = [0] * len(rhs)
-    for r, v in enumerate(rhs):
-        ws[elim.slot_of_row[r]] = v
-    run_plan(elim.plan, ws, gf)
-    return ws
 
 
 # -- MDS verification and the c0 search ---------------------------------------

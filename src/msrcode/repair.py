@@ -17,9 +17,10 @@ beta = alpha/(d-k+1).
 
 repair_plan checks both phases once, against the constraints themselves,
 and compiles them into one Plan.  repair_batch, the one repair entry point,
-runs it on a block of stripes: each helper's (beta, s) stack of stored
-rows, as ShardReader.gamma_blocks reads them, in; the failed node's
-(alpha, s) stack out.
+runs it through parity.run_plan, the runner the codec uses, on a block of
+stripes: each helper's (beta, s) stack of stored rows, as
+ShardReader.gamma_blocks reads them, in; the failed node's (alpha, s)
+stack out.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from typing import Mapping
 
 from ._lazy import np
 from .params import CodeParams, Node, Row
-from .parity import ParityCheckSystem, Plan, run_plan_batch
+from .parity import ParityCheckSystem, Plan, check_columns, run_plan
 
 
 @dataclass(frozen=True)
@@ -41,15 +42,6 @@ class BandwidthReport:
     total: int          # d * beta
     naive: int          # B = k * alpha, the any-k download
     ratio: float        # total / naive
-
-    def __str__(self) -> str:
-        return (
-            f"per-helper symbols : {self.per_helper}\n"
-            f"helpers            : {self.helpers}\n"
-            f"repair download    : {self.total}\n"
-            f"naive download (B) : {self.naive}\n"
-            f"ratio              : {self.ratio:.4f}"
-        )
 
 
 def repair_plan(failed: Node, sys: ParityCheckSystem) -> Plan:
@@ -100,16 +92,16 @@ def repair_batch(failed: Node, gamma_columns: Mapping[Node, np.ndarray],
     each of the d helpers to a (beta, s) uint16 array of its stored
     helper-row symbols (ascending row ordinal), sent as-is; returns the
     failed node's (alpha, s) stack.  Raises ValueError unless the helpers
-    are exactly the d other nodes, each with a (beta, s) stack."""
+    are exactly the d other nodes, each with a (beta, s) stack of field
+    symbols."""
     p = sys.params
     plan = repair_plan(failed, sys)
     helpers = [nd for nd in p.nodes() if nd != failed]
     if set(gamma_columns) != set(helpers):
         raise ValueError(f"need the {p.d} helpers other than {failed}")
     blocks = [gamma_columns[h] for h in helpers]
-    if any(b.shape != (p.beta, blocks[0].shape[-1]) for b in blocks):
-        raise ValueError("helper row stacks must all be (beta, stripes)")
-    return run_plan_batch(plan, blocks, p.alpha, p.gf)
+    check_columns(blocks, p.beta, p.gf)
+    return run_plan(plan, blocks, p.alpha, p.gf)
 
 
 def bandwidth_report(params: CodeParams) -> BandwidthReport:

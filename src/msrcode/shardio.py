@@ -194,10 +194,7 @@ class Manifest:
                            node, self.stripe_count, self.file_length)
 
     def matches_header(self, hdr: ShardHeader) -> bool:
-        return (self.q, self.t, self.m, self.reduction_poly, self.c0,
-                self.stripe_count, self.file_length) == \
-               (hdr.q, hdr.t, hdr.m, hdr.reduction_poly, hdr.c0,
-                hdr.stripe_count, hdr.file_length)
+        return hdr == self.header_for(hdr.node)
 
 
 def shard_filename(node: Node) -> str:
@@ -350,10 +347,15 @@ def write_shard(shards: Mapping[Path | str, ShardHeader],
     return {writer.header.node: writer.crc for writer in writers.values()}
 
 
+def payload_bytes(stripes: int, rows: int) -> int:
+    """Bytes a shard stores for `rows` symbols on each of `stripes` stripes."""
+    return stripes * rows * 2
+
+
 def _check_file_size(f, hdr: ShardHeader, path) -> None:
     """Reject a shard whose length disagrees with its header, reading nothing."""
     size = os.fstat(f.fileno()).st_size
-    expected = HEADER_LEN + hdr.stripe_count * hdr.q**hdr.t * 2
+    expected = HEADER_LEN + payload_bytes(hdr.stripe_count, hdr.q**hdr.t)
     if size != expected:
         raise ShardFormatError(f"{path}: file is {size} bytes, header implies {expected}")
 
@@ -418,9 +420,9 @@ class ShardReader:
             width = hi - lo
             rows = []
             for start, length in runs:
-                self.counter.seek(base + start * width * 2)
+                self.counter.seek(base + payload_bytes(width, start))
                 rows.append(self._symbols(length * width)[1].reshape(length, width))
-            base += alpha * width * 2
+            base += payload_bytes(width, alpha)
             yield np.concatenate(rows)
 
 

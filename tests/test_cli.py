@@ -506,6 +506,17 @@ def test_stats_invalid_manifest_is_verification_failure(store22, line):
     assert main(["stats", "--out-dir", str(store)]) == EXIT_VERIFY
 
 
+@pytest.mark.parametrize("key,value", [("q", 1), ("c0", 99)])
+def test_stats_invalid_parameters_under_a_valid_crc(store22, key, value):
+    # stats reads the parameters without building the code; a bad one whose
+    # params_crc matches still exits 2
+    store, _ = store22
+    manifest = Manifest.read(store / "manifest.txt")
+    setattr(manifest, key, value)
+    manifest.write(store / "manifest.txt")
+    assert main(["stats", "--out-dir", str(store)]) == EXIT_VERIFY
+
+
 def test_stats_needs_both_q_and_t():
     assert main(["stats", "--q", "3"]) == EXIT_USAGE
 

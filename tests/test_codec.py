@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import BAD_C0, eval_constraints, stripe_array
-from msrcode import build_system, decode_from_k, encode, make_params, verify_mds
-from msrcode.codec import complete_columns_batch, decode_batch, encode_batch
+from msrcode import build_system, decode_from_k, encode, find_code, make_params, verify_mds
+from msrcode.codec import complete_columns, decode_batch, encode_batch
 from msrcode.parity import check_mds_ranks, gf_rank
 from msrcode.repair import repair_batch
 
@@ -160,11 +160,11 @@ def test_decode_wrong_column_length(sys22):
 
 
 def test_code_dimension_is_message_len(all_systems):
-    # rank of the full flattened matrix = number of constraints, so the
-    # kernel (the code) has dimension n*alpha - q^(t+1) = k*alpha
+    # rank of H (its sparse rows over all nodes) = number of constraints,
+    # so the kernel (the code) has dimension n*alpha - q^(t+1) = k*alpha
     for sys_ in all_systems:
         p = sys_.params
-        rank = gf_rank(sys_.flatten(), p.gf)
+        rank = gf_rank(sys_.thick_rows(p.nodes()), p.gf)
         assert rank == p.q ** (p.t + 1)
         assert p.n * p.alpha - rank == p.message_len
 
@@ -246,12 +246,46 @@ def test_batch_zero_stripes(sys22):
     assert got.shape == (p.message_len, 0)
 
 
-def test_complete_columns_batch_validates_known_set(sys22):
+def test_complete_columns_validates_known_set(sys22):
+    # one completion serves a stripe (lists of ints) and a block (arrays)
     p = sys22.params
     nodes = list(p.nodes())
-    known = {nodes[0]: np.zeros((p.alpha, 3), dtype=np.uint16)}
-    with pytest.raises(ValueError):
-        complete_columns_batch(sys22, known, p.parity_nodes())
+    for zero in ([0] * p.alpha, np.zeros((p.alpha, 3), dtype=np.uint16)):
+        with pytest.raises(ValueError):  # fewer than k known columns
+            complete_columns(sys22, {nodes[0]: zero}, p.parity_nodes())
+        with pytest.raises(ValueError):  # k columns, one of them foreign
+            complete_columns(sys22, {nodes[0]: zero, (9, 9): zero}, p.parity_nodes())
+        known = {nd: zero for nd in p.systematic_nodes()}
+        assert complete_columns(sys22, known, p.systematic_nodes()) == known
+
+
+@pytest.mark.parametrize("entry", ["encode", "decode_from_k", "encode_batch", "encode_batch -1",
+                                   "decode_batch systematic", "decode_batch", "repair_batch"])
+def test_out_of_field_symbol_rejected(entry):
+    # GF(2^3) has 8 elements; every entry point refuses a symbol outside it
+    # (the batch paths once raised IndexError or passed 200 through)
+    sys_ = build_system(params := find_code(2, 2, 3), params.c0)
+    p = sys_.params
+    nodes = list(p.nodes())
+    stacks = encode_batch(np.zeros((p.message_len, 4), dtype=np.uint16), sys_)
+    stacks[nodes[1]] = stacks[nodes[1]].copy()
+    stacks[nodes[1]][0, 2] = 200
+    with pytest.raises(ValueError, match="not an element of GF"):
+        if entry == "encode":
+            encode([0] * (p.message_len - 1) + [40], sys_)
+        elif entry == "decode_from_k":
+            decode_from_k({nd: [0] * (p.alpha - 1) + [9] for nd in nodes[: p.k]}, sys_)
+        elif entry == "encode_batch":
+            encode_batch(np.full((p.message_len, 3), 40, dtype=np.uint16), sys_)
+        elif entry == "encode_batch -1":  # a signed block
+            encode_batch(np.full((p.message_len, 3), -1, dtype=np.int64), sys_)
+        elif entry == "decode_batch systematic":
+            decode_batch({nd: stacks[nd] for nd in p.systematic_nodes()}, sys_)
+        elif entry == "decode_batch":
+            decode_batch({nd: stacks[nd] for nd in nodes[1 : p.k + 1]}, sys_)
+        else:
+            helpers = {nd: np.full((p.beta, 3), 9, dtype=np.uint16) for nd in nodes[1:]}
+            repair_batch(nodes[0], helpers, sys_)
 
 
 def test_encode_batch_shape_validation(sys22):

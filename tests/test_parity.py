@@ -1,10 +1,13 @@
-"""Constraint assembly, flattening, GF linear algebra, and the c0 search.
+"""Constraint assembly, the sparse rows of H, GF linear algebra, the plan
+fingerprints, and the c0 search.
 
 Independent oracles used here: rank via row-space enumeration (small
 matrices), rank via dense first-nonzero-pivot elimination, an explicit
-Kronecker-product builder, and multiply-then-solve round trips.
+Kronecker-product builder, rows of H read straight off the constraint
+terms, and multiply-then-solve round trips.
 """
 
+import hashlib
 import itertools
 import random
 
@@ -14,6 +17,10 @@ from conftest import BAD_C0, FOUND_C0
 from msrcode import make_params
 from msrcode.gf import GF2M
 from msrcode.parity import (
+    Constraint,
+    ParityCheckSystem,
+    _eliminate,
+    _sparse,
     build_hmds,
     build_system,
     check_mds_ranks,
@@ -21,9 +28,10 @@ from msrcode.parity import (
     find_code,
     gf_rank,
     node_subsets,
-    solve_linear,
+    run_plan,
     sufficient_field_size,
 )
+from msrcode.repair import repair_plan
 
 
 def span_rank(rows, gf):
@@ -90,6 +98,32 @@ def matmul(a, b, width, gf):
             for j in range(width):
                 out[i][j] ^= gf.mul(v, b[c][j])
     return out
+
+
+def oracle_rows(sys_, nodes):
+    """Oracle: the sparse rows of the thick submatrix over `nodes`, read
+    straight off each constraint's terms; column = position of the node
+    among `nodes` (in node order) * alpha + row ordinal."""
+    p = sys_.params
+    chosen = sorted(set(nodes), key=p.node_ordinal)
+    base = {nd: i * p.alpha for i, nd in enumerate(chosen)}
+    return [{base[t.node] + p.row_ordinal(t.row): t.coeff for t in con.terms if t.node in base}
+            for con in sys_.constraints]
+
+
+def dense(rows, width):
+    """Sparse {column: value} rows as a dense matrix of `width` columns."""
+    return [[row.get(c, 0) for c in range(width)] for row in rows]
+
+
+def solve_linear(mat, rhs, gf):
+    """Solve M.x = rhs with the recorded elimination, loaded and run the way
+    completion_map and run_plan do: rhs[r] into slot slot_of_row[r]."""
+    n = len(rhs)
+    elim = _eliminate(_sparse(mat), gf)
+    plan = [(n + elim.slot_of_row[r], 1, r) for r in range(n)]
+    plan += [(n + dst, coeff, n + src) for dst, coeff, src in elim.plan]
+    return run_plan(plan, [list(rhs)], n, gf)
 
 
 def kron_with_identity(h, block):
@@ -218,57 +252,67 @@ def test_shifted_entries_only_in_matching_thick_column(sys23):
             assert con.anchor[i - 1] == theta
 
 
-# -- flatten / submatrices -------------------------------------------------------
+# -- H as sparse rows -------------------------------------------------------------
 
 
 def test_flatten_shape_and_support(sys22):
+    # H over all nodes: q^(t+1) rows on n*alpha columns, every one used
     p = sys22.params
-    mat = sys22.flatten()
-    assert len(mat) == 8 and len(mat[0]) == 16  # q^(t+1) x n*alpha
-    for con, row in zip(sys22.constraints, mat):
-        weight = sum(1 for v in row if v)
-        assert weight == (p.n if con.delta == 0 else p.n + p.t)
+    rows = sys22.thick_rows(p.nodes())
+    assert len(rows) == 8 and set().union(*rows) == set(range(16))  # q^(t+1) x n*alpha
+    for con, row in zip(sys22.constraints, rows):
+        assert len(row) == (p.n if con.delta == 0 else p.n + p.t)
 
 
 def test_flatten_support_disjointness(all_systems):
-    # no two terms of one constraint may share a flattened column
+    # no two terms of one constraint may share a column of H, and a system
+    # whose constraint repeats a symbol is refused when it is built
     for sys_ in all_systems:
+        p = sys_.params
         for con in sys_.constraints:
-            cols = [sys_.flat_column(term.row, term.node) for term in con.terms]
+            cols = [p.node_ordinal(t.node) * p.alpha + p.row_ordinal(t.row) for t in con.terms]
             assert len(cols) == len(set(cols))
+        con = sys_.constraints[-1]
+        clash = Constraint(con.delta, con.anchor, con.terms + con.terms[-1:])
+        with pytest.raises(ValueError, match="must not collide"):
+            ParityCheckSystem(p, sys_.hmds, sys_.c0, [*sys_.constraints[:-1], clash])
 
 
 def test_flatten_at_c0_zero_is_kronecker(sys22, sys23):
+    # criterion 4: H at c0 = 0 is the Vandermonde matrix Kronecker identity
     for sys_ in (sys22, sys23):
         p = sys_.params
         plain = build_system(p, 0)
-        assert plain.flatten() == kron_with_identity(plain.hmds, p.alpha)
+        h = dense(plain.thick_rows(p.nodes()), p.n * p.alpha)
+        assert h == kron_with_identity(plain.hmds, p.alpha)
 
 
 def test_thick_submatrix_square_for_q_nodes(all_systems):
     for sys_ in all_systems:
         p = sys_.params
         nodes = list(p.nodes())[: p.q]
-        sub = sys_.thick_submatrix(nodes)
-        assert len(sub) == p.q ** (p.t + 1)
-        assert len(sub[0]) == p.q * p.alpha == len(sub)
+        rows = sys_.thick_rows(nodes)
+        assert len(rows) == p.q ** (p.t + 1)
+        assert set().union(*rows) == set(range(p.q * p.alpha)) and p.q * p.alpha == len(rows)
 
 
 def test_thick_submatrix_all_nodes_equals_flatten(sys22):
-    assert sys22.thick_submatrix(sys22.params.nodes()) == sys22.flatten()
+    # the rows over all nodes, in any order and with repeats, are H itself
+    nodes = list(sys22.params.nodes())
+    assert sys22.thick_rows(nodes[::-1] + nodes) == oracle_rows(sys22, nodes)
 
 
 def test_thick_submatrix_column_count(sys23):
     p = sys23.params
     for size in (1, 3, p.n):
         nodes = list(p.nodes())[:size]
-        sub = sys23.thick_submatrix(nodes)
-        assert len(sub[0]) == size * p.alpha
+        rows = sys23.thick_rows(nodes)
+        assert set().union(*rows) == set(range(size * p.alpha))
 
 
 def test_thick_submatrix_empty_rejected(sys22):
     with pytest.raises(ValueError):
-        sys22.thick_submatrix([])
+        sys22.thick_rows([])
 
 
 # -- linear algebra ---------------------------------------------------------------
@@ -304,10 +348,10 @@ def test_rank_matches_dense_oracle_on_thick_submatrices(q, t, m, last_c):
     for c in range(1, last_c + 1):
         sys_ = build_system(p, c)
         for subset in node_subsets(p, p.q):
-            sub = sys_.thick_submatrix(subset)
             rows = sys_.thick_rows(subset)
-            assert rows == [{j: v for j, v in enumerate(r) if v} for r in sub]
+            assert rows == oracle_rows(sys_, subset)
             assert all(list(row) == sorted(row) for row in rows)
+            sub = dense(rows, p.q * p.alpha)
             rank = gf_rank(sub, p.gf)
             assert rank == dense_rank(sub, p.gf) == gf_rank(rows, p.gf)
             deficient += rank < len(sub)
@@ -362,10 +406,43 @@ def test_solve_linear_round_trip_random():
 
 def test_solve_singular_rejected():
     gf = GF2M(4)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="singular"):
         solve_linear([[1, 1], [1, 1]], [1, 0], gf)
-    with pytest.raises(ValueError):
-        solve_linear([[1, 1], [1]], [1, 0], gf)
+    with pytest.raises(ValueError, match="singular"):  # row 3 = 5*row 1 + row 2
+        solve_linear([[1, 2, 3], [4, 0, 7], [gf.mul(5, 1) ^ 4, gf.mul(5, 2), gf.mul(5, 3) ^ 7]],
+                     [1, 0, 0], gf)
+
+
+# -- plans ----------------------------------------------------------------------------
+
+# SHA-256 over every completion_map (one per size-q subset, a singular one
+# recorded as its error) and every repair_plan, recorded before the solve
+# paths were merged: plans must stay op-for-op the same.
+PLAN_FINGERPRINTS = {
+    (3, 3, 8, 1): "8673b8c576f25bb3fafc553b6ae57d71e9c60d6b259371cd86df23e5ed17d4a4",
+    (2, 3, 3, 1): "40b876df4a015854663c23e5d5aadc89785eb2fdbe96f56d31f02485bb749aef",
+    (4, 2, 6, 6): "a4ac75a5d11c67e5f693126928c92496f62a94bf7597bca582e979c59cdd716e",
+    (3, 2, 4, 7): "d0d3ec676aae1b4bc9b9fd49af545effc84e98baf3a301ea2fb9799eb3d1e1de",
+}
+
+
+@pytest.mark.parametrize("q,t,m,c0", list(PLAN_FINGERPRINTS))
+def test_plan_fingerprint(q, t, m, c0):
+    p = make_params(q, t, m)
+    sys_ = build_system(p, c0)
+    digest = hashlib.sha256()
+    singular = 0
+    for subset in node_subsets(p, p.q):
+        try:
+            entry = repr(sys_.completion_map(subset))
+        except ValueError as err:
+            entry = f"ValueError: {err}"
+            singular += 1
+        digest.update(f"{subset} {entry}\n".encode())
+    for node in p.nodes():
+        digest.update(f"{node} {repair_plan(node, sys_)!r}\n".encode())
+    assert digest.hexdigest() == PLAN_FINGERPRINTS[(q, t, m, c0)]
+    assert singular == (3 if c0 == 7 else 0)  # c0 = 7 at (3,2,4) is not MDS
 
 
 # -- MDS checks and the c0 search --------------------------------------------------
