@@ -3,8 +3,9 @@
 Field elements are plain ints in [0, 2^m).  Addition is XOR; multiplication,
 division and inversion go through log/antilog tables built once per field
 from a generator of the multiplicative group -- the usual construction in
-erasure-code libraries.  m is capped at 16 so a symbol always fits in two
-bytes of the shard format.
+erasure-code libraries.  Bulk multiplication of a numpy array by a scalar
+goes through per-coefficient product tables instead (GF2M.mul_vec).  m is
+capped at 16 so a symbol always fits in two bytes of the shard format.
 
 Row/column index arithmetic of the code lives in a separate, much simpler
 structure: the ring of integers mod q (any q >= 2), provided here as
@@ -12,8 +13,6 @@ structure: the ring of integers mod q (any q >= 2), provided here as
 """
 
 from __future__ import annotations
-
-from functools import cached_property
 
 from ._lazy import np
 
@@ -99,9 +98,18 @@ def is_irreducible(poly: int) -> bool:
 class GF2M:
     """The symbol field GF(2^m), with its arithmetic tables.
 
-    Immutable after construction (the numpy tables of mul_vec are built on
-    its first use); all operations are pure functions, so one instance can
-    be shared freely across threads/tasks.
+    The scalar ops use the log/antilog lists built here.  mul_vec, the bulk
+    kernel, multiplies by c with one gather from c's product table (the
+    split tables of GF-Complete): c*x for all 2^m symbols when m <= 8, and
+    for m > 8 one table for the low byte and one for the high bits, so a
+    coefficient never costs more than 2*(256 + 2^(m-8)) bytes.  Each table
+    is built from the log/antilog lists on first use and cached in
+    `_mul_tables`, keyed by c.
+
+    Otherwise immutable after construction; all operations are pure
+    functions, so one instance can be shared freely across threads/tasks.
+    Two threads may both build a missing table and both store it, but the
+    tables are equal and a dict store is atomic, so either one serves.
     """
 
     def __init__(self, m: int, poly: int | None = None):
@@ -117,6 +125,7 @@ class GF2M:
         self.poly = poly
         self.order = 1 << m  # field size; multiplicative group has order-1 elements
         self._build_tables()
+        self._mul_tables: dict[int, list[np.ndarray]] = {}  # c -> product tables
 
     def _build_tables(self) -> None:
         order = self.order
@@ -150,18 +159,20 @@ class GF2M:
             else:
                 raise ValueError(f"no generator found; {self.poly:#x} is not irreducible?")
 
-    @cached_property
-    def _np_tables(self):
-        """numpy log and antilog tables for the bulk kernel, built on first
-        use.  log[0] is a sentinel pointing into the zero tail of the
-        extended antilog table, which makes a*0 = 0 fall out of plain fancy
-        indexing."""
-        span = self.order - 1
-        np_log = np.array(self._log, dtype=np.int64)
-        np_log[0] = 2 * span
-        np_exp3 = np.zeros(3 * span + 1, dtype=np.uint16)
-        np_exp3[: 2 * span] = self._exp
-        return np_log, np_exp3
+    def _mul_table(self, c: int) -> list[np.ndarray]:
+        """The product table of c, built on first use: c*x for every symbol
+        x, or for m > 8 one table for the low byte of x and one for its high
+        bits, since c*x = c*(x & 0xFF) ^ c*(x & ~0xFF)."""
+        table = self._mul_tables.get(c)
+        if table is None:
+            exp, log, lc = self._exp, self._log, self._log[c]
+            parts = [range(min(self.order, 256))]
+            if self.m > 8:
+                parts.append(range(0, self.order, 256))
+            table = [np.array([exp[lc + log[x]] if x else 0 for x in xs], dtype=np.uint16)
+                     for xs in parts]
+            self._mul_tables[c] = table
+        return table
 
     # -- scalar ops ---------------------------------------------------------
 
@@ -212,13 +223,20 @@ class GF2M:
     # -- bulk ops -----------------------------------------------------------
 
     def mul_vec(self, c: int, v: np.ndarray) -> np.ndarray:
-        """Multiply every entry of a uint16 array by the scalar c."""
+        """Multiply every entry of a uint16 array by the scalar c: one
+        gather from c's product table (two for m > 8).  Raises ValueError
+        if an entry is not a field element."""
         if c == 0:
             return np.zeros(v.shape, dtype=np.uint16)
         if c == 1:
             return v.astype(np.uint16, copy=True)
-        np_log, np_exp3 = self._np_tables
-        return np_exp3[np_log[v] + self._log[c]]
+        try:
+            if self.m <= 8:
+                return self._mul_table(c)[0].take(v)
+            low, high = self._mul_table(c)
+            return low.take(v & 0xFF) ^ high.take(v >> 8)
+        except IndexError:
+            raise ValueError(f"a symbol is not an element of GF(2^{self.m})") from None
 
     # -- identity -----------------------------------------------------------
 

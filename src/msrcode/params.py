@@ -85,8 +85,7 @@ class CodeParams:
         return Fraction(self.t - 1, self.t)
 
     def with_c0(self, c0: int) -> "CodeParams":
-        if c0 == 0:
-            raise ValueError("c0 must be nonzero")
+        """A copy with c0 set; __post_init__ refuses any c0 outside 1..2^m-1."""
         return replace(self, c0=c0)
 
     # -- index bijections -------------------------------------------------------

@@ -39,7 +39,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from ._lazy import np
 from .gf import GF2M, ring_sub
@@ -79,8 +79,8 @@ class ParityCheckSystem:
     coeff) triples: in term order, for the syndrome of a plan, and sorted,
     which is the column order of H, for its sparse rows (thick_rows).
 
-    Immutable once built (the memoised last completion plan is confined to
-    single-threaded use)."""
+    Immutable once built (the memoised last plan of each kind is confined
+    to single-threaded use)."""
 
     def __init__(self, params: CodeParams, hmds: list[list[int]], c0: int,
                  constraints: list[Constraint]):
@@ -98,7 +98,7 @@ class ParityCheckSystem:
         if any(len({(node, row) for node, row, _ in terms}) != len(terms)
                for terms in self._sorted_terms):
             raise ValueError("J0/E supports must not collide")
-        self._last_plan: tuple[tuple[Node, ...], Plan] | None = None
+        self._last_plans: dict[str, tuple[object, Plan]] = {}  # kind -> (key, plan)
 
     @property
     def n_constraints(self) -> int:
@@ -131,15 +131,24 @@ class ParityCheckSystem:
             raise ValueError(f"need exactly {p.q} missing nodes, got {len(key)}")
         return _eliminate(self.thick_rows(key), p.gf)
 
+    def last_plan(self, kind: str, key, compile_: Callable[[], Plan]) -> Plan:
+        """The plan compile_() returns, memoised for the last key of each
+        kind of plan, since a command runs one plan on every block."""
+        last = self._last_plans.get(kind)
+        if last is None or last[0] != key:
+            last = self._last_plans[kind] = (key, compile_())
+        return last[1]
+
     def completion_map(self, missing: Iterable[Node]) -> Plan:
         """Plan that fills the q `missing` thick columns from the others, on
         a workspace of n*alpha slots: the known columns, then the missing
         ones (zero on entry), each group in node order with alpha
         row-ordinal slots per column.  Only the last plan is memoised."""
+        key = tuple(sorted(set(missing), key=self.params.node_ordinal))
+        return self.last_plan("completion", key, lambda: self._completion_plan(key))
+
+    def _completion_plan(self, key: tuple[Node, ...]) -> Plan:
         p = self.params
-        key = tuple(sorted(set(missing), key=p.node_ordinal))
-        if self._last_plan is not None and self._last_plan[0] == key:
-            return self._last_plan[1]
         elim = self.inverse_for(key)
         lost = {p.node_ordinal(nd) for nd in key}
         base = {node: i * p.alpha for i, node in enumerate(o for o in range(p.n) if o not in lost)}
@@ -152,7 +161,6 @@ class ParityCheckSystem:
             if node in base
         ]
         plan += [(out + dst, coeff, out + src) for dst, coeff, src in elim.plan]
-        self._last_plan = (key, plan)
         return plan
 
 

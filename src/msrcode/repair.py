@@ -52,8 +52,13 @@ def repair_plan(failed: Node, sys: ParityCheckSystem) -> Plan:
 
     Raises ValueError unless each constraint used is down to exactly one
     unknown, the symbol the phase predicts.  The alpha solved symbols are
-    then distinct, so they cover every row exactly once.
+    then distinct, so they cover every row exactly once.  The plan for the
+    last failed node is memoised on `sys`, so a repair compiles it once.
     """
+    return sys.last_plan("repair", failed, lambda: _compile_repair_plan(failed, sys))
+
+
+def _compile_repair_plan(failed: Node, sys: ParityCheckSystem) -> Plan:
     p = sys.params
     if not sys.c0:
         raise ValueError("parity-check system has no valid c0")

@@ -26,13 +26,17 @@ name.
 
 Files are packed m bits per message symbol, LSB-first within each byte, so
 any byte stream round-trips through any field; at m=16 this is exactly two
-bytes little-endian per symbol.  A payload block of stripes packs
-BLOCK_STRIPES * message_len * m / 8 input bytes, a whole number because
-BLOCK_STRIPES is a multiple of 8, so an input packed block by block
-(`read_messages`) gives the symbols of a whole-file packing; the stream
-runs stripe by stripe, so a (message_len, stripes) block is its transpose.
-file_length in the header/manifest recovers the exact byte count after the
-zero-fill to a whole stripe.
+bytes little-endian per symbol.  Eight m-bit symbols are exactly m bytes,
+so packing works on whole 8-symbol groups, viewed as a (groups, m) byte
+array: each of the 8 symbol columns is built from the (at most 3) byte
+columns its bits span, and unpacking builds each of the m byte columns
+from the symbol columns its bits span, all widened to uint32 before any
+shift.  A payload block of stripes packs BLOCK_STRIPES * message_len * m
+/ 8 input bytes, a whole number because BLOCK_STRIPES is a multiple of 8,
+so an input packed block by block (`read_messages`) gives the symbols of
+a whole-file packing; the stream runs stripe by stripe, so a (message_len,
+stripes) block is its transpose.  file_length in the header/manifest
+recovers the exact byte count after the zero-fill to a whole stripe.
 """
 
 from __future__ import annotations
@@ -213,24 +217,51 @@ def stripe_count_for(file_length: int, message_len: int, m: int) -> int:
 
 def symbols_from_bytes(data: bytes, m: int, total_symbols: int) -> np.ndarray:
     """Pack a byte stream into symbols: m bits each, LSB-first; zero-fills
-    past the end of the data."""
-    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8), count=total_symbols * m,
-                         bitorder="little").reshape(total_symbols, m)
-    out = np.zeros(total_symbols, dtype=np.uint16)
-    for b in range(m):  # one bit plane at a time keeps the peak at 2 bytes per symbol
-        out |= bits[:, b].astype(np.uint16) << b
-    return out
+    past the end of the data.  Works on 8-symbol groups, which are m bytes
+    each: symbol j of every group is the OR of the (at most 3) byte
+    columns its bits span, each widened to uint32 and shifted into place."""
+    groups = -(-total_symbols // 8)
+    raw = np.zeros(groups * m, dtype=np.uint8)
+    count = min(len(data), raw.size)
+    raw[:count] = np.frombuffer(data, dtype=np.uint8, count=count)
+    cols = raw.reshape(groups, m)
+    out = np.empty((groups, 8), dtype=np.uint16)
+    for j in range(8):
+        lo = j * m  # first bit of symbol j in its group
+        first, last = lo // 8, (lo + m - 1) // 8
+        acc = cols[:, first].astype(np.uint32) >> (lo - 8 * first)
+        for b in range(first + 1, last + 1):
+            acc |= cols[:, b].astype(np.uint32) << (8 * b - lo)
+        if 8 * (last + 1) - lo > m:  # the last byte holds bits of symbol j+1
+            acc &= (1 << m) - 1
+        out[:, j] = acc
+    return out.reshape(-1)[:total_symbols]
 
 
 def bytes_from_symbols(symbols: np.ndarray, m: int, byte_length: int) -> bytes:
     """Inverse of symbols_from_bytes, truncated to the original byte count.
     `symbols` is a (message_len, stripes) block, or a flat symbol stream;
-    its bit planes are filled from the transpose, in stream order."""
+    its transpose, in stream order, is copied once into 8-symbol groups,
+    then byte b of every group is the OR of the symbol planes its bits
+    span (at most ceil(8/m) + 1), widened to uint32 before any shift.  Raises ValueError
+    on a symbol of more than m bits, whose high bits would land in the
+    next symbol's."""
     stream = symbols.T
-    bits = np.empty((*stream.shape, m), dtype=np.uint8)
+    total = stream.size
+    groups = -(-total // 8)
+    grouped = np.zeros((groups, 8), dtype=np.uint16)
+    grouped.reshape(-1)[:total].reshape(stream.shape)[...] = stream
+    if int(grouped.max(initial=0)) >> m:
+        raise ValueError(f"a symbol is not an element of GF(2^{m})")
+    planes = grouped.T.astype(np.uint32, order="C")  # planes[j]: symbol j of each group
+    out = np.empty((groups, m), dtype=np.uint8)
     for b in range(m):
-        bits[..., b] = (stream >> b) & 1
-    return np.packbits(bits.reshape(-1), bitorder="little").tobytes()[:byte_length]
+        first, last = 8 * b // m, (8 * b + 7) // m
+        acc = planes[first] >> (8 * b - first * m)
+        for j in range(first + 1, last + 1):
+            acc |= planes[j] << (j * m - 8 * b)
+        out[:, b] = acc  # keeps the low 8 bits
+    return out.tobytes()[: min(byte_length, -(-total * m // 8))]
 
 
 # -- crash-safe writes ---------------------------------------------------------

@@ -221,6 +221,54 @@ def test_mul_vec_matches_scalar(m):
         assert [int(x) for x in got] == [gf.mul(c, int(a)) for a in v]
 
 
+@pytest.mark.parametrize("m", range(1, 9))
+def test_mul_vec_is_mul_for_every_coefficient_and_symbol(m):
+    gf = GF2M(m)
+    v = np.arange(gf.order, dtype=np.uint16)
+    for c in range(gf.order):
+        got = gf.mul_vec(c, v)
+        assert got.dtype == np.uint16
+        assert got.tolist() == [gf.mul(c, x) for x in range(gf.order)]
+
+
+def test_mul_vec_m16_every_symbol_for_sampled_coefficients():
+    gf = GF2M(16)
+    v = np.arange(gf.order, dtype=np.uint16)
+    sampled = [0, 1, 2, 0xFF, 0x100, 0x1234, 0xFF00, gf.order - 1]
+    for c in sampled:
+        assert gf.mul_vec(c, v).tolist() == [gf.mul(c, x) for x in range(gf.order)]
+
+
+def test_mul_vec_keeps_the_block_shape():
+    gf = GF2M(13)
+    block = np.random.default_rng(13).integers(0, gf.order, size=(5, 7)).astype(np.uint16)
+    got = gf.mul_vec(77, block)
+    assert got.shape == (5, 7) and got.dtype == np.uint16
+    assert got.tolist() == [[gf.mul(77, int(x)) for x in row] for row in block]
+
+
+@pytest.mark.parametrize("m", [3, 8, 16])
+def test_mul_vec_product_tables_stay_within_bound(m):
+    # one table over all 2^m symbols up to m = 8; above, a low-byte and a
+    # high-bits table: never more than 2*(256 + 2^(m-8)) bytes a coefficient
+    gf = GF2M(m)
+    v = np.arange(gf.order, dtype=np.uint16)
+    coeffs = {2, 3, gf.order - 1, gf.order // 2 + 1}
+    for c in [0, 1, *coeffs, 3]:
+        gf.mul_vec(c, v)
+    assert set(gf._mul_tables) == coeffs  # 0 and 1 need none; 3 is built once
+    bound = 2 * gf.order if m <= 8 else 2 * (256 + 2 ** (m - 8))
+    for tables in gf._mul_tables.values():
+        assert sum(t.nbytes for t in tables) <= bound
+
+
+@pytest.mark.parametrize("m", [3, 8, 11])
+def test_mul_vec_out_of_field_symbol_is_value_error(m):
+    gf = GF2M(m)
+    with pytest.raises(ValueError, match="not an element of GF"):
+        gf.mul_vec(3, np.array([1, gf.order], dtype=np.uint16))
+
+
 def test_equality_and_hash():
     assert GF2M(4) == GF2M(4)
     assert GF2M(4) != GF2M(5)

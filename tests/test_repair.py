@@ -7,13 +7,14 @@ import subprocess
 import sys
 import textwrap
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import msrcode
-from conftest import eval_constraints, stripe_array
-from msrcode import bandwidth_report, build_system, make_params
+from conftest import eval_constraints, stripe_array, system_for
+from msrcode import bandwidth_report, build_system, make_params, repair
 from msrcode.codec import encode_batch
 from msrcode.repair import repair_batch
 from msrcode.shardio import gamma_runs
@@ -168,6 +169,21 @@ def test_repair_batch_rebuilds_codeword_column(sys22, sys23):
         for failed in p.nodes():
             rebuilt = repair_batch(failed, helper_rows(columns, failed, p), sys_)
             assert np.array_equal(rebuilt, columns[failed])
+
+
+def test_repair_plan_is_compiled_once_per_failed_node():
+    # a repair runs the same plan on every block; only a new failed node
+    # compiles again (a fresh system: the fixtures' memoise earlier tests')
+    sys_ = system_for(2, 3, 7)
+    p = sys_.params
+    columns = encode_batch(random_block(p, np.random.default_rng(23), 3), sys_)
+    nodes = list(p.nodes())
+    compile_ = repair._compile_repair_plan
+    with mock.patch.object(repair, "_compile_repair_plan", side_effect=compile_) as spy:
+        for failed in (nodes[0], nodes[0], nodes[0], nodes[1], nodes[1], nodes[0]):
+            rebuilt = repair_batch(failed, helper_rows(columns, failed, p), sys_)
+            assert np.array_equal(rebuilt, columns[failed])
+    assert [c.args[0] for c in spy.call_args_list] == [nodes[0], nodes[1], nodes[0]]
 
 
 def test_repair_batch_validates_helpers(sys22):

@@ -156,12 +156,56 @@ def reference_symbols(data: bytes, m: int, total: int) -> list[int]:
     return [sum(bits[s * m + b] << b for b in range(m)) for s in range(total)]
 
 
-@pytest.mark.parametrize("m", [1, 3, 5, 7, 8, 13, 16])
+def reference_bytes(stream: list[int], m: int, byte_length: int) -> bytes:
+    """Bit-by-bit unpacking: m LSB-first bits per symbol, truncated."""
+    bits = [(s >> b) & 1 for s in stream for b in range(m)]
+    bits += [0] * (-len(bits) % 8)
+    return bytes(sum(bits[i + b] << b for b in range(8))
+                 for i in range(0, len(bits), 8))[:byte_length]
+
+
+@pytest.mark.parametrize("m", range(1, 17))
 def test_packing_matches_bitwise_reference(m):
     rng = random.Random(100 + m)
     data = bytes(rng.randrange(256) for _ in range(50))
     for total in (0, 400 // m - 1, 400 // m + 3):  # short of, and past, the data
-        assert symbols_from_bytes(data, m, total).tolist() == reference_symbols(data, m, total)
+        symbols = symbols_from_bytes(data, m, total)
+        assert symbols.dtype == np.uint16
+        assert symbols.tolist() == reference_symbols(data, m, total)
+        for length in (0, 7, total * m // 8):
+            assert bytes_from_symbols(symbols, m, length) == \
+                reference_bytes(symbols.tolist(), m, length)
+
+
+@pytest.mark.parametrize("m", range(1, 17))
+def test_unpacking_a_block_follows_the_stripe_stream(m):
+    # a (message_len, stripes) block, as decode passes it, with a symbol
+    # count that is not a multiple of 8: bytes in stripe-by-stripe order
+    rng = np.random.default_rng(m)
+    for message_len, stripes in [(5, 3), (9, 1), (3, 7), (8, 2)]:
+        block = rng.integers(0, 1 << m, size=(message_len, stripes)).astype(np.uint16)
+        stream = block.T.reshape(-1).tolist()
+        length = len(stream) * m // 8
+        assert bytes_from_symbols(block, m, length) == reference_bytes(stream, m, length)
+        assert symbols_from_bytes(reference_bytes(stream, m, length + 1), m,
+                                  len(stream)).tolist() == stream
+
+
+@pytest.mark.parametrize("m", range(1, 17))
+def test_packing_all_ones_has_no_shift_overflow(m):
+    # every bit set: a byte shifted in a type too narrow for it (uint8 << 8
+    # is 0 under numpy 1.24 casting as under 2.x) would drop bits
+    symbols = symbols_from_bytes(b"\xff" * (3 * m), m, 24)
+    assert symbols.dtype == np.uint16
+    assert symbols.tolist() == [(1 << m) - 1] * 24
+    assert bytes_from_symbols(symbols, m, 3 * m) == b"\xff" * (3 * m)
+    assert bytes_from_symbols(symbols.reshape(4, 6), m, 3 * m) == b"\xff" * (3 * m)
+
+
+@pytest.mark.parametrize("m", [1, 3, 8, 13])
+def test_unpacking_out_of_field_symbol_is_value_error(m):
+    with pytest.raises(ValueError, match="not an element of GF"):
+        bytes_from_symbols(np.array([[0, 1 << m]], dtype=np.uint16), m, 2)
 
 
 def test_packing_m16_is_two_byte_little_endian():
