@@ -9,7 +9,8 @@ encode, decode and repair each make one pass over 4096-stripe blocks, so
 their memory does not grow with the file.  Every file they write goes to a
 temp file, is fsynced and is renamed into place only when complete and
 checked: decode and repair rename only once every CRC they can check
-matches the manifest, and encode renames the manifest last.  A failure
+matches the manifest, and encode renames the manifest last.  After its
+renames a command fsyncs the directory that holds them, once.  A failure
 before the renames leaves every file as it was.  encode renames its shards
 one by one, so a failed rename can leave some shards new under the old
 manifest; their CRCs then disagree with it, and decode and repair exit 2.
@@ -107,6 +108,7 @@ def cmd_init(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = Manifest.for_params(params)
     manifest.write(_manifest_path(args.out_dir))
+    shardio.sync_dir(out_dir)
     print(f"initialized (q={params.q}, t={params.t}) over GF(2^{params.gf.m}), "
           f"poly={params.gf.poly:#x}, c0={params.c0}")
     print(f"n={params.n} k={params.k} d={params.d} alpha={params.alpha} beta={params.beta}")
@@ -132,10 +134,13 @@ def cmd_encode(args) -> int:
         manifest_tmp = renames.enter_context(shardio.renaming(_manifest_path(args.out_dir)))
         manifest.checksums = shardio.write_shard(
             {out_dir / shard_filename(node): manifest.header_for(node) for node in p.nodes()},
-            (codec.encode_batch(messages, sys_)
-             for messages in shardio.read_messages(src, length, p)),
+            # map, unlike a generator expression, keeps no block between
+            # calls, so the last block is freed before the next one is read
+            map(lambda messages: codec.encode_batch(messages, sys_),
+                shardio.read_messages(src, length, p)),
             renames)
         manifest.write(manifest_tmp)  # written and fsynced before any rename
+    shardio.sync_dir(out_dir)
     print(f"encoded {length} bytes into {p.n} shards "
           f"({manifest.stripe_count} stripes of {p.message_len} symbols)")
     return EXIT_OK
@@ -170,13 +175,17 @@ def cmd_decode(args) -> int:
         if len(set(nodes)) != p.k:
             raise VerificationFailure("two shard headers name the same node")
         with shardio.replacing(args.output) as out:
-            for (_, nbytes), *blocks in zip(shardio.message_blocks(manifest.file_length, p),
-                                            *(shard.blocks() for shard in shards)):
-                messages = codec.decode_batch(dict(zip(nodes, blocks)), sys_)
-                out.write(shardio.bytes_from_symbols(messages, p.gf.m, nbytes))
+            # next(), unlike zip, keeps no block: each one is freed once
+            # decoded, before its symbols are unpacked
+            readers = [shard.blocks() for shard in shards]
+            for _, nbytes in shardio.message_blocks(manifest.file_length, p):
+                out.write(shardio.bytes_from_symbols(
+                    codec.decode_batch({nd: next(r) for nd, r in zip(nodes, readers)}, sys_),
+                    p.gf.m, nbytes))
             for shard in shards:
                 if shard.crc != manifest.checksums[shard.header.node]:
                     raise VerificationFailure(f"{shard.path}: checksum mismatch")
+    shardio.sync_dir(Path(args.output).parent)
     print(f"decoded {manifest.file_length} bytes from {p.k} shards")
     return EXIT_OK
 
@@ -203,14 +212,18 @@ def cmd_repair(args) -> int:
         for nd, shard in zip(helpers, shards):
             if not manifest.matches_header(shard.header) or shard.header.node != nd:
                 raise VerificationFailure(f"{shard_filename(nd)}: header disagrees with manifest")
-        # renamed when the stack closes: only once its checksum matches
+        def rebuilt(*blocks):
+            return {failed: repair.repair_batch(failed, dict(zip(helpers, blocks)), sys_)}
+
+        # renamed when the stack closes: only once its checksum matches; map,
+        # as in encode, keeps no block between calls
         crc = shardio.write_shard(
             {path: manifest.header_for(failed)},
-            ({failed: repair.repair_batch(failed, dict(zip(helpers, blocks)), sys_)}
-             for blocks in zip(*(shard.gamma_blocks(runs) for shard in shards))),
+            map(rebuilt, *(shard.gamma_blocks(runs) for shard in shards)),
             stack)[failed]
         if crc != manifest.checksums[failed]:
             raise VerificationFailure(f"rebuilt {path.name} does not match manifest checksum")
+    shardio.sync_dir(out_dir)
     bytes_per_helper = {nd: shard.counter.bytes_read for nd, shard in zip(helpers, shards)}
 
     stripes = manifest.stripe_count

@@ -25,8 +25,9 @@ columns: the syndrome of the known symbols, read off the sparse constraints,
 then the recorded elimination of the square submatrix H_S (inverse_for).
 One sparse Gaussian elimination records that plan and computes every gf_rank.
 run_plan, the one plan runner, executes a plan on one stripe of ints or on
-a block of stripes, in a (slots, stripes) workspace: the order shards store
-a block.
+a block of stripes, (rows, stripes) as shards store a block: the input rows
+are read in place and never written, every op writes one of the output
+rows, and those come back as one (outputs, stripes) array.
 
 H exists only as sparse rows: thick_rows gives the rows of any thick
 submatrix as {column: coeff} dicts, built straight from the constraint
@@ -215,25 +216,36 @@ Plan = list[Op]
 
 def run_plan(plan: Plan, columns: Sequence, n_out: int,
              gf: GF2M) -> list[int] | np.ndarray:
-    """Run `plan` on a workspace of the rows of `columns`, in order, then
-    n_out zero rows, and return a copy of those n_out output rows (so the
-    workspace and its inputs are freed with the call).  On one stripe the
-    columns are lists of ints and the ops use gf.mul; on a block they are
-    (rows, stripes) uint16 arrays and the ops use gf.mul_vec."""
+    """Run `plan` on a workspace whose slots are the rows of `columns`, in
+    order, then n_out output rows, zero on entry, and return the output
+    rows.  Every op writes an output slot; the inputs are read in place and
+    never written.  On one stripe the columns are lists of ints, the
+    workspace is a list of ints, the ops use gf.mul and the output comes
+    back as a new list.  On a block the columns are (rows, stripes) arrays:
+    the input slots are read-only views of their rows, the output slots are
+    the rows of one zero (n_out, stripes) uint16 array, every op (through
+    gf.mul_vec) updates it in place, and that array is returned as is."""
     if isinstance(columns[0], list):
         ws = [v for col in columns for v in col] + [0] * n_out
-        mul = gf.mul
+        out, mul = None, gf.mul
     else:
-        ws = np.concatenate([*columns, np.zeros((n_out, columns[0].shape[1]), np.uint16)])
+        out = np.zeros((n_out, columns[0].shape[1]), np.uint16)
+        ws = [row for col in columns for row in col.astype(np.uint16, copy=False)]
+        for row in ws:
+            row.flags.writeable = False  # a plan that writes an input raises
+        ws += list(out)
         mul = gf.mul_vec
     for dst, coeff, src in plan:
         if dst == src:
-            ws[dst] = mul(coeff, ws[dst])
+            if out is None:
+                ws[dst] = mul(coeff, ws[dst])
+            else:
+                ws[dst][...] = mul(coeff, ws[dst])
         elif coeff == 1:
             ws[dst] ^= ws[src]
         else:
             ws[dst] ^= mul(coeff, ws[src])
-    return ws[len(ws) - n_out :].copy()
+    return ws[len(ws) - n_out :] if out is None else out
 
 
 def check_columns(columns: Sequence, rows: int, gf: GF2M) -> None:

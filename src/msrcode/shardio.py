@@ -17,26 +17,30 @@ ShardReader, which checks the header and the file size before any payload
 read, then streams whole (alpha, stripes) blocks as read (keeping a running
 CRC-32 of the bytes it read, in file order) or only the helper-row runs of
 each block, as (beta, stripes); read_shard and read_gamma join the blocks.
+No reader or writer keeps a block once the next one is read.
 `write_shard` writes one or more shards in one pass over a stream of
 blocks, through a ShardWriter per shard that takes exactly the next block
 and keeps a running CRC-32.  Every file written here goes to <name>.tmp, is
 fsynced, and only then is renamed over <name> (`renaming`, `replacing`), so
 an error or a crash part-way never leaves a partial file under the real
-name.
+name; a command fsyncs each directory once after its last rename there
+(`sync_dir`), so the renames are durable too.
 
 Files are packed m bits per message symbol, LSB-first within each byte, so
-any byte stream round-trips through any field; at m=16 this is exactly two
-bytes little-endian per symbol.  Eight m-bit symbols are exactly m bytes,
-so packing works on whole 8-symbol groups, viewed as a (groups, m) byte
-array: each of the 8 symbol columns is built from the (at most 3) byte
-columns its bits span, and unpacking builds each of the m byte columns
-from the symbol columns its bits span, all widened to uint32 before any
-shift.  A payload block of stripes packs BLOCK_STRIPES * message_len * m
-/ 8 input bytes, a whole number because BLOCK_STRIPES is a multiple of 8,
-so an input packed block by block (`read_messages`) gives the symbols of
-a whole-file packing; the stream runs stripe by stripe, so a (message_len,
-stripes) block is its transpose.  file_length in the header/manifest
-recovers the exact byte count after the zero-fill to a whole stripe.
+any byte stream round-trips through any field.  At m = 8 or 16 a symbol is
+whole little-endian bytes, so packing is one widening copy and unpacking a
+range check and one narrowing copy.  For other m, eight m-bit symbols are
+exactly m bytes, so packing works on whole 8-symbol groups, viewed as a
+(groups, m) byte array: each of the 8 symbol columns is built from the (at
+most 3) byte columns its bits span, and unpacking builds each of the m
+byte columns from the symbol columns its bits span, all widened to uint32
+before any shift.  A payload block of stripes packs BLOCK_STRIPES *
+message_len * m / 8 input bytes, a whole number because BLOCK_STRIPES is a
+multiple of 8, so an input packed block by block (`read_messages`) gives
+the symbols of a whole-file packing; the stream runs stripe by stripe, so
+a (message_len, stripes) block is its transpose, which read_messages
+copies out contiguous.  file_length in the header/manifest recovers the
+exact byte count after the zero-fill to a whole stripe.
 """
 
 from __future__ import annotations
@@ -217,9 +221,17 @@ def stripe_count_for(file_length: int, message_len: int, m: int) -> int:
 
 def symbols_from_bytes(data: bytes, m: int, total_symbols: int) -> np.ndarray:
     """Pack a byte stream into symbols: m bits each, LSB-first; zero-fills
-    past the end of the data.  Works on 8-symbol groups, which are m bytes
-    each: symbol j of every group is the OR of the (at most 3) byte
-    columns its bits span, each widened to uint32 and shifted into place."""
+    past the end of the data.  When m is 8 or 16 a symbol is whole
+    little-endian bytes, so this is one widening copy.  Otherwise it works
+    on 8-symbol groups, which are m bytes each: symbol j of every group is
+    the OR of the (at most 3) byte columns its bits span, each widened to
+    uint32 and shifted into place."""
+    if m % 8 == 0:
+        out = np.zeros(total_symbols, "<u2")
+        dst = out if m == 8 else out.view(np.uint8)
+        count = min(len(data), dst.size)
+        dst[:count] = np.frombuffer(data, dtype=np.uint8, count=count)
+        return out.astype(np.uint16, copy=False)
     groups = -(-total_symbols // 8)
     raw = np.zeros(groups * m, dtype=np.uint8)
     count = min(len(data), raw.size)
@@ -241,27 +253,34 @@ def symbols_from_bytes(data: bytes, m: int, total_symbols: int) -> np.ndarray:
 def bytes_from_symbols(symbols: np.ndarray, m: int, byte_length: int) -> bytes:
     """Inverse of symbols_from_bytes, truncated to the original byte count.
     `symbols` is a (message_len, stripes) block, or a flat symbol stream;
-    its transpose, in stream order, is copied once into 8-symbol groups,
-    then byte b of every group is the OR of the symbol planes its bits
-    span (at most ceil(8/m) + 1), widened to uint32 before any shift.  Raises ValueError
-    on a symbol of more than m bits, whose high bits would land in the
-    next symbol's."""
-    stream = symbols.T
+    its transpose is the stream order.  Raises ValueError on a symbol of
+    more than m bits, whose high bits would land in the next symbol's.
+    When m is 8 or 16 this is the range check plus one narrowing copy of
+    the transpose into whole little-endian bytes.  Otherwise the transpose
+    is copied once into 8-symbol groups, then byte b of every group is the
+    OR of the symbol columns its bits span (at most ceil(8/m) + 1), each
+    widened to uint32 before any shift."""
+    stream = symbols.T.astype(np.uint16, copy=False)
+    if m % 8 == 0:
+        if m == 8 and int(stream.max(initial=0)) >> m:
+            raise ValueError(f"a symbol is not an element of GF(2^{m})")
+        out = np.empty(stream.shape, "<u1" if m == 8 else "<u2")
+        out[...] = stream
+        return out.reshape(-1).view(np.uint8)[:byte_length].tobytes()
     total = stream.size
     groups = -(-total // 8)
     grouped = np.zeros((groups, 8), dtype=np.uint16)
     grouped.reshape(-1)[:total].reshape(stream.shape)[...] = stream
     if int(grouped.max(initial=0)) >> m:
         raise ValueError(f"a symbol is not an element of GF(2^{m})")
-    planes = grouped.T.astype(np.uint32, order="C")  # planes[j]: symbol j of each group
     out = np.empty((groups, m), dtype=np.uint8)
     for b in range(m):
         first, last = 8 * b // m, (8 * b + 7) // m
-        acc = planes[first] >> (8 * b - first * m)
+        acc = grouped[:, first].astype(np.uint32) >> (8 * b - first * m)
         for j in range(first + 1, last + 1):
-            acc |= planes[j] << (j * m - 8 * b)
+            acc |= grouped[:, j].astype(np.uint32) << (j * m - 8 * b)
         out[:, b] = acc  # keeps the low 8 bits
-    return out.tobytes()[: min(byte_length, -(-total * m // 8))]
+    return out.reshape(-1)[: min(byte_length, -(-total * m // 8))].tobytes()
 
 
 # -- crash-safe writes ---------------------------------------------------------
@@ -283,6 +302,17 @@ def renaming(path: Path | str) -> Iterator[Path]:
 def _sync(f: BinaryIO) -> None:
     f.flush()
     os.fsync(f.fileno())
+
+
+def sync_dir(path: Path | str) -> None:
+    """fsync the directory `path`, so the renames made in it are durable:
+    a rename is in the directory's entries, which a file's fsync leaves
+    unsynced."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 @contextmanager
@@ -308,13 +338,21 @@ def message_blocks(file_length: int, params: CodeParams) -> Iterator[tuple[int, 
 def read_messages(src: BinaryIO, file_length: int,
                   params: CodeParams) -> Iterator[np.ndarray]:
     """Read a file_length-byte input one payload block at a time, yielding
-    each block's packed symbols as a (message_len, stripes) view."""
+    each block's packed symbols as a contiguous (message_len, stripes)
+    array, so the plan reads whole rows.  Between blocks it holds nothing
+    it read."""
     for stripes, nbytes in message_blocks(file_length, params):
-        data = src.read(nbytes)
-        if len(data) != nbytes:
-            raise OSError(f"input is shorter than {file_length} bytes; it changed while read")
-        symbols = symbols_from_bytes(data, params.gf.m, stripes * params.message_len)
-        yield symbols.reshape(stripes, params.message_len).T
+        yield _message_block(src, stripes, nbytes, file_length, params)
+
+
+def _message_block(src: BinaryIO, stripes: int, nbytes: int, file_length: int,
+                   params: CodeParams) -> np.ndarray:
+    data = src.read(nbytes)
+    if len(data) != nbytes:
+        raise OSError(f"input is shorter than {file_length} bytes; it changed while read")
+    symbols = symbols_from_bytes(data, params.gf.m, stripes * params.message_len)
+    del data  # freed before the transposing copy
+    return np.ascontiguousarray(symbols.reshape(stripes, params.message_len).T)
 
 
 # -- shard reading/writing ----------------------------------------------------
@@ -370,6 +408,7 @@ def write_shard(shards: Mapping[Path | str, ShardHeader],
         for block in blocks:
             for writer in writers.values():
                 writer.write(block[writer.header.node])
+            del block  # freed before the next block is built
         for path, writer in writers.items():
             if writer.stripes_written != writer.header.stripe_count:
                 raise ValueError(f"{path}: {writer.stripes_written} of "
@@ -423,23 +462,29 @@ class ShardReader:
         self.crc = zlib.crc32(head)  # of the bytes read in file order so far
         _check_file_size(f, self.header, path)
 
-    def _symbols(self, count: int) -> tuple[bytes, np.ndarray]:
-        data = self.counter.read(count * 2)
-        if len(data) != count * 2:
+    def _rows(self, rows: int, width: int, at: int | None = None) -> np.ndarray:
+        """The next rows*width symbols as a (rows, width) array, checked to
+        be field symbols: read in file order, which extends `crc`, or, with
+        `at`, from that byte offset."""
+        if at is not None:
+            self.counter.seek(at)
+        data = self.counter.read(rows * width * 2)
+        if len(data) != rows * width * 2:
             raise ShardFormatError(f"{self.path}: truncated shard payload")
-        symbols = np.frombuffer(data, dtype="<u2")
+        symbols = np.frombuffer(data, dtype="<u2").reshape(rows, width)
         if self.header.m < 16 and int(symbols.max()) >= 1 << self.header.m:
             raise ShardFormatError(f"{self.path}: symbol out of range for GF(2^{self.header.m})")
-        return data, symbols
+        if at is None:
+            self.crc = zlib.crc32(data, self.crc)
+        return symbols
 
     def blocks(self) -> Iterator[np.ndarray]:
         """The (alpha, stripes) rows of every block, as read, in file order.
-        Once it is exhausted, `crc` is the CRC-32 of the whole file."""
+        Once it is exhausted, `crc` is the CRC-32 of the whole file.  Between
+        blocks it holds none of the bytes it read."""
         alpha = self.header.q**self.header.t
         for lo, hi in _blocks(self.header.stripe_count):
-            data, symbols = self._symbols(alpha * (hi - lo))
-            self.crc = zlib.crc32(data, self.crc)
-            yield symbols.reshape(alpha, hi - lo)
+            yield self._rows(alpha, hi - lo)
 
     def gamma_blocks(self, runs: list[tuple[int, int]]) -> Iterator[np.ndarray]:
         """The rows in `runs` ((start ordinal, length) pairs) of every block,
@@ -449,12 +494,9 @@ class ShardReader:
         base = HEADER_LEN
         for lo, hi in _blocks(self.header.stripe_count):
             width = hi - lo
-            rows = []
-            for start, length in runs:
-                self.counter.seek(base + payload_bytes(width, start))
-                rows.append(self._symbols(length * width)[1].reshape(length, width))
+            yield np.concatenate([self._rows(length, width, at=base + payload_bytes(width, start))
+                                  for start, length in runs])
             base += payload_bytes(width, alpha)
-            yield np.concatenate(rows)
 
 
 @contextmanager

@@ -11,6 +11,7 @@ import hashlib
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from conftest import BAD_C0, FOUND_C0
@@ -443,6 +444,31 @@ def test_plan_fingerprint(q, t, m, c0):
         digest.update(f"{node} {repair_plan(node, sys_)!r}\n".encode())
     assert digest.hexdigest() == PLAN_FINGERPRINTS[(q, t, m, c0)]
     assert singular == (3 if c0 == 7 else 0)  # c0 = 7 at (3,2,4) is not MDS
+
+
+@pytest.mark.parametrize("q,t,m,c0", list(PLAN_FINGERPRINTS))
+def test_plans_write_only_output_slots_and_run_plan_reads_inputs_in_place(q, t, m, c0):
+    # run_plan reads its input rows in place, as read-only views, so every
+    # plan may write only the output slots that follow the inputs
+    p = make_params(q, t, m)
+    sys_ = build_system(p, c0)
+    cases = []  # (plan, input column count, rows per input column, output rows)
+    for subset in node_subsets(p, p.q):
+        try:
+            cases.append((sys_.completion_map(subset), p.k, p.alpha, p.q * p.alpha))
+        except ValueError:  # a singular H_S has no plan
+            pass
+    cases += [(repair_plan(node, sys_), p.d, p.beta, p.alpha) for node in p.nodes()]
+    rng = np.random.default_rng(m)
+    for plan, count, rows, n_out in cases:
+        n_in = count * rows
+        assert all(n_in <= dst < n_in + n_out and src < n_in + n_out for dst, _, src in plan)
+        inputs = [rng.integers(0, 1 << m, (rows, 5), dtype=np.uint16) for _ in range(count)]
+        before = [col.copy() for col in inputs]
+        out = run_plan(plan, inputs, n_out, p.gf)
+        assert out.shape == (n_out, 5) and out.flags.writeable
+        for col, old in zip(inputs, before):
+            assert col.flags.writeable and np.array_equal(col, old)
 
 
 # -- MDS checks and the c0 search --------------------------------------------------

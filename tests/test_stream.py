@@ -7,9 +7,11 @@ import contextlib
 import errno
 import os
 import random
+import stat
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -181,6 +183,32 @@ def test_cli_peak_rss_does_not_grow_with_the_input(tmp_path):
         assert large - small < 10, rss
 
 
+@pytest.mark.parametrize("qtm", [(3, 3, 8), (2, 3, 3)])
+def test_cli_working_set_is_a_few_blocks(tmp_path, qtm):
+    # the traced peak of an in-process encode and decode of 3.5 blocks stays
+    # under 4 blocks' worth of uint16 message symbols (8 input blocks at
+    # m = 8): the block path holds each block's symbols a small number of
+    # times and drops every block before it reads the next
+    p = find_code(*qtm)
+    store = tmp_path / "store"
+    new_store(store, p)
+    symbol_block = shardio.BLOCK_STRIPES * p.message_len * 2
+    src, out = tmp_path / "in.bin", tmp_path / "out.bin"
+    src.write_bytes(os.urandom(7 * shardio.BLOCK_STRIPES * p.message_len * p.gf.m // 16))
+    shards = [str(store / shard_filename(nd)) for nd in list(p.nodes())[-p.k:]]
+    for argv in (["encode", str(src), "--out-dir", str(store)],
+                 ["decode", str(out), *shards]):
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK
+        assert peak < 4 * symbol_block, (argv[0], peak / symbol_block)
+    assert out.read_bytes() == src.read_bytes()
+
+
 # -- fault injection -----------------------------------------------------------------
 
 CODES = [(2, 2), (2, 3)]
@@ -236,10 +264,12 @@ def test_faults_give_right_bytes_or_exit_2_3_and_touch_nothing(codes, qt, old, n
     the files it reads (a shard or the manifest), or with an OSError at one
     of its writes, fsyncs or renames.  Either the command exits 0 with the
     right bytes, or it exits 2 or 3 with no .tmp file left behind, and every
-    file is as it was before.  The one exception is a failed rename in
-    encode, which renames its shards one by one: then the manifest is as it
-    was, and any k shards decode to the old bytes or exit 2, never to wrong
-    bytes.  encode reads no shard, so it only meets write-side faults."""
+    file is as it was before.  The exceptions: a failed rename in encode,
+    which renames its shards one by one, leaves the manifest as it was, and
+    any k shards decode to the old bytes or exit 2, never to wrong bytes;
+    and a failed fsync of the directory, which comes after every rename,
+    exits 3 with the files as on success.  encode reads no shard, so it
+    only meets write-side faults."""
     command, fault = job
     pick = random.Random(seed)  # uniform positions, unlike a Hypothesis-drawn Random
     p = codes[qt]
@@ -262,12 +292,15 @@ def test_faults_give_right_bytes_or_exit_2_3_and_touch_nothing(codes, qt, old, n
             (store / shard_filename(failed)).unlink()
         probe = Probe()
         syscall = contextlib.nullcontext()
+        late = False
         if fault == "write":
             probe.writes_left = pick.randrange(16)
         elif fault in SYSCALLS:  # encode makes n + 1 of each call, the others 1
             calls = p.n + 1 if command == "encode" else 1
-            syscall = mock.patch.object(os, fault, failing_at(getattr(os, fault),
-                                                              pick.randrange(calls + 1)))
+            fail_at = pick.randrange(calls + 1)
+            # the next fsync is the directory's, made once every rename is done
+            late = fault == "fsync" and fail_at == calls
+            syscall = mock.patch.object(os, fault, failing_at(getattr(os, fault), fail_at))
         else:  # damage the manifest or a shard the command reads
             victims = [shardio.MANIFEST_NAME] + [shard_filename(nd) for nd in read]
             victim = store / pick.choice(victims)
@@ -286,7 +319,9 @@ def test_faults_give_right_bytes_or_exit_2_3_and_touch_nothing(codes, qt, old, n
         event(f"{command} after {fault}: exit {code}")
         after = snapshot(root)
         assert not [name for name in after if name.endswith(".tmp")]
-        if code != EXIT_OK:
+        if late:  # the files are as on success; only their renames may not last
+            assert code == EXIT_IO
+        if code != EXIT_OK and not late:
             assert code in (EXIT_VERIFY, EXIT_IO)
             if (command, fault) != ("encode", "replace"):
                 assert after == before
@@ -310,3 +345,47 @@ def test_faults_give_right_bytes_or_exit_2_3_and_touch_nothing(codes, qt, old, n
             shards = [str(store / shard_filename(nd)) for nd in nodes[:p.k]]
             assert main(["decode", str(decoded), *shards]) == EXIT_OK
             assert decoded.read_bytes() == new
+
+
+def test_each_command_fsyncs_its_directory_once_after_its_renames(tmp_path, monkeypatch):
+    # a rename lasts only once its directory is fsynced: each command fsyncs
+    # the directory it renamed into, once, after its last rename there
+    monkeypatch.setattr(shardio, "BLOCK_STRIPES", 8)
+    events = []
+    real_fsync, real_replace = os.fsync, os.replace
+
+    def ident(path):
+        st = os.stat(path)
+        return st.st_dev, st.st_ino
+
+    def fsync(fd):
+        st = os.fstat(fd)
+        if stat.S_ISDIR(st.st_mode):
+            events.append(("fsync", (st.st_dev, st.st_ino)))
+        return real_fsync(fd)
+
+    def replace(src, dst):
+        real_replace(src, dst)
+        events.append(("rename", ident(Path(dst).parent)))
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(os, "replace", replace)
+    store, elsewhere = tmp_path / "store", tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    src = tmp_path / "in.bin"
+    src.write_bytes(os.urandom(5 * 8 * 8 * 3 // 8))  # 5 blocks at (2,2,3)
+    shards = [str(store / shard_filename(nd)) for nd in [(1, 1), (2, 0)]]
+    for argv, directory in [
+        (["init", "--q", "2", "--t", "2", "--out-dir", str(store)], store),
+        (["encode", str(src), "--out-dir", str(store)], store),
+        (["repair", "--node", "1,0", "--out-dir", str(store)], store),
+        (["decode", str(elsewhere / "out.bin"), *shards], elsewhere),
+    ]:
+        if argv[0] == "repair":
+            (store / shard_filename((1, 0))).unlink()
+        events.clear()
+        assert main(argv) == EXIT_OK
+        synced = ("fsync", ident(directory))
+        assert [e for e in events if e[0] == "fsync"] == [synced], argv[0]
+        assert ("rename", ident(directory)) in events and events[-1] == synced, argv[0]
+    assert (elsewhere / "out.bin").read_bytes() == src.read_bytes()
