@@ -14,9 +14,7 @@ on blocks of stripes, numpy uint16 arrays of (rows, stripes).
 from .gf import GF2M, default_poly, is_irreducible, ring_sub
 from .params import CodeParams, make_params
 from .parity import (
-    Constraint,
     ParityCheckSystem,
-    Term,
     build_hmds,
     build_system,
     check_mds_ranks,
@@ -37,8 +35,6 @@ __all__ = [
     "ring_sub",
     "CodeParams",
     "make_params",
-    "Term",
-    "Constraint",
     "ParityCheckSystem",
     "build_hmds",
     "build_system",

@@ -139,7 +139,8 @@ def cmd_encode(args) -> int:
             map(lambda messages: codec.encode_batch(messages, sys_),
                 shardio.read_messages(src, length, p)),
             renames)
-        manifest.write(manifest_tmp)  # written and fsynced before any rename
+        with shardio.synced(manifest_tmp) as f:  # written and fsynced before any rename
+            f.write(manifest.to_text().encode())
     shardio.sync_dir(out_dir)
     print(f"encoded {length} bytes into {p.n} shards "
           f"({manifest.stripe_count} stripes of {p.message_len} symbols)")

@@ -18,82 +18,54 @@ property is equivalent to every q-thick-column submatrix having full rank
 q^(t+1); find_c0 scans nonzero candidates in ascending order, drops each
 at its first rank-deficient subset and returns the first that passes all.
 
-Every linear solve of the codec and of repair is compiled into a Plan: a
-straight-line list of GF ops (dst, coeff, src) on a workspace of symbol
-slots.  completion_map(missing) is the plan that fills q erased thick
-columns: the syndrome of the known symbols, read off the sparse constraints,
-then the recorded elimination of the square submatrix H_S (inverse_for).
-One sparse Gaussian elimination records that plan and computes every gf_rank.
-run_plan, the one plan runner, executes a plan on one stripe of ints or on
-a block of stripes, (rows, stripes) as shards store a block: the input rows
-are read in place and never written, every op writes one of the output
-rows, and those come back as one (outputs, stripes) array.
+H is held in one form: constraint delta*alpha + r, anchored on row ordinal
+r, is a tuple of (node ordinal, row ordinal, coeff) triples.  thick_rows
+reads any thick submatrix off a sorted copy, as sparse {column: coeff}
+rows; no dense matrix is formed.
 
-H exists only as sparse rows: thick_rows gives the rows of any thick
-submatrix as {column: coeff} dicts, built straight from the constraint
-terms, and the elimination works on them with a column -> rows index, so
-no dense matrix is formed.
+Every solve is compiled once by compile_plan into a Plan, a straight-line
+list of GF ops (dst, coeff, src) on a workspace of symbol slots: it solves
+missing thick columns from chosen constraints, as the syndrome of the
+known symbols then the recorded sparse elimination (inverse_for), and
+refuses a constraint that reads a symbol neither missing nor known.
+completion_map is that for q erased nodes over every constraint;
+repair.repair_plan that for one failed node over its gamma-anchored ones.
+run_plan, the one runner, executes a plan on one stripe of ints or on a
+(rows, stripes) block, reading its input rows in place and writing one
+(outputs, stripes) array.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from ._lazy import np
 from .gf import GF2M, ring_sub
-from .params import CodeParams, Node, Row, make_params, smallest_field_degree
+from .params import CodeParams, Node, make_params, smallest_field_degree
 
 # Exhaustive-check ceiling: refuse (rather than silently sample) when the
 # number of size-q node subsets exceeds this.
 MAX_SUBSET_CHECKS = 10**6
 
 
-class Term(NamedTuple):
-    """One summand coeff * C(row; node) of a parity-check constraint."""
-
-    row: Row
-    node: Node
-    coeff: int
-
-
-@dataclass(frozen=True)
-class Constraint:
-    """One parity-check equation: sum of terms equals zero.
-
-    delta = 0 constraints hold n in-row terms; delta != 0 constraints hold
-    those plus t shifted terms (rows off the anchor).
-    """
-
-    delta: int
-    anchor: Row
-    terms: tuple[Term, ...]
-
-
 class ParityCheckSystem:
-    """All q^(t+1) constraints of one code instance, delta-major then
-    anchor-row ordinal, together with the Vandermonde coefficient matrix.
-
-    Each constraint's terms are also kept as (node ordinal, row ordinal,
-    coeff) triples: in term order, for the syndrome of a plan, and sorted,
-    which is the column order of H, for its sparse rows (thick_rows).
-
-    Immutable once built (the memoised last plan of each kind is confined
-    to single-threaded use)."""
+    """All q^(t+1) constraints of one code instance and the Vandermonde
+    coefficient matrix.  `terms` holds each constraint's triples in term
+    order (the n in-row terms in node order, then for delta != 0 the t
+    shifted terms in class order), which the syndrome of a plan reads; a
+    sorted copy, the column order of H, gives thick_rows.  Immutable once
+    built (the memoised last plan of each kind is confined to
+    single-threaded use)."""
 
     def __init__(self, params: CodeParams, hmds: list[list[int]], c0: int,
-                 constraints: list[Constraint]):
+                 terms: Iterable[Iterable[tuple[int, int, int]]]):
         self.params = params
         self.hmds = hmds
         self.c0 = c0
-        self.constraints = constraints
-        node_ord = {nd: o for o, nd in enumerate(params.nodes())}
-        row_ord = {row: o for o, row in enumerate(params.rows())}
-        self._terms = [tuple((node_ord[t.node], row_ord[t.row], t.coeff) for t in con.terms)
-                       for con in constraints]
-        self._sorted_terms = [sorted(terms) for terms in self._terms]
+        self.terms = tuple(map(tuple, terms))
+        self._sorted_terms = [sorted(terms) for terms in self.terms]
         # support disjointness: no two terms of one constraint on one symbol
         # (in-row and shifted entries differ in row, classes differ in node)
         if any(len({(node, row) for node, row, _ in terms}) != len(terms)
@@ -103,11 +75,7 @@ class ParityCheckSystem:
 
     @property
     def n_constraints(self) -> int:
-        return len(self.constraints)
-
-    def constraint(self, delta: int, anchor: Row) -> Constraint:
-        p = self.params
-        return self.constraints[delta * p.alpha + p.row_ordinal(anchor)]
+        return len(self.terms)
 
     def thick_rows(self, nodes: Iterable[Node]) -> list[SparseRow]:
         """The rows of the thick submatrix over `nodes`, sparse: one
@@ -123,14 +91,18 @@ class ParityCheckSystem:
         return [{base[node] + row: coeff for node, row, coeff in terms if node in base}
                 for terms in self._sorted_terms]
 
-    def inverse_for(self, missing: Iterable[Node]) -> Elimination:
-        """Recorded elimination of the square thick submatrix H_S over
-        `missing` (|missing| = q); raises ValueError if H_S is singular."""
+    def inverse_for(self, missing: Iterable[Node], constraints: Sequence[int]) -> Elimination:
+        """Recorded elimination of the thick submatrix over `missing` on the
+        rows of `constraints`; raises ValueError unless it is square and
+        nonsingular."""
         p = self.params
-        key = tuple(sorted(set(missing), key=p.node_ordinal))
-        if len(key) != p.q:
-            raise ValueError(f"need exactly {p.q} missing nodes, got {len(key)}")
-        return _eliminate(self.thick_rows(key), p.gf)
+        key = sorted(set(missing), key=p.node_ordinal)
+        all_rows = self.thick_rows(key)
+        rows = [all_rows[c] for c in constraints]
+        if len(rows) != len(key) * p.alpha:
+            raise ValueError(f"{len(rows)} constraints cannot solve "
+                             f"{len(key) * p.alpha} unknowns")
+        return _eliminate(rows, p.gf)
 
     def last_plan(self, kind: str, key, compile_: Callable[[], Plan]) -> Plan:
         """The plan compile_() returns, memoised for the last key of each
@@ -140,29 +112,44 @@ class ParityCheckSystem:
             last = self._last_plans[kind] = (key, compile_())
         return last[1]
 
+    def compile_plan(self, missing: Sequence[Node], constraints: Sequence[int],
+                     slot_of: Mapping[int, int]) -> Plan:
+        """Plan that solves the `missing` thick columns from `constraints`.
+        `slot_of` maps each known symbol, by its column node*alpha + row of
+        H, to its input slot, 0..len(slot_of)-1; the missing columns follow,
+        node-major in node order, alpha row-ordinal slots each.  Raises
+        ValueError if a constraint reads a symbol neither missing nor known,
+        or unless the system is square and nonsingular."""
+        p = self.params
+        elim = self.inverse_for(missing, constraints)
+        lost = {p.node_ordinal(nd) for nd in missing}
+        out, alpha, slot = len(slot_of), p.alpha, slot_of.get
+        plan = []
+        for r, c in enumerate(constraints):
+            dst = out + elim.slot_of_row[r]
+            for node, row, coeff in self.terms[c]:
+                src = slot(node * alpha + row)
+                if src is not None:
+                    plan.append((dst, coeff, src))
+                elif node not in lost:
+                    raise ValueError(f"constraint {c} reads node {p.node_at(node)}'s symbol on "
+                                     f"row {p.row_at(row)}, which is neither missing nor sent")
+        plan += [(out + dst, coeff, out + src) for dst, coeff, src in elim.plan]
+        return plan
+
     def completion_map(self, missing: Iterable[Node]) -> Plan:
-        """Plan that fills the q `missing` thick columns from the others, on
+        """compile_plan for the q `missing` nodes over every constraint, on
         a workspace of n*alpha slots: the known columns, then the missing
-        ones (zero on entry), each group in node order with alpha
-        row-ordinal slots per column.  Only the last plan is memoised."""
+        ones, in node order.  Only the last plan is memoised."""
         key = tuple(sorted(set(missing), key=self.params.node_ordinal))
         return self.last_plan("completion", key, lambda: self._completion_plan(key))
 
     def _completion_plan(self, key: tuple[Node, ...]) -> Plan:
         p = self.params
-        elim = self.inverse_for(key)
-        lost = {p.node_ordinal(nd) for nd in key}
-        base = {node: i * p.alpha for i, node in enumerate(o for o in range(p.n) if o not in lost)}
-        out = p.k * p.alpha  # slot out + j holds unknown j of H_S
-        # syndrome of constraint r, accumulated where its pivot's unknown lives
-        plan = [
-            (out + elim.slot_of_row[r], coeff, base[node] + row)
-            for r, terms in enumerate(self._terms)
-            for node, row, coeff in terms
-            if node in base
-        ]
-        plan += [(out + dst, coeff, out + src) for dst, coeff, src in elim.plan]
-        return plan
+        known = [p.node_ordinal(nd) for nd in p.nodes() if nd not in key]
+        slot_of = {o * p.alpha + row: i * p.alpha + row
+                   for i, o in enumerate(known) for row in range(p.alpha)}
+        return self.compile_plan(key, range(self.n_constraints), slot_of)
 
 
 def build_hmds(params: CodeParams) -> list[list[int]]:
@@ -184,26 +171,22 @@ def build_system(params: CodeParams, c0: int) -> ParityCheckSystem:
     c0 = 0 is permitted only for diagnostics (it yields exactly the
     Kronecker block matrix without the shifted entries); encoders reject it.
     """
-    gf = params.gf
-    gf.validate(c0)
+    q, t = params.q, params.t
+    params.gf.validate(c0)
     hmds = build_hmds(params)
-    node_list = list(params.nodes())
-    node_ord = {nd: o for o, nd in enumerate(node_list)}
-    constraints = []
-    for delta in range(params.q):
+    terms = []
+    for delta in range(q):
         coeff_row = hmds[delta]
-        for anchor in params.rows():
-            terms = [
-                Term(anchor, nd, coeff_row[node_ord[nd]]) for nd in node_list
-            ]
+        for r, anchor in enumerate(params.rows()):
+            con = [(node, r, coeff_row[node]) for node in range(params.n)]
             if delta != 0 and c0 != 0:
-                for j in range(1, params.t + 1):
-                    xj = anchor[j - 1]
-                    shifted = list(anchor)
-                    shifted[j - 1] = ring_sub(xj, delta, params.q)
-                    terms.append(Term(tuple(shifted), (j, xj), c0))
-            constraints.append(Constraint(delta, anchor, tuple(terms)))
-    return ParityCheckSystem(params, hmds, c0, constraints)
+                # class j's shifted term: node (j, x_j) on the anchor row
+                # with x_j replaced by x_j - delta (mod q)
+                for j, xj in enumerate(anchor, start=1):
+                    shift = (ring_sub(xj, delta, q) - xj) * q ** (t - j)
+                    con.append((params.node_ordinal((j, xj)), r + shift, c0))
+            terms.append(con)
+    return ParityCheckSystem(params, hmds, c0, terms)
 
 
 # -- solve plans and GF linear algebra ----------------------------------------
@@ -360,12 +343,11 @@ def _eliminate(rows: list[SparseRow], gf: GF2M) -> Elimination:
 # -- MDS verification and the c0 search ---------------------------------------
 
 
-def node_subsets(params: CodeParams, size: int,
-                 max_subsets: int = MAX_SUBSET_CHECKS) -> Iterable[tuple[Node, ...]]:
+def node_subsets(params: CodeParams, size: int) -> Iterable[tuple[Node, ...]]:
     total = math.comb(params.n, size)
-    if total > max_subsets:
+    if total > MAX_SUBSET_CHECKS:
         raise ValueError(
-            f"{total} subsets exceed the exhaustive-check cap {max_subsets}; "
+            f"{total} subsets exceed the exhaustive-check cap {MAX_SUBSET_CHECKS}; "
             "refusing to sample"
         )
     return itertools.combinations(params.nodes(), size)

@@ -162,6 +162,8 @@ class Manifest:
             if not sep:
                 raise ShardFormatError(f"manifest line {lineno} is not key=value: {line!r}")
             if key in _REQUIRED_KEYS:
+                if key in values:  # fail closed: no silent last-one-wins
+                    raise ShardFormatError(f"manifest repeats {key!r}")
                 try:
                     values[key] = int(value)
                 except ValueError:
@@ -169,9 +171,12 @@ class Manifest:
             elif key.startswith("checksum_"):
                 try:
                     _, i, theta = key.split("_")
-                    checksums[(int(i), int(theta))] = int(value, 16)
+                    node, crc = (int(i), int(theta)), int(value, 16)
                 except ValueError:
                     raise ShardFormatError(f"bad checksum key {key!r}") from None
+                if node in checksums:
+                    raise ShardFormatError(f"manifest repeats the checksum of node {node}")
+                checksums[node] = crc
             else:
                 raise ShardFormatError(f"unknown manifest key {key!r}")
         missing = [k for k in _REQUIRED_KEYS if k not in values]
@@ -316,12 +321,19 @@ def sync_dir(path: Path | str) -> None:
 
 
 @contextmanager
+def synced(path: Path | str) -> Iterator[BinaryIO]:
+    """Yield `path` open for writing; on a clean exit it is fsynced."""
+    with open(path, "wb") as f:
+        yield f
+        _sync(f)
+
+
+@contextmanager
 def replacing(path: Path | str) -> Iterator[BinaryIO]:
     """Yield <path>.tmp open for writing; on a clean exit it is fsynced and
     renamed over `path` (see `renaming`)."""
-    with renaming(path) as tmp, open(tmp, "wb") as f:
+    with renaming(path) as tmp, synced(tmp) as f:
         yield f
-        _sync(f)
 
 
 # -- streaming the input ----------------------------------------------------------

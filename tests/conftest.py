@@ -53,14 +53,14 @@ def all_systems(sys22, sys32, sys23):
 
 
 def eval_constraints(codeword, sys_):
-    """Oracle: evaluate every constraint straight off its term list, on a
-    {node: column} codeword of one stripe."""
+    """Oracle: evaluate every constraint straight off its (node ordinal, row
+    ordinal, coeff) triples, on a {node: column} codeword of one stripe."""
     p = sys_.params
     residuals = []
-    for con in sys_.constraints:
+    for con in sys_.terms:
         acc = 0
-        for term in con.terms:
-            acc ^= p.gf.mul(term.coeff, codeword[term.node][p.row_ordinal(term.row)])
+        for node, row, coeff in con:
+            acc ^= p.gf.mul(coeff, codeword[p.node_at(node)][row])
         residuals.append(acc)
     return residuals
 

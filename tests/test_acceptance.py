@@ -143,8 +143,11 @@ def test_criterion_5_parameter_identities():
             p.alpha == (p.k // (p.t - 1)) ** p.t == (p.n // p.t) ** p.t,
             p.rate == Fraction(t - 1, t),
             sys_.n_constraints == q ** (t + 1),
-            all(len(c.terms) == p.n for c in sys_.constraints if c.delta == 0),
-            all(len(c.terms) == p.n + p.t for c in sys_.constraints if c.delta != 0),
+            # constraint idx has delta = divmod(idx, alpha)[0]
+            all(len(con) == p.n for idx, con in enumerate(sys_.terms)
+                if divmod(idx, p.alpha)[0] == 0),
+            all(len(con) == p.n + p.t for idx, con in enumerate(sys_.terms)
+                if divmod(idx, p.alpha)[0] != 0),
         ]
         if not all(checks):
             problems.append(f"identity {checks.index(False)} fails at {(q, t, m)}")

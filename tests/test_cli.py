@@ -15,7 +15,7 @@ from unittest import mock
 import pytest
 
 import msrcode
-from msrcode import make_params, parity
+from msrcode import make_params, parity, shardio
 from msrcode.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
 from msrcode.shardio import BLOCK_STRIPES, HEADER_LEN, Manifest, read_shard, shard_filename
 
@@ -85,6 +85,33 @@ def test_encode_writes_n_shards_and_checksums(store22):
     man = Manifest.read(store / "manifest.txt")
     assert man.file_length == len(data)
     assert len(man.checksums) == 4
+
+
+def test_encode_renames_n_plus_one_files_once_each(tmp_path, monkeypatch):
+    # each shard and the manifest is written once, to <name>.tmp, and
+    # renamed once; no temp file of a temp file is ever made
+    store = tmp_path / "store"
+    src = tmp_path / "in.bin"
+    src.write_bytes(os.urandom(1000))
+    assert main(["init", "--q", "2", "--t", "2", "--out-dir", str(store)]) == EXIT_OK
+    renames, opened = [], []
+    real_replace = os.replace
+
+    def replace(old, new):
+        renames.append((Path(old).name, Path(new).name))
+        real_replace(old, new)
+
+    def open_(path, *args, **kwargs):
+        opened.append(Path(path).name)
+        return open(path, *args, **kwargs)
+
+    monkeypatch.setattr(os, "replace", replace)
+    monkeypatch.setattr(shardio, "open", open_, raising=False)
+    assert main(["encode", str(src), "--out-dir", str(store)]) == EXIT_OK
+    names = ["manifest.txt", *(shard_filename(nd) for nd in make_params(2, 2, 5).nodes())]
+    assert sorted(renames) == sorted((name + ".tmp", name) for name in names)
+    assert len(renames) == 4 + 1  # n + 1
+    assert not [name for name in opened if name.endswith(".tmp.tmp")]
 
 
 def test_encode_empty_file(tmp_path):
@@ -236,6 +263,30 @@ def test_garbled_manifest_is_verification_failure(store22, tmp_path, command, li
     path = store / "manifest.txt"
     key = line.split("=")[0]
     path.write_text(re.sub(rf"^{key}=.*$", line, path.read_text(), flags=re.M))
+    argv = {
+        "decode": ["decode", str(tmp_path / "o"), *map(str, shards_in(store)[:2])],
+        "repair": ["repair", "--node", "1,0", "--out-dir", str(store)],
+        "verify": ["verify", "--out-dir", str(store)],
+    }[command]
+    assert main(argv) == EXIT_VERIFY
+
+
+@pytest.mark.parametrize("command", ["decode", "repair", "verify"])
+@pytest.mark.parametrize("repeat", ["parameter", "checksum"])
+def test_repeated_manifest_key_is_verification_failure(store22, tmp_path, command, repeat):
+    # a key given twice fails closed, even where the last line would be right:
+    # a repeated q=2, or a wrong checksum_1_0 before the right one
+    store, _ = store22
+    path = store / "manifest.txt"
+    text = path.read_text()
+    if repeat == "parameter":
+        text += "q=2\n"
+    else:
+        right = re.search(r"^checksum_1_0=(.*)$", text, flags=re.M).group(1)
+        wrong = f"{int(right, 16) ^ 1:08x}"
+        text = text.replace(f"checksum_1_0={right}\n",
+                            f"checksum_1_0={wrong}\nchecksum_1_0={right}\n")
+    path.write_text(text)
     argv = {
         "decode": ["decode", str(tmp_path / "o"), *map(str, shards_in(store)[:2])],
         "repair": ["repair", "--node", "1,0", "--out-dir", str(store)],

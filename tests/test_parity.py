@@ -4,7 +4,7 @@ fingerprints, and the c0 search.
 Independent oracles used here: rank via row-space enumeration (small
 matrices), rank via dense first-nonzero-pivot elimination, an explicit
 Kronecker-product builder, rows of H read straight off the constraint
-terms, and multiply-then-solve round trips.
+triples, and multiply-then-solve round trips.
 """
 
 import hashlib
@@ -17,8 +17,8 @@ import pytest
 from conftest import BAD_C0, FOUND_C0
 from msrcode import make_params
 from msrcode.gf import GF2M
+from msrcode import parity
 from msrcode.parity import (
-    Constraint,
     ParityCheckSystem,
     _eliminate,
     _sparse,
@@ -101,15 +101,27 @@ def matmul(a, b, width, gf):
     return out
 
 
+def decoded(sys_):
+    """Each constraint decoded from its (node ordinal, row ordinal, coeff)
+    triples: (delta, anchor row, [(row, node, coeff), ...] in term order),
+    with constraint index delta*alpha + anchor ordinal."""
+    p = sys_.params
+    for idx, con in enumerate(sys_.terms):
+        delta, anchor = divmod(idx, p.alpha)
+        yield delta, p.row_at(anchor), [(p.row_at(row), p.node_at(node), coeff)
+                                        for node, row, coeff in con]
+
+
 def oracle_rows(sys_, nodes):
     """Oracle: the sparse rows of the thick submatrix over `nodes`, read
-    straight off each constraint's terms; column = position of the node
+    straight off each constraint's triples; column = position of the node
     among `nodes` (in node order) * alpha + row ordinal."""
     p = sys_.params
     chosen = sorted(set(nodes), key=p.node_ordinal)
     base = {nd: i * p.alpha for i, nd in enumerate(chosen)}
-    return [{base[t.node] + p.row_ordinal(t.row): t.coeff for t in con.terms if t.node in base}
-            for con in sys_.constraints]
+    return [{base[p.node_at(node)] + row: coeff for node, row, coeff in con
+             if p.node_at(node) in base}
+            for con in sys_.terms]
 
 
 def dense(rows, width):
@@ -176,11 +188,11 @@ def test_hmds_all_q_column_subsets_full_rank():
 def test_constraint_counts_and_weights(sys23):
     p = sys23.params
     assert sys23.n_constraints == 16 == p.q ** (p.t + 1)
-    row_parities = [c for c in sys23.constraints if c.delta == 0]
-    delta_parities = [c for c in sys23.constraints if c.delta != 0]
+    row_parities = [terms for delta, _, terms in decoded(sys23) if delta == 0]
+    delta_parities = [terms for delta, _, terms in decoded(sys23) if delta != 0]
     assert len(row_parities) == 8 and len(delta_parities) == 8
-    assert all(len(c.terms) == 6 for c in row_parities)
-    assert all(len(c.terms) == 9 for c in delta_parities)
+    assert all(len(terms) == 6 for terms in row_parities)
+    assert all(len(terms) == 9 for terms in delta_parities)
 
 
 def test_constraint_count_matches_alpha_times_redundancy(all_systems):
@@ -192,65 +204,67 @@ def test_constraint_count_matches_alpha_times_redundancy(all_systems):
 def test_row_parity_terms_stay_on_anchor(all_systems):
     for sys_ in all_systems:
         p = sys_.params
-        for con in sys_.constraints:
-            if con.delta == 0:
-                assert len(con.terms) == p.n
-                assert all(term.row == con.anchor for term in con.terms)
+        for delta, anchor, terms in decoded(sys_):
+            if delta == 0:
+                assert len(terms) == p.n
+                assert all(row == anchor for row, _, _ in terms)
 
 
 def test_delta_parity_shifted_terms(all_systems):
     for sys_ in all_systems:
         p = sys_.params
-        for con in sys_.constraints:
-            if con.delta == 0:
+        for delta, anchor, terms in decoded(sys_):
+            if delta == 0:
                 continue
-            in_row = con.terms[: p.n]
-            shifted = con.terms[p.n :]
+            in_row = terms[: p.n]
+            shifted = terms[p.n :]
             assert len(shifted) == p.t
-            assert all(term.row == con.anchor for term in in_row)
-            for j, term in enumerate(shifted, start=1):
-                xj = con.anchor[j - 1]
-                assert term.node == (j, xj)
-                expected = list(con.anchor)
-                expected[j - 1] = (xj - con.delta) % p.q
-                assert term.row == tuple(expected)
-                assert term.row != con.anchor
-                assert term.coeff == sys_.c0
+            assert all(row == anchor for row, _, _ in in_row)
+            for j, (row, node, coeff) in enumerate(shifted, start=1):
+                xj = anchor[j - 1]
+                assert node == (j, xj)
+                expected = list(anchor)
+                expected[j - 1] = (xj - delta) % p.q
+                assert row == tuple(expected)
+                assert row != anchor
+                assert coeff == sys_.c0
 
 
 def test_in_row_coefficients_come_from_hmds(all_systems):
     for sys_ in all_systems:
         p = sys_.params
-        for con in sys_.constraints:
-            for term in con.terms[: p.n]:
-                assert term.coeff == sys_.hmds[con.delta][p.node_ordinal(term.node)]
+        for delta, _, terms in decoded(sys_):
+            for _, node, coeff in terms[: p.n]:
+                assert coeff == sys_.hmds[delta][p.node_ordinal(node)]
 
 
 def test_constraint_ordering_delta_major(sys23):
+    # constraint idx opens with the n in-row terms, in node order, on row
+    # ordinal idx mod alpha, weighted by Vandermonde row idx div alpha
     p = sys23.params
     idx = 0
     for delta in range(p.q):
         for row in p.rows():
-            con = sys23.constraints[idx]
-            assert (con.delta, con.anchor) == (delta, row)
-            assert sys23.constraint(delta, row) is con
+            in_row = sys23.terms[idx][: p.n]
+            assert in_row == tuple((o, p.row_ordinal(row), sys23.hmds[delta][o])
+                                   for o in range(p.n))
             idx += 1
+    assert idx == sys23.n_constraints
 
 
 def test_all_coefficients_nonzero(all_systems):
     for sys_ in all_systems:
-        for con in sys_.constraints:
-            assert all(term.coeff != 0 for term in con.terms)
+        for con in sys_.terms:
+            assert all(coeff != 0 for _, _, coeff in con)
 
 
 def test_shifted_entries_only_in_matching_thick_column(sys23):
     # in thick column (i, theta), shifted entries appear only in constraints
     # whose anchor has coordinate i equal to theta
     p = sys23.params
-    for con in sys23.constraints:
-        for term in con.terms[p.n :]:
-            i, theta = term.node
-            assert con.anchor[i - 1] == theta
+    for _, anchor, terms in decoded(sys23):
+        for _, (i, theta), _ in terms[p.n :]:
+            assert anchor[i - 1] == theta
 
 
 # -- H as sparse rows -------------------------------------------------------------
@@ -261,8 +275,8 @@ def test_flatten_shape_and_support(sys22):
     p = sys22.params
     rows = sys22.thick_rows(p.nodes())
     assert len(rows) == 8 and set().union(*rows) == set(range(16))  # q^(t+1) x n*alpha
-    for con, row in zip(sys22.constraints, rows):
-        assert len(row) == (p.n if con.delta == 0 else p.n + p.t)
+    for idx, row in enumerate(rows):
+        assert len(row) == (p.n if idx < p.alpha else p.n + p.t)
 
 
 def test_flatten_support_disjointness(all_systems):
@@ -270,13 +284,12 @@ def test_flatten_support_disjointness(all_systems):
     # whose constraint repeats a symbol is refused when it is built
     for sys_ in all_systems:
         p = sys_.params
-        for con in sys_.constraints:
-            cols = [p.node_ordinal(t.node) * p.alpha + p.row_ordinal(t.row) for t in con.terms]
+        for con in sys_.terms:
+            cols = [node * p.alpha + row for node, row, _ in con]
             assert len(cols) == len(set(cols))
-        con = sys_.constraints[-1]
-        clash = Constraint(con.delta, con.anchor, con.terms + con.terms[-1:])
+        clash = sys_.terms[-1] + sys_.terms[-1][-1:]
         with pytest.raises(ValueError, match="must not collide"):
-            ParityCheckSystem(p, sys_.hmds, sys_.c0, [*sys_.constraints[:-1], clash])
+            ParityCheckSystem(p, sys_.hmds, sys_.c0, [*sys_.terms[:-1], clash])
 
 
 def test_flatten_at_c0_zero_is_kronecker(sys22, sys23):
@@ -416,14 +429,20 @@ def test_solve_singular_rejected():
 
 # -- plans ----------------------------------------------------------------------------
 
-# SHA-256 over every completion_map (one per size-q subset, a singular one
-# recorded as its error) and every repair_plan, recorded before the solve
-# paths were merged: plans must stay op-for-op the same.
+# Two SHA-256 digests per code, recorded before repair became a completion
+# (at cbce9d1).  The first covers every completion_map, one per size-q
+# subset (a singular one recorded as its error), op for op; the second
+# every repair_plan as its sorted op list, since repair now records the
+# same ops in elimination order.
 PLAN_FINGERPRINTS = {
-    (3, 3, 8, 1): "8673b8c576f25bb3fafc553b6ae57d71e9c60d6b259371cd86df23e5ed17d4a4",
-    (2, 3, 3, 1): "40b876df4a015854663c23e5d5aadc89785eb2fdbe96f56d31f02485bb749aef",
-    (4, 2, 6, 6): "a4ac75a5d11c67e5f693126928c92496f62a94bf7597bca582e979c59cdd716e",
-    (3, 2, 4, 7): "d0d3ec676aae1b4bc9b9fd49af545effc84e98baf3a301ea2fb9799eb3d1e1de",
+    (3, 3, 8, 1): ("ffdecae6450ef9111e2fae183a925026ad1915af9bb0902c25a37604270ca50d",
+                   "4772f96fe6038bb01c8bf6cd9d65c4a5bba6a68a6e6885c0e5aa219e1026bfa1"),
+    (2, 3, 3, 1): ("a24a05e48824c7c1dc2df82d24fcf00a6d5cf10eaa67776473bb075017f1bbd9",
+                   "aea2d56002316a8a3e8b4d03c9d3284ce361be2017940ed0ba144910368887c6"),
+    (4, 2, 6, 6): ("e0fd8f048f666d1789c0d1d0cd3422a63d9573527b40619470ca02c29c906098",
+                   "d3e8c86136a6b04ff4a6cc97b34358f5c69e9d13629ccb7b1f1135addbc693f5"),
+    (3, 2, 4, 7): ("57cae8d687dd018e2dc7830b9bd8349b9d3c3f1eca96a46867acf24eaaf89f5d",
+                   "13bb74275e68fec47171ff196770c09f8bcab8eafd29c2e7c8859566e265c5bc"),
 }
 
 
@@ -431,7 +450,7 @@ PLAN_FINGERPRINTS = {
 def test_plan_fingerprint(q, t, m, c0):
     p = make_params(q, t, m)
     sys_ = build_system(p, c0)
-    digest = hashlib.sha256()
+    completion, repaired = hashlib.sha256(), hashlib.sha256()
     singular = 0
     for subset in node_subsets(p, p.q):
         try:
@@ -439,11 +458,35 @@ def test_plan_fingerprint(q, t, m, c0):
         except ValueError as err:
             entry = f"ValueError: {err}"
             singular += 1
-        digest.update(f"{subset} {entry}\n".encode())
+        completion.update(f"{subset} {entry}\n".encode())
     for node in p.nodes():
-        digest.update(f"{node} {repair_plan(node, sys_)!r}\n".encode())
-    assert digest.hexdigest() == PLAN_FINGERPRINTS[(q, t, m, c0)]
+        repaired.update(f"{node} {sorted(repair_plan(node, sys_))!r}\n".encode())
+    assert (completion.hexdigest(), repaired.hexdigest()) == PLAN_FINGERPRINTS[(q, t, m, c0)]
     assert singular == (3 if c0 == 7 else 0)  # c0 = 7 at (3,2,4) is not MDS
+
+
+def test_compile_plan_refuses_a_system_that_is_not_square(sys23):
+    # the rank alone would pass an overdetermined system of full column rank
+    p = sys23.params
+    nodes = list(p.nodes())
+    with pytest.raises(ValueError, match="cannot solve"):
+        sys23.completion_map(nodes[: p.q - 1])
+    with pytest.raises(ValueError, match="cannot solve"):
+        sys23.inverse_for(nodes[:1], range(p.alpha - 1))
+    slot_of = {o * p.alpha + row: o * p.alpha + row for o in range(1, p.n) for row in range(p.alpha)}
+    with pytest.raises(ValueError, match="cannot solve"):  # all 16 constraints, 8 unknowns
+        sys23.compile_plan(nodes[:1], range(sys23.n_constraints), slot_of)
+
+
+def test_compile_plan_refuses_a_symbol_neither_missing_nor_known(sys23):
+    # repair's constraints for (1, 0), with helper (3, 1)'s rows unsent
+    p = sys23.params
+    gamma = [p.row_ordinal(row) for row in p.gamma_rows((1, 0))]
+    anchored = [delta * p.alpha + row for delta in range(p.q) for row in gamma]
+    slot_of = {o * p.alpha + row: i * p.beta + g
+               for i, o in enumerate(range(1, p.n - 1)) for g, row in enumerate(gamma)}
+    with pytest.raises(ValueError, match=r"node \(3, 1\)'s symbol on row \(0, 0, 0\)"):
+        sys23.compile_plan([(1, 0)], anchored, slot_of)
 
 
 @pytest.mark.parametrize("q,t,m,c0", list(PLAN_FINGERPRINTS))
@@ -530,10 +573,11 @@ def test_find_code_fixed_m():
     assert params.c0 == FOUND_C0[(2, 2, 5)]
 
 
-def test_subset_cap_refuses_instead_of_sampling():
+def test_subset_cap_refuses_instead_of_sampling(monkeypatch):
     p = make_params(2, 3, 7)
+    monkeypatch.setattr(parity, "MAX_SUBSET_CHECKS", 3)
     with pytest.raises(ValueError, match="refusing"):
-        list(node_subsets(p, p.q, max_subsets=3))
+        list(node_subsets(p, p.q))
 
 
 def test_build_system_validates_c0_range(sys22):

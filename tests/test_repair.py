@@ -14,7 +14,7 @@ import pytest
 
 import msrcode
 from conftest import eval_constraints, stripe_array, system_for
-from msrcode import bandwidth_report, build_system, make_params, repair
+from msrcode import bandwidth_report, build_system, make_params
 from msrcode.codec import encode_batch
 from msrcode.repair import repair_batch
 from msrcode.shardio import gamma_runs
@@ -178,12 +178,11 @@ def test_repair_plan_is_compiled_once_per_failed_node():
     p = sys_.params
     columns = encode_batch(random_block(p, np.random.default_rng(23), 3), sys_)
     nodes = list(p.nodes())
-    compile_ = repair._compile_repair_plan
-    with mock.patch.object(repair, "_compile_repair_plan", side_effect=compile_) as spy:
+    with mock.patch.object(sys_, "compile_plan", side_effect=sys_.compile_plan) as spy:
         for failed in (nodes[0], nodes[0], nodes[0], nodes[1], nodes[1], nodes[0]):
             rebuilt = repair_batch(failed, helper_rows(columns, failed, p), sys_)
             assert np.array_equal(rebuilt, columns[failed])
-    assert [c.args[0] for c in spy.call_args_list] == [nodes[0], nodes[1], nodes[0]]
+    assert [c.args[0] for c in spy.call_args_list] == [(nodes[0],), (nodes[1],), (nodes[0],)]
 
 
 def test_repair_batch_validates_helpers(sys22):
@@ -201,35 +200,46 @@ def test_repair_batch_validates_helpers(sys22):
         repair_batch((1, 0), {**gamma_cols, (2, 1): np.zeros((p.beta, 3), np.uint16)}, sys22)
 
 
-def test_tampered_constraint_raises_under_optimize():
-    # a delta-parity whose shifted term on the failed node points at the
-    # wrong row; the protocol check must survive `python -O`
-    script = textwrap.dedent("""
-        import dataclasses
+def repair_tampered_under_optimize(node, row):
+    """Under `python -O`, repair node (1, 0) at (2,2) with the shifted term
+    on `node` of the delta = 1 constraint anchored on row (0, 0) moved to
+    `row`, the system built from those tampered triples; the output."""
+    script = textwrap.dedent(f"""
         import numpy as np
-        from msrcode import build_system, make_params
+        from msrcode import ParityCheckSystem, build_system, make_params
         from msrcode.repair import repair_batch
 
         p = make_params(2, 2, 5).with_c0(1)
-        sys_ = build_system(p, p.c0)
-        failed = (1, 0)
-        idx = p.alpha + p.row_ordinal((0, 0))  # delta = 1, anchor (0, 0)
-        con = sys_.constraints[idx]
-        terms = tuple(
-            t._replace(row=(1, 1)) if t.node == failed and t.row != con.anchor else t
-            for t in con.terms
-        )
-        sys_.constraints[idx] = dataclasses.replace(con, terms=terms)
-        helpers = {h: np.zeros((p.beta, 2), np.uint16) for h in p.nodes() if h != failed}
+        good = build_system(p, p.c0)
+        failed, node, anchor = (1, 0), p.node_ordinal({node!r}), p.row_ordinal((0, 0))
+        terms = list(good.terms)
+        idx = p.alpha + anchor  # delta = 1, anchor (0, 0)
+        terms[idx] = tuple((o, p.row_ordinal({row!r}), c) if o == node and r != anchor
+                           else (o, r, c) for o, r, c in terms[idx])
+        sys_ = ParityCheckSystem(p, good.hmds, good.c0, terms)
+        helpers = {{h: np.zeros((p.beta, 2), np.uint16) for h in p.nodes() if h != failed}}
         try:
             repair_batch(failed, helpers, sys_)
         except ValueError as err:
             print("ValueError:", err)
     """)
     env = dict(os.environ, PYTHONPATH=str(Path(msrcode.__file__).parents[1]))
-    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.startswith("ValueError: "), out.stdout + out.stderr
+    return subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, check=True).stdout
+
+
+def test_tampered_constraint_raises_under_optimize():
+    # the shifted term on the failed node points at the wrong row, so the
+    # gamma-anchored constraints no longer determine the failed column
+    out = repair_tampered_under_optimize((1, 0), (1, 1))
+    assert out.startswith("ValueError: "), out
+
+
+def test_constraint_reading_an_unsent_row_raises_under_optimize():
+    # help-by-transfer: a gamma-anchored constraint that reads a helper's
+    # row outside gamma (x_1 = 1 for failed (1, 0)) is refused, by name
+    out = repair_tampered_under_optimize((2, 0), (1, 1))
+    assert out.startswith("ValueError: ") and "node (2, 0)'s symbol on row (1, 1)" in out, out
 
 
 # -- bandwidth report ------------------------------------------------------------------

@@ -106,6 +106,17 @@ def test_manifest_rejects_unknown_and_missing_keys():
         Manifest.from_text("q=2x\n")
 
 
+@pytest.mark.parametrize("repeat, match", [
+    ("q=3\n", "repeats 'q'"),  # the same value again
+    ("checksum_1_0=00000008\n", r"repeats the checksum of node \(1, 0\)"),  # a conflicting one
+], ids=["parameter", "checksum"])
+def test_manifest_rejects_a_repeated_key(repeat, match):
+    # no last-one-wins: a second line for a key is refused
+    text = Manifest(3, 3, 8, 0x11D, 1, checksums={(1, 0): 7}).to_text()
+    with pytest.raises(ShardFormatError, match=match):
+        Manifest.from_text(text + repeat)
+
+
 def test_manifest_params_crc_guards_the_parameter_lines():
     text = Manifest(3, 3, 8, 0x11D, 1, stripe_count=5, file_length=99,
                     checksums={(1, 0): 7}).to_text()
