@@ -473,7 +473,8 @@ def test_compile_plan_refuses_a_system_that_is_not_square(sys23):
         sys23.completion_map(nodes[: p.q - 1])
     with pytest.raises(ValueError, match="cannot solve"):
         sys23.inverse_for(nodes[:1], range(p.alpha - 1))
-    slot_of = {o * p.alpha + row: o * p.alpha + row for o in range(1, p.n) for row in range(p.alpha)}
+    slot_of = {o * p.alpha + row: (o - 1) * p.alpha + row
+               for o in range(1, p.n) for row in range(p.alpha)}
     with pytest.raises(ValueError, match="cannot solve"):  # all 16 constraints, 8 unknowns
         sys23.compile_plan(nodes[:1], range(sys23.n_constraints), slot_of)
 
