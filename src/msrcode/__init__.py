@@ -7,11 +7,12 @@ rebuilt exactly from verbatim symbols -- beta = q^(t-1) per helper, the
 minimum-storage optimum -- with no computation at the helpers.
 
 A codeword is {node: column}.  encode and decode_from_k work on one stripe
-of ints and load no numpy; encode_batch, decode_batch and repair_batch work
-on blocks of stripes, numpy uint16 arrays of (rows, stripes).
+of ints; encode_batch, decode_batch and repair_batch work on blocks of
+stripes, Blocks of (rows, stripes) symbols held as bit planes (Python
+ints).  Neither loads numpy.
 """
 
-from .gf import GF2M, default_poly, is_irreducible, ring_sub
+from .gf import GF2M, Block, default_poly, is_irreducible, ring_sub
 from .params import CodeParams, make_params
 from .parity import (
     ParityCheckSystem,
@@ -30,6 +31,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "GF2M",
+    "Block",
     "default_poly",
     "is_irreducible",
     "ring_sub",

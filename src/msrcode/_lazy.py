@@ -1,8 +1,7 @@
 """numpy, imported on first use.
 
-Only the batch paths (encode, decode, repair and the shard I/O under them)
-touch numpy; the scalar commands (init, verify, stats) never do, so they
-need not pay its import.  `np` is a module object registered under "numpy"
+Only GF2M.mul_vec, which nothing in msrcode calls any more, touches numpy;
+no command does, so none pays its import.  `np` is a module object registered under "numpy"
 whose code runs on its first attribute access: the importlib.util.LazyLoader
 recipe of the Python documentation.  An "import numpy" elsewhere in the
 process, before or after, yields the same module.

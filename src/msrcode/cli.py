@@ -6,14 +6,19 @@ Shards and the manifest live together in a directory (--out-dir); the
 helper-row byte ranges only.
 
 encode, decode and repair each make one pass over 4096-stripe blocks, so
-their memory does not grow with the file.  Every file they write goes to a
-temp file, is fsynced and is renamed into place only when complete and
-checked: decode and repair rename only once every CRC they can check
-matches the manifest, and encode renames the manifest last.  After its
+their memory does not grow with the file; no command loads numpy.  Every
+file they write goes to a temp file, is fsynced and is renamed into place
+only when complete and checked: decode and repair rename only once every
+CRC they can check matches the manifest (each row they read is checked
+against its own CRC as it is read, and a bad one names its shard and
+block), and encode renames the manifest last.  After its
 renames a command fsyncs the directory that holds them, once.  A failure
 before the renames leaves every file as it was.  encode renames its shards
 one by one, so a failed rename can leave some shards new under the old
 manifest; their CRCs then disagree with it, and decode and repair exit 2.
+encode first removes the temp files of the store's own shards and
+manifest, and repair that of the shard it rebuilds, which a killed run may
+have left.
 """
 
 from __future__ import annotations
@@ -85,6 +90,12 @@ def _system_for(manifest: Manifest) -> ParityCheckSystem:
         raise VerificationFailure(f"manifest parameters are invalid: {err}") from None
 
 
+def _remove_stale(out_dir: Path, names: list[str]) -> None:
+    """Remove the <name>.tmp files that a killed run of this command left."""
+    for name in names:
+        (out_dir / (name + ".tmp")).unlink(missing_ok=True)
+
+
 def _check_encoded(manifest: Manifest) -> None:
     """Fail closed unless the manifest is one that encode wrote: a checksum
     for every node of the code and for no other, and a stripe count that
@@ -120,6 +131,7 @@ def cmd_encode(args) -> int:
     sys_ = _system_for(manifest)
     p = sys_.params
     out_dir = Path(args.out_dir)
+    _remove_stale(out_dir, [shardio.MANIFEST_NAME, *map(shard_filename, p.nodes())])
     with open(args.input, "rb") as src, contextlib.ExitStack() as renames:
         st = os.fstat(src.fileno())
         if not stat.S_ISREG(st.st_mode):  # a pipe's size is 0, whatever it holds
@@ -206,6 +218,7 @@ def cmd_repair(args) -> int:
             f"repair needs all d={p.d} helper shards; missing: "
             + ", ".join(shard_filename(nd) for nd in missing))
     path = out_dir / shard_filename(failed)
+    _remove_stale(out_dir, [path.name])
     runs = shardio.gamma_runs(failed, p)
     with contextlib.ExitStack() as stack:
         shards = [stack.enter_context(shardio.open_shard(out_dir / shard_filename(nd)))
@@ -227,14 +240,13 @@ def cmd_repair(args) -> int:
     shardio.sync_dir(out_dir)
     bytes_per_helper = {nd: shard.counter.bytes_read for nd, shard in zip(helpers, shards)}
 
-    stripes = manifest.stripe_count
     read_total = sum(bytes_per_helper.values())
-    naive = p.k * (shardio.HEADER_LEN + shardio.payload_bytes(stripes, p.alpha))
+    naive = p.k * shardio.shard_bytes(manifest.header_for(failed))
     report = repair.bandwidth_report(p)
     print(f"rebuilt {path.name} from {p.d} helpers")
     print(f"per-helper read : {max(bytes_per_helper.values(), default=0)} bytes "
-          f"(header {shardio.HEADER_LEN} + {stripes} stripes x "
-          f"{shardio.payload_bytes(1, p.beta)} bytes)")
+          f"(header {shardio.HEADER_LEN} + {p.beta} of {p.alpha} rows of every block, "
+          f"{p.gf.m} bits per symbol, each row with its CRC-32)")
     print(f"total read      : {read_total} bytes")
     print(f"naive (k full shards): {naive} bytes")
     print(f"per-stripe symbols: {report.total} repair vs {report.naive} naive "

@@ -12,9 +12,11 @@ missing nodes, through parity.run_plan.
 
 Both paths pass a codeword as {node: column}.  The scalar encode and
 decode_from_k work on one stripe, a column being a list of alpha ints;
-they serve verify_mds and load no numpy.  The *_batch variants work on a
-block of stripes, numpy uint16 arrays of (rows, stripes) as shards store
-them: a message block is (k*alpha, s) and a node's stack (alpha, s).
+they serve verify_mds.  The *_batch variants work on a block of stripes,
+gf.Blocks of (rows, stripes) bit planes as shards store them: a message
+block is (k*alpha, s) and a node's block (alpha, s), and a message
+block's systematic nodes are row slices of it, so decoding from the
+systematic nodes only stacks their planes.  Neither path loads numpy.
 
 verify_mds is the whole MDS certificate: it eliminates the thick submatrix
 of every size-q node subset once, which is the rank check, and reuses that
@@ -27,7 +29,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from ._lazy import np
+from .gf import Block
 from .params import Node
 from .parity import ParityCheckSystem, check_columns, node_subsets, run_plan
 
@@ -41,7 +43,7 @@ def complete_columns(sys: ParityCheckSystem, known: Mapping[Node, Sequence],
                      wanted: Iterable[Node]) -> dict[Node, Sequence]:
     """The columns of the `wanted` nodes of the codeword with the k `known`
     columns, in `wanted` order: lists of alpha ints on one stripe, or
-    (alpha, s) uint16 arrays on a block of s stripes.  Raises ValueError
+    (alpha, s) Blocks on a block of s stripes.  Raises ValueError
     unless `known` is k nodes of the code, each column alpha field
     symbols.  The plan runs only when a wanted column is missing."""
     p = sys.params
@@ -135,23 +137,22 @@ def verify_mds(sys: ParityCheckSystem, trials: int, seed: int = 0) -> MdsReport:
 # -- batched (multi-stripe) paths ---------------------------------------------
 
 
-def encode_batch(messages: np.ndarray, sys: ParityCheckSystem) -> dict[Node, np.ndarray]:
+def encode_batch(messages: Block, sys: ParityCheckSystem) -> dict[Node, Block]:
     """Encode a (k*alpha, s) block of stripes; returns one (alpha, s)
-    stack per node (systematic row slices plus solved parity)."""
+    block per node (systematic row slices plus solved parity)."""
     p = sys.params
     _require_valid_c0(sys)
-    if messages.ndim != 2 or messages.shape[0] != p.message_len:
+    if messages.rows != p.message_len:
         raise ValueError(f"messages must be ({p.message_len}, stripes)")
     return complete_columns(sys, {nd: messages[o * p.alpha : (o + 1) * p.alpha]
                                   for o, nd in enumerate(p.systematic_nodes())}, p.nodes())
 
 
-def decode_batch(available: Mapping[Node, np.ndarray],
-                 sys: ParityCheckSystem) -> np.ndarray:
-    """Recover the (k*alpha, s) message block from k (alpha, s) node stacks."""
+def decode_batch(available: Mapping[Node, Block], sys: ParityCheckSystem) -> Block:
+    """Recover the (k*alpha, s) message block from k (alpha, s) node
+    blocks: the systematic ones, known or solved, stacked in node order."""
     p = sys.params
     _require_valid_c0(sys)
     if len(available) != p.k:
         raise ValueError(f"need exactly k={p.k} nodes, got {len(available)}")
-    columns = complete_columns(sys, available, p.systematic_nodes())
-    return np.concatenate(list(columns.values()))
+    return Block.stack(complete_columns(sys, available, p.systematic_nodes()).values())

@@ -1,11 +1,16 @@
-"""GF(2^m) arithmetic on integer-coded polynomials, plus the mod-q index ring.
+"""GF(2^m) arithmetic on integer-coded polynomials, bit-sliced blocks of
+symbols, plus the mod-q index ring.
 
 Field elements are plain ints in [0, 2^m).  Addition is XOR; multiplication,
 division and inversion go through log/antilog tables built once per field
 from a generator of the multiplicative group -- the usual construction in
-erasure-code libraries.  Bulk multiplication of a numpy array by a scalar
-goes through per-coefficient product tables instead (GF2M.mul_vec).  m is
-capped at 16 so a symbol always fits in two bytes of the shard format.
+erasure-code libraries.  Multiplication by a constant c is GF(2)-linear in
+the bits of the symbol, so it is also an m x m bit matrix
+(GF2M.bit_pairs): on a Block, whose symbols are stored as m bit planes per
+row, multiplying by c is a few plane XORs, the XOR-based coding of Bloemer
+et al. (1995) and of Cauchy Reed-Solomon.  GF2M.mul_vec, the old numpy
+kernel through per-coefficient product tables, has no caller left.  m is
+capped at 16.
 
 Row/column index arithmetic of the code lives in a separate, much simpler
 structure: the ring of integers mod q (any q >= 2), provided here as
@@ -13,6 +18,8 @@ structure: the ring of integers mod q (any q >= 2), provided here as
 """
 
 from __future__ import annotations
+
+from typing import Iterable
 
 from ._lazy import np
 
@@ -98,7 +105,9 @@ def is_irreducible(poly: int) -> bool:
 class GF2M:
     """The symbol field GF(2^m), with its arithmetic tables.
 
-    The scalar ops use the log/antilog lists built here.  mul_vec, the bulk
+    The scalar ops use the log/antilog lists built here.  bit_pairs(c), the
+    bit matrix of multiplication by c, is built on first use and cached in
+    `_bit_pairs`, keyed by c.  mul_vec, the numpy bulk
     kernel, multiplies by c with one gather from c's product table (the
     split tables of GF-Complete): c*x for all 2^m symbols when m <= 8, and
     for m > 8 one table for the low byte and one for the high bits, so a
@@ -126,6 +135,7 @@ class GF2M:
         self.order = 1 << m  # field size; multiplicative group has order-1 elements
         self._build_tables()
         self._mul_tables: dict[int, list[np.ndarray]] = {}  # c -> product tables
+        self._bit_pairs: dict[int, tuple[tuple[int, int], ...]] = {}  # c -> bit matrix
 
     def _build_tables(self) -> None:
         order = self.order
@@ -222,6 +232,17 @@ class GF2M:
 
     # -- bulk ops -----------------------------------------------------------
 
+    def bit_pairs(self, c: int) -> tuple[tuple[int, int], ...]:
+        """The m x m bit matrix of multiplication by c, as the (r, i) pairs
+        of its set entries: bit r of c*x is the XOR of bit i of x over the
+        pairs (r, i), since bit r of c*2^i is set.  Cached per c."""
+        pairs = self._bit_pairs.get(c)
+        if pairs is None:
+            pairs = self._bit_pairs[c] = tuple(
+                (r, i) for i in range(self.m) for r in range(self.m)
+                if self.mul(c, 1 << i) >> r & 1)
+        return pairs
+
     def mul_vec(self, c: int, v: np.ndarray) -> np.ndarray:
         """Multiply every entry of a uint16 array by the scalar c: one
         gather from c's product table (two for m > 8).  Raises ValueError
@@ -248,6 +269,68 @@ class GF2M:
 
     def __repr__(self) -> str:
         return f"GF2M(m={self.m}, poly={self.poly:#x})"
+
+
+class Block:
+    """A (rows, stripes) block of GF(2^m) symbols, bit-sliced: m planes per
+    row, each one int, so `planes` holds rows*m ints, row-major.  Bit s of
+    planes[r*m + b] is bit b of row r's symbol on stripe s.  As bytes
+    (from_bytes, to_bytes) a plane is stripes/8 bytes, little-endian, so
+    stripe s is bit s % 8 of byte s // 8, and the planes follow each other
+    in (row, bit) order; the stripe count must then be a multiple of 8.
+    Blocks are not modified once made: the ints are immutable and the
+    functions here build new lists."""
+
+    __slots__ = ("m", "stripes", "planes")
+
+    def __init__(self, m: int, stripes: int, planes: list[int]):
+        self.m, self.stripes, self.planes = m, stripes, planes
+
+    @property
+    def rows(self) -> int:
+        return len(self.planes) // self.m
+
+    @property
+    def size(self) -> int:
+        """The number of symbols: rows * stripes."""
+        return self.rows * self.stripes
+
+    @classmethod
+    def from_bytes(cls, data, m: int, rows: int, stripes: int) -> "Block":
+        """The block whose to_bytes() is `data`, rows*m*stripes/8 bytes."""
+        width = stripes // 8
+        if stripes % 8 or len(data) != rows * m * width:
+            raise ValueError(f"{len(data)} bytes are not {rows} rows of {m} planes "
+                             f"of {stripes} stripes")
+        view = memoryview(data)
+        return cls(m, stripes, [int.from_bytes(view[i * width : (i + 1) * width], "little")
+                                for i in range(rows * m)])
+
+    def to_bytes(self) -> bytes:
+        width = -(-self.stripes // 8)
+        return b"".join(plane.to_bytes(width, "little") for plane in self.planes)
+
+    def take(self, rows: Iterable[int]) -> "Block":
+        """The block of the given rows, in that order."""
+        m, planes = self.m, self.planes
+        return Block(m, self.stripes, [p for r in rows for p in planes[r * m : (r + 1) * m]])
+
+    def __getitem__(self, rows: slice) -> "Block":
+        return self.take(range(self.rows)[rows])
+
+    @classmethod
+    def stack(cls, blocks: Iterable["Block"]) -> "Block":
+        """The rows of `blocks`, one block after another; they share m and
+        the stripe count."""
+        blocks = list(blocks)
+        return cls(blocks[0].m, blocks[0].stripes, [p for b in blocks for p in b.planes])
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Block) and \
+            (self.m, self.stripes, self.planes) == (other.m, other.stripes, other.planes)
+
+    def __repr__(self) -> str:
+        return f"Block(m={self.m}, rows={self.rows}, stripes={self.stripes})"
 
 
 def ring_sub(a: int, b: int, q: int) -> int:

@@ -30,9 +30,9 @@ known symbols then the recorded sparse elimination (inverse_for), and
 refuses a constraint that reads a symbol neither missing nor known.
 completion_map is that for q erased nodes over every constraint;
 repair.repair_plan that for one failed node over its gamma-anchored ones.
-run_plan, the one runner, executes a plan on one stripe of ints or on a
-(rows, stripes) block, reading its input rows in place and writing one
-(outputs, stripes) array.
+run_plan, the one runner, executes a plan on one stripe of ints, or on a
+(rows, stripes) gf.Block of bit planes as the plan's plane XORs through
+the bit matrix of each coefficient (Plan.program, expanded once per plan).
 """
 
 from __future__ import annotations
@@ -41,8 +41,7 @@ import itertools
 import math
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from ._lazy import np
-from .gf import GF2M, ring_sub
+from .gf import GF2M, Block, ring_sub
 from .params import CodeParams, Node, make_params, smallest_field_degree
 
 # Exhaustive-check ceiling: refuse (rather than silently sample) when the
@@ -135,7 +134,7 @@ class ParityCheckSystem:
                     raise ValueError(f"constraint {c} reads node {p.node_at(node)}'s symbol on "
                                      f"row {p.row_at(row)}, which is neither missing nor sent")
         plan += [(out + dst, coeff, out + src) for dst, coeff, src in elim.plan]
-        return plan
+        return Plan(plan)
 
     def completion_map(self, missing: Iterable[Node]) -> Plan:
         """compile_plan for the q `missing` nodes over every constraint, on
@@ -194,47 +193,78 @@ def build_system(params: CodeParams, c0: int) -> ParityCheckSystem:
 # One plan step on workspace W: W[dst] ^= coeff*W[src], or, when dst == src,
 # W[dst] = coeff*W[dst].
 Op = tuple[int, int, int]
-Plan = list[Op]
+
+
+class Plan(list):
+    """A straight-line list of Ops, plus its plane-XOR program (see
+    `program`), kept with the plan so that a memoised plan is expanded
+    once however many blocks it runs on."""
+
+    _program = None  # ((gf, n_in, n_out), program) of the last expansion
+
+    def program(self, n_in: int, n_out: int,
+                gf: GF2M) -> tuple[list[tuple[int, int]], int, list[int]]:
+        """The plan on Blocks over `gf` with n_in input rows and n_out output
+        rows, as (xors, planes, out): run `ws[d] ^= ws[s]` for each (d, s)
+        of xors on a workspace of `planes` ints, the input planes first and
+        zeros after, and the output planes are ws[i] for i in out.  Slot j
+        starts at plane j*m; an op (dst, c, src) XORs plane src*m + i into
+        dst*m + r for each pair (r, i) of gf.bit_pairs(c).  An in-place
+        scale (dst == src) writes c times the slot's value into m fresh
+        zero planes at the end of the workspace, where the slot lives from
+        then on, and leaves its old planes aside, unread."""
+        key = (gf, n_in, n_out)
+        if self._program is None or self._program[0] != key:
+            m = gf.m
+            at: dict[int, int] = {}  # slot -> its first plane, once moved
+            plane = list(range((n_in + n_out) * m))  # one int object per plane
+            xors = []
+            for dst, coeff, src in self:
+                s = at.get(src, src * m)
+                if dst == src:
+                    d = at[dst] = len(plane)
+                    plane += range(d, d + m)
+                else:
+                    d = at.get(dst, dst * m)
+                xors += [(plane[d + r], plane[s + i]) for r, i in gf.bit_pairs(coeff)]
+            out = [at.get(j, j * m) + b for j in range(n_in, n_in + n_out) for b in range(m)]
+            self._program = (key, (xors, len(plane), out))
+        return self._program[1]
 
 
 def run_plan(plan: Plan, columns: Sequence, n_out: int,
-             gf: GF2M) -> list[int] | np.ndarray:
+             gf: GF2M) -> list[int] | Block:
     """Run `plan` on a workspace whose slots are the rows of `columns`, in
     order, then n_out output rows, zero on entry, and return the output
-    rows.  Every op writes an output slot; the inputs are read in place and
-    never written.  On one stripe the columns are lists of ints, the
-    workspace is a list of ints, the ops use gf.mul and the output comes
-    back as a new list.  On a block the columns are (rows, stripes) arrays:
-    the input slots are read-only views of their rows, the output slots are
-    the rows of one zero (n_out, stripes) uint16 array, every op (through
-    gf.mul_vec) updates it in place, and that array is returned as is."""
+    rows.  Every op writes an output slot; the inputs are never written.
+    On one stripe the columns are lists of ints, the workspace is a list of
+    ints, the ops use gf.mul and the output comes back as a new list.  On a
+    block the columns are Blocks of one stripe count, and the plan (a Plan)
+    runs as its plane XORs (Plan.program) on their planes; the output is a
+    new (n_out, stripes) Block."""
     if isinstance(columns[0], list):
         ws = [v for col in columns for v in col] + [0] * n_out
-        out, mul = None, gf.mul
-    else:
-        out = np.zeros((n_out, columns[0].shape[1]), np.uint16)
-        ws = [row for col in columns for row in col.astype(np.uint16, copy=False)]
-        for row in ws:
-            row.flags.writeable = False  # a plan that writes an input raises
-        ws += list(out)
-        mul = gf.mul_vec
-    for dst, coeff, src in plan:
-        if dst == src:
-            if out is None:
+        mul = gf.mul
+        for dst, coeff, src in plan:
+            if dst == src:
                 ws[dst] = mul(coeff, ws[dst])
+            elif coeff == 1:
+                ws[dst] ^= ws[src]
             else:
-                ws[dst][...] = mul(coeff, ws[dst])
-        elif coeff == 1:
-            ws[dst] ^= ws[src]
-        else:
-            ws[dst] ^= mul(coeff, ws[src])
-    return ws[len(ws) - n_out :] if out is None else out
+                ws[dst] ^= mul(coeff, ws[src])
+        return ws[len(ws) - n_out :]
+    ws = [plane for col in columns for plane in col.planes]
+    xors, planes, out = plan.program(len(ws) // gf.m, n_out, gf)
+    ws += [0] * (planes - len(ws))
+    for d, s in xors:
+        ws[d] ^= ws[s]
+    return Block(gf.m, columns[0].stripes, [ws[i] for i in out])
 
 
 def check_columns(columns: Sequence, rows: int, gf: GF2M) -> None:
     """Refuse plan inputs that are not `rows` field symbols each: lists of
-    ints on one stripe, or (rows, stripes) arrays of one stripe count on a
-    block, range-checked with one min and one max per array."""
+    ints on one stripe, or Blocks over gf of (rows, stripes) with one
+    stripe count, each plane a bit string of that many stripes."""
     if isinstance(columns[0], list):
         if any(len(col) != rows for col in columns):
             raise ValueError(f"columns must hold {rows} symbols each")
@@ -242,10 +272,15 @@ def check_columns(columns: Sequence, rows: int, gf: GF2M) -> None:
             for v in col:
                 gf.validate(v)
         return
-    if any(col.shape != (rows, columns[0].shape[-1]) for col in columns):
-        raise ValueError(f"column stacks must all be ({rows}, stripes)")
-    gf.validate(min(int(col.min(initial=0)) for col in columns))  # < 0 only if signed
-    gf.validate(max(int(col.max(initial=0)) for col in columns))
+    stripes = columns[0].stripes
+    for col in columns:
+        if col.m != gf.m:
+            raise ValueError(f"a block of {col.m}-bit symbols: not an element of GF(2^{gf.m})")
+        if col.stripes != stripes or len(col.planes) != rows * gf.m:
+            raise ValueError(f"column blocks must all be ({rows}, stripes)")
+        if any(plane < 0 or plane.bit_length() > stripes for plane in col.planes):
+            raise ValueError(f"a plane has bits outside its {stripes} stripes: "
+                             f"not an element of GF(2^{gf.m})")
 
 
 class Elimination(NamedTuple):
@@ -254,7 +289,7 @@ class Elimination(NamedTuple):
     then holds x[j] of the solution of M.x = rhs."""
 
     slot_of_row: list[int]
-    plan: Plan
+    plan: list[Op]
 
 
 SparseRow = dict[int, int]  # {column: nonzero value}

@@ -19,9 +19,9 @@ minimum-storage optimum beta = alpha/(d-k+1).
 
 repair_plan compiles that completion once (ParityCheckSystem.compile_plan
 checks that it reads only sent symbols); repair_batch, the one repair
-entry point, runs it through parity.run_plan on a block: each helper's
-(beta, s) rows in, as ShardReader.gamma_blocks reads them, the failed
-node's (alpha, s) stack out.
+entry point, runs it through parity.run_plan on a block, as plane XORs:
+each helper's (beta, s) Block in, as ShardReader.gamma_blocks reads it,
+the failed node's (alpha, s) Block out.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from ._lazy import np
+from .gf import Block
 from .params import CodeParams, Node
 from .parity import ParityCheckSystem, Plan, check_columns, run_plan
 
@@ -67,14 +67,13 @@ def _repair_plan(failed: Node, sys: ParityCheckSystem) -> Plan:
     return sys.compile_plan((failed,), anchored, slot_of)
 
 
-def repair_batch(failed: Node, gamma_columns: Mapping[Node, np.ndarray],
-                 sys: ParityCheckSystem) -> np.ndarray:
+def repair_batch(failed: Node, gamma_columns: Mapping[Node, Block],
+                 sys: ParityCheckSystem) -> Block:
     """Rebuild the failed node on a block of s stripes: `gamma_columns` maps
-    each of the d helpers to a (beta, s) uint16 array of its stored
-    helper-row symbols (ascending row ordinal), sent as-is; returns the
-    failed node's (alpha, s) stack.  Raises ValueError unless the helpers
-    are exactly the d other nodes, each with a (beta, s) stack of field
-    symbols."""
+    each of the d helpers to a (beta, s) Block of its stored helper-row
+    symbols (ascending row ordinal), sent as-is; returns the failed node's
+    (alpha, s) Block.  Raises ValueError unless the helpers are exactly the
+    d other nodes, each with a (beta, s) Block over the code's field."""
     p = sys.params
     plan = repair_plan(failed, sys)
     helpers = [nd for nd in p.nodes() if nd != failed]

@@ -1,46 +1,41 @@
 """Shard and manifest file formats, block-at-a-time shard I/O, and the
-byte<->symbol packing.
+bytes <-> Block slicing.
 
-Shard layout (format version 2): a fixed 26-byte header, then the payload
+Shard layout (format version 3): a fixed 26-byte header, then the payload
 in blocks of BLOCK_STRIPES stripes; the last block holds the remainder.
-The block for stripes [lo, hi) stores the alpha rows in row-ordinal order,
-each row as hi - lo contiguous symbols, so a helper's rows for one repair
-are a few long byte runs per block.  Every symbol is 2 bytes little-endian
-regardless of m.  The header's reduction_poly field stores the polynomial
-without its implicit leading x^m bit so degree-16 polynomials fit in two
-bytes; the plain-text manifest records the full integer.
+The stripe count is a multiple of 8.  The block for stripes [lo, hi)
+stores the alpha rows in row-ordinal order; each row is its m bit planes
+of (hi - lo)/8 bytes (plane b holds bit b of every stripe's symbol,
+LSB-first; see gf.Block), then the CRC-32 of those planes, 4 bytes
+big-endian (see _CRC).  So a symbol takes exactly m bits, and a helper's rows for
+one repair, with their CRCs, are a few long byte runs per block.  The
+header's reduction_poly field stores the polynomial without its implicit
+leading x^m bit so degree-16 polynomials fit in two bytes; the plain-text
+manifest records the full integer.  Other versions are refused.
 
 Shards are read and written one block at a time, so memory is O(block)
-whatever the file size.  In memory, as on disk, a block is (rows, stripes):
-a uint16 array with one row per symbol of the node.  `open_shard` yields a
-ShardReader, which checks the header and the file size before any payload
-read, then streams whole (alpha, stripes) blocks as read (keeping a running
-CRC-32 of the bytes it read, in file order) or only the helper-row runs of
-each block, as (beta, stripes); read_shard and read_gamma join the blocks.
-No reader or writer keeps a block once the next one is read.
-`write_shard` writes one or more shards in one pass over a stream of
-blocks, through a ShardWriter per shard that takes exactly the next block
-and keeps a running CRC-32.  Every file written here goes to <name>.tmp, is
-fsynced, and only then is renamed over <name> (`renaming`, `replacing`), so
-an error or a crash part-way never leaves a partial file under the real
-name; a command fsyncs each directory once after its last rename there
-(`sync_dir`), so the renames are durable too.
+whatever the file size.  In memory a block is a Block of (rows, stripes)
+bit planes, exactly as stored.  `open_shard` yields a ShardReader, which
+checks the header and the file size before any payload read, then streams
+whole (alpha, stripes) blocks as read (keeping a running CRC-32 of the
+bytes it read, in file order) or only the helper-row runs of each block,
+as (beta, stripes); it checks every row it reads against the row's CRC-32,
+and names the shard and the block of a row that fails.  read_shard and
+read_gamma join the blocks.  No reader or writer keeps a block once the
+next one is read.  `write_shard` writes one or more shards in one pass
+over a stream of blocks, through a ShardWriter per shard that takes
+exactly the next block and keeps a running CRC-32.  Every file written
+here goes to <name>.tmp, is fsynced, and only then is renamed over <name>
+(`renaming`, `replacing`), so an error or a crash part-way never leaves a
+partial file under the real name; a command fsyncs each directory once
+after its last rename there (`sync_dir`), so the renames are durable too.
 
-Files are packed m bits per message symbol, LSB-first within each byte, so
-any byte stream round-trips through any field.  At m = 8 or 16 a symbol is
-whole little-endian bytes, so packing is one widening copy and unpacking a
-range check and one narrowing copy.  For other m, eight m-bit symbols are
-exactly m bytes, so packing works on whole 8-symbol groups, viewed as a
-(groups, m) byte array: each of the 8 symbol columns is built from the (at
-most 3) byte columns its bits span, and unpacking builds each of the m
-byte columns from the symbol columns its bits span, all widened to uint32
-before any shift.  A payload block of stripes packs BLOCK_STRIPES *
-message_len * m / 8 input bytes, a whole number because BLOCK_STRIPES is a
-multiple of 8, so an input packed block by block (`read_messages`) gives
-the symbols of a whole-file packing; the stream runs stripe by stripe, so
-a (message_len, stripes) block is its transpose, which read_messages
-copies out contiguous.  file_length in the header/manifest recovers the
-exact byte count after the zero-fill to a whole stripe.
+The input needs no packing: each block of k*alpha*m*stripes/8 input bytes
+*is* the systematic planes of that block, in (node, row, bit) order
+(`read_messages`).  So a systematic shard's planes are byte slices of the
+input, and decoding is writing out the systematic planes
+(`bytes_from_symbols`).  file_length in the header/manifest recovers the
+exact byte count after the zero-fill to a whole 8 stripes.
 """
 
 from __future__ import annotations
@@ -54,15 +49,20 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator, Mapping
 
-from ._lazy import np
+from .gf import Block
 from .params import CodeParams, Node, make_params
 
 MAGIC = b"MSRC"
-FORMAT_VERSION = 2
-# stripes per payload block; fixed by format version 2, and a multiple of 8
-# so that every block but the last packs a whole number of input bytes
+FORMAT_VERSION = 3
+# stripes per payload block; fixed by format version 3, and a multiple of 8
+# so that every plane is whole bytes
 BLOCK_STRIPES = 4096
 _HEADER = struct.Struct("<4sBBBBHHBBIQ")
+# after each row of each block, big-endian: appended in its own byte order
+# (little-endian for zlib's reflected CRC-32), a row's CRC would bring the
+# running CRC-32 of the file back to one fixed residue after every row, and
+# the whole-file CRC-32 in the manifest would not depend on any row's bytes
+_CRC = struct.Struct(">I")
 HEADER_LEN = _HEADER.size  # 26
 
 
@@ -214,78 +214,32 @@ def shard_filename(node: Node) -> str:
     return f"shard_{node[0]}_{node[1]}.msrc"
 
 
-# -- byte <-> symbol packing --------------------------------------------------
+# -- bytes <-> blocks -----------------------------------------------------------
 
 
 def stripe_count_for(file_length: int, message_len: int, m: int) -> int:
-    """Stripes needed to hold file_length bytes at m bits per symbol."""
-    if file_length == 0:
-        return 0
-    return -(-(file_length * 8) // (message_len * m))
+    """Stripes needed to hold file_length bytes at m bits per symbol,
+    rounded up to a multiple of 8, so that every plane is whole bytes: 8
+    stripes hold message_len*m bytes."""
+    return 8 * -(-file_length // (message_len * m))
 
 
-def symbols_from_bytes(data: bytes, m: int, total_symbols: int) -> np.ndarray:
-    """Pack a byte stream into symbols: m bits each, LSB-first; zero-fills
-    past the end of the data.  When m is 8 or 16 a symbol is whole
-    little-endian bytes, so this is one widening copy.  Otherwise it works
-    on 8-symbol groups, which are m bytes each: symbol j of every group is
-    the OR of the (at most 3) byte columns its bits span, each widened to
-    uint32 and shifted into place."""
-    if m % 8 == 0:
-        out = np.zeros(total_symbols, "<u2")
-        dst = out if m == 8 else out.view(np.uint8)
-        count = min(len(data), dst.size)
-        dst[:count] = np.frombuffer(data, dtype=np.uint8, count=count)
-        return out.astype(np.uint16, copy=False)
-    groups = -(-total_symbols // 8)
-    raw = np.zeros(groups * m, dtype=np.uint8)
-    count = min(len(data), raw.size)
-    raw[:count] = np.frombuffer(data, dtype=np.uint8, count=count)
-    cols = raw.reshape(groups, m)
-    out = np.empty((groups, 8), dtype=np.uint16)
-    for j in range(8):
-        lo = j * m  # first bit of symbol j in its group
-        first, last = lo // 8, (lo + m - 1) // 8
-        acc = cols[:, first].astype(np.uint32) >> (lo - 8 * first)
-        for b in range(first + 1, last + 1):
-            acc |= cols[:, b].astype(np.uint32) << (8 * b - lo)
-        if 8 * (last + 1) - lo > m:  # the last byte holds bits of symbol j+1
-            acc &= (1 << m) - 1
-        out[:, j] = acc
-    return out.reshape(-1)[:total_symbols]
+def symbols_from_bytes(data: bytes, m: int, rows: int, stripes: int) -> Block:
+    """The (rows, stripes) block whose bytes begin with `data`, zero-filled
+    past its end: plane after plane, stripes/8 bytes each (see Block)."""
+    size = rows * m * stripes // 8
+    if len(data) < size:
+        data = bytes(data) + bytes(size - len(data))
+    return Block.from_bytes(memoryview(data)[:size], m, rows, stripes)
 
 
-def bytes_from_symbols(symbols: np.ndarray, m: int, byte_length: int) -> bytes:
-    """Inverse of symbols_from_bytes, truncated to the original byte count.
-    `symbols` is a (message_len, stripes) block, or a flat symbol stream;
-    its transpose is the stream order.  Raises ValueError on a symbol of
-    more than m bits, whose high bits would land in the next symbol's.
-    When m is 8 or 16 this is the range check plus one narrowing copy of
-    the transpose into whole little-endian bytes.  Otherwise the transpose
-    is copied once into 8-symbol groups, then byte b of every group is the
-    OR of the symbol columns its bits span (at most ceil(8/m) + 1), each
-    widened to uint32 before any shift."""
-    stream = symbols.T.astype(np.uint16, copy=False)
-    if m % 8 == 0:
-        if m == 8 and int(stream.max(initial=0)) >> m:
-            raise ValueError(f"a symbol is not an element of GF(2^{m})")
-        out = np.empty(stream.shape, "<u1" if m == 8 else "<u2")
-        out[...] = stream
-        return out.reshape(-1).view(np.uint8)[:byte_length].tobytes()
-    total = stream.size
-    groups = -(-total // 8)
-    grouped = np.zeros((groups, 8), dtype=np.uint16)
-    grouped.reshape(-1)[:total].reshape(stream.shape)[...] = stream
-    if int(grouped.max(initial=0)) >> m:
-        raise ValueError(f"a symbol is not an element of GF(2^{m})")
-    out = np.empty((groups, m), dtype=np.uint8)
-    for b in range(m):
-        first, last = 8 * b // m, (8 * b + 7) // m
-        acc = grouped[:, first].astype(np.uint32) >> (8 * b - first * m)
-        for j in range(first + 1, last + 1):
-            acc |= grouped[:, j].astype(np.uint32) << (j * m - 8 * b)
-        out[:, b] = acc  # keeps the low 8 bits
-    return out.reshape(-1)[: min(byte_length, -(-total * m // 8))].tobytes()
+def bytes_from_symbols(symbols: Block, m: int, byte_length: int) -> bytes:
+    """The first byte_length bytes of the block's planes, in (row, bit)
+    order: the inverse of symbols_from_bytes.  Raises ValueError on a block
+    of other than m-bit symbols."""
+    if symbols.m != m:
+        raise ValueError(f"a block of {symbols.m}-bit symbols: not an element of GF(2^{m})")
+    return symbols.to_bytes()[:byte_length]
 
 
 # -- crash-safe writes ---------------------------------------------------------
@@ -347,24 +301,21 @@ def message_blocks(file_length: int, params: CodeParams) -> Iterator[tuple[int, 
         yield hi - lo, min(file_length, hi * bits // 8) - lo * bits // 8
 
 
-def read_messages(src: BinaryIO, file_length: int,
-                  params: CodeParams) -> Iterator[np.ndarray]:
+def read_messages(src: BinaryIO, file_length: int, params: CodeParams) -> Iterator[Block]:
     """Read a file_length-byte input one payload block at a time, yielding
-    each block's packed symbols as a contiguous (message_len, stripes)
-    array, so the plan reads whole rows.  Between blocks it holds nothing
-    it read."""
+    each block's bytes as its (message_len, stripes) Block: the input is
+    the systematic planes, in (node, row, bit) order.  Between blocks it
+    holds nothing it read."""
     for stripes, nbytes in message_blocks(file_length, params):
         yield _message_block(src, stripes, nbytes, file_length, params)
 
 
 def _message_block(src: BinaryIO, stripes: int, nbytes: int, file_length: int,
-                   params: CodeParams) -> np.ndarray:
+                   params: CodeParams) -> Block:
     data = src.read(nbytes)
     if len(data) != nbytes:
         raise OSError(f"input is shorter than {file_length} bytes; it changed while read")
-    symbols = symbols_from_bytes(data, params.gf.m, stripes * params.message_len)
-    del data  # freed before the transposing copy
-    return np.ascontiguousarray(symbols.reshape(stripes, params.message_len).T)
+    return symbols_from_bytes(data, params.gf.m, params.message_len, stripes)
 
 
 # -- shard reading/writing ----------------------------------------------------
@@ -374,6 +325,18 @@ def _blocks(stripe_count: int):
     """The [lo, hi) stripe range of every payload block, in file order."""
     for lo in range(0, stripe_count, BLOCK_STRIPES):
         yield lo, min(lo + BLOCK_STRIPES, stripe_count)
+
+
+def payload_bytes(stripes: int, rows: int, m: int) -> int:
+    """Bytes a shard stores for `rows` rows of a block of `stripes`
+    stripes: m planes of stripes/8 bytes and a CRC-32 per row."""
+    return rows * (m * stripes // 8 + _CRC.size)
+
+
+def shard_bytes(hdr: ShardHeader) -> int:
+    """The size of the shard file `hdr` describes."""
+    return HEADER_LEN + sum(payload_bytes(hi - lo, hdr.q**hdr.t, hdr.m)
+                            for lo, hi in _blocks(hdr.stripe_count))
 
 
 class ShardWriter:
@@ -391,19 +354,25 @@ class ShardWriter:
         self.file.write(data)
         self.crc = zlib.crc32(data, self.crc)
 
-    def write(self, block: np.ndarray) -> None:
-        """Append the next payload block: its (alpha, stripes) rows, as is."""
+    def write(self, block: Block) -> None:
+        """Append the next payload block: each of its alpha rows' planes,
+        then the CRC-32 of that row."""
         hdr = self.header
-        shape = (hdr.q**hdr.t, min(BLOCK_STRIPES, hdr.stripe_count - self.stripes_written))
-        if block.shape != shape:
-            raise ValueError(f"a block of shape {block.shape} is not the next block, "
-                             f"{shape}, of a {hdr.stripe_count}-stripe shard")
-        self._put(np.asarray(block, dtype="<u2").tobytes())
-        self.stripes_written += shape[1]
+        shape = (hdr.m, hdr.q**hdr.t, min(BLOCK_STRIPES, hdr.stripe_count - self.stripes_written))
+        if (block.m, block.rows, block.stripes) != shape:
+            raise ValueError(f"a block of (m, rows, stripes) = {(block.m, block.rows, block.stripes)}"
+                             f" is not the next block, {shape}, of a {hdr.stripe_count}-stripe shard")
+        m, width, planes = hdr.m, block.stripes // 8, block.planes
+        parts = []
+        for at in range(0, len(planes), m):
+            row = b"".join(plane.to_bytes(width, "little") for plane in planes[at : at + m])
+            parts += (row, _CRC.pack(zlib.crc32(row)))
+        self._put(b"".join(parts))
+        self.stripes_written += block.stripes
 
 
 def write_shard(shards: Mapping[Path | str, ShardHeader],
-                blocks: Iterable[Mapping[Node, np.ndarray]],
+                blocks: Iterable[Mapping[Node, Block]],
                 renames: contextlib.ExitStack) -> dict[Node, int]:
     """Write one shard per (path, header) of `shards` in a single pass over
     `blocks`, each of which maps every header's node to its next payload
@@ -429,19 +398,6 @@ def write_shard(shards: Mapping[Path | str, ShardHeader],
     return {writer.header.node: writer.crc for writer in writers.values()}
 
 
-def payload_bytes(stripes: int, rows: int) -> int:
-    """Bytes a shard stores for `rows` symbols on each of `stripes` stripes."""
-    return stripes * rows * 2
-
-
-def _check_file_size(f, hdr: ShardHeader, path) -> None:
-    """Reject a shard whose length disagrees with its header, reading nothing."""
-    size = os.fstat(f.fileno()).st_size
-    expected = HEADER_LEN + payload_bytes(hdr.stripe_count, hdr.q**hdr.t)
-    if size != expected:
-        raise ShardFormatError(f"{path}: file is {size} bytes, header implies {expected}")
-
-
 class CountingReader:
     """Thin file wrapper that accounts every byte and read() call actually
     requested; the instrumentation behind the partial-read guarantees."""
@@ -464,7 +420,8 @@ class CountingReader:
 class ShardReader:
     """An open shard whose header and file size were checked on opening,
     before any payload read.  Stream the payload with blocks() or
-    gamma_blocks(); `counter` counts the bytes and read() calls made."""
+    gamma_blocks(), which check the CRC-32 of every row they read;
+    `counter` counts the bytes and read() calls made."""
 
     def __init__(self, f: BinaryIO, path):
         self.path = path
@@ -472,43 +429,58 @@ class ShardReader:
         head = self.counter.read(HEADER_LEN)
         self.header = ShardHeader.unpack(head)
         self.crc = zlib.crc32(head)  # of the bytes read in file order so far
-        _check_file_size(f, self.header, path)
+        if self.header.stripe_count % 8:
+            raise ShardFormatError(f"{path}: stripe count {self.header.stripe_count} "
+                                   "is not a multiple of 8")
+        size, expected = os.fstat(f.fileno()).st_size, shard_bytes(self.header)
+        if size != expected:
+            raise ShardFormatError(f"{path}: file is {size} bytes, header implies {expected}")
 
-    def _rows(self, rows: int, width: int, at: int | None = None) -> np.ndarray:
-        """The next rows*width symbols as a (rows, width) array, checked to
-        be field symbols: read in file order, which extends `crc`, or, with
-        `at`, from that byte offset."""
+    def _rows(self, index: int, first: int, rows: int, stripes: int,
+              at: int | None = None) -> Block:
+        """Rows first..first+rows-1 of block `index`, whose stripe count is
+        `stripes`, each checked against its CRC-32: read in file order,
+        which extends `crc`, or, with `at`, from that byte offset."""
         if at is not None:
             self.counter.seek(at)
-        data = self.counter.read(rows * width * 2)
-        if len(data) != rows * width * 2:
+        size = payload_bytes(stripes, rows, self.header.m)
+        data = self.counter.read(size)
+        if len(data) != size:
             raise ShardFormatError(f"{self.path}: truncated shard payload")
-        symbols = np.frombuffer(data, dtype="<u2").reshape(rows, width)
-        if self.header.m < 16 and int(symbols.max()) >= 1 << self.header.m:
-            raise ShardFormatError(f"{self.path}: symbol out of range for GF(2^{self.header.m})")
         if at is None:
             self.crc = zlib.crc32(data, self.crc)
-        return symbols
+        m, view = self.header.m, memoryview(data)
+        row_bytes = payload_bytes(stripes, 1, m)
+        planes = []
+        for r in range(rows):
+            end = (r + 1) * row_bytes - _CRC.size
+            row = view[r * row_bytes : end]
+            if zlib.crc32(row) != _CRC.unpack_from(view, end)[0]:
+                raise ShardFormatError(f"{self.path}: block {index}: row {first + r} "
+                                       "does not match its CRC-32")
+            planes += Block.from_bytes(row, m, 1, stripes).planes
+        return Block(m, stripes, planes)
 
-    def blocks(self) -> Iterator[np.ndarray]:
-        """The (alpha, stripes) rows of every block, as read, in file order.
+    def blocks(self) -> Iterator[Block]:
+        """The (alpha, stripes) Block of every payload block, in file order.
         Once it is exhausted, `crc` is the CRC-32 of the whole file.  Between
         blocks it holds none of the bytes it read."""
         alpha = self.header.q**self.header.t
-        for lo, hi in _blocks(self.header.stripe_count):
-            yield self._rows(alpha, hi - lo)
+        for index, (lo, hi) in enumerate(_blocks(self.header.stripe_count)):
+            yield self._rows(index, 0, alpha, hi - lo)
 
-    def gamma_blocks(self, runs: list[tuple[int, int]]) -> Iterator[np.ndarray]:
+    def gamma_blocks(self, runs: list[tuple[int, int]]) -> Iterator[Block]:
         """The rows in `runs` ((start ordinal, length) pairs) of every block,
-        stacked as (sum of run lengths, stripes), reading only those rows:
-        one seek and read per run per block."""
-        alpha = self.header.q**self.header.t
+        stacked as a (sum of run lengths, stripes) Block, reading only those
+        rows and their CRCs: one seek and read per run per block."""
+        hdr = self.header
         base = HEADER_LEN
-        for lo, hi in _blocks(self.header.stripe_count):
+        for index, (lo, hi) in enumerate(_blocks(hdr.stripe_count)):
             width = hi - lo
-            yield np.concatenate([self._rows(length, width, at=base + payload_bytes(width, start))
-                                  for start, length in runs])
-            base += payload_bytes(width, alpha)
+            yield Block.stack([self._rows(index, start, length, width,
+                                          at=base + payload_bytes(width, start, hdr.m))
+                               for start, length in runs])
+            base += payload_bytes(width, hdr.q**hdr.t, hdr.m)
 
 
 @contextmanager
@@ -517,11 +489,20 @@ def open_shard(path: Path | str) -> Iterator[ShardReader]:
         yield ShardReader(f, path)
 
 
-def read_shard(path: Path | str) -> tuple[ShardHeader, np.ndarray]:
-    """Read a whole shard back as (header, (alpha, stripe_count) array)."""
+def _join(blocks: Iterable[Block], rows: int, m: int) -> Block:
+    """Blocks of the same rows side by side, their stripes in order."""
+    whole = Block(m, 0, [0] * (rows * m))
+    for block in blocks:
+        whole.planes = [a | b << whole.stripes for a, b in zip(whole.planes, block.planes)]
+        whole.stripes += block.stripes
+    return whole
+
+
+def read_shard(path: Path | str) -> tuple[ShardHeader, Block]:
+    """Read a whole shard back as (header, (alpha, stripe_count) Block)."""
     with open_shard(path) as shard:
         hdr = shard.header
-        rows = np.concatenate([np.empty((hdr.q**hdr.t, 0), "<u2"), *shard.blocks()], axis=1)
+        rows = _join(shard.blocks(), hdr.q**hdr.t, hdr.m)
     return hdr, rows
 
 
@@ -542,17 +523,15 @@ def gamma_runs(failed: Node, params: CodeParams) -> list[tuple[int, int]]:
 
 
 def read_gamma(path: Path | str, failed: Node,
-               params: CodeParams) -> tuple[ShardHeader, np.ndarray, int]:
-    """Read only the helper-row symbols of a shard: one seek and read per
-    run of gamma_runs per block, exactly header + 2*beta bytes per stripe.
-    Returns the header, the (beta, stripe_count) symbol stack, and the byte
-    count read."""
+               params: CodeParams) -> tuple[ShardHeader, Block, int]:
+    """Read only the helper rows of a shard, with their CRCs: one seek and
+    read per run of gamma_runs per block.  Returns the header, the (beta,
+    stripe_count) Block, and the byte count read."""
     with open_shard(path) as shard:
         hdr = shard.header
         if (hdr.q, hdr.t, hdr.m) != (params.q, params.t, params.gf.m):
             raise ShardFormatError(f"{path}: header parameters do not match")
-        blocks = shard.gamma_blocks(gamma_runs(failed, params))
-        rows = np.concatenate([np.empty((params.beta, 0), "<u2"), *blocks], axis=1)
+        rows = _join(shard.gamma_blocks(gamma_runs(failed, params)), params.beta, hdr.m)
     return hdr, rows, shard.counter.bytes_read
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 import pytest
 
 from msrcode import build_system, make_params
+from msrcode.gf import Block
 
 # (q, t, m) -> first c0 the ascending search accepts
 FOUND_C0 = {
@@ -65,7 +66,42 @@ def eval_constraints(codeword, sys_):
     return residuals
 
 
+def to_block(rows, m, stripes=None):
+    """Reference: the Block of `rows` (lists of symbols, one per stripe),
+    built bit by bit: bit s of plane r*m + b is bit b of rows[r][s]."""
+    stripes = len(rows[0]) if stripes is None else stripes
+    return Block(m, stripes, [sum((v >> b & 1) << s for s, v in enumerate(row))
+                              for row in rows for b in range(m)])
+
+
+def column_at(block, s):
+    """Reference: the symbols of a Block on stripe s, one per row."""
+    m = block.m
+    return [sum((block.planes[r * m + b] >> s & 1) << b for b in range(m))
+            for r in range(len(block.planes) // m)]
+
+
+def rows_of(block):
+    """Reference: a Block as a list of rows of symbols."""
+    return [list(row) for row in zip(*(column_at(block, s) for s in range(block.stripes)))] \
+        if block.stripes else [[] for _ in range(len(block.planes) // block.m)]
+
+
+def stripes_of(block, lo, hi):
+    """Stripes [lo, hi) of a Block."""
+    return Block(block.m, hi - lo, [plane >> lo & ((1 << (hi - lo)) - 1)
+                                    for plane in block.planes])
+
+
+def random_block(params, rng, stripes, rows=None):
+    """A random (rows, stripes) Block over the code's field, by default a
+    (k*alpha, stripes) message block; rng is a random.Random."""
+    rows = params.message_len if rows is None else rows
+    return to_block([[rng.randrange(params.gf.order) for _ in range(stripes)]
+                     for _ in range(rows)], params.gf.m, stripes)
+
+
 def stripe_array(columns, s, params):
-    """Stripe s of a batch {node: (alpha, stripes)} block as a {node: column}
-    codeword of ints."""
-    return {nd: columns[nd][:, s].tolist() for nd in params.nodes()}
+    """Stripe s of a batch {node: (alpha, stripes) Block} as a {node:
+    column} codeword of ints."""
+    return {nd: column_at(columns[nd], s) for nd in params.nodes()}

@@ -12,9 +12,7 @@ import re
 import time
 from fractions import Fraction
 
-import numpy as np
-
-from conftest import FOUND_C0, eval_constraints, system_for
+from conftest import FOUND_C0, eval_constraints, random_block, system_for
 from msrcode import (
     build_system,
     check_mds_ranks,
@@ -29,7 +27,8 @@ from msrcode import (
 from msrcode.cli import EXIT_OK, main
 from msrcode.gf import GF2M
 from msrcode.parity import build_hmds
-from msrcode.shardio import HEADER_LEN, Manifest, read_gamma, read_shard, shard_filename
+from msrcode.shardio import (BLOCK_STRIPES, HEADER_LEN, Manifest, read_gamma, read_shard,
+                             shard_filename)
 
 PARAM_SETS = [(2, 2, 5), (3, 2, 4), (2, 3, 7)]
 SUBSET_COUNTS = {(2, 2, 5): 6, (3, 2, 4): 20, (2, 3, 7): 15}
@@ -63,22 +62,22 @@ def test_criterion_1_mds_exhaustive():
 
 def test_criterion_2_repair_exact_and_bandwidth():
     t0 = time.monotonic()
-    rng = np.random.default_rng(42)
+    rng = random.Random(42)
     problems = []
     stripes = 4
     for q, t, m in PARAM_SETS:
         sys_ = system_for(q, t, m)
         p = sys_.params
-        msgs = rng.integers(0, p.gf.order, size=(p.message_len, stripes)).astype(np.uint16)
-        columns = encode_batch(msgs, sys_)
+        columns = encode_batch(random_block(p, rng, stripes), sys_)
         for failed in p.nodes():
             gamma = [p.row_ordinal(r) for r in p.gamma_rows(failed)]
-            helpers = {h: columns[h][gamma] for h in p.nodes() if h != failed}
-            if any(stack.shape != (p.q ** (p.t - 1), stripes) for stack in helpers.values()):
+            helpers = {h: columns[h].take(gamma) for h in p.nodes() if h != failed}
+            if any((stack.rows, stack.stripes) != (p.q ** (p.t - 1), stripes)
+                   for stack in helpers.values()):
                 problems.append(f"per-helper download != beta at {(q, t, m)}")
-            if not np.array_equal(repair_batch(failed, helpers, sys_), columns[failed]):
+            if repair_batch(failed, helpers, sys_) != columns[failed]:
                 problems.append(f"repair mismatch for node {failed} at {(q, t, m)}")
-            total = sum(stack.shape[0] for stack in helpers.values())
+            total = sum(stack.rows for stack in helpers.values())
             if total != (p.n - 1) * p.q ** (p.t - 1):
                 problems.append(f"total download {total} at {(q, t, m)}")
     # spot value from the statement: 20 symbols vs naive 32 for (2,3)
@@ -173,13 +172,15 @@ def test_criterion_6_help_by_transfer(tmp_path, capsys):
                 if helper == failed:
                     continue
                 _, sent, _ = read_gamma(store / shard_filename(helper), failed, p)
-                if not np.array_equal(sent, stored[helper][gamma]):
+                if sent != stored[helper].take(gamma):
                     problems.append(f"non-verbatim symbol at {(q, t, m)}")
-    # (b) CLI repair reads at most header + 2*beta bytes per stripe per helper
+    # (b) CLI repair reads at most the header, then beta*m bits per stripe
+    # per helper, plus the CRC-32 of each of its beta rows in each block
     store = tmp_path / "store_2_3"
     man = Manifest.read(store / "manifest.txt")
     p = man.params()
-    bound = HEADER_LEN + man.stripe_count * 2 * p.beta
+    blocks = -(-man.stripe_count // BLOCK_STRIPES)
+    bound = HEADER_LEN + p.beta * (man.stripe_count * p.gf.m // 8 + 4 * blocks)
     for helper in p.nodes():
         if helper == (1, 0):
             continue
@@ -194,7 +195,7 @@ def test_criterion_6_help_by_transfer(tmp_path, capsys):
     if got > bound:
         problems.append(f"cli repair read {got} > bound {bound}")
     report(6, problems, "helper rows read verbatim; repair reads "
-                        f"{got} bytes/helper <= header + 2*beta/stripe = {bound}")
+                        f"{got} bytes/helper <= header + beta*m bits/stripe + row CRCs = {bound}")
 
 
 def test_criterion_7_end_to_end_cli(tmp_path, capsys):
@@ -202,7 +203,7 @@ def test_criterion_7_end_to_end_cli(tmp_path, capsys):
     problems = []
     store = tmp_path / "store"
     src = tmp_path / "input.bin"
-    data = np.random.default_rng(7).integers(0, 256, size=1 << 20, dtype=np.uint8).tobytes()
+    data = random.Random(7).randbytes(1 << 20)
     src.write_bytes(data)
     if main(["init", "--q", "2", "--t", "3", "--m", "7", "--out-dir", str(store)]) != EXIT_OK:
         problems.append("init failed")

@@ -123,7 +123,7 @@ def test_encode_empty_file(tmp_path):
     for shard in shards_in(store):
         hdr, rows = read_shard(shard)
         assert hdr.stripe_count == 0
-        assert rows.shape == (4, 0)
+        assert (rows.rows, rows.stripes) == (4, 0)
     out = tmp_path / "out.bin"
     picked = shards_in(store)[:2]
     assert main(["decode", str(out), *map(str, picked)]) == EXIT_OK
@@ -131,14 +131,14 @@ def test_encode_empty_file(tmp_path):
 
 
 def test_encode_exact_stripe_at_m16(tmp_path):
-    # at m=16 a stripe consumes exactly B*2 bytes
+    # at m=16 the 8 stripes of one whole plane consume exactly 8*B*2 bytes
     store = tmp_path / "store"
     main(["init", "--q", "2", "--t", "2", "--m", "16", "--out-dir", str(store)])
     src = tmp_path / "in.bin"
-    data = bytes(os.urandom(16))  # B = 8 symbols = 16 bytes
+    data = bytes(os.urandom(128))  # B = 8 symbols = 16 bytes per stripe
     src.write_bytes(data)
     assert main(["encode", str(src), "--out-dir", str(store)]) == EXIT_OK
-    assert Manifest.read(store / "manifest.txt").stripe_count == 1
+    assert Manifest.read(store / "manifest.txt").stripe_count == 8
     out = tmp_path / "out.bin"
     picked = shards_in(store)[2:]  # the two parity shards
     assert main(["decode", str(out), *map(str, picked)]) == EXIT_OK
@@ -295,12 +295,13 @@ def test_repeated_manifest_key_is_verification_failure(store22, tmp_path, comman
     assert main(argv) == EXIT_VERIFY
 
 
-@pytest.mark.parametrize("command", ["decode", "repair"])
-def test_version_1_shard_is_verification_failure(store22, tmp_path, command):
+def older_version_fails(store22, tmp_path, command, version):
+    """A shard of an older format version: decode and repair exit 2 and
+    leave no output and no temp file."""
     store, _ = store22
     victim = store / shard_filename((2, 0))
     blob = bytearray(victim.read_bytes())
-    blob[4] = 1  # format version
+    blob[4] = version  # format version
     victim.write_bytes(bytes(blob))
     rebuilt = store / shard_filename((1, 0))
     rebuilt.unlink()
@@ -312,6 +313,17 @@ def test_version_1_shard_is_verification_failure(store22, tmp_path, command):
     assert main(argv) == EXIT_VERIFY
     assert not out.exists() and not rebuilt.exists()
     assert not list(store.glob("*.tmp"))
+
+
+@pytest.mark.parametrize("command", ["decode", "repair"])
+def test_version_1_shard_is_verification_failure(store22, tmp_path, command):
+    older_version_fails(store22, tmp_path, command, 1)
+
+
+@pytest.mark.parametrize("command", ["decode", "repair"])
+def test_version_2_shard_is_verification_failure(store22, tmp_path, command):
+    # format v2 stored 2 bytes per symbol; no v2 reader is kept
+    older_version_fails(store22, tmp_path, command, 2)
 
 
 @pytest.mark.parametrize("command", ["decode", "repair"])
@@ -401,7 +413,9 @@ def test_repair_reports_partial_read_bound(store22, capsys):
     assert main(["repair", "--node", "1,0", "--out-dir", str(store)]) == EXIT_OK
     out = capsys.readouterr().out
     got = int(re.search(r"per-helper read : (\d+) bytes", out).group(1))
-    assert got == HEADER_LEN + man.stripe_count * 2 * p.beta
+    # one block: the header, then beta rows of m planes, each with its CRC
+    assert got == HEADER_LEN + p.beta * (man.stripe_count * p.gf.m // 8 + 4)
+    assert "stripes x" not in out  # no per-stripe byte count: a symbol is m bits
 
 
 def test_repair_overwrites_stale_shard(store22):
@@ -413,17 +427,72 @@ def test_repair_overwrites_stale_shard(store22):
     assert victim.read_bytes() == original
 
 
+def test_encode_and_repair_remove_their_own_stale_temp_files(store22, tmp_path):
+    # the temp files a killed encode or repair leaves: encode removes those
+    # of every shard of the code and of the manifest, repair only that of
+    # the shard it rebuilds; a foreign x.tmp stays, and the output is exact
+    store, data = store22
+    p = Manifest.read(store / "manifest.txt").params()
+    good = {f.name: f.read_bytes() for f in store.iterdir()}
+    owned = [shard_filename(nd) + ".tmp" for nd in p.nodes()] + ["manifest.txt.tmp"]
+    for name in owned + ["x.tmp"]:
+        (store / name).write_bytes(b"left by a killed run")
+    src = tmp_path / "input.bin"
+    assert main(["encode", str(src), "--out-dir", str(store)]) == EXIT_OK
+    assert {f.name: f.read_bytes() for f in store.iterdir()} == \
+        {**good, "x.tmp": b"left by a killed run"}
+    (store / shard_filename((1, 0))).unlink()
+    for name in ("shard_1_0.msrc.tmp", "shard_2_0.msrc.tmp"):
+        (store / name).write_bytes(b"left by a killed run")
+    assert main(["repair", "--node", "1,0", "--out-dir", str(store)]) == EXIT_OK
+    assert {f.name: f.read_bytes() for f in store.iterdir()} == \
+        {**good, "x.tmp": b"left by a killed run", "shard_2_0.msrc.tmp": b"left by a killed run"}
+
+
+@pytest.mark.parametrize("command", ["repair", "decode"])
+def test_a_bad_row_names_the_shard_and_the_block(tmp_path, monkeypatch, capsys, command):
+    # one flipped byte in block 1 of a 3-block store: a helper's gamma row
+    # for repair, a systematic row for decode.  The row CRC names the shard
+    # and the block, before the whole-file CRC is reached; nothing is renamed
+    monkeypatch.setattr(shardio, "BLOCK_STRIPES", 8)
+    store, src, out = tmp_path / "store", tmp_path / "in.bin", tmp_path / "out.bin"
+    assert main(["init", "--q", "2", "--t", "2", "--m", "3", "--out-dir", str(store)]) == EXIT_OK
+    src.write_bytes(os.urandom(70))  # 24 bytes per 8 stripes: 3 blocks
+    assert main(["encode", str(src), "--out-dir", str(store)]) == EXIT_OK
+    p = Manifest.read(store / "manifest.txt").params()
+    assert Manifest.read(store / "manifest.txt").stripe_count == 24
+    if command == "repair":
+        bad, row = (2, 0), p.row_ordinal(p.gamma_rows((1, 0))[0])
+        (store / shard_filename((1, 0))).unlink()
+        argv = ["repair", "--node", "1,0", "--out-dir", str(store)]
+    else:
+        bad, row = (1, 1), 2
+        argv = ["decode", str(out), str(store / shard_filename((1, 1))),
+                str(store / shard_filename((2, 0)))]
+    path = store / shard_filename(bad)
+    blob = bytearray(path.read_bytes())
+    blob[HEADER_LEN + shardio.payload_bytes(8, p.alpha, 3) + shardio.payload_bytes(8, row, 3)] ^= 4
+    path.write_bytes(bytes(blob))
+    before = {f.name: f.read_bytes() for f in tmp_path.rglob("*") if f.is_file()}
+    capsys.readouterr()
+    assert main(argv) == EXIT_VERIFY
+    err = capsys.readouterr().err
+    assert f"{shard_filename(bad)}: block 1: row {row} does not match its CRC-32" in err
+    assert {f.name: f.read_bytes() for f in tmp_path.rglob("*") if f.is_file()} == before
+
+
 def test_repair_checksum_mismatch_leaves_no_file(store22):
     store, _ = store22
     p = Manifest.read(store / "manifest.txt").params()
     failed = (1, 0)
     (store / shard_filename(failed)).unlink()
     # flip one bit of a helper-row symbol in stripe 0; the header stays intact.
-    # Each row of the first block holds min(stripe_count, BLOCK_STRIPES) symbols.
+    # Each row of the first block holds min(stripe_count, BLOCK_STRIPES) stripes.
     helper = store / shard_filename((2, 0))
     blob = bytearray(helper.read_bytes())
     width = min(read_shard(helper)[0].stripe_count, BLOCK_STRIPES)
-    blob[HEADER_LEN + 2 * p.row_ordinal(p.gamma_rows(failed)[0]) * width] ^= 1
+    row = p.row_ordinal(p.gamma_rows(failed)[0])
+    blob[HEADER_LEN + shardio.payload_bytes(width, row, p.gf.m)] ^= 1
     helper.write_bytes(bytes(blob))
     before = {f.name: f.read_bytes() for f in store.iterdir()}
     assert main(["repair", "--node", "1,0", "--out-dir", str(store)]) == EXIT_VERIFY
@@ -497,29 +566,38 @@ def test_verify_garbled_parameter_fails_fast(tmp_path):
     assert time.perf_counter() - start < 1
 
 
-def test_scalar_commands_do_not_load_numpy(tmp_path):
-    # init, verify and stats run on ints; only the batch paths import numpy
+def test_no_command_loads_numpy(tmp_path):
+    # every command runs on ints: with a numpy that raises when executed
+    # first on the path, init, encode, decode, repair, verify and stats all
+    # succeed in one process and leave no numpy module loaded
     script = textwrap.dedent("""
         import json, sys
         from msrcode.cli import main
         store, data = sys.argv[1:]
+        out = store + "/out.bin"
         codes = [main(["init", "--q", "2", "--t", "2", "--out-dir", store]),
+                 main(["encode", data, "--out-dir", store]),
+                 main(["decode", out, store + "/shard_1_1.msrc", store + "/shard_2_0.msrc"]),
+                 main(["repair", "--node", "1,0", "--out-dir", store]),
                  main(["verify", "--trials", "1", "--out-dir", store]),
                  main(["stats", "--out-dir", store])]
-        loaded = [sorted(m for m in sys.modules if m.startswith("numpy."))]
-        codes.append(main(["encode", data, "--out-dir", store]))
-        loaded.append(sorted(m for m in sys.modules if m.startswith("numpy.")))
-        print(json.dumps([codes, loaded]))
+        same = open(out, "rb").read() == open(data, "rb").read()
+        loaded = sorted(m for m in sys.modules if m.startswith("numpy."))
+        print(json.dumps([codes, same, loaded]))
     """)
+    stub = tmp_path / "stub" / "numpy"
+    stub.mkdir(parents=True)
+    (stub / "__init__.py").write_text("raise ImportError('numpy was executed')\n")
     data = tmp_path / "in.bin"
-    data.write_bytes(bytes(range(256)))
-    env = dict(os.environ, PYTHONPATH=str(Path(msrcode.__file__).parents[1]))
+    data.write_bytes(bytes(range(256)) * 300)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(stub.parent), str(Path(msrcode.__file__).parents[1])]))
     out = subprocess.run([sys.executable, "-c", script, str(tmp_path / "store"), str(data)],
                          env=env, capture_output=True, text=True, check=True)
-    codes, (before, after) = json.loads(out.stdout.splitlines()[-1])
-    assert codes == [EXIT_OK] * 4
-    assert before == []
-    assert after
+    codes, same, loaded = json.loads(out.stdout.splitlines()[-1])
+    assert codes == [EXIT_OK] * 6
+    assert same
+    assert loaded == []
 
 
 def test_verify_zero_c0_fails(store22):

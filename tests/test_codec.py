@@ -1,18 +1,18 @@
 """Encode/decode: constraint satisfaction, linearity, any-k round trips,
-and the batched numpy paths checked against the term-list oracle."""
+and the batched Block paths checked against the term-list oracle."""
 
 import itertools
 import random
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
-from conftest import BAD_C0, eval_constraints, stripe_array
+from conftest import (BAD_C0, column_at, eval_constraints, random_block, rows_of, stripe_array,
+                      to_block)
 from msrcode import build_system, decode_from_k, encode, find_code, make_params, verify_mds
 from msrcode.codec import complete_columns, decode_batch, encode_batch
+from msrcode.gf import Block
 from msrcode.parity import check_mds_ranks, gf_rank
 from msrcode.repair import repair_batch
 
@@ -78,13 +78,13 @@ def test_encode_rejects_bad_input(sys22):
 
 def test_encode_is_one_stripe_of_encode_batch(all_systems):
     # the scalar and batch encoders return the same {node: column} codeword
-    rng = np.random.default_rng(4)
+    rng = random.Random(4)
     for sys_ in all_systems:
         p = sys_.params
-        msgs = rng.integers(0, p.gf.order, size=(p.message_len, 3)).astype(np.uint16)
+        msgs = random_block(p, rng, 3)
         columns = encode_batch(msgs, sys_)
-        for s in range(msgs.shape[1]):
-            assert encode(msgs[:, s].tolist(), sys_) == stripe_array(columns, s, p)
+        for s in range(msgs.stripes):
+            assert encode(column_at(msgs, s), sys_) == stripe_array(columns, s, p)
 
 
 # -- the constraint oracle -------------------------------------------------------------
@@ -216,41 +216,39 @@ def test_verify_mds_deficient_is_the_rank_check(all_systems, trials):
 
 
 def test_encode_batch_satisfies_constraints(sys22, sys23):
-    rng = np.random.default_rng(11)
+    rng = random.Random(11)
     for sys_ in (sys22, sys23):
         p = sys_.params
-        msgs = rng.integers(0, p.gf.order, size=(p.message_len, 20)).astype(np.uint16)
+        msgs = random_block(p, rng, 20)
         columns = encode_batch(msgs, sys_)
-        for s in range(msgs.shape[1]):
+        for s in range(msgs.stripes):
             codeword = stripe_array(columns, s, p)
             assert eval_constraints(codeword, sys_) == [0] * sys_.n_constraints
             systematic = [v for nd in p.systematic_nodes() for v in codeword[nd]]
-            assert systematic == msgs[:, s].tolist()
+            assert systematic == column_at(msgs, s)
 
 
 def test_decode_batch_every_subset(sys23):
     p = sys23.params
-    rng = np.random.default_rng(12)
-    msgs = rng.integers(0, p.gf.order, size=(p.message_len, 17)).astype(np.uint16)
+    msgs = random_block(p, random.Random(12), 17)
     columns = encode_batch(msgs, sys23)
     for subset in itertools.combinations(p.nodes(), p.k):
-        got = decode_batch({nd: columns[nd] for nd in subset}, sys23)
-        assert np.array_equal(got, msgs)
+        assert decode_batch({nd: columns[nd] for nd in subset}, sys23) == msgs
 
 
 def test_batch_zero_stripes(sys22):
     p = sys22.params
-    columns = encode_batch(np.zeros((p.message_len, 0), dtype=np.uint16), sys22)
-    assert all(c.shape == (p.alpha, 0) for c in columns.values())
+    columns = encode_batch(random_block(p, random.Random(0), 0), sys22)
+    assert all((c.rows, c.stripes) == (p.alpha, 0) for c in columns.values())
     got = decode_batch({nd: columns[nd] for nd in list(p.nodes())[: p.k]}, sys22)
-    assert got.shape == (p.message_len, 0)
+    assert (got.rows, got.stripes) == (p.message_len, 0)
 
 
 def test_complete_columns_validates_known_set(sys22):
-    # one completion serves a stripe (lists of ints) and a block (arrays)
+    # one completion serves a stripe (lists of ints) and a block (Blocks)
     p = sys22.params
     nodes = list(p.nodes())
-    for zero in ([0] * p.alpha, np.zeros((p.alpha, 3), dtype=np.uint16)):
+    for zero in ([0] * p.alpha, Block(p.gf.m, 3, [0] * (p.alpha * p.gf.m))):
         with pytest.raises(ValueError):  # fewer than k known columns
             complete_columns(sys22, {nodes[0]: zero}, p.parity_nodes())
         with pytest.raises(ValueError):  # k columns, one of them foreign
@@ -262,37 +260,41 @@ def test_complete_columns_validates_known_set(sys22):
 @pytest.mark.parametrize("entry", ["encode", "decode_from_k", "encode_batch", "encode_batch -1",
                                    "decode_batch systematic", "decode_batch", "repair_batch"])
 def test_out_of_field_symbol_rejected(entry):
-    # GF(2^3) has 8 elements; every entry point refuses a symbol outside it
-    # (the batch paths once raised IndexError or passed 200 through)
+    # GF(2^3) has 8 elements; every entry point refuses a symbol outside it.
+    # A Block holds m-bit symbols only, so on the batch paths such a symbol
+    # comes in a block of a wider field, or in planes with bits outside
+    # their stripes (as -1 has)
     sys_ = build_system(params := find_code(2, 2, 3), params.c0)
     p = sys_.params
     nodes = list(p.nodes())
-    stacks = encode_batch(np.zeros((p.message_len, 4), dtype=np.uint16), sys_)
-    stacks[nodes[1]] = stacks[nodes[1]].copy()
-    stacks[nodes[1]][0, 2] = 200
+    stacks = encode_batch(random_block(p, random.Random(0), 4), sys_)
+    wide = rows_of(stacks[nodes[1]])
+    wide[0][2] = 200
+    stacks[nodes[1]] = to_block(wide, 8)
     with pytest.raises(ValueError, match="not an element of GF"):
         if entry == "encode":
             encode([0] * (p.message_len - 1) + [40], sys_)
         elif entry == "decode_from_k":
             decode_from_k({nd: [0] * (p.alpha - 1) + [9] for nd in nodes[: p.k]}, sys_)
         elif entry == "encode_batch":
-            encode_batch(np.full((p.message_len, 3), 40, dtype=np.uint16), sys_)
-        elif entry == "encode_batch -1":  # a signed block
-            encode_batch(np.full((p.message_len, 3), -1, dtype=np.int64), sys_)
+            encode_batch(to_block([[40] * 3] * p.message_len, 6), sys_)
+        elif entry == "encode_batch -1":
+            encode_batch(Block(p.gf.m, 3, [-1] * (p.message_len * p.gf.m)), sys_)
         elif entry == "decode_batch systematic":
             decode_batch({nd: stacks[nd] for nd in p.systematic_nodes()}, sys_)
         elif entry == "decode_batch":
             decode_batch({nd: stacks[nd] for nd in nodes[1 : p.k + 1]}, sys_)
         else:
-            helpers = {nd: np.full((p.beta, 3), 9, dtype=np.uint16) for nd in nodes[1:]}
+            helpers = {nd: to_block([[9] * 3] * p.beta, 4) for nd in nodes[1:]}
             repair_batch(nodes[0], helpers, sys_)
 
 
 def test_encode_batch_shape_validation(sys22):
+    p = sys22.params
     with pytest.raises(ValueError):
-        encode_batch(np.zeros((5, 4), dtype=np.uint16), sys22)
-    with pytest.raises(ValueError):  # a (stripes, k*alpha) stack is the wrong way round
-        encode_batch(np.zeros((4, sys22.params.message_len), dtype=np.uint16), sys22)
+        encode_batch(Block(p.gf.m, 4, [0] * (5 * p.gf.m)), sys22)
+    with pytest.raises(ValueError):  # a (stripes, k*alpha) block is the wrong way round
+        encode_batch(Block(p.gf.m, p.message_len, [0] * (4 * p.gf.m)), sys22)
 
 
 def test_decode_batch_rank_deficient_subset_raises():
@@ -300,7 +302,7 @@ def test_decode_batch_rank_deficient_subset_raises():
     bad_sys = build_system(make_params(q, t, m), BAD_C0[(q, t, m)])
     p = bad_sys.params
     lost = next(s for s in check_mds_ranks(bad_sys) if set(s) & set(p.systematic_nodes()))
-    available = {nd: np.zeros((p.alpha, 3), dtype=np.uint16)
+    available = {nd: Block(p.gf.m, 8, [0] * (p.alpha * p.gf.m))
                  for nd in p.nodes() if nd not in lost}
     with pytest.raises(ValueError):
         decode_batch(available, bad_sys)
@@ -312,15 +314,16 @@ def test_batch_paths_property(all_systems, data):
     sys_ = data.draw(st.sampled_from(all_systems))
     p = sys_.params
     stripes = data.draw(st.integers(0, 7))
-    msgs = data.draw(arrays(np.uint16, (p.message_len, stripes),
-                            elements=st.integers(0, p.gf.order - 1)))
+    symbols = st.lists(st.integers(0, p.gf.order - 1), min_size=stripes, max_size=stripes)
+    msgs = to_block(data.draw(st.lists(symbols, min_size=p.message_len,
+                                       max_size=p.message_len)), p.gf.m, stripes)
     subset = data.draw(st.sampled_from(list(itertools.combinations(p.nodes(), p.k))))
     columns = encode_batch(msgs, sys_)
-    assert np.array_equal(decode_batch({nd: columns[nd] for nd in subset}, sys_), msgs)
+    assert decode_batch({nd: columns[nd] for nd in subset}, sys_) == msgs
     for failed in p.nodes():
         gamma_idx = [p.row_ordinal(r) for r in p.gamma_rows(failed)]
-        helpers = {h: columns[h][gamma_idx] for h in p.nodes() if h != failed}
-        assert np.array_equal(repair_batch(failed, helpers, sys_), columns[failed])
+        helpers = {h: columns[h].take(gamma_idx) for h in p.nodes() if h != failed}
+        assert repair_batch(failed, helpers, sys_) == columns[failed]
     for s in range(stripes):
-        picked = {nd: [int(v) for v in columns[nd][:, s]] for nd in subset}
-        assert decode_from_k(picked, sys_) == msgs[:, s].tolist()
+        picked = {nd: column_at(columns[nd], s) for nd in subset}
+        assert decode_from_k(picked, sys_) == column_at(msgs, s)

@@ -1,47 +1,55 @@
-"""Shard format v2 pinned byte for byte: a fixed seeded input, encoded by
+"""Shard format v3 pinned byte for byte: a fixed seeded input, encoded by
 the CLI, must give shards and a manifest with exactly these SHA-256s, and
 those shards must still decode and repair.  A change to the field tables,
-the plans, the bit packing or the block layout that alters a single byte
+the plans, the bit planes or the block layout that alters a single byte
 of what encode writes fails here, before any older store becomes
 unreadable.
 
 Each case has more than one 4096-stripe payload block and ends in a
-partial block whose last stripe is only partly filled with input."""
+partial block whose last stripes are only partly filled with input.
+
+The layout itself is checked against the scalar encoder: a bitwise reader
+written here, which shares no code with the library's Block, unpacks each
+stripe of every shard, and each stripe's columns must be what
+codec.encode makes of that stripe's message, cut from the input by the
+same bitwise rule."""
 
 from __future__ import annotations
 
 import hashlib
 import random
+import zlib
 
 import pytest
 
+from msrcode import build_system, codec, find_code, shardio
 from msrcode.cli import EXIT_OK, main
-from msrcode.shardio import MANIFEST_NAME, Manifest, shard_filename
+from msrcode.shardio import HEADER_LEN, MANIFEST_NAME, Manifest, shard_filename
 
 # (q, t, m) -> (input seed, input length, {file name: SHA-256})
 PINNED = {
-    # 12 input bytes per stripe: 8,610 stripes, two full blocks and a third
+    # 12 input bytes per stripe: 8,616 stripes, two full blocks and a third
     (2, 3, 3): (23, 2 * 49152 + 5007, {
-        "manifest.txt": "ba4894bc6b3695b446880ff67709497793bea7cae42da393e1a181f0a27532f2",
-        "shard_1_0.msrc": "34f102dd717cb40b24be9b58aaa04e17388d4ae3a4bd795132968b02f447915b",
-        "shard_1_1.msrc": "02d1d2bb3adcc8f07fed520ecb48ad09c76556e5306fd4983f9c0347c50440dd",
-        "shard_2_0.msrc": "511acc5c130e4f65176d5d66675feeb23aa824fc0fa4d0db180e0aa1c1be829a",
-        "shard_2_1.msrc": "094cace87a9b0a062d0b5c4473faaf36ee1f26ddde5978bfd6f0eb9896b7231b",
-        "shard_3_0.msrc": "adde74e15fc8fbce352fb2782be7241c4185d7d1bb5237654c586b8a41417721",
-        "shard_3_1.msrc": "903dbb48c954c900a0d6f5fe384e7351e17d2699319ca2c39d898d59ece87329",
+        "manifest.txt": "14340871545afdc82e8fc1fa599393c3565adc7caea3a9789aecc9bf11881854",
+        "shard_1_0.msrc": "a84007d1a665de30274790190c38b8c2b4e2a8d334737e3f4b6a29c33af0b17e",
+        "shard_1_1.msrc": "af9543494cf6247df044ef2e19c6fdfb253f0e10015b505dfe8db864b16aecc1",
+        "shard_2_0.msrc": "1dafa8f900ceaa4bc5e6dfcf94bfbcbdf236c124646baea36ae6b27199a3324b",
+        "shard_2_1.msrc": "0abfbe22a72344d505a6dc633fa0739f63b19c52720cc349ea94766963e92fd3",
+        "shard_3_0.msrc": "7daa55479c90cc12fc97ad08019e000b06b00e56d89995a7f8381d1180d7a400",
+        "shard_3_1.msrc": "3b15d471ac29bfcfd4806bb25e35e12ad784aaaa3eac856ef539a6372c4dd9f5",
     }),
-    # 162 input bytes per stripe: 4,714 stripes, one full block and a second
+    # 162 input bytes per stripe: 4,720 stripes, one full block and a second
     (3, 3, 8): (338, 663552 + 100001, {
-        "manifest.txt": "897cdf8268d08667af41067daac1a38973bbd522fc826f1772db8b6eb23939f5",
-        "shard_1_0.msrc": "0ec799f4eb520ee2ee8add3c7e7f938794b34505880c1e39c71b388fd7f93493",
-        "shard_1_1.msrc": "ec4f303547e13de96f8091ae3e81aea584207e56fa3e9b9ad34a09558bf0d373",
-        "shard_1_2.msrc": "df92a4467e150426796048130022ebccdb84f26b75cca3707a7cba0db9dab978",
-        "shard_2_0.msrc": "977274b14eb4ac3b095e948795591c73ebc210f1d2db143f0c2237712251079d",
-        "shard_2_1.msrc": "6cd09a6eff980b1994d4226a7714904a9fe438a76d58e0960b0b5828e4f900fa",
-        "shard_2_2.msrc": "77ffbd998e3c8cc2a074a2390ce9e59ad785789a18e5a406ec25db8829134ddb",
-        "shard_3_0.msrc": "8f9c0a3de77fd48be342424ddd8f950af321dce4a23d9866f633db8bc724f0f6",
-        "shard_3_1.msrc": "ec57369f3de9408118a5aaa233d4095f1e78fe471420b90376f1f8f9f4df95fa",
-        "shard_3_2.msrc": "274109eacaad0258e95c31d00a53c5619671c6cc876f6c04e22c5411692f94c3",
+        "manifest.txt": "956a61f356a64418d00ea432fcda972e0a447262eebd077f2d5a0b74d8d80c7e",
+        "shard_1_0.msrc": "a34381977ca71dcc69f5c0cc19596033f7b3679fe8c82ac8a64a1aa7bec4c385",
+        "shard_1_1.msrc": "072d5fc929974928a1d39074d3b827dc3292a472960cfcdfa2ad63d882fa0cc0",
+        "shard_1_2.msrc": "d142608aad033888f810ede886c33492669e578a975cdeb4965ffc0513d75f79",
+        "shard_2_0.msrc": "c4eb48768e360f77f334a415ab498dc76a920fd1b6952ddedbe57dfcc0ac0c40",
+        "shard_2_1.msrc": "5562f3c339bed891662e4d7cf5d2f6551c7886df1010dfd2bf0e0bc9fcdacb23",
+        "shard_2_2.msrc": "adf1eaedc585204a66ce26ddd60aee1865b500efa15d68eda0859c6dc232a1a6",
+        "shard_3_0.msrc": "779fee94473c3946acb3420bf5b14548dd9f38547d49f4e252f11ce407641f41",
+        "shard_3_1.msrc": "0a5fd5ed1769340111023bbb1b9c958fa6c7ef377bbeac1f954fd67ae641c9a1",
+        "shard_3_2.msrc": "1dde52079c4558341aef3b0ea3f35523de9ba6d569c29c03f576fd3d01619be4",
     }),
 }
 
@@ -87,3 +95,69 @@ def test_pinned_store_repairs_a_node_of_every_class(store):
         (st / name).unlink()
         assert main(["repair", "--node", f"{i},{i % p.q}", "--out-dir", str(st)]) == EXIT_OK
         assert sha256(st / name) == digests[name]
+
+
+# -- the layout against the scalar encoder -----------------------------------------
+
+
+def bit(data: bytes, index: int) -> int:
+    """Bit `index` of a byte string, LSB-first; 0 past its end."""
+    return data[index // 8] >> index % 8 & 1 if index // 8 < len(data) else 0
+
+
+def unpack_shard(blob: bytes, alpha: int, m: int, stripes: int, block: int) -> list[list[int]]:
+    """Reference reader: stripe s of the shard as its alpha symbols.  Each
+    block of `block` stripes holds, row after row, m planes of width/8
+    bytes (plane b: bit b of each stripe's symbol, stripe s at bit s) and
+    then the row's CRC-32, big-endian."""
+    columns, at = [], HEADER_LEN
+    for lo in range(0, stripes, block):
+        width = min(block, stripes - lo)
+        rows = []
+        for _ in range(alpha):
+            planes = blob[at : at + m * width // 8]
+            assert int.from_bytes(blob[at + len(planes) : at + len(planes) + 4], "big") == \
+                zlib.crc32(planes)
+            rows.append([sum(bit(planes, b * width + s) << b for b in range(m))
+                         for s in range(width)])
+            at += len(planes) + 4
+        columns += [list(column) for column in zip(*rows)]
+    assert at == len(blob)
+    return columns
+
+
+def message_of(data: bytes, s: int, message_len: int, m: int, block: int) -> list[int]:
+    """Reference: the message of stripe s.  The input bytes of each block
+    are its message planes, row after row: symbol j's bit b on local stripe
+    u is bit (j*m + b)*width + u of the block's bytes."""
+    lo = s - s % block
+    stripes = shardio.stripe_count_for(len(data), message_len, m)
+    width = min(block, stripes - lo)
+    start = lo * message_len * m // 8
+    piece = data[start : start + message_len * m * width // 8]
+    return [sum(bit(piece, (j * m + b) * width + s - lo) << b for b in range(m))
+            for j in range(message_len)]
+
+
+@pytest.mark.parametrize("qtm", [(2, 3, 3), (3, 3, 8), (2, 2, 16)],
+                         ids=lambda qtm: "q%d-t%d-m%d" % qtm)
+def test_each_stripe_of_the_shards_is_the_scalar_encode(tmp_path, monkeypatch, qtm):
+    # blocks of 16 stripes; the input fills 4.5 groups of 8 stripes plus 3
+    # bytes, so 40 stripes: two whole blocks, then a half block whose last
+    # stripes are partly filled
+    monkeypatch.setattr(shardio, "BLOCK_STRIPES", 16)
+    p = find_code(*qtm)
+    sys_ = build_system(p, p.c0)
+    data = random.Random(sum(qtm)).randbytes(9 * p.message_len * p.gf.m // 2 + 3)
+    (tmp_path / "in.bin").write_bytes(data)
+    st = tmp_path / "store"
+    assert main(["init", "--q", str(p.q), "--t", str(p.t), "--m", str(p.gf.m),
+                 "--out-dir", str(st)]) == EXIT_OK
+    assert main(["encode", str(tmp_path / "in.bin"), "--out-dir", str(st)]) == EXIT_OK
+    stripes = Manifest.read(st / MANIFEST_NAME).stripe_count
+    assert stripes == 40
+    shards = {nd: unpack_shard((st / shard_filename(nd)).read_bytes(), p.alpha, p.gf.m,
+                               stripes, 16) for nd in p.nodes()}
+    for s in range(stripes):
+        codeword = codec.encode(message_of(data, s, p.message_len, p.gf.m, 16), sys_)
+        assert {nd: shards[nd][s] for nd in p.nodes()} == codeword, s

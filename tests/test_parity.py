@@ -11,12 +11,11 @@ import hashlib
 import itertools
 import random
 
-import numpy as np
 import pytest
 
-from conftest import BAD_C0, FOUND_C0
+from conftest import BAD_C0, FOUND_C0, column_at, random_block
 from msrcode import make_params
-from msrcode.gf import GF2M
+from msrcode.gf import GF2M, Block
 from msrcode import parity
 from msrcode.parity import (
     ParityCheckSystem,
@@ -492,8 +491,9 @@ def test_compile_plan_refuses_a_symbol_neither_missing_nor_known(sys23):
 
 @pytest.mark.parametrize("q,t,m,c0", list(PLAN_FINGERPRINTS))
 def test_plans_write_only_output_slots_and_run_plan_reads_inputs_in_place(q, t, m, c0):
-    # run_plan reads its input rows in place, as read-only views, so every
-    # plan may write only the output slots that follow the inputs
+    # every plan may write only the output slots that follow the inputs;
+    # run_plan leaves its input blocks as they were, and on a block its
+    # plane XORs compute what the scalar runner does on each stripe
     p = make_params(q, t, m)
     sys_ = build_system(p, c0)
     cases = []  # (plan, input column count, rows per input column, output rows)
@@ -503,16 +503,51 @@ def test_plans_write_only_output_slots_and_run_plan_reads_inputs_in_place(q, t, 
         except ValueError:  # a singular H_S has no plan
             pass
     cases += [(repair_plan(node, sys_), p.d, p.beta, p.alpha) for node in p.nodes()]
-    rng = np.random.default_rng(m)
+    rng = random.Random(m)
     for plan, count, rows, n_out in cases:
         n_in = count * rows
         assert all(n_in <= dst < n_in + n_out and src < n_in + n_out for dst, _, src in plan)
-        inputs = [rng.integers(0, 1 << m, (rows, 5), dtype=np.uint16) for _ in range(count)]
-        before = [col.copy() for col in inputs]
+        inputs = [random_block(p, rng, 5, rows) for _ in range(count)]
+        before = [list(col.planes) for col in inputs]
         out = run_plan(plan, inputs, n_out, p.gf)
-        assert out.shape == (n_out, 5) and out.flags.writeable
-        for col, old in zip(inputs, before):
-            assert col.flags.writeable and np.array_equal(col, old)
+        assert (out.m, out.rows, out.stripes) == (m, n_out, 5)
+        assert [col.planes for col in inputs] == before
+        for s in range(5):
+            assert column_at(out, s) == \
+                run_plan(plan, [column_at(col, s) for col in inputs], n_out, p.gf)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 8, 16])
+def test_plane_program_is_the_plan_in_any_field(m):
+    # a plan with every kind of op (an XOR, a scaled XOR, an in-place scale,
+    # then reads of the scaled slot) gives the scalar results on each stripe,
+    # for every coefficient of small fields and sampled ones of large
+    gf = GF2M(m)
+    rng = random.Random(m)
+    coeffs = range(gf.order) if m <= 3 else [0, 1, 2, gf.order - 1,
+                                             *rng.sample(range(gf.order), 8)]
+    for c in coeffs:
+        plan = parity.Plan([(2, 1, 0), (2, c, 1), (2, c, 2), (3, c, 2), (3, 1, 3), (2, 1, 3)])
+        rows = [[rng.randrange(gf.order) for _ in range(11)] for _ in range(2)]
+        inputs = [Block(m, 11, [sum((v >> b & 1) << s for s, v in enumerate(row))
+                                for b in range(m)]) for row in rows]
+        out = run_plan(plan, inputs, 2, gf)
+        for s in range(11):
+            assert column_at(out, s) == run_plan(plan, [[row[s]] for row in rows], 2, gf)
+        xors, _, _ = plan.program(2, 2, gf)
+        assert plan.program(2, 2, gf)[0] is xors  # expanded once, kept with the plan
+        assert len(xors) == 2 * m + 3 * len(gf.bit_pairs(c)) + m
+
+
+def test_bit_pairs_are_the_bit_matrix_of_the_coefficient():
+    gf = GF2M(5)
+    for c in range(gf.order):
+        for x in range(gf.order):
+            product = 0
+            for r, i in gf.bit_pairs(c):
+                product ^= (x >> i & 1) << r
+            assert product == gf.mul(c, x)
+    assert gf.bit_pairs(1) == tuple((i, i) for i in range(5)) and gf.bit_pairs(0) == ()
 
 
 # -- MDS checks and the c0 search --------------------------------------------------

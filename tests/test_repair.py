@@ -9,32 +9,30 @@ import textwrap
 from pathlib import Path
 from unittest import mock
 
-import numpy as np
+import random
+
 import pytest
 
 import msrcode
-from conftest import eval_constraints, stripe_array, system_for
+from conftest import eval_constraints, random_block, rows_of, stripe_array, system_for
 from msrcode import bandwidth_report, build_system, make_params
 from msrcode.codec import encode_batch
+from msrcode.gf import Block
 from msrcode.repair import repair_batch
 from msrcode.shardio import gamma_runs
 
 
-def random_block(params, rng, stripes):
-    """A random (k*alpha, stripes) message block."""
-    return rng.integers(0, params.gf.order, size=(params.message_len, stripes)).astype(np.uint16)
-
-
 def helper_rows(columns, failed, params):
-    """What each helper sends: its stored (alpha, s) stack cut along the
-    gamma_runs the CLI reads, a (beta, s) stack of rows copied as-is."""
-    return {h: np.concatenate([columns[h][start : start + length]
-                               for start, length in gamma_runs(failed, params)])
+    """What each helper sends: its stored (alpha, s) block cut along the
+    gamma_runs the CLI reads, a (beta, s) block of rows copied as-is."""
+    return {h: Block.stack([columns[h][start : start + length]
+                            for start, length in gamma_runs(failed, params)])
             for h in params.nodes() if h != failed}
 
 
 def zero_columns(params):
-    return {nd: np.zeros((params.alpha, 2), np.uint16) for nd in params.nodes()}
+    return {nd: Block(params.gf.m, 2, [0] * (params.alpha * params.gf.m))
+            for nd in params.nodes()}
 
 
 # -- the helper rows ------------------------------------------------------------
@@ -43,8 +41,8 @@ def zero_columns(params):
 def test_extract_zero_content(sys23):
     p = sys23.params
     for stack in helper_rows(zero_columns(p), (1, 0), p).values():
-        assert stack.shape == (p.beta, 2)
-        assert not stack.any()
+        assert (stack.rows, stack.stripes) == (p.beta, 2)
+        assert not any(stack.planes)
 
 
 def test_extract_rows_are_gamma(sys23):
@@ -61,16 +59,17 @@ def test_extract_packet_size_all_nodes(all_systems):
         for failed in p.nodes():
             stacks = helper_rows(zero_columns(p), failed, p)
             assert sorted(stacks) == sorted(h for h in p.nodes() if h != failed)
-            assert all(stack.shape == (p.beta, 2) for stack in stacks.values())
+            assert all((stack.rows, stack.stripes) == (p.beta, 2) for stack in stacks.values())
 
 
 def test_extract_is_verbatim(sys23):
     p = sys23.params
-    columns = encode_batch(random_block(p, np.random.default_rng(20), 5), sys23)
+    columns = encode_batch(random_block(p, random.Random(20), 5), sys23)
     for failed in p.nodes():
         for helper, stack in helper_rows(columns, failed, p).items():
+            stored = rows_of(columns[helper])
             for g, row in enumerate(p.gamma_rows(failed)):
-                assert np.array_equal(stack[g], columns[helper][p.row_ordinal(row)])
+                assert rows_of(stack)[g] == stored[p.row_ordinal(row)]
 
 
 # -- repair_batch -------------------------------------------------------------------
@@ -81,20 +80,20 @@ def test_repair_zero_codeword(sys23):
     columns = zero_columns(p)
     for failed in p.nodes():
         helpers = helper_rows(columns, failed, p)
-        assert np.array_equal(repair_batch(failed, helpers, sys23), columns[failed])
-        assert sum(len(stack) for stack in helpers.values()) \
+        assert repair_batch(failed, helpers, sys23) == columns[failed]
+        assert sum(stack.rows for stack in helpers.values()) \
             == p.d * p.beta == (p.n - 1) * p.q ** (p.t - 1)
 
 
 def test_repair_every_node_exact(all_systems):
-    rng = np.random.default_rng(21)
+    rng = random.Random(21)
     for sys_ in all_systems:
         p = sys_.params
         columns = encode_batch(random_block(p, rng, 3), sys_)
         for failed in p.nodes():
             rebuilt = repair_batch(failed, helper_rows(columns, failed, p), sys_)
-            assert rebuilt.shape == (p.alpha, 3)
-            assert np.array_equal(rebuilt, columns[failed])
+            assert (rebuilt.rows, rebuilt.stripes) == (p.alpha, 3)
+            assert rebuilt == columns[failed]
 
 
 def test_repair_download_is_msr_optimal(all_systems):
@@ -102,7 +101,7 @@ def test_repair_download_is_msr_optimal(all_systems):
         p = sys_.params
         helpers = helper_rows(zero_columns(p), (1, 0), p)
         # count actual rows moved, not the formula
-        assert sum(len(stack) for stack in helpers.values()) \
+        assert sum(stack.rows for stack in helpers.values()) \
             == p.d * (p.alpha // (p.d - p.k + 1))
 
 
@@ -160,7 +159,7 @@ def test_repair_coverage_each_row_once(sys23):
 
 
 def test_repair_batch_rebuilds_codeword_column(sys22, sys23):
-    rng = np.random.default_rng(22)
+    rng = random.Random(22)
     for sys_ in (sys22, sys23):
         p = sys_.params
         columns = encode_batch(random_block(p, rng, 9), sys_)
@@ -168,7 +167,7 @@ def test_repair_batch_rebuilds_codeword_column(sys22, sys23):
             assert eval_constraints(stripe_array(columns, s, p), sys_) == [0] * sys_.n_constraints
         for failed in p.nodes():
             rebuilt = repair_batch(failed, helper_rows(columns, failed, p), sys_)
-            assert np.array_equal(rebuilt, columns[failed])
+            assert rebuilt == columns[failed]
 
 
 def test_repair_plan_is_compiled_once_per_failed_node():
@@ -176,28 +175,29 @@ def test_repair_plan_is_compiled_once_per_failed_node():
     # compiles again (a fresh system: the fixtures' memoise earlier tests')
     sys_ = system_for(2, 3, 7)
     p = sys_.params
-    columns = encode_batch(random_block(p, np.random.default_rng(23), 3), sys_)
+    columns = encode_batch(random_block(p, random.Random(23), 3), sys_)
     nodes = list(p.nodes())
     with mock.patch.object(sys_, "compile_plan", side_effect=sys_.compile_plan) as spy:
         for failed in (nodes[0], nodes[0], nodes[0], nodes[1], nodes[1], nodes[0]):
             rebuilt = repair_batch(failed, helper_rows(columns, failed, p), sys_)
-            assert np.array_equal(rebuilt, columns[failed])
+            assert rebuilt == columns[failed]
     assert [c.args[0] for c in spy.call_args_list] == [(nodes[0],), (nodes[1],), (nodes[0],)]
 
 
 def test_repair_batch_validates_helpers(sys22):
     p = sys22.params
-    gamma_cols = {
-        h: np.zeros((p.beta, 2), dtype=np.uint16) for h in list(p.nodes())[1:]
-    }
+    def zeros(rows, stripes):
+        return Block(p.gf.m, stripes, [0] * (rows * p.gf.m))
+
+    gamma_cols = {h: zeros(p.beta, 2) for h in list(p.nodes())[1:]}
     with pytest.raises(ValueError):
         repair_batch((2, 1), gamma_cols, sys22)  # (2,1) is inside the helper set
     with pytest.raises(ValueError):
         repair_batch((1, 0), dict(list(gamma_cols.items())[:-1]), sys22)
-    with pytest.raises(ValueError):  # a whole (alpha, s) stack, not the (beta, s) rows
-        repair_batch((1, 0), {**gamma_cols, (2, 1): np.zeros((p.alpha, 2), np.uint16)}, sys22)
+    with pytest.raises(ValueError):  # a whole (alpha, s) block, not the (beta, s) rows
+        repair_batch((1, 0), {**gamma_cols, (2, 1): zeros(p.alpha, 2)}, sys22)
     with pytest.raises(ValueError):  # one helper sends 3 stripes, the others 2
-        repair_batch((1, 0), {**gamma_cols, (2, 1): np.zeros((p.beta, 3), np.uint16)}, sys22)
+        repair_batch((1, 0), {**gamma_cols, (2, 1): zeros(p.beta, 3)}, sys22)
 
 
 def repair_tampered_under_optimize(node, row):
@@ -205,8 +205,8 @@ def repair_tampered_under_optimize(node, row):
     on `node` of the delta = 1 constraint anchored on row (0, 0) moved to
     `row`, the system built from those tampered triples; the output."""
     script = textwrap.dedent(f"""
-        import numpy as np
         from msrcode import ParityCheckSystem, build_system, make_params
+        from msrcode.gf import Block
         from msrcode.repair import repair_batch
 
         p = make_params(2, 2, 5).with_c0(1)
@@ -217,7 +217,7 @@ def repair_tampered_under_optimize(node, row):
         terms[idx] = tuple((o, p.row_ordinal({row!r}), c) if o == node and r != anchor
                            else (o, r, c) for o, r, c in terms[idx])
         sys_ = ParityCheckSystem(p, good.hmds, good.c0, terms)
-        helpers = {{h: np.zeros((p.beta, 2), np.uint16) for h in p.nodes() if h != failed}}
+        helpers = {{h: Block(p.gf.m, 2, [0] * (p.beta * p.gf.m)) for h in p.nodes() if h != failed}}
         try:
             repair_batch(failed, helpers, sys_)
         except ValueError as err:

@@ -1,4 +1,5 @@
-"""Shard header/manifest formats, bit packing, and partial-read accounting."""
+"""Shard header/manifest formats, the bytes <-> Block slicing, row CRCs,
+and partial-read accounting."""
 
 import contextlib
 import random
@@ -8,12 +9,13 @@ import zlib
 from pathlib import Path
 from unittest import mock
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import random_block, rows_of, stripes_of, to_block
 from msrcode import make_params, shardio
+from msrcode.gf import Block
 from msrcode.shardio import (
     BLOCK_STRIPES,
     HEADER_LEN,
@@ -24,6 +26,8 @@ from msrcode.shardio import (
     bytes_from_symbols,
     crc32_file,
     gamma_runs,
+    open_shard,
+    payload_bytes,
     read_gamma,
     read_shard,
     shard_filename,
@@ -144,7 +148,31 @@ def test_shard_filename():
     assert shard_filename((3, 1)) == "shard_3_1.msrc"
 
 
-# -- bit packing ---------------------------------------------------------------
+# -- bytes <-> blocks ----------------------------------------------------------------
+
+
+def shape_for(length, m, rows=3):
+    """(rows, stripes) of a block that holds `length` bytes: whole planes."""
+    return rows, 8 * -(-length // (rows * m))
+
+
+def reference_symbols(data: bytes, m: int, rows: int, stripes: int) -> list[list[int]]:
+    """Bit-by-bit: the bytes are LSB-first bits, zero-filled, cut into
+    rows*m planes of `stripes` bits; symbol (r, s) takes bit b from bit s
+    of plane r*m + b."""
+    bits = [(byte >> i) & 1 for byte in data for i in range(8)]
+    bits += [0] * max(0, rows * m * stripes - len(bits))
+    return [[sum(bits[(r * m + b) * stripes + s] << b for b in range(m)) for s in range(stripes)]
+            for r in range(rows)]
+
+
+def reference_bytes(rows: list[list[int]], m: int, byte_length: int) -> bytes:
+    """Bit-by-bit: plane r*m + b is bit b of row r's symbols, stripe by
+    stripe; the planes' bits in order, LSB-first, truncated."""
+    bits = [(v >> b) & 1 for row in rows for b in range(m) for v in row]
+    bits += [0] * (-len(bits) % 8)
+    return bytes(sum(bits[i + b] << b for b in range(8))
+                 for i in range(0, len(bits), 8))[:byte_length]
 
 
 @pytest.mark.parametrize("m", [1, 3, 5, 7, 8, 13, 16])
@@ -152,161 +180,200 @@ def test_packing_round_trip(m):
     rng = random.Random(m)
     for length in (0, 1, 7, 64, 300):
         data = bytes(rng.randrange(256) for _ in range(length))
-        total = -(-(length * 8) // m)  # symbols to cover all bits
-        symbols = symbols_from_bytes(data, m, total)
-        assert symbols.shape == (total,)
-        assert symbols.dtype == np.uint16
-        assert all(int(s) < (1 << m) for s in symbols)
-        assert bytes_from_symbols(symbols, m, length) == data
-
-
-def reference_symbols(data: bytes, m: int, total: int) -> list[int]:
-    """Bit-by-bit packing: LSB-first bits, m per symbol, zero-filled."""
-    bits = [(byte >> i) & 1 for byte in data for i in range(8)]
-    bits += [0] * max(0, total * m - len(bits))
-    return [sum(bits[s * m + b] << b for b in range(m)) for s in range(total)]
-
-
-def reference_bytes(stream: list[int], m: int, byte_length: int) -> bytes:
-    """Bit-by-bit unpacking: m LSB-first bits per symbol, truncated."""
-    bits = [(s >> b) & 1 for s in stream for b in range(m)]
-    bits += [0] * (-len(bits) % 8)
-    return bytes(sum(bits[i + b] << b for b in range(8))
-                 for i in range(0, len(bits), 8))[:byte_length]
+        rows, stripes = shape_for(length, m)
+        block = symbols_from_bytes(data, m, rows, stripes)
+        assert (block.m, block.rows, block.stripes) == (m, rows, stripes)
+        assert all(0 <= plane < 1 << stripes for plane in block.planes)
+        assert bytes_from_symbols(block, m, length) == data
 
 
 @pytest.mark.parametrize("m", range(1, 17))
 def test_packing_matches_bitwise_reference(m):
     rng = random.Random(100 + m)
     data = bytes(rng.randrange(256) for _ in range(50))
-    for total in (0, 400 // m - 1, 400 // m + 3):  # short of, and past, the data
-        symbols = symbols_from_bytes(data, m, total)
-        assert symbols.dtype == np.uint16
-        assert symbols.tolist() == reference_symbols(data, m, total)
-        for length in (0, 7, total * m // 8):
-            assert bytes_from_symbols(symbols, m, length) == \
-                reference_bytes(symbols.tolist(), m, length)
+    for rows, stripes in ((1, 8), (2, 16), (5, 24), (3, 8 * -(-400 // (3 * m)))):
+        # short of, and past, the data
+        block = symbols_from_bytes(data, m, rows, stripes)
+        expected = reference_symbols(data, m, rows, stripes)
+        assert rows_of(block) == expected
+        for length in (0, 7, rows * stripes * m // 8):
+            assert bytes_from_symbols(to_block(expected, m), m, length) == \
+                reference_bytes(expected, m, length)
 
 
 @pytest.mark.parametrize("m", range(1, 17))
 def test_unpacking_a_block_follows_the_stripe_stream(m):
-    # a (message_len, stripes) block, as decode passes it, with a symbol
-    # count that is not a multiple of 8: bytes in stripe-by-stripe order
-    rng = np.random.default_rng(m)
-    for message_len, stripes in [(5, 3), (9, 1), (3, 7), (8, 2)]:
-        block = rng.integers(0, 1 << m, size=(message_len, stripes)).astype(np.uint16)
-        stream = block.T.reshape(-1).tolist()
-        length = len(stream) * m // 8
-        assert bytes_from_symbols(block, m, length) == reference_bytes(stream, m, length)
-        assert symbols_from_bytes(reference_bytes(stream, m, length + 1), m,
-                                  len(stream)).tolist() == stream
+    # inside each plane the stripes follow each other: one symbol v at
+    # (r, s) sets exactly bit (r*m + b)*stripes + s of the bytes for each
+    # set bit b of v
+    rng = random.Random(m)
+    for rows, stripes in [(5, 8), (1, 24), (3, 16)]:
+        for _ in range(4):
+            r, s, v = rng.randrange(rows), rng.randrange(stripes), rng.randrange(1, 1 << m)
+            symbols = [[0] * stripes for _ in range(rows)]
+            symbols[r][s] = v
+            blob = bytes_from_symbols(to_block(symbols, m), m, rows * m * stripes // 8)
+            assert int.from_bytes(blob, "little") == \
+                sum(1 << ((r * m + b) * stripes + s) for b in range(m) if v >> b & 1)
+            assert rows_of(symbols_from_bytes(blob, m, rows, stripes)) == symbols
 
 
 @pytest.mark.parametrize("m", range(1, 17))
 def test_packing_all_ones_has_no_shift_overflow(m):
-    # every bit set: a byte shifted in a type too narrow for it (uint8 << 8
-    # is 0 under numpy 1.24 casting as under 2.x) would drop bits
-    symbols = symbols_from_bytes(b"\xff" * (3 * m), m, 24)
-    assert symbols.dtype == np.uint16
-    assert symbols.tolist() == [(1 << m) - 1] * 24
-    assert bytes_from_symbols(symbols, m, 3 * m) == b"\xff" * (3 * m)
-    assert bytes_from_symbols(symbols.reshape(4, 6), m, 3 * m) == b"\xff" * (3 * m)
+    # every bit set: every symbol is 2^m - 1, and no bit is lost on the way back
+    block = symbols_from_bytes(b"\xff" * (3 * m), m, 3, 8)
+    assert rows_of(block) == [[(1 << m) - 1] * 8] * 3
+    assert bytes_from_symbols(block, m, 3 * m) == b"\xff" * (3 * m)
 
 
 @pytest.mark.parametrize("m", [1, 3, 8, 13])
 def test_unpacking_out_of_field_symbol_is_value_error(m):
+    # 2^m is a symbol of GF(2^(m+1)), not of GF(2^m)
     with pytest.raises(ValueError, match="not an element of GF"):
-        bytes_from_symbols(np.array([[0, 1 << m]], dtype=np.uint16), m, 2)
-
-
-def test_packing_m16_is_two_byte_little_endian():
-    data = bytes(range(32))
-    symbols = symbols_from_bytes(data, 16, 16)
-    assert np.array_equal(symbols, np.frombuffer(data, dtype="<u2"))
+        bytes_from_symbols(to_block([[0, 1 << m]], m + 1), m, 2)
 
 
 def test_packing_zero_fills_past_data():
-    symbols = symbols_from_bytes(b"\xff", 8, 4)
-    assert [int(s) for s in symbols] == [255, 0, 0, 0]
+    block = symbols_from_bytes(b"\xff", 8, 2, 8)
+    assert rows_of(block) == [[1] * 8, [0] * 8]  # bit 0 of stripes 0-7
+
+
+def test_block_from_bytes_refuses_a_partial_plane():
+    with pytest.raises(ValueError, match="not 2 rows"):
+        Block.from_bytes(bytes(31), 8, 2, 16)
+    with pytest.raises(ValueError, match="of 12 stripes"):
+        Block.from_bytes(bytes(12), 8, 1, 12)
 
 
 def test_stripe_count_for():
-    p = make_params(2, 2, 16)  # B = 8 symbols
+    p = make_params(2, 2, 16)  # B = 8 symbols: 8 stripes hold 8 * 16 bytes
     assert stripe_count_for(0, p.message_len, 16) == 0
-    assert stripe_count_for(16, p.message_len, 16) == 1  # exactly B*2 bytes
-    assert stripe_count_for(17, p.message_len, 16) == 2
-    p7 = make_params(2, 3, 7)  # B = 32 symbols -> 224 bits = 28 bytes/stripe
-    assert stripe_count_for(28, p7.message_len, 7) == 1
-    assert stripe_count_for(29, p7.message_len, 7) == 2
-    assert stripe_count_for(1 << 20, p7.message_len, 7) == 37450
+    assert stripe_count_for(16, p.message_len, 16) == 8  # rounded up to whole planes
+    assert stripe_count_for(128, p.message_len, 16) == 8
+    assert stripe_count_for(129, p.message_len, 16) == 16
+    p7 = make_params(2, 3, 7)  # B = 32 symbols -> 8 stripes hold 224 bytes
+    assert stripe_count_for(28, p7.message_len, 7) == 8
+    assert stripe_count_for(225, p7.message_len, 7) == 16
+    assert stripe_count_for(1 << 20, p7.message_len, 7) == 37456
 
 
 # -- shard files ------------------------------------------------------------------
 
 
 def whole_blocks(node, rows):
-    """The stream of blocks of one shard's whole (alpha, stripes) rows."""
+    """The stream of blocks of one shard's whole (alpha, stripes) Block."""
     width = shardio.BLOCK_STRIPES
-    return [{node: rows[:, lo : lo + width]} for lo in range(0, rows.shape[1], width)]
+    return [{node: stripes_of(rows, lo, min(lo + width, rows.stripes))}
+            for lo in range(0, rows.stripes, width)]
 
 
 def write_whole(path, hdr, rows):
-    """Write one shard from its whole (alpha, stripe_count) rows, block by
+    """Write one shard from its whole (alpha, stripe_count) Block, block by
     block."""
     with contextlib.ExitStack() as renames:
         write_shard({path: hdr}, whole_blocks(hdr.node, rows), renames)
 
 
+def zeros(rows, stripes, m=7):
+    return Block(m, stripes, [0] * (rows * m))
+
+
+def random_rows(params, seed, stripes):
+    return random_block(params, random.Random(seed), stripes, params.alpha)
+
+
 def test_shard_write_read_round_trip(tmp_path):
-    rng = np.random.default_rng(1)
-    hdr = ShardHeader(2, 3, 7, 0x89, 1, (2, 0), 5, 133)
-    rows = rng.integers(0, 128, size=(8, 5)).astype(np.uint16)
+    hdr = ShardHeader(2, 3, 7, 0x89, 1, (2, 0), 16, 133)
+    rows = random_rows(make_params(2, 3, 7), 1, 16)
     path = tmp_path / "s.msrc"
     write_whole(path, hdr, rows)
     got_hdr, got_rows = read_shard(path)
     assert got_hdr == hdr
-    assert np.array_equal(got_rows, rows)
+    assert got_rows == rows
 
 
 def test_shard_truncated_payload_detected(tmp_path):
-    hdr = ShardHeader(2, 3, 7, 0x89, 1, (2, 0), 2, 50)
+    hdr = ShardHeader(2, 3, 7, 0x89, 1, (2, 0), 8, 50)
     path = tmp_path / "s.msrc"
-    write_whole(path, hdr, np.zeros((8, 2), dtype=np.uint16))
+    write_whole(path, hdr, zeros(8, 8))
     path.write_bytes(path.read_bytes()[:-3])
     with pytest.raises(ShardFormatError):
         read_shard(path)
 
 
-def test_out_of_range_symbol_detected(tmp_path):
-    # a payload value >= 2^m is malformed even when lengths check out
-    hdr = ShardHeader(2, 3, 7, 0x89, 1, (2, 0), 1, 20)
+def test_older_format_versions_are_refused(tmp_path):
+    hdr = ShardHeader(2, 3, 7, 0x89, 1, (2, 0), 8, 50)
     path = tmp_path / "s.msrc"
-    write_whole(path, hdr, np.full((8, 1), 0xFFFF, dtype=np.uint16))
-    with pytest.raises(ShardFormatError, match="out of range"):
+    write_whole(path, hdr, zeros(8, 8))
+    blob = path.read_bytes()
+    for version in (1, 2):
+        path.write_bytes(blob[:4] + bytes([version]) + blob[5:])
+        with pytest.raises(ShardFormatError, match=f"unsupported shard version {version}"):
+            read_shard(path)
+
+
+def test_stripe_count_off_a_whole_plane_is_refused(tmp_path):
+    path = tmp_path / "s.msrc"
+    path.write_bytes(ShardHeader(2, 3, 7, 0x89, 1, (2, 0), 5, 50).pack() + bytes(300))
+    with pytest.raises(ShardFormatError, match="stripe count 5 is not a multiple of 8"):
         read_shard(path)
-    with pytest.raises(ShardFormatError, match="out of range"):
-        read_gamma(path, (1, 0), make_params(2, 3, 7))
+
+
+@pytest.mark.parametrize("reader", ["blocks", "gamma_blocks"])
+def test_a_bad_row_names_the_shard_and_the_block(tmp_path, monkeypatch, reader):
+    monkeypatch.setattr(shardio, "BLOCK_STRIPES", 8)
+    p = make_params(2, 3, 7)
+    hdr = ShardHeader(2, 3, 7, 0x89, 1, (2, 0), 24, 133)
+    path = tmp_path / "s.msrc"
+    write_whole(path, hdr, random_rows(p, 2, 24))
+    blob = bytearray(path.read_bytes())
+    row = p.row_ordinal(p.gamma_rows((1, 0))[1])  # row 1, inside the first run
+    blob[HEADER_LEN + payload_bytes(8, p.alpha, 7) + payload_bytes(8, row, 7) + 3] ^= 0x10
+    path.write_bytes(bytes(blob))
+    with open_shard(path) as shard:
+        blocks = shard.blocks() if reader == "blocks" else \
+            shard.gamma_blocks(gamma_runs((1, 0), p))
+        next(blocks)  # block 0 is intact
+        with pytest.raises(ShardFormatError, match=rf"s\.msrc: block 1: row {row} "):
+            next(blocks)
+
+
+def test_whole_file_crc_sees_every_row(tmp_path):
+    # each row carries its own CRC-32, yet the file's CRC-32 (the manifest's
+    # checksum) must still change with the row: a row CRC stored in zlib's own
+    # byte order would return the running CRC to a constant after each row
+    hdr = ShardHeader(2, 3, 7, 0x89, 1, (2, 0), 8, 50)
+    crcs = set()
+    for row in range(8):
+        symbols = [[0] * 8 for _ in range(8)]
+        symbols[row][row] = 1
+        with contextlib.ExitStack() as renames:
+            crcs |= set(write_shard({tmp_path / "s.msrc": hdr},
+                                    [{hdr.node: to_block(symbols, 7)}], renames).values())
+    assert len(crcs) == 8
 
 
 def test_write_shard_stripe_count_mismatch(tmp_path):
-    hdr = ShardHeader(2, 3, 7, 0x89, 1, (2, 0), 3, 50)
+    hdr = ShardHeader(2, 3, 7, 0x89, 1, (2, 0), 16, 50)
     with pytest.raises(ValueError):
-        write_whole(tmp_path / "s.msrc", hdr, np.zeros((8, 2), dtype=np.uint16))
+        write_whole(tmp_path / "s.msrc", hdr, zeros(8, 8))
 
 
 def test_write_shard_renames_only_complete_shards(tmp_path):
-    hdr = ShardHeader(2, 3, 7, 0x89, 1, (2, 0), 5, 133)
+    hdr = ShardHeader(2, 3, 7, 0x89, 1, (2, 0), 16, 133)
     path = tmp_path / "s.msrc"
     path.write_bytes(b"earlier")
-    with pytest.raises(ValueError, match="0 of 5 stripes written"):
-        write_whole(path, hdr, np.zeros((8, 0), dtype=np.uint16))
+    with pytest.raises(ValueError, match="0 of 16 stripes written"):
+        write_whole(path, hdr, zeros(8, 0))
     with pytest.raises(ValueError, match="is not the next block"):
-        write_whole(path, hdr, np.zeros((8, 4), dtype=np.uint16))
-    with pytest.raises(ValueError, match="is not the next block"):  # the old (stripes, alpha)
-        write_whole(path, hdr, np.zeros((5, 8), dtype=np.uint16))
+        write_whole(path, hdr, zeros(8, 8))
+    with pytest.raises(ValueError, match="is not the next block"):  # (stripes, alpha)
+        write_whole(path, hdr, zeros(16, 8))
+    with pytest.raises(ValueError, match="is not the next block"):  # another field
+        write_whole(path, hdr, zeros(8, 16, m=8))
 
     def failing():
-        yield {hdr.node: np.zeros((8, 5), dtype=np.uint16)}
+        yield {hdr.node: zeros(8, 16)}
         raise OSError("input went away")
 
     with pytest.raises(OSError, match="went away"):
@@ -314,33 +381,39 @@ def test_write_shard_renames_only_complete_shards(tmp_path):
             write_shard({path: hdr}, failing(), renames)
     assert [p.name for p in tmp_path.iterdir()] == ["s.msrc"]
     assert path.read_bytes() == b"earlier"
+    ones = to_block([[1] * 16] * 8, 7)
     with contextlib.ExitStack() as renames:
-        crc = write_shard({path: hdr}, [{hdr.node: np.ones((8, 5), dtype=np.uint16)}], renames)
+        crc = write_shard({path: hdr}, [{hdr.node: ones}], renames)
         assert path.read_bytes() == b"earlier"  # renamed when the stack closes
     assert crc == {hdr.node: crc32_file(path)}
-    assert np.array_equal(read_shard(path)[1], np.ones((8, 5)))
+    assert read_shard(path)[1] == ones
     with pytest.raises(RuntimeError):
         with contextlib.ExitStack() as renames:
-            write_shard({path: hdr}, [{hdr.node: np.zeros((8, 5), dtype=np.uint16)}], renames)
+            write_shard({path: hdr}, [{hdr.node: zeros(8, 16)}], renames)
             raise RuntimeError("checksum mismatch")
     assert [p.name for p in tmp_path.iterdir()] == ["s.msrc"]
-    assert np.array_equal(read_shard(path)[1], np.ones((8, 5)))
+    assert read_shard(path)[1] == ones
 
 
 def test_payload_is_row_contiguous_per_block(tmp_path, monkeypatch):
-    assert BLOCK_STRIPES == 4096  # part of format version 2
-    monkeypatch.setattr(shardio, "BLOCK_STRIPES", 3)
-    rng = np.random.default_rng(3)
-    rows = rng.integers(0, 128, size=(8, 7)).astype(np.uint16)
-    hdr = ShardHeader(2, 3, 7, 0x89, 1, (2, 0), 7, 196)
+    assert BLOCK_STRIPES == 4096  # part of format version 3
+    monkeypatch.setattr(shardio, "BLOCK_STRIPES", 8)
+    rows = random_rows(make_params(2, 3, 7), 3, 24)
+    symbols = rows_of(rows)
+    hdr = ShardHeader(2, 3, 7, 0x89, 1, (2, 0), 24, 196)
     path = tmp_path / "s.msrc"
     write_whole(path, hdr, rows)
     blob = path.read_bytes()
-    assert blob[:HEADER_LEN] == hdr.pack() and blob[4] == 2
-    # blocks [0,3), [3,6), [6,7); inside each, row after row
-    assert blob[HEADER_LEN:] == b"".join(
-        rows[:, lo:hi].astype("<u2").tobytes() for lo, hi in [(0, 3), (3, 6), (6, 7)])
-    assert np.array_equal(read_shard(path)[1], rows)
+    assert blob[:HEADER_LEN] == hdr.pack() and blob[4] == 3
+    # blocks [0,8), [8,16), [16,24); inside each, row after row: its 7
+    # planes of one byte, then the CRC-32 of those 7 bytes
+    expected = b""
+    for lo in (0, 8, 16):
+        for row in symbols:
+            planes = reference_bytes([row[lo : lo + 8]], 7, 7)
+            expected += planes + zlib.crc32(planes).to_bytes(4, "big")
+    assert blob[HEADER_LEN:] == expected
+    assert read_shard(path)[1] == rows
 
 
 # -- partial reads -----------------------------------------------------------------
@@ -371,35 +444,35 @@ def test_gamma_runs_coalesced():
 
 def test_read_gamma_matches_full_read(tmp_path, sys23):
     p = sys23.params
-    rng = np.random.default_rng(2)
-    rows = rng.integers(0, 128, size=(p.alpha, 11)).astype(np.uint16)
-    hdr = ShardHeader(2, 3, 7, p.gf.poly, sys23.c0, (2, 1), 11, 616)
+    rows = random_rows(p, 2, 16)
+    hdr = ShardHeader(2, 3, 7, p.gf.poly, sys23.c0, (2, 1), 16, 616)
     path = tmp_path / "s.msrc"
     write_whole(path, hdr, rows)
     for failed in [(1, 0), (3, 0), (3, 1)]:
         got_hdr, gamma_rows, nbytes = read_gamma(path, failed, p)
         assert got_hdr == hdr
         idx = [p.row_ordinal(r) for r in p.gamma_rows(failed)]
-        assert np.array_equal(gamma_rows, rows[idx])
-        # exact accounting: header plus 2*beta bytes per stripe, nothing else
-        assert nbytes == HEADER_LEN + 11 * 2 * p.beta
+        assert gamma_rows == rows.take(idx)
+        # exact accounting: the header, then beta rows of m planes of 16
+        # stripes, each with its CRC, and nothing else
+        assert nbytes == HEADER_LEN + p.beta * (7 * 16 // 8 + 4)
 
 
 def test_read_gamma_rejects_foreign_params(tmp_path):
     p23 = make_params(2, 3, 7)
     p22 = make_params(2, 2, 5)
-    hdr = ShardHeader(2, 2, 5, p22.gf.poly, 1, (1, 0), 1, 4)
+    hdr = ShardHeader(2, 2, 5, p22.gf.poly, 1, (1, 0), 8, 4)
     path = tmp_path / "s.msrc"
-    write_whole(path, hdr, np.zeros((4, 1), dtype=np.uint16))
+    write_whole(path, hdr, zeros(4, 8, m=5))
     with pytest.raises(ShardFormatError):
         read_gamma(path, (1, 0), p23)
 
 
 def test_read_gamma_truncated(tmp_path):
     p = make_params(2, 3, 7)
-    hdr = ShardHeader(2, 3, 7, p.gf.poly, 1, (1, 0), 3, 80)
+    hdr = ShardHeader(2, 3, 7, p.gf.poly, 1, (1, 0), 24, 80)
     path = tmp_path / "s.msrc"
-    write_whole(path, hdr, np.zeros((8, 3), dtype=np.uint16))
+    write_whole(path, hdr, zeros(8, 24))
     path.write_bytes(path.read_bytes()[:-10])
     with pytest.raises(ShardFormatError):
         read_gamma(path, (1, 0), p)
@@ -410,9 +483,9 @@ def test_read_gamma_checks_file_size_before_payload(tmp_path, monkeypatch):
     reader, made = recording_reader()
     monkeypatch.setattr(shardio, "CountingReader", reader)
     p = make_params(2, 3, 7)
-    hdr = ShardHeader(2, 3, 7, p.gf.poly, 1, (1, 0), 3, 80)
+    hdr = ShardHeader(2, 3, 7, p.gf.poly, 1, (1, 0), 24, 80)
     path = tmp_path / "s.msrc"
-    write_whole(path, hdr, np.zeros((8, 3), dtype=np.uint16))
+    write_whole(path, hdr, zeros(8, 24))
     blob = path.read_bytes()
     for bad in (blob[:-8], blob + b"\0\0"):
         path.write_bytes(bad)
@@ -425,11 +498,12 @@ def test_read_gamma_checks_file_size_before_payload(tmp_path, monkeypatch):
 
 @settings(max_examples=60, deadline=None)
 @given(qtm=st.sampled_from([(2, 2, 5), (2, 3, 7), (3, 2, 4)]),
-       stripes=st.integers(0, 20), block=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
-def test_block_layout_property(qtm, stripes, block, seed):
+       eights=st.integers(0, 5), block=st.sampled_from([8, 16, 24]),
+       seed=st.integers(0, 2**32 - 1))
+def test_block_layout_property(qtm, eights, block, seed):
     p = make_params(*qtm)
-    rng = np.random.default_rng(seed)
-    rows = rng.integers(0, 1 << p.gf.m, size=(p.alpha, stripes)).astype(np.uint16)
+    stripes = 8 * eights
+    rows = random_rows(p, seed, stripes)
     hdr = ShardHeader(p.q, p.t, p.gf.m, p.gf.poly, 1, (1, 0), stripes, 0)
     blocks = -(-stripes // block)
     reader, made = recording_reader()
@@ -439,12 +513,12 @@ def test_block_layout_property(qtm, stripes, block, seed):
         path = Path(tmp) / "s.msrc"
         write_whole(path, hdr, rows)
         got_hdr, got = read_shard(path)
-        assert got_hdr == hdr and np.array_equal(got, rows)
+        assert got_hdr == hdr and got == rows
         for failed in p.nodes():
             _, gamma_rows, nbytes = read_gamma(path, failed, p)
             idx = [p.row_ordinal(r) for r in p.gamma_rows(failed)]
-            assert np.array_equal(gamma_rows, rows[idx])
-            assert nbytes == HEADER_LEN + 2 * p.beta * stripes
+            assert gamma_rows == rows.take(idx)
+            assert nbytes == HEADER_LEN + p.beta * (p.gf.m * stripes // 8 + 4 * blocks)
             # the header, then one read per run per block
             assert made[-1].reads == 1 + blocks * len(gamma_runs(failed, p))
 

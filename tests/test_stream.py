@@ -12,6 +12,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import zlib
 from pathlib import Path
 from unittest import mock
 
@@ -19,8 +20,10 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from conftest import stripes_of
 from msrcode import codec, find_code, shardio
 from msrcode.cli import EXIT_IO, EXIT_OK, EXIT_VERIFY, main
+from msrcode.gf import Block
 from msrcode.parity import build_system
 from msrcode.shardio import Manifest, crc32_file, shard_filename
 
@@ -97,11 +100,20 @@ def test_streamed_shards_match_whole_file_encode(tmp_path, monkeypatch, qtm, blo
         assert probe.read == {}  # encode reads no shard back
         man = Manifest.read(store / shardio.MANIFEST_NAME)
         stripes = shardio.stripe_count_for(length, p.message_len, p.gf.m)
-        messages = shardio.symbols_from_bytes(data, p.gf.m, stripes * p.message_len)
-        columns = codec.encode_batch(messages.reshape(stripes, p.message_len).T, sys_)
+        # the whole file encoded as one block, whose columns cut into blocks
+        # of stripes are what the streamed encode wrote: the input bytes of
+        # each block are its planes, so the whole block is theirs side by side
+        planes, lo, at = [0] * (p.message_len * p.gf.m), 0, 0
+        for width, nbytes in shardio.message_blocks(length, p):
+            piece = shardio.symbols_from_bytes(data[at : at + nbytes], p.gf.m, p.message_len,
+                                               width)
+            planes = [a | b << lo for a, b in zip(planes, piece.planes)]
+            lo, at = lo + width, at + nbytes
+        columns = codec.encode_batch(Block(p.gf.m, stripes, planes), sys_)
         ref = tmp_path / "ref.msrc"
         for node in p.nodes():  # the whole-file encode, written block by block
-            blocks = [{node: columns[node][:, lo : lo + block]} for lo in range(0, stripes, block)]
+            blocks = [{node: stripes_of(columns[node], lo, min(lo + block, stripes))}
+                      for lo in range(0, stripes, block)]
             with contextlib.ExitStack() as renames:
                 shardio.write_shard({ref: man.header_for(node)}, blocks, renames)
             assert (store / shard_filename(node)).read_bytes() == ref.read_bytes()
@@ -119,8 +131,8 @@ def test_streamed_shards_match_whole_file_encode(tmp_path, monkeypatch, qtm, blo
 
 
 def test_blocks_are_the_payload_as_stored(tmp_path, monkeypatch):
-    # one layout from disk to kernel: a block read back is the (alpha,
-    # stripes) array of its payload bytes, with no transposed view between
+    # one layout from disk to kernel: a block read back holds the planes of
+    # its payload bytes as stored, each row followed on disk by its CRC-32
     monkeypatch.setattr(shardio, "BLOCK_STRIPES", 8)
     p = find_code(2, 3, 7)
     store = tmp_path / "store"
@@ -128,18 +140,19 @@ def test_blocks_are_the_payload_as_stored(tmp_path, monkeypatch):
     src = tmp_path / "in.bin"
     src.write_bytes(os.urandom(3 * 8 * p.message_len * p.gf.m // 8 + 5))
     assert main(["encode", str(src), "--out-dir", str(store)]) == EXIT_OK
+    row_bytes = p.gf.m * 8 // 8
     for node in p.nodes():
         path = store / shard_filename(node)
         payload = path.read_bytes()[shardio.HEADER_LEN :]
         with shardio.open_shard(path) as shard:
             blocks = list(shard.blocks())
-        assert [b.shape for b in blocks] == [(p.alpha, 8)] * 3 + [(p.alpha, 1)]
-        at = 0
-        for block in blocks:
-            assert block.flags.c_contiguous
-            assert block.tobytes() == payload[at : at + block.nbytes]
-            at += block.nbytes
-        assert at == len(payload)
+        assert [(b.m, b.rows, b.stripes) for b in blocks] == [(p.gf.m, p.alpha, 8)] * 4
+        rows = [payload[at : at + row_bytes + 4]
+                for at in range(0, len(payload), row_bytes + 4)]
+        assert len(rows) == 4 * p.alpha
+        assert all(zlib.crc32(row[:-4]).to_bytes(4, "big") == row[-4:] for row in rows)
+        assert b"".join(block.to_bytes() for block in blocks) == \
+            b"".join(row[:-4] for row in rows)
 
 
 # -- memory --------------------------------------------------------------------------
@@ -222,9 +235,8 @@ def codes():
 def corrupt(blob: bytes, how: str, pick, is_text: bool) -> bytes:
     pos = pick.randrange(max(len(blob), 1))
     if how == "flip":
-        # one bit: bits 0-2 keep the low byte of a symbol in range for
-        # GF(2^3), so only a checksum can catch the flip; bit 7 makes the
-        # manifest invalid UTF-8
+        # one bit: in a payload only a checksum can catch it (a row's CRC-32
+        # or the whole file's); bit 7 makes the manifest invalid UTF-8
         flipped = blob[pos] ^ 1 << pick.choice([0, 1, 2, 7])
         return blob[:pos] + bytes([flipped]) + blob[pos + 1:]
     if how == "cut":
