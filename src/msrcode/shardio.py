@@ -7,11 +7,11 @@ The stripe count is a multiple of 8.  The block for stripes [lo, hi)
 stores the alpha rows in row-ordinal order; each row is its m bit planes
 of (hi - lo)/8 bytes (plane b holds bit b of every stripe's symbol,
 LSB-first; see gf.Block), then the CRC-32 of those planes, 4 bytes
-big-endian (see _CRC).  So a symbol takes exactly m bits, and a helper's rows for
-one repair, with their CRCs, are a few long byte runs per block.  The
-header's reduction_poly field stores the polynomial without its implicit
-leading x^m bit so degree-16 polynomials fit in two bytes; the plain-text
-manifest records the full integer.  Other versions are refused.
+big-endian (see _CRC).  So a symbol takes exactly m bits, and a helper's
+rows for one repair, with their CRCs, are a few long byte runs per block.
+The header's reduction_poly field stores the polynomial without its
+implicit leading x^m bit so degree-16 polynomials fit in two bytes; the
+plain-text manifest records the full integer.  Other versions are refused.
 
 Shards are read and written one block at a time, so memory is O(block)
 whatever the file size.  In memory a block is a Block of (rows, stripes)
@@ -228,9 +228,7 @@ def symbols_from_bytes(data: bytes, m: int, rows: int, stripes: int) -> Block:
     """The (rows, stripes) block whose bytes begin with `data`, zero-filled
     past its end: plane after plane, stripes/8 bytes each (see Block)."""
     size = rows * m * stripes // 8
-    if len(data) < size:
-        data = bytes(data) + bytes(size - len(data))
-    return Block.from_bytes(memoryview(data)[:size], m, rows, stripes)
+    return Block.from_bytes(data[:size].ljust(size, b"\0"), m, rows, stripes)
 
 
 def bytes_from_symbols(symbols: Block, m: int, byte_length: int) -> bytes:
@@ -334,9 +332,11 @@ def payload_bytes(stripes: int, rows: int, m: int) -> int:
 
 
 def shard_bytes(hdr: ShardHeader) -> int:
-    """The size of the shard file `hdr` describes."""
-    return HEADER_LEN + sum(payload_bytes(hi - lo, hdr.q**hdr.t, hdr.m)
-                            for lo, hi in _blocks(hdr.stripe_count))
+    """The size of the shard file `hdr` describes, whose stripe count is a
+    multiple of 8: every block's rows, each with one CRC.  In closed form,
+    so that a garbled stripe count costs no time."""
+    blocks = -(-hdr.stripe_count // BLOCK_STRIPES)
+    return HEADER_LEN + hdr.q**hdr.t * (hdr.m * hdr.stripe_count // 8 + _CRC.size * blocks)
 
 
 class ShardWriter:

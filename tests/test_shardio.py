@@ -5,6 +5,7 @@ import contextlib
 import random
 import re
 import tempfile
+import time
 import zlib
 from pathlib import Path
 from unittest import mock
@@ -317,6 +318,18 @@ def test_stripe_count_off_a_whole_plane_is_refused(tmp_path):
     path.write_bytes(ShardHeader(2, 3, 7, 0x89, 1, (2, 0), 5, 50).pack() + bytes(300))
     with pytest.raises(ShardFormatError, match="stripe count 5 is not a multiple of 8"):
         read_shard(path)
+
+
+def test_a_garbled_stripe_count_is_refused_at_once(tmp_path, monkeypatch):
+    # the size a header implies is computed in closed form, not block by
+    # block: 2^32 - 8 stripes in blocks of 8 would be half a billion blocks
+    monkeypatch.setattr(shardio, "BLOCK_STRIPES", 8)
+    path = tmp_path / "s.msrc"
+    path.write_bytes(ShardHeader(2, 3, 7, 0x89, 1, (2, 0), 2**32 - 8, 50).pack() + bytes(300))
+    start = time.perf_counter()
+    with pytest.raises(ShardFormatError, match="header implies"):
+        read_shard(path)
+    assert time.perf_counter() - start < 1
 
 
 @pytest.mark.parametrize("reader", ["blocks", "gamma_blocks"])
