@@ -10,7 +10,7 @@ their memory does not grow with the file; no command loads numpy.  Every
 file they write goes to a temp file, is fsynced and is renamed into place
 only when complete and checked: decode and repair rename only once every
 CRC they can check matches the manifest (each row they read is checked
-against its own CRC as it is read, and a bad one names its shard and
+against its own digest as it is read, and a bad one names its shard and
 block), and encode renames the manifest last.  After its
 renames a command fsyncs the directory that holds them, once.  A failure
 before the renames leaves every file as it was.  encode renames its shards
@@ -246,7 +246,7 @@ def cmd_repair(args) -> int:
     print(f"rebuilt {path.name} from {p.d} helpers")
     print(f"per-helper read : {max(bytes_per_helper.values(), default=0)} bytes "
           f"(header {shardio.HEADER_LEN} + {p.beta} of {p.alpha} rows of every block, "
-          f"{p.gf.m} bits per symbol, each row with its CRC-32)")
+          f"{p.gf.m} bits per symbol, each row with its digest)")
     print(f"total read      : {read_total} bytes")
     print(f"naive (k full shards): {naive} bytes")
     print(f"per-stripe symbols: {report.total} repair vs {report.naive} naive "

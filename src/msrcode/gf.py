@@ -8,9 +8,10 @@ erasure-code libraries.  Multiplication by a constant c is GF(2)-linear in
 the bits of the symbol, so it is also an m x m bit matrix
 (GF2M.bit_pairs): on a Block, whose symbols are stored as m bit planes per
 row, multiplying by c is a few plane XORs, the XOR-based coding of Bloemer
-et al. (1995) and of Cauchy Reed-Solomon.  GF2M.mul_vec, the old numpy
-kernel through per-coefficient product tables, has no caller left.  m is
-capped at 16.
+et al. (1995) and of Cauchy Reed-Solomon.  GF2M.mul_vec multiplies a whole
+Block by c by shift-and-add on its planes, and bit_pairs reads the bit
+matrix of c off c times the basis 1, x, ..., x^(m-1).  m is capped at
+16.
 
 Row/column index arithmetic of the code lives in a separate, much simpler
 structure: the ring of integers mod q (any q >= 2), provided here as
@@ -20,8 +21,6 @@ structure: the ring of integers mod q (any q >= 2), provided here as
 from __future__ import annotations
 
 from typing import Iterable
-
-from ._lazy import np
 
 MAX_DEGREE = 16
 
@@ -107,18 +106,12 @@ class GF2M:
 
     The scalar ops use the log/antilog lists built here.  bit_pairs(c), the
     bit matrix of multiplication by c, is built on first use and cached in
-    `_bit_pairs`, keyed by c.  mul_vec, the numpy bulk
-    kernel, multiplies by c with one gather from c's product table (the
-    split tables of GF-Complete): c*x for all 2^m symbols when m <= 8, and
-    for m > 8 one table for the low byte and one for the high bits, so a
-    coefficient never costs more than 2*(256 + 2^(m-8)) bytes.  Each table
-    is built from the log/antilog lists on first use and cached in
-    `_mul_tables`, keyed by c.
+    `_bit_pairs`, keyed by c.
 
     Otherwise immutable after construction; all operations are pure
     functions, so one instance can be shared freely across threads/tasks.
-    Two threads may both build a missing table and both store it, but the
-    tables are equal and a dict store is atomic, so either one serves.
+    Two threads may both build a missing bit matrix and both store it, but
+    they are equal and a dict store is atomic, so either one serves.
     """
 
     def __init__(self, m: int, poly: int | None = None):
@@ -134,7 +127,6 @@ class GF2M:
         self.poly = poly
         self.order = 1 << m  # field size; multiplicative group has order-1 elements
         self._build_tables()
-        self._mul_tables: dict[int, list[np.ndarray]] = {}  # c -> product tables
         self._bit_pairs: dict[int, tuple[tuple[int, int], ...]] = {}  # c -> bit matrix
 
     def _build_tables(self) -> None:
@@ -168,21 +160,6 @@ class GF2M:
                     break
             else:
                 raise ValueError(f"no generator found; {self.poly:#x} is not irreducible?")
-
-    def _mul_table(self, c: int) -> list[np.ndarray]:
-        """The product table of c, built on first use: c*x for every symbol
-        x, or for m > 8 one table for the low byte of x and one for its high
-        bits, since c*x = c*(x & 0xFF) ^ c*(x & ~0xFF)."""
-        table = self._mul_tables.get(c)
-        if table is None:
-            exp, log, lc = self._exp, self._log, self._log[c]
-            parts = [range(min(self.order, 256))]
-            if self.m > 8:
-                parts.append(range(0, self.order, 256))
-            table = [np.array([exp[lc + log[x]] if x else 0 for x in xs], dtype=np.uint16)
-                     for xs in parts]
-            self._mul_tables[c] = table
-        return table
 
     # -- scalar ops ---------------------------------------------------------
 
@@ -235,29 +212,38 @@ class GF2M:
     def bit_pairs(self, c: int) -> tuple[tuple[int, int], ...]:
         """The m x m bit matrix of multiplication by c, as the (r, i) pairs
         of its set entries: bit r of c*x is the XOR of bit i of x over the
-        pairs (r, i), since bit r of c*2^i is set.  Cached per c."""
+        pairs (r, i), since bit r of c*x^i is set.  Read off c times the
+        basis block, whose stripe i holds x^i.  Cached per c."""
         pairs = self._bit_pairs.get(c)
         if pairs is None:
+            m = self.m
+            planes = self.mul_vec(c, Block(m, m, [1 << b for b in range(m)])).planes
             pairs = self._bit_pairs[c] = tuple(
-                (r, i) for i in range(self.m) for r in range(self.m)
-                if self.mul(c, 1 << i) >> r & 1)
+                (r, i) for i in range(m) for r in range(m) if planes[r] >> i & 1)
         return pairs
 
-    def mul_vec(self, c: int, v: np.ndarray) -> np.ndarray:
-        """Multiply every entry of a uint16 array by the scalar c: one
-        gather from c's product table (two for m > 8).  Raises ValueError
-        if an entry is not a field element."""
-        if c == 0:
-            return np.zeros(v.shape, dtype=np.uint16)
-        if c == 1:
-            return v.astype(np.uint16, copy=True)
-        try:
-            if self.m <= 8:
-                return self._mul_table(c)[0].take(v)
-            low, high = self._mul_table(c)
-            return low.take(v & 0xFF) ^ high.take(v >> 8)
-        except IndexError:
-            raise ValueError(f"a symbol is not an element of GF(2^{self.m})") from None
+    def mul_vec(self, c: int, v: Block) -> Block:
+        """c times every symbol of the Block v, on its bit planes: the XOR
+        of x^j * v over the set bits j of c, where x * v moves each row's
+        planes up one bit and folds the top plane back in through the
+        reduction polynomial.  Raises ValueError unless c is a field element
+        and v a block of m-bit symbols."""
+        m = self.m
+        self.validate(c)
+        if v.m != m:
+            raise ValueError(f"a block of {v.m}-bit symbols: not an element of GF(2^{m})")
+        fold = [r for r in range(m) if self.poly >> r & 1]  # x^m = the poly's low bits
+        out = []
+        for at in range(0, len(v.planes), m):
+            row, acc = v.planes[at : at + m], [0] * m
+            for j in range(c.bit_length()):
+                if c >> j & 1:
+                    acc = [a ^ p for a, p in zip(acc, row)]
+                top, row = row[-1], [0, *row[:-1]]
+                for r in fold:
+                    row[r] ^= top
+            out += acc
+        return Block(m, v.stripes, out)
 
     # -- identity -----------------------------------------------------------
 
@@ -275,9 +261,9 @@ class Block:
     """A (rows, stripes) block of GF(2^m) symbols, bit-sliced: m planes per
     row, each one int, so `planes` holds rows*m ints, row-major.  Bit s of
     planes[r*m + b] is bit b of row r's symbol on stripe s.  As bytes
-    (from_bytes, to_bytes) a plane is stripes/8 bytes, little-endian, so
-    stripe s is bit s % 8 of byte s // 8, and the planes follow each other
-    in (row, bit) order; the stripe count must then be a multiple of 8.
+    (from_bytes, to_bytes) the planes are `stripes` bits each, back to
+    back in (row, bit) order, LSB first: bit s of plane i is bit
+    i*stripes + s of the bytes, and the last byte is zero-filled.
     Blocks are not modified once made: the ints are immutable and the
     functions here build new lists."""
 
@@ -297,18 +283,33 @@ class Block:
 
     @classmethod
     def from_bytes(cls, data, m: int, rows: int, stripes: int) -> "Block":
-        """The block whose to_bytes() is `data`, rows*m*stripes/8 bytes."""
-        width = stripes // 8
-        if stripes % 8 or len(data) != rows * m * width:
+        """The block whose to_bytes() is `data`, rows*m*stripes bits."""
+        count = rows * m
+        if len(data) != -(-count * stripes // 8):
             raise ValueError(f"{len(data)} bytes are not {rows} rows of {m} planes "
                              f"of {stripes} stripes")
-        view = memoryview(data)
-        return cls(m, stripes, [int.from_bytes(view[i * width : (i + 1) * width], "little")
-                                for i in range(rows * m)])
+        if stripes % 8 == 0:  # each plane is whole bytes
+            width, view = stripes // 8, memoryview(data)
+            return cls(m, stripes, [int.from_bytes(view[i * width : (i + 1) * width], "little")
+                                    for i in range(count)])
+        # 8 planes are `stripes` whole bytes: cut each 8 out of one int
+        mask, planes = (1 << stripes) - 1, []
+        for at in range(0, count, 8):
+            group = int.from_bytes(data[at * stripes // 8 : (at + 8) * stripes // 8], "little")
+            planes += [group >> i * stripes & mask for i in range(min(8, count - at))]
+        return cls(m, stripes, planes)
 
     def to_bytes(self) -> bytes:
-        width = -(-self.stripes // 8)
-        return b"".join(plane.to_bytes(width, "little") for plane in self.planes)
+        stripes, planes = self.stripes, self.planes
+        if stripes % 8 == 0:
+            return b"".join(plane.to_bytes(stripes // 8, "little") for plane in planes)
+        groups = []
+        for at in range(0, len(planes), 8):
+            group = 0
+            for i, plane in enumerate(planes[at : at + 8]):
+                group |= plane << i * stripes
+            groups.append(group.to_bytes(-(-min(8, len(planes) - at) * stripes // 8), "little"))
+        return b"".join(groups)
 
     def take(self, rows: Iterable[int]) -> "Block":
         """The block of the given rows, in that order."""

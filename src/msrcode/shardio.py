@@ -3,12 +3,18 @@ bytes <-> Block slicing.
 
 Shard layout (format version 3): a fixed 26-byte header, then the payload
 in blocks of BLOCK_STRIPES stripes; the last block holds the remainder.
-The stripe count is a multiple of 8.  The block for stripes [lo, hi)
-stores the alpha rows in row-ordinal order; each row is its m bit planes
-of (hi - lo)/8 bytes (plane b holds bit b of every stripe's symbol,
-LSB-first; see gf.Block), then the CRC-32 of those planes, 4 bytes
-big-endian (see _CRC).  So a symbol takes exactly m bits, and a helper's
-rows for one repair, with their CRCs, are a few long byte runs per block.
+The block for stripes [lo, hi) stores the alpha rows in row-ordinal
+order; each row is its m bit planes of hi - lo bits each, back to back and
+zero-filled to a whole byte (plane b holds bit b of every stripe's symbol,
+LSB-first; see gf.Block), then the row's digest: the first 4 bytes of
+the BLAKE2b of those bytes (`row_digest`).  So a symbol takes m bits, and
+a helper's rows for one repair, with their digests, are a few long byte
+runs per block.  The manifest records the CRC-32 of each whole shard file.
+The row digest is not a CRC on purpose: CRC-32 is GF(2)-linear, so a row
+CRC stored after its row would cancel part or all of the row's effect on
+the file's CRC-32 (all of it when stored little-endian, the byte order of
+zlib's reflected CRC), and a row replaced with its own correct CRC could
+go unseen by the manifest's checksum.
 The header's reduction_poly field stores the polynomial without its
 implicit leading x^m bit so degree-16 polynomials fit in two bytes; the
 plain-text manifest records the full integer.  Other versions are refused.
@@ -19,7 +25,7 @@ bit planes, exactly as stored.  `open_shard` yields a ShardReader, which
 checks the header and the file size before any payload read, then streams
 whole (alpha, stripes) blocks as read (keeping a running CRC-32 of the
 bytes it read, in file order) or only the helper-row runs of each block,
-as (beta, stripes); it checks every row it reads against the row's CRC-32,
+as (beta, stripes); it checks every row it reads against the row's digest,
 and names the shard and the block of a row that fails.  read_shard and
 read_gamma join the blocks.  No reader or writer keeps a block once the
 next one is read.  `write_shard` writes one or more shards in one pass
@@ -30,17 +36,20 @@ here goes to <name>.tmp, is fsynced, and only then is renamed over <name>
 partial file under the real name; a command fsyncs each directory once
 after its last rename there (`sync_dir`), so the renames are durable too.
 
-The input needs no packing: each block of k*alpha*m*stripes/8 input bytes
-*is* the systematic planes of that block, in (node, row, bit) order
-(`read_messages`).  So a systematic shard's planes are byte slices of the
-input, and decoding is writing out the systematic planes
-(`bytes_from_symbols`).  file_length in the header/manifest recovers the
-exact byte count after the zero-fill to a whole 8 stripes.
+The input needs no packing: the input bits of each block of `stripes`
+stripes *are* the systematic planes of that block, stripes bits each, in
+(node, row, bit) order (`read_messages`).  The stripe count is the fewest
+stripes that hold the input, so the zero-fill is under one stripe.  A
+full block's planes are whole bytes, so a systematic shard's planes are
+byte slices of the input, and decoding is writing out the systematic
+planes (`bytes_from_symbols`).  file_length in the header/manifest
+recovers the exact byte count.
 """
 
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import os
 import struct
 import zlib
@@ -55,14 +64,10 @@ from .params import CodeParams, Node, make_params
 MAGIC = b"MSRC"
 FORMAT_VERSION = 3
 # stripes per payload block; fixed by format version 3, and a multiple of 8
-# so that every plane is whole bytes
+# so that a full block's planes are whole bytes
 BLOCK_STRIPES = 4096
 _HEADER = struct.Struct("<4sBBBBHHBBIQ")
-# after each row of each block, big-endian: appended in its own byte order
-# (little-endian for zlib's reflected CRC-32), a row's CRC would bring the
-# running CRC-32 of the file back to one fixed residue after every row, and
-# the whole-file CRC-32 in the manifest would not depend on any row's bytes
-_CRC = struct.Struct(">I")
+DIGEST_LEN = 4  # after each row of each block
 HEADER_LEN = _HEADER.size  # 26
 
 
@@ -218,16 +223,15 @@ def shard_filename(node: Node) -> str:
 
 
 def stripe_count_for(file_length: int, message_len: int, m: int) -> int:
-    """Stripes needed to hold file_length bytes at m bits per symbol,
-    rounded up to a multiple of 8, so that every plane is whole bytes: 8
-    stripes hold message_len*m bytes."""
-    return 8 * -(-file_length // (message_len * m))
+    """The fewest stripes that hold file_length bytes: a stripe holds
+    message_len symbols of m bits."""
+    return -(-8 * file_length // (message_len * m))
 
 
 def symbols_from_bytes(data: bytes, m: int, rows: int, stripes: int) -> Block:
     """The (rows, stripes) block whose bytes begin with `data`, zero-filled
-    past its end: plane after plane, stripes/8 bytes each (see Block)."""
-    size = rows * m * stripes // 8
+    past its end: plane after plane, `stripes` bits each (see Block)."""
+    size = -(-rows * m * stripes // 8)
     return Block.from_bytes(data[:size].ljust(size, b"\0"), m, rows, stripes)
 
 
@@ -325,18 +329,26 @@ def _blocks(stripe_count: int):
         yield lo, min(lo + BLOCK_STRIPES, stripe_count)
 
 
+def row_digest(row: bytes) -> bytes:
+    """The digest stored after a row's bytes: its 4-byte BLAKE2b."""
+    return hashlib.blake2b(row, digest_size=DIGEST_LEN).digest()
+
+
 def payload_bytes(stripes: int, rows: int, m: int) -> int:
     """Bytes a shard stores for `rows` rows of a block of `stripes`
-    stripes: m planes of stripes/8 bytes and a CRC-32 per row."""
-    return rows * (m * stripes // 8 + _CRC.size)
+    stripes: per row, m planes of `stripes` bits in whole bytes and a
+    digest."""
+    return rows * (-(-m * stripes // 8) + DIGEST_LEN)
 
 
 def shard_bytes(hdr: ShardHeader) -> int:
-    """The size of the shard file `hdr` describes, whose stripe count is a
-    multiple of 8: every block's rows, each with one CRC.  In closed form,
-    so that a garbled stripe count costs no time."""
-    blocks = -(-hdr.stripe_count // BLOCK_STRIPES)
-    return HEADER_LEN + hdr.q**hdr.t * (hdr.m * hdr.stripe_count // 8 + _CRC.size * blocks)
+    """The size of the shard file `hdr` describes: the header, then every
+    block's rows, each with its digest.  In closed form, so that a garbled
+    stripe count costs no time."""
+    full, last = divmod(hdr.stripe_count, BLOCK_STRIPES)
+    alpha = hdr.q**hdr.t
+    return HEADER_LEN + full * payload_bytes(BLOCK_STRIPES, alpha, hdr.m) + \
+        (payload_bytes(last, alpha, hdr.m) if last else 0)
 
 
 class ShardWriter:
@@ -356,17 +368,16 @@ class ShardWriter:
 
     def write(self, block: Block) -> None:
         """Append the next payload block: each of its alpha rows' planes,
-        then the CRC-32 of that row."""
+        then that row's digest."""
         hdr = self.header
         shape = (hdr.m, hdr.q**hdr.t, min(BLOCK_STRIPES, hdr.stripe_count - self.stripes_written))
         if (block.m, block.rows, block.stripes) != shape:
             raise ValueError(f"a block of (m, rows, stripes) = {(block.m, block.rows, block.stripes)}"
                              f" is not the next block, {shape}, of a {hdr.stripe_count}-stripe shard")
-        m, width, planes = hdr.m, block.stripes // 8, block.planes
         parts = []
-        for at in range(0, len(planes), m):
-            row = b"".join(plane.to_bytes(width, "little") for plane in planes[at : at + m])
-            parts += (row, _CRC.pack(zlib.crc32(row)))
+        for r in range(block.rows):
+            row = block[r : r + 1].to_bytes()
+            parts += (row, row_digest(row))
         self._put(b"".join(parts))
         self.stripes_written += block.stripes
 
@@ -420,7 +431,7 @@ class CountingReader:
 class ShardReader:
     """An open shard whose header and file size were checked on opening,
     before any payload read.  Stream the payload with blocks() or
-    gamma_blocks(), which check the CRC-32 of every row they read;
+    gamma_blocks(), which check the digest of every row they read;
     `counter` counts the bytes and read() calls made."""
 
     def __init__(self, f: BinaryIO, path):
@@ -429,9 +440,6 @@ class ShardReader:
         head = self.counter.read(HEADER_LEN)
         self.header = ShardHeader.unpack(head)
         self.crc = zlib.crc32(head)  # of the bytes read in file order so far
-        if self.header.stripe_count % 8:
-            raise ShardFormatError(f"{path}: stripe count {self.header.stripe_count} "
-                                   "is not a multiple of 8")
         size, expected = os.fstat(f.fileno()).st_size, shard_bytes(self.header)
         if size != expected:
             raise ShardFormatError(f"{path}: file is {size} bytes, header implies {expected}")
@@ -439,7 +447,7 @@ class ShardReader:
     def _rows(self, index: int, first: int, rows: int, stripes: int,
               at: int | None = None) -> Block:
         """Rows first..first+rows-1 of block `index`, whose stripe count is
-        `stripes`, each checked against its CRC-32: read in file order,
+        `stripes`, each checked against its digest: read in file order,
         which extends `crc`, or, with `at`, from that byte offset."""
         if at is not None:
             self.counter.seek(at)
@@ -453,11 +461,11 @@ class ShardReader:
         row_bytes = payload_bytes(stripes, 1, m)
         planes = []
         for r in range(rows):
-            end = (r + 1) * row_bytes - _CRC.size
+            end = (r + 1) * row_bytes - DIGEST_LEN
             row = view[r * row_bytes : end]
-            if zlib.crc32(row) != _CRC.unpack_from(view, end)[0]:
+            if row_digest(row) != view[end : end + DIGEST_LEN]:
                 raise ShardFormatError(f"{self.path}: block {index}: row {first + r} "
-                                       "does not match its CRC-32")
+                                       "does not match its digest")
             planes += Block.from_bytes(row, m, 1, stripes).planes
         return Block(m, stripes, planes)
 
@@ -472,7 +480,7 @@ class ShardReader:
     def gamma_blocks(self, runs: list[tuple[int, int]]) -> Iterator[Block]:
         """The rows in `runs` ((start ordinal, length) pairs) of every block,
         stacked as a (sum of run lengths, stripes) Block, reading only those
-        rows and their CRCs: one seek and read per run per block."""
+        rows and their digests: one seek and read per run per block."""
         hdr = self.header
         base = HEADER_LEN
         for index, (lo, hi) in enumerate(_blocks(hdr.stripe_count)):
@@ -524,7 +532,7 @@ def gamma_runs(failed: Node, params: CodeParams) -> list[tuple[int, int]]:
 
 def read_gamma(path: Path | str, failed: Node,
                params: CodeParams) -> tuple[ShardHeader, Block, int]:
-    """Read only the helper rows of a shard, with their CRCs: one seek and
+    """Read only the helper rows of a shard, with their digests: one seek and
     read per run of gamma_runs per block.  Returns the header, the (beta,
     stripe_count) Block, and the byte count read."""
     with open_shard(path) as shard:

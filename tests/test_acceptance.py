@@ -175,12 +175,14 @@ def test_criterion_6_help_by_transfer(tmp_path, capsys):
                 if sent != stored[helper].take(gamma):
                     problems.append(f"non-verbatim symbol at {(q, t, m)}")
     # (b) CLI repair reads at most the header, then beta*m bits per stripe
-    # per helper, plus the CRC-32 of each of its beta rows in each block
+    # per helper, each of its beta rows in each block in whole bytes and
+    # with its digest
     store = tmp_path / "store_2_3"
     man = Manifest.read(store / "manifest.txt")
     p = man.params()
-    blocks = -(-man.stripe_count // BLOCK_STRIPES)
-    bound = HEADER_LEN + p.beta * (man.stripe_count * p.gf.m // 8 + 4 * blocks)
+    widths = [min(BLOCK_STRIPES, man.stripe_count - lo)
+              for lo in range(0, man.stripe_count, BLOCK_STRIPES)]
+    bound = HEADER_LEN + p.beta * sum(-(-w * p.gf.m // 8) + 4 for w in widths)
     for helper in p.nodes():
         if helper == (1, 0):
             continue

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: round trips, exit codes, byte-identical repair,
 and the partial-read bound on the repair path."""
 
+import hashlib
 import itertools
 import json
 import os
@@ -413,8 +414,9 @@ def test_repair_reports_partial_read_bound(store22, capsys):
     assert main(["repair", "--node", "1,0", "--out-dir", str(store)]) == EXIT_OK
     out = capsys.readouterr().out
     got = int(re.search(r"per-helper read : (\d+) bytes", out).group(1))
-    # one block: the header, then beta rows of m planes, each with its CRC
-    assert got == HEADER_LEN + p.beta * (man.stripe_count * p.gf.m // 8 + 4)
+    # one block: the header, then beta rows of m planes in whole bytes, each
+    # with its CRC
+    assert got == HEADER_LEN + p.beta * (-(-man.stripe_count * p.gf.m // 8) + 4)
     assert "stripes x" not in out  # no per-stripe byte count: a symbol is m bits
 
 
@@ -477,26 +479,34 @@ def test_a_bad_row_names_the_shard_and_the_block(tmp_path, monkeypatch, capsys, 
     capsys.readouterr()
     assert main(argv) == EXIT_VERIFY
     err = capsys.readouterr().err
-    assert f"{shard_filename(bad)}: block 1: row {row} does not match its CRC-32" in err
+    assert f"{shard_filename(bad)}: block 1: row {row} does not match its digest" in err
     assert {f.name: f.read_bytes() for f in tmp_path.rglob("*") if f.is_file()} == before
 
 
-def test_repair_checksum_mismatch_leaves_no_file(store22):
+def test_repair_checksum_mismatch_leaves_no_file(store22, capsys):
     store, _ = store22
     p = Manifest.read(store / "manifest.txt").params()
     failed = (1, 0)
     (store / shard_filename(failed)).unlink()
-    # flip one bit of a helper-row symbol in stripe 0; the header stays intact.
+    # flip one bit of a helper-row symbol in stripe 0 and give the row its
+    # new digest, as a stale helper would have it: every row read checks out,
+    # and only the rebuilt shard's checksum against the manifest fails.
     # Each row of the first block holds min(stripe_count, BLOCK_STRIPES) stripes.
     helper = store / shard_filename((2, 0))
     blob = bytearray(helper.read_bytes())
     width = min(read_shard(helper)[0].stripe_count, BLOCK_STRIPES)
     row = p.row_ordinal(p.gamma_rows(failed)[0])
-    blob[HEADER_LEN + shardio.payload_bytes(width, row, p.gf.m)] ^= 1
+    at = HEADER_LEN + shardio.payload_bytes(width, row, p.gf.m)
+    row_bytes = shardio.payload_bytes(width, 1, p.gf.m) - 4
+    blob[at] ^= 1
+    blob[at + row_bytes : at + row_bytes + 4] = \
+        hashlib.blake2b(blob[at : at + row_bytes], digest_size=4).digest()
     helper.write_bytes(bytes(blob))
     before = {f.name: f.read_bytes() for f in store.iterdir()}
+    capsys.readouterr()
     assert main(["repair", "--node", "1,0", "--out-dir", str(store)]) == EXIT_VERIFY
-    assert {f.name: f.read_bytes() for f in store.iterdir()} == before
+    assert "rebuilt shard_1_0.msrc does not match manifest checksum" in capsys.readouterr().err
+    assert {f.name: f.read_bytes() for f in store.iterdir()} == before  # no .tmp either
 
 
 def test_repair_mislabeled_helper_is_verification_failure(store22):

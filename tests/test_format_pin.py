@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import hashlib
 import random
-import zlib
 
 import pytest
 
@@ -28,28 +27,28 @@ from msrcode.shardio import HEADER_LEN, MANIFEST_NAME, Manifest, shard_filename
 
 # (q, t, m) -> (input seed, input length, {file name: SHA-256})
 PINNED = {
-    # 12 input bytes per stripe: 8,616 stripes, two full blocks and a third
+    # 12 input bytes per stripe: 8,610 stripes, two full blocks and a third
     (2, 3, 3): (23, 2 * 49152 + 5007, {
-        "manifest.txt": "14340871545afdc82e8fc1fa599393c3565adc7caea3a9789aecc9bf11881854",
-        "shard_1_0.msrc": "a84007d1a665de30274790190c38b8c2b4e2a8d334737e3f4b6a29c33af0b17e",
-        "shard_1_1.msrc": "af9543494cf6247df044ef2e19c6fdfb253f0e10015b505dfe8db864b16aecc1",
-        "shard_2_0.msrc": "1dafa8f900ceaa4bc5e6dfcf94bfbcbdf236c124646baea36ae6b27199a3324b",
-        "shard_2_1.msrc": "0abfbe22a72344d505a6dc633fa0739f63b19c52720cc349ea94766963e92fd3",
-        "shard_3_0.msrc": "7daa55479c90cc12fc97ad08019e000b06b00e56d89995a7f8381d1180d7a400",
-        "shard_3_1.msrc": "3b15d471ac29bfcfd4806bb25e35e12ad784aaaa3eac856ef539a6372c4dd9f5",
+        "manifest.txt": "4311a76f9693599f01cd7498a2f40aa70bb80a3105efefe884b72feb3c0d345a",
+        "shard_1_0.msrc": "dbfc04dfb2a2302dbfad9a8d333667177e666942964764eb26478adcc8c961b0",
+        "shard_1_1.msrc": "5f4bfccf2d8c7396c7f81b2c96582e836878ee823b6bbc31d80087c46d588415",
+        "shard_2_0.msrc": "e8488b4a4989876e10112300cfe91cd7c0e7354bcbe91b750e1193a6534925bc",
+        "shard_2_1.msrc": "8f6d7546cd5b76496ac65a7eaca53dd540aeda2d623ffc87ede8a19aed560fed",
+        "shard_3_0.msrc": "4efcc90d028dd5197a3d211aac4dadc0dad040cdb5716bf19d48248c7c75d092",
+        "shard_3_1.msrc": "cde2530bbeac15bd27b5add9bf53a88b9b6c64a09ba3cf17bc52c460dfdd5605",
     }),
-    # 162 input bytes per stripe: 4,720 stripes, one full block and a second
+    # 162 input bytes per stripe: 4,714 stripes, one full block and a second
     (3, 3, 8): (338, 663552 + 100001, {
-        "manifest.txt": "956a61f356a64418d00ea432fcda972e0a447262eebd077f2d5a0b74d8d80c7e",
-        "shard_1_0.msrc": "a34381977ca71dcc69f5c0cc19596033f7b3679fe8c82ac8a64a1aa7bec4c385",
-        "shard_1_1.msrc": "072d5fc929974928a1d39074d3b827dc3292a472960cfcdfa2ad63d882fa0cc0",
-        "shard_1_2.msrc": "d142608aad033888f810ede886c33492669e578a975cdeb4965ffc0513d75f79",
-        "shard_2_0.msrc": "c4eb48768e360f77f334a415ab498dc76a920fd1b6952ddedbe57dfcc0ac0c40",
-        "shard_2_1.msrc": "5562f3c339bed891662e4d7cf5d2f6551c7886df1010dfd2bf0e0bc9fcdacb23",
-        "shard_2_2.msrc": "adf1eaedc585204a66ce26ddd60aee1865b500efa15d68eda0859c6dc232a1a6",
-        "shard_3_0.msrc": "779fee94473c3946acb3420bf5b14548dd9f38547d49f4e252f11ce407641f41",
-        "shard_3_1.msrc": "0a5fd5ed1769340111023bbb1b9c958fa6c7ef377bbeac1f954fd67ae641c9a1",
-        "shard_3_2.msrc": "1dde52079c4558341aef3b0ea3f35523de9ba6d569c29c03f576fd3d01619be4",
+        "manifest.txt": "d330df02df19218999bce60eb0173a746b439ff9c7dd34d287109314e2f7c49e",
+        "shard_1_0.msrc": "2f5ba5b2b401304b6749c89739a4bafc5d62171935e4995491ec696c8324d189",
+        "shard_1_1.msrc": "0c681d1081d5fdea389f46cc4697683ef9e6a1366712e0beb2f55439efeb7b49",
+        "shard_1_2.msrc": "7f907532f84cb1131d1b1f7c7e86aa9badb150def50ab7aae447e3623905c269",
+        "shard_2_0.msrc": "95e646df1c97ae07867899bbd52cdc0836d52c585cc5a29d05d6eb4d23aeba5b",
+        "shard_2_1.msrc": "ae358fff9bfd8df807852063b38998471d7d92dc972281b746f23e296d2e1d02",
+        "shard_2_2.msrc": "f258c82c50f3b60938961c30cbcfe367aa5e904960b78fba959d3a60761234f0",
+        "shard_3_0.msrc": "f078604c7ed1b6c61f4d65ac11a32b31480762008c3da73ec04ff8d64e779d65",
+        "shard_3_1.msrc": "b2b21b5c8e1cf247247a9fca86619c688b7308226d50165c840a7f018a87b20b",
+        "shard_3_2.msrc": "c6b6ad8f4fbaa729cf05a81573273f26ade9aa00634d3ec7911939f3eda664a3",
     }),
 }
 
@@ -107,17 +106,17 @@ def bit(data: bytes, index: int) -> int:
 
 def unpack_shard(blob: bytes, alpha: int, m: int, stripes: int, block: int) -> list[list[int]]:
     """Reference reader: stripe s of the shard as its alpha symbols.  Each
-    block of `block` stripes holds, row after row, m planes of width/8
-    bytes (plane b: bit b of each stripe's symbol, stripe s at bit s) and
-    then the row's CRC-32, big-endian."""
+    block of `block` stripes holds, row after row, m planes of `width` bits
+    back to back in whole bytes (plane b: bit b of each stripe's symbol,
+    stripe s at bit b*width + s) and then the row's 4-byte BLAKE2b."""
     columns, at = [], HEADER_LEN
     for lo in range(0, stripes, block):
         width = min(block, stripes - lo)
         rows = []
         for _ in range(alpha):
-            planes = blob[at : at + m * width // 8]
-            assert int.from_bytes(blob[at + len(planes) : at + len(planes) + 4], "big") == \
-                zlib.crc32(planes)
+            planes = blob[at : at - (-m * width // 8)]
+            assert blob[at + len(planes) : at + len(planes) + 4] == \
+                hashlib.blake2b(planes, digest_size=4).digest()
             rows.append([sum(bit(planes, b * width + s) << b for b in range(m))
                          for s in range(width)])
             at += len(planes) + 4
@@ -134,7 +133,7 @@ def message_of(data: bytes, s: int, message_len: int, m: int, block: int) -> lis
     stripes = shardio.stripe_count_for(len(data), message_len, m)
     width = min(block, stripes - lo)
     start = lo * message_len * m // 8
-    piece = data[start : start + message_len * m * width // 8]
+    piece = data[start : start - (-message_len * m * width // 8)]
     return [sum(bit(piece, (j * m + b) * width + s - lo) << b for b in range(m))
             for j in range(message_len)]
 
@@ -142,9 +141,9 @@ def message_of(data: bytes, s: int, message_len: int, m: int, block: int) -> lis
 @pytest.mark.parametrize("qtm", [(2, 3, 3), (3, 3, 8), (2, 2, 16)],
                          ids=lambda qtm: "q%d-t%d-m%d" % qtm)
 def test_each_stripe_of_the_shards_is_the_scalar_encode(tmp_path, monkeypatch, qtm):
-    # blocks of 16 stripes; the input fills 4.5 groups of 8 stripes plus 3
-    # bytes, so 40 stripes: two whole blocks, then a half block whose last
-    # stripes are partly filled
+    # blocks of 16 stripes; the input fills 36 stripes plus 3 bytes, so 37
+    # stripes: two whole blocks, then 5 stripes, the last one partly filled,
+    # whose planes are not whole bytes
     monkeypatch.setattr(shardio, "BLOCK_STRIPES", 16)
     p = find_code(*qtm)
     sys_ = build_system(p, p.c0)
@@ -155,7 +154,7 @@ def test_each_stripe_of_the_shards_is_the_scalar_encode(tmp_path, monkeypatch, q
                  "--out-dir", str(st)]) == EXIT_OK
     assert main(["encode", str(tmp_path / "in.bin"), "--out-dir", str(st)]) == EXIT_OK
     stripes = Manifest.read(st / MANIFEST_NAME).stripe_count
-    assert stripes == 40
+    assert stripes == 37
     shards = {nd: unpack_shard((st / shard_filename(nd)).read_bytes(), p.alpha, p.gf.m,
                                stripes, 16) for nd in p.nodes()}
     for s in range(stripes):

@@ -3,10 +3,9 @@ schoolbook carry-less multiply oracle."""
 
 import random
 
-import numpy as np
 import pytest
 
-from msrcode.gf import DEFAULT_POLYS, GF2M, default_poly, is_irreducible, ring_sub
+from msrcode.gf import DEFAULT_POLYS, GF2M, Block, default_poly, is_irreducible, ring_sub
 
 
 def slow_mul(a: int, b: int, poly: int, m: int) -> int:
@@ -207,66 +206,81 @@ def test_validate():
         gf.validate(-1)
 
 
-# -- vectorized multiply ------------------------------------------------------------
+# -- block multiply ------------------------------------------------------------------
+
+
+def block_of(rows, m):
+    """Reference: the Block of `rows` (lists of symbols, one per stripe),
+    bit by bit: bit s of plane r*m + b is bit b of rows[r][s]."""
+    return Block(m, len(rows[0]), [sum((v >> b & 1) << s for s, v in enumerate(row))
+                                   for row in rows for b in range(m)])
+
+
+def symbols_of(block):
+    """Reference: a Block as a list of rows of symbols."""
+    m = block.m
+    return [[sum((block.planes[r * m + b] >> s & 1) << b for b in range(m))
+             for s in range(block.stripes)] for r in range(len(block.planes) // m)]
 
 
 @pytest.mark.parametrize("m", [1, 4, 7, 16])
 def test_mul_vec_matches_scalar(m):
     gf = GF2M(m)
-    rng = np.random.default_rng(m)
-    v = rng.integers(0, gf.order, size=257).astype(np.uint16)
-    for c in [0, 1] + [int(x) for x in rng.integers(0, gf.order, size=6)]:
-        got = gf.mul_vec(c, v)
-        assert got.dtype == np.uint16
-        assert [int(x) for x in got] == [gf.mul(c, int(a)) for a in v]
+    rng = random.Random(m)
+    v = [rng.randrange(gf.order) for _ in range(257)]
+    for c in [0, 1] + [rng.randrange(gf.order) for _ in range(6)]:
+        got = gf.mul_vec(c, block_of([v], m))
+        assert (got.m, got.rows, got.stripes) == (m, 1, 257)
+        assert symbols_of(got) == [[gf.mul(c, a) for a in v]]
 
 
 @pytest.mark.parametrize("m", range(1, 9))
 def test_mul_vec_is_mul_for_every_coefficient_and_symbol(m):
     gf = GF2M(m)
-    v = np.arange(gf.order, dtype=np.uint16)
+    v = block_of([list(range(gf.order))], m)
     for c in range(gf.order):
-        got = gf.mul_vec(c, v)
-        assert got.dtype == np.uint16
-        assert got.tolist() == [gf.mul(c, x) for x in range(gf.order)]
+        assert symbols_of(gf.mul_vec(c, v)) == [[gf.mul(c, x) for x in range(gf.order)]]
 
 
 def test_mul_vec_m16_every_symbol_for_sampled_coefficients():
     gf = GF2M(16)
-    v = np.arange(gf.order, dtype=np.uint16)
+    v = block_of([list(range(gf.order))], 16)
     sampled = [0, 1, 2, 0xFF, 0x100, 0x1234, 0xFF00, gf.order - 1]
     for c in sampled:
-        assert gf.mul_vec(c, v).tolist() == [gf.mul(c, x) for x in range(gf.order)]
+        assert symbols_of(gf.mul_vec(c, v)) == [[gf.mul(c, x) for x in range(gf.order)]]
 
 
 def test_mul_vec_keeps_the_block_shape():
     gf = GF2M(13)
-    block = np.random.default_rng(13).integers(0, gf.order, size=(5, 7)).astype(np.uint16)
-    got = gf.mul_vec(77, block)
-    assert got.shape == (5, 7) and got.dtype == np.uint16
-    assert got.tolist() == [[gf.mul(77, int(x)) for x in row] for row in block]
+    rng = random.Random(13)
+    rows = [[rng.randrange(gf.order) for _ in range(7)] for _ in range(5)]
+    got = gf.mul_vec(77, block_of(rows, 13))
+    assert (got.m, got.rows, got.stripes) == (13, 5, 7)
+    assert symbols_of(got) == [[gf.mul(77, x) for x in row] for row in rows]
 
 
 @pytest.mark.parametrize("m", [3, 8, 16])
 def test_mul_vec_product_tables_stay_within_bound(m):
-    # one table over all 2^m symbols up to m = 8; above, a low-byte and a
-    # high-bits table: never more than 2*(256 + 2^(m-8)) bytes a coefficient
+    # the block multiply builds no product table: what a coefficient costs
+    # to keep is its bit matrix, at most m*m pairs, built once through
+    # mul_vec and only for the coefficients asked
     gf = GF2M(m)
-    v = np.arange(gf.order, dtype=np.uint16)
-    coeffs = {2, 3, gf.order - 1, gf.order // 2 + 1}
-    for c in [0, 1, *coeffs, 3]:
-        gf.mul_vec(c, v)
-    assert set(gf._mul_tables) == coeffs  # 0 and 1 need none; 3 is built once
-    bound = 2 * gf.order if m <= 8 else 2 * (256 + 2 ** (m - 8))
-    for tables in gf._mul_tables.values():
-        assert sum(t.nbytes for t in tables) <= bound
+    coeffs = {0, 1, 2, 3, gf.order - 1, gf.order // 2 + 1}
+    for c in [*coeffs, 3]:
+        gf.bit_pairs(c)
+    assert set(gf._bit_pairs) == coeffs
+    assert all(len(pairs) <= m * m for pairs in gf._bit_pairs.values())
+    assert gf._bit_pairs[0] == () and gf._bit_pairs[1] == tuple((i, i) for i in range(m))
 
 
 @pytest.mark.parametrize("m", [3, 8, 11])
 def test_mul_vec_out_of_field_symbol_is_value_error(m):
     gf = GF2M(m)
+    # 2^m is a symbol of GF(2^(m+1)), not of GF(2^m)
     with pytest.raises(ValueError, match="not an element of GF"):
-        gf.mul_vec(3, np.array([1, gf.order], dtype=np.uint16))
+        gf.mul_vec(3, block_of([[1, gf.order]], m + 1))
+    with pytest.raises(ValueError, match="not an element of GF"):
+        gf.mul_vec(gf.order, block_of([[1, 2]], m))
 
 
 def test_equality_and_hash():

@@ -2,6 +2,7 @@
 and partial-read accounting."""
 
 import contextlib
+import hashlib
 import random
 import re
 import tempfile
@@ -242,20 +243,24 @@ def test_packing_zero_fills_past_data():
 def test_block_from_bytes_refuses_a_partial_plane():
     with pytest.raises(ValueError, match="not 2 rows"):
         Block.from_bytes(bytes(31), 8, 2, 16)
-    with pytest.raises(ValueError, match="of 12 stripes"):
-        Block.from_bytes(bytes(12), 8, 1, 12)
+    # 3 planes of 12 stripes are 36 bits: 5 bytes, neither 4 nor 6
+    for size in (4, 6):
+        with pytest.raises(ValueError, match="of 12 stripes"):
+            Block.from_bytes(bytes(size), 3, 1, 12)
+    assert Block.from_bytes(b"\xff" * 4 + b"\x0f", 3, 1, 12) == Block(3, 12, [0xFFF] * 3)
 
 
 def test_stripe_count_for():
-    p = make_params(2, 2, 16)  # B = 8 symbols: 8 stripes hold 8 * 16 bytes
+    p = make_params(2, 2, 16)  # B = 8 symbols: a stripe holds 16 bytes
     assert stripe_count_for(0, p.message_len, 16) == 0
-    assert stripe_count_for(16, p.message_len, 16) == 8  # rounded up to whole planes
+    assert stripe_count_for(1, p.message_len, 16) == 1
+    assert stripe_count_for(16, p.message_len, 16) == 1
     assert stripe_count_for(128, p.message_len, 16) == 8
-    assert stripe_count_for(129, p.message_len, 16) == 16
-    p7 = make_params(2, 3, 7)  # B = 32 symbols -> 8 stripes hold 224 bytes
-    assert stripe_count_for(28, p7.message_len, 7) == 8
-    assert stripe_count_for(225, p7.message_len, 7) == 16
-    assert stripe_count_for(1 << 20, p7.message_len, 7) == 37456
+    assert stripe_count_for(129, p.message_len, 16) == 9
+    p7 = make_params(2, 3, 7)  # B = 32 symbols: a stripe holds 224 bits, 28 bytes
+    assert stripe_count_for(28, p7.message_len, 7) == 1
+    assert stripe_count_for(225, p7.message_len, 7) == 9  # 1800 bits
+    assert stripe_count_for(1 << 20, p7.message_len, 7) == 37450
 
 
 # -- shard files ------------------------------------------------------------------
@@ -313,13 +318,6 @@ def test_older_format_versions_are_refused(tmp_path):
             read_shard(path)
 
 
-def test_stripe_count_off_a_whole_plane_is_refused(tmp_path):
-    path = tmp_path / "s.msrc"
-    path.write_bytes(ShardHeader(2, 3, 7, 0x89, 1, (2, 0), 5, 50).pack() + bytes(300))
-    with pytest.raises(ShardFormatError, match="stripe count 5 is not a multiple of 8"):
-        read_shard(path)
-
-
 def test_a_garbled_stripe_count_is_refused_at_once(tmp_path, monkeypatch):
     # the size a header implies is computed in closed form, not block by
     # block: 2^32 - 8 stripes in blocks of 8 would be half a billion blocks
@@ -352,9 +350,8 @@ def test_a_bad_row_names_the_shard_and_the_block(tmp_path, monkeypatch, reader):
 
 
 def test_whole_file_crc_sees_every_row(tmp_path):
-    # each row carries its own CRC-32, yet the file's CRC-32 (the manifest's
-    # checksum) must still change with the row: a row CRC stored in zlib's own
-    # byte order would return the running CRC to a constant after each row
+    # each row carries its own digest, yet the file's CRC-32 (the manifest's
+    # checksum) must still change with the row
     hdr = ShardHeader(2, 3, 7, 0x89, 1, (2, 0), 8, 50)
     crcs = set()
     for row in range(8):
@@ -364,6 +361,58 @@ def test_whole_file_crc_sees_every_row(tmp_path):
             crcs |= set(write_shard({tmp_path / "s.msrc": hdr},
                                     [{hdr.node: to_block(symbols, 7)}], renames).values())
     assert len(crcs) == 8
+
+
+def crc_change(delta: bytes) -> int:
+    """What XORing `delta` into a row does to a CRC-32 of the row: CRC-32
+    is affine over GF(2), so this is the same whatever the row."""
+    return zlib.crc32(delta) ^ zlib.crc32(bytes(len(delta)))
+
+
+def palindromic_change(width: int) -> bytes:
+    """A change to a `width`-byte row whose change to a CRC-32 of the row is
+    nonzero and reads the same byte-reversed, found by elimination over
+    GF(2).  Were a row's check its CRC-32 stored big-endian, such a change
+    made with the row's check re-stamped would leave the file's CRC-32 as
+    it was; stored little-endian, any change would."""
+    def fold(v):  # the part of v that is not byte-palindromic
+        return v ^ int.from_bytes(v.to_bytes(4, "little"), "big")
+
+    pivots = {}  # top bit -> (folded change, bits of the row flipped)
+    for j in range(8 * width):
+        w, flips = fold(crc_change((1 << j).to_bytes(width, "little"))), 1 << j
+        while w and w.bit_length() - 1 in pivots:
+            pw, pf = pivots[w.bit_length() - 1]
+            w, flips = w ^ pw, flips ^ pf
+        if w:
+            pivots[w.bit_length() - 1] = (w, flips)
+        elif crc_change(delta := flips.to_bytes(width, "little")):
+            return delta
+    raise AssertionError("no such change")
+
+
+def test_checksum_sees_a_row_restamped_with_its_own_digest(tmp_path):
+    # a row replaced and given its own correct digest, as in a shard left
+    # stale by a failed rename, still changes the file's CRC-32 (the
+    # manifest's checksum): the row digest is no GF(2)-linear image of the
+    # row that could cancel the row's change inside the file's CRC-32
+    p = make_params(2, 3, 7)
+    hdr = ShardHeader(2, 3, 7, 0x89, 1, (2, 0), 8, 50)
+    path = tmp_path / "s.msrc"
+    with contextlib.ExitStack() as renames:
+        crc = write_shard({path: hdr}, [{hdr.node: random_rows(p, 5, 8)}], renames)[hdr.node]
+    assert crc32_file(path) == crc
+    width = payload_bytes(8, 1, 7) - shardio.DIGEST_LEN
+    delta = palindromic_change(width)
+    change = crc_change(delta)
+    assert change == int.from_bytes(change.to_bytes(4, "little"), "big") != 0
+    blob = bytearray(path.read_bytes())
+    at = HEADER_LEN + payload_bytes(8, 3, 7)  # row 3
+    row = bytes(a ^ b for a, b in zip(blob[at : at + width], delta))
+    blob[at : at + width + shardio.DIGEST_LEN] = row + shardio.row_digest(row)
+    path.write_bytes(bytes(blob))
+    read_shard(path)  # every row matches its CRC
+    assert crc32_file(path) != crc
 
 
 def test_write_shard_stripe_count_mismatch(tmp_path):
@@ -411,20 +460,20 @@ def test_write_shard_renames_only_complete_shards(tmp_path):
 def test_payload_is_row_contiguous_per_block(tmp_path, monkeypatch):
     assert BLOCK_STRIPES == 4096  # part of format version 3
     monkeypatch.setattr(shardio, "BLOCK_STRIPES", 8)
-    rows = random_rows(make_params(2, 3, 7), 3, 24)
+    rows = random_rows(make_params(2, 3, 7), 3, 21)
     symbols = rows_of(rows)
-    hdr = ShardHeader(2, 3, 7, 0x89, 1, (2, 0), 24, 196)
+    hdr = ShardHeader(2, 3, 7, 0x89, 1, (2, 0), 21, 196)
     path = tmp_path / "s.msrc"
     write_whole(path, hdr, rows)
     blob = path.read_bytes()
     assert blob[:HEADER_LEN] == hdr.pack() and blob[4] == 3
-    # blocks [0,8), [8,16), [16,24); inside each, row after row: its 7
-    # planes of one byte, then the CRC-32 of those 7 bytes
+    # blocks [0,8), [8,16), [16,21); inside each, row after row: its 7
+    # planes, 7 bytes (or 35 bits in 5 bytes), then their 4-byte BLAKE2b
     expected = b""
-    for lo in (0, 8, 16):
+    for lo, nbytes in ((0, 7), (8, 7), (16, 5)):
         for row in symbols:
-            planes = reference_bytes([row[lo : lo + 8]], 7, 7)
-            expected += planes + zlib.crc32(planes).to_bytes(4, "big")
+            planes = reference_bytes([row[lo : lo + 8]], 7, nbytes)
+            expected += planes + hashlib.blake2b(planes, digest_size=4).digest()
     assert blob[HEADER_LEN:] == expected
     assert read_shard(path)[1] == rows
 

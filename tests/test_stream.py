@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import contextlib
 import errno
+import hashlib
 import os
 import random
 import stat
@@ -132,7 +133,9 @@ def test_streamed_shards_match_whole_file_encode(tmp_path, monkeypatch, qtm, blo
 
 def test_blocks_are_the_payload_as_stored(tmp_path, monkeypatch):
     # one layout from disk to kernel: a block read back holds the planes of
-    # its payload bytes as stored, each row followed on disk by its CRC-32
+    # its payload bytes as stored, each row followed on disk by its 4-byte
+    # BLAKE2b;
+    # the input ends 40 bits into a stripe, so the last block is one stripe
     monkeypatch.setattr(shardio, "BLOCK_STRIPES", 8)
     p = find_code(2, 3, 7)
     store = tmp_path / "store"
@@ -140,19 +143,22 @@ def test_blocks_are_the_payload_as_stored(tmp_path, monkeypatch):
     src = tmp_path / "in.bin"
     src.write_bytes(os.urandom(3 * 8 * p.message_len * p.gf.m // 8 + 5))
     assert main(["encode", str(src), "--out-dir", str(store)]) == EXIT_OK
-    row_bytes = p.gf.m * 8 // 8
     for node in p.nodes():
         path = store / shard_filename(node)
         payload = path.read_bytes()[shardio.HEADER_LEN :]
         with shardio.open_shard(path) as shard:
             blocks = list(shard.blocks())
-        assert [(b.m, b.rows, b.stripes) for b in blocks] == [(p.gf.m, p.alpha, 8)] * 4
-        rows = [payload[at : at + row_bytes + 4]
-                for at in range(0, len(payload), row_bytes + 4)]
-        assert len(rows) == 4 * p.alpha
-        assert all(zlib.crc32(row[:-4]).to_bytes(4, "big") == row[-4:] for row in rows)
-        assert b"".join(block.to_bytes() for block in blocks) == \
-            b"".join(row[:-4] for row in rows)
+        assert [(b.m, b.rows, b.stripes) for b in blocks] == \
+            [(p.gf.m, p.alpha, 8)] * 3 + [(p.gf.m, p.alpha, 1)]
+        rows, at = [], 0
+        for row_bytes in [p.gf.m * 8 // 8] * (3 * p.alpha) + [1] * p.alpha:
+            rows.append(payload[at : at + row_bytes + 4])
+            at += row_bytes + 4
+        assert at == len(payload)
+        assert all(hashlib.blake2b(row[:-4], digest_size=4).digest() == row[-4:]
+                   for row in rows)
+        assert [block[r : r + 1].to_bytes() for block in blocks for r in range(p.alpha)] == \
+            [row[:-4] for row in rows]
 
 
 # -- memory --------------------------------------------------------------------------
@@ -235,8 +241,8 @@ def codes():
 def corrupt(blob: bytes, how: str, pick, is_text: bool) -> bytes:
     pos = pick.randrange(max(len(blob), 1))
     if how == "flip":
-        # one bit: in a payload only a checksum can catch it (a row's CRC-32
-        # or the whole file's); bit 7 makes the manifest invalid UTF-8
+        # one bit: in a payload only a checksum can catch it (a row's digest
+        # or the whole file's CRC-32); bit 7 makes the manifest invalid UTF-8
         flipped = blob[pos] ^ 1 << pick.choice([0, 1, 2, 7])
         return blob[:pos] + bytes([flipped]) + blob[pos + 1:]
     if how == "cut":

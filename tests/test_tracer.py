@@ -29,14 +29,12 @@ if cli.main(["decode", store + "/out.bin",
 print(" ".join(tracer._names))
 """
 
-# every traced name a round of init, encode, repair, verify and decode calls;
-# install() still wraps gf.mul_vec, but no round calls it (the block paths
-# run plane XORs on ints)
+# every traced name a round of init, encode, repair, verify and decode calls
 TRACED = {
     "codec.encode_batch", "codec.decode_batch", "codec.verify_mds", "codec.encode",
     "codec.decode_from_k", "repair.repair_batch", "shardio.symbols_from_bytes",
     "shardio.bytes_from_symbols", "shardio.write_shard", "parity.find_code",
-    "parity.build_system", "parity.gf_rank", "parity.completion_map",
+    "parity.build_system", "parity.gf_rank", "gf.mul_vec", "parity.completion_map",
     "parity.inverse_for",
 }
 
