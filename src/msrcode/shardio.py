@@ -49,7 +49,6 @@ recovers the exact byte count.
 from __future__ import annotations
 
 import contextlib
-import hashlib
 import os
 import struct
 import zlib
@@ -331,6 +330,8 @@ def _blocks(stripe_count: int):
 
 def row_digest(row: bytes) -> bytes:
     """The digest stored after a row's bytes: its 4-byte BLAKE2b."""
+    import hashlib  # loads OpenSSL, 3 ms: commands that touch no row skip it
+
     return hashlib.blake2b(row, digest_size=DIGEST_LEN).digest()
 
 

@@ -197,7 +197,7 @@ def test_criterion_6_help_by_transfer(tmp_path, capsys):
     if got > bound:
         problems.append(f"cli repair read {got} > bound {bound}")
     report(6, problems, "helper rows read verbatim; repair reads "
-                        f"{got} bytes/helper <= header + beta*m bits/stripe + row CRCs = {bound}")
+                        f"{got} bytes/helper <= header + beta*m bits/stripe + row digests = {bound}")
 
 
 def test_criterion_7_end_to_end_cli(tmp_path, capsys):

@@ -132,7 +132,7 @@ def test_encode_empty_file(tmp_path):
 
 
 def test_encode_exact_stripe_at_m16(tmp_path):
-    # at m=16 the 8 stripes of one whole plane consume exactly 8*B*2 bytes
+    # at m=16 a stripe holds B*2 bytes, so 128 bytes are exactly 8 stripes
     store = tmp_path / "store"
     main(["init", "--q", "2", "--t", "2", "--m", "16", "--out-dir", str(store)])
     src = tmp_path / "in.bin"
@@ -415,7 +415,7 @@ def test_repair_reports_partial_read_bound(store22, capsys):
     out = capsys.readouterr().out
     got = int(re.search(r"per-helper read : (\d+) bytes", out).group(1))
     # one block: the header, then beta rows of m planes in whole bytes, each
-    # with its CRC
+    # with its digest
     assert got == HEADER_LEN + p.beta * (-(-man.stripe_count * p.gf.m // 8) + 4)
     assert "stripes x" not in out  # no per-stripe byte count: a symbol is m bits
 
@@ -454,7 +454,7 @@ def test_encode_and_repair_remove_their_own_stale_temp_files(store22, tmp_path):
 @pytest.mark.parametrize("command", ["repair", "decode"])
 def test_a_bad_row_names_the_shard_and_the_block(tmp_path, monkeypatch, capsys, command):
     # one flipped byte in block 1 of a 3-block store: a helper's gamma row
-    # for repair, a systematic row for decode.  The row CRC names the shard
+    # for repair, a systematic row for decode.  The row digest names the shard
     # and the block, before the whole-file CRC is reached; nothing is renamed
     monkeypatch.setattr(shardio, "BLOCK_STRIPES", 8)
     store, src, out = tmp_path / "store", tmp_path / "in.bin", tmp_path / "out.bin"

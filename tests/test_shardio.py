@@ -1,4 +1,4 @@
-"""Shard header/manifest formats, the bytes <-> Block slicing, row CRCs,
+"""Shard header/manifest formats, the bytes <-> Block slicing, row digests,
 and partial-read accounting."""
 
 import contextlib
@@ -411,7 +411,7 @@ def test_checksum_sees_a_row_restamped_with_its_own_digest(tmp_path):
     row = bytes(a ^ b for a, b in zip(blob[at : at + width], delta))
     blob[at : at + width + shardio.DIGEST_LEN] = row + shardio.row_digest(row)
     path.write_bytes(bytes(blob))
-    read_shard(path)  # every row matches its CRC
+    read_shard(path)  # every row matches its digest
     assert crc32_file(path) != crc
 
 
@@ -516,7 +516,7 @@ def test_read_gamma_matches_full_read(tmp_path, sys23):
         idx = [p.row_ordinal(r) for r in p.gamma_rows(failed)]
         assert gamma_rows == rows.take(idx)
         # exact accounting: the header, then beta rows of m planes of 16
-        # stripes, each with its CRC, and nothing else
+        # stripes, each with its digest, and nothing else
         assert nbytes == HEADER_LEN + p.beta * (7 * 16 // 8 + 4)
 
 
