@@ -23,16 +23,16 @@ r, is a tuple of (node ordinal, row ordinal, coeff) triples.  thick_rows
 reads any thick submatrix off a sorted copy, as sparse {column: coeff}
 rows; no dense matrix is formed.
 
-Every solve is compiled once by compile_plan into a Plan, a straight-line
+Every solve is compiled once by compile_plan into a plan, a straight-line
 list of GF ops (dst, coeff, src) on a workspace of symbol slots: it solves
 missing thick columns from chosen constraints, as the syndrome of the
 known symbols then the recorded sparse elimination (inverse_for), and
 refuses a constraint that reads a symbol neither missing nor known.
 completion_map is that for q erased nodes over every constraint;
 repair.repair_plan that for one failed node over its gamma-anchored ones.
-run_plan, the one runner, executes a plan on one stripe of ints, or on a
-(rows, stripes) gf.Block of bit planes as the plan's plane XORs through
-the bit matrix of each coefficient (Plan.program, expanded once per plan).
+run_plan, the one runner, executes a plan's ops on one stripe of ints, or
+on a (rows, stripes) gf.Block of bit planes, each op as plane XORs
+through the bit matrix of its coefficient (GF2M.bit_pairs).
 """
 
 from __future__ import annotations
@@ -70,7 +70,7 @@ class ParityCheckSystem:
         if any(len({(node, row) for node, row, _ in terms}) != len(terms)
                for terms in self._sorted_terms):
             raise ValueError("J0/E supports must not collide")
-        self._last_plans: dict[str, tuple[object, Plan]] = {}  # kind -> (key, plan)
+        self._last_plans: dict[str, tuple[object, list[Op]]] = {}  # kind -> (key, plan)
 
     @property
     def n_constraints(self) -> int:
@@ -103,7 +103,7 @@ class ParityCheckSystem:
                              f"{len(key) * p.alpha} unknowns")
         return _eliminate(rows, p.gf)
 
-    def last_plan(self, kind: str, key, compile_: Callable[[], Plan]) -> Plan:
+    def last_plan(self, kind: str, key, compile_: Callable[[], list[Op]]) -> list[Op]:
         """The plan compile_() returns, memoised for the last key of each
         kind of plan, since a command runs one plan on every block."""
         last = self._last_plans.get(kind)
@@ -112,8 +112,8 @@ class ParityCheckSystem:
         return last[1]
 
     def compile_plan(self, missing: Sequence[Node], constraints: Sequence[int],
-                     slot_of: Mapping[int, int]) -> Plan:
-        """Plan that solves the `missing` thick columns from `constraints`.
+                     slot_of: Mapping[int, int]) -> list[Op]:
+        """The plan that solves the `missing` thick columns from `constraints`.
         `slot_of` maps each known symbol, by its column node*alpha + row of
         H, to its input slot, 0..len(slot_of)-1; the missing columns follow,
         node-major in node order, alpha row-ordinal slots each.  Raises
@@ -134,16 +134,16 @@ class ParityCheckSystem:
                     raise ValueError(f"constraint {c} reads node {p.node_at(node)}'s symbol on "
                                      f"row {p.row_at(row)}, which is neither missing nor sent")
         plan += [(out + dst, coeff, out + src) for dst, coeff, src in elim.plan]
-        return Plan(plan)
+        return plan
 
-    def completion_map(self, missing: Iterable[Node]) -> Plan:
+    def completion_map(self, missing: Iterable[Node]) -> list[Op]:
         """compile_plan for the q `missing` nodes over every constraint, on
         a workspace of n*alpha slots: the known columns, then the missing
         ones, in node order.  Only the last plan is memoised."""
         key = tuple(sorted(set(missing), key=self.params.node_ordinal))
         return self.last_plan("completion", key, lambda: self._completion_plan(key))
 
-    def _completion_plan(self, key: tuple[Node, ...]) -> Plan:
+    def _completion_plan(self, key: tuple[Node, ...]) -> list[Op]:
         p = self.params
         known = [p.node_ordinal(nd) for nd in p.nodes() if nd not in key]
         slot_of = {o * p.alpha + row: i * p.alpha + row
@@ -195,53 +195,18 @@ def build_system(params: CodeParams, c0: int) -> ParityCheckSystem:
 Op = tuple[int, int, int]
 
 
-class Plan(list):
-    """A straight-line list of Ops, plus its plane-XOR program (see
-    `program`), kept with the plan so that a memoised plan is expanded
-    once however many blocks it runs on."""
-
-    _program = None  # ((gf, n_in, n_out), program) of the last expansion
-
-    def program(self, n_in: int, n_out: int,
-                gf: GF2M) -> tuple[list[tuple[int, int]], int, list[int]]:
-        """The plan on Blocks over `gf` with n_in input rows and n_out output
-        rows, as (xors, planes, out): run `ws[d] ^= ws[s]` for each (d, s)
-        of xors on a workspace of `planes` ints, the input planes first and
-        zeros after, and the output planes are ws[i] for i in out.  Slot j
-        starts at plane j*m; an op (dst, c, src) XORs plane src*m + i into
-        dst*m + r for each pair (r, i) of gf.bit_pairs(c).  An in-place
-        scale (dst == src) writes c times the slot's value into m fresh
-        zero planes at the end of the workspace, where the slot lives from
-        then on, and leaves its old planes aside, unread."""
-        key = (gf, n_in, n_out)
-        if self._program is None or self._program[0] != key:
-            m = gf.m
-            at: dict[int, int] = {}  # slot -> its first plane, once moved
-            plane = list(range((n_in + n_out) * m))  # one int object per plane
-            xors = []
-            for dst, coeff, src in self:
-                s = at.get(src, src * m)
-                if dst == src:
-                    d = at[dst] = len(plane)
-                    plane += range(d, d + m)
-                else:
-                    d = at.get(dst, dst * m)
-                xors += [(plane[d + r], plane[s + i]) for r, i in gf.bit_pairs(coeff)]
-            out = [at.get(j, j * m) + b for j in range(n_in, n_in + n_out) for b in range(m)]
-            self._program = (key, (xors, len(plane), out))
-        return self._program[1]
-
-
-def run_plan(plan: Plan, columns: Sequence, n_out: int,
+def run_plan(plan: list[Op], columns: Sequence, n_out: int,
              gf: GF2M) -> list[int] | Block:
     """Run `plan` on a workspace whose slots are the rows of `columns`, in
     order, then n_out output rows, zero on entry, and return the output
     rows.  Every op writes an output slot; the inputs are never written.
     On one stripe the columns are lists of ints, the workspace is a list of
     ints, the ops use gf.mul and the output comes back as a new list.  On a
-    block the columns are Blocks of one stripe count, and the plan (a Plan)
-    runs as its plane XORs (Plan.program) on their planes; the output is a
-    new (n_out, stripes) Block."""
+    block the columns are Blocks of one stripe count, a slot is a list of
+    its row's m planes, and an op (dst, c, src) XORs plane i of slot src
+    into plane r of slot dst for each pair (r, i) of gf.bit_pairs(c); an
+    in-place scale (dst == src) sets the slot's planes aside and XORs them
+    into a zero slot.  The output is a new (n_out, stripes) Block."""
     if isinstance(columns[0], list):
         ws = [v for col in columns for v in col] + [0] * n_out
         mul = gf.mul
@@ -253,12 +218,17 @@ def run_plan(plan: Plan, columns: Sequence, n_out: int,
             else:
                 ws[dst] ^= mul(coeff, ws[src])
         return ws[len(ws) - n_out :]
-    ws = [plane for col in columns for plane in col.planes]
-    xors, planes, out = plan.program(len(ws) // gf.m, n_out, gf)
-    ws += [0] * (planes - len(ws))
-    for d, s in xors:
-        ws[d] ^= ws[s]
-    return Block(gf.m, columns[0].stripes, [ws[i] for i in out])
+    m, bit_pairs = gf.m, gf.bit_pairs
+    ws = [col.planes[at : at + m] for col in columns for at in range(0, len(col.planes), m)]
+    ws += [[0] * m for _ in range(n_out)]
+    for dst, coeff, src in plan:
+        old = ws[src]
+        if dst == src:
+            ws[dst] = [0] * m
+        new = ws[dst]
+        for r, i in bit_pairs(coeff):
+            new[r] ^= old[i]
+    return Block(m, columns[0].stripes, [plane for slot in ws[len(ws) - n_out :] for plane in slot])
 
 
 def check_columns(columns: Sequence, rows: int, gf: GF2M) -> None:

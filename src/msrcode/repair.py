@@ -17,11 +17,11 @@ The q-1 shifts of each gamma row cover the other alpha - beta symbols
 exactly once, so d*beta downloaded symbols rebuild the column -- the
 minimum-storage optimum beta = alpha/(d-k+1).
 
-repair_plan compiles that completion once (ParityCheckSystem.compile_plan
-checks that it reads only sent symbols); repair_batch, the one repair
-entry point, runs it through parity.run_plan on a block, as plane XORs:
-each helper's (beta, s) Block in, as ShardReader.gamma_blocks reads it,
-the failed node's (alpha, s) Block out.
+repair_plan compiles that completion once into a list of ops
+(ParityCheckSystem.compile_plan checks that it reads only sent symbols);
+repair_batch, the one repair entry point, runs it through parity.run_plan
+on a block, each op as plane XORs: each helper's (beta, s) Block in, as
+ShardReader.gamma_blocks reads it, the failed node's (alpha, s) Block out.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from typing import Mapping
 
 from .gf import Block
 from .params import CodeParams, Node
-from .parity import ParityCheckSystem, Plan, check_columns, run_plan
+from .parity import Op, ParityCheckSystem, check_columns, run_plan
 
 
 @dataclass(frozen=True)
@@ -45,7 +45,7 @@ class BandwidthReport:
     ratio: float        # total / naive
 
 
-def repair_plan(failed: Node, sys: ParityCheckSystem) -> Plan:
+def repair_plan(failed: Node, sys: ParityCheckSystem) -> list[Op]:
     """The completion of the failed thick column over the q*beta
     constraints anchored on its gamma rows, on a workspace of
     d*beta + alpha slots: slot h*beta + g holds the g-th gamma-row symbol
@@ -57,7 +57,7 @@ def repair_plan(failed: Node, sys: ParityCheckSystem) -> Plan:
     return sys.last_plan("repair", failed, lambda: _repair_plan(failed, sys))
 
 
-def _repair_plan(failed: Node, sys: ParityCheckSystem) -> Plan:
+def _repair_plan(failed: Node, sys: ParityCheckSystem) -> list[Op]:
     p = sys.params
     gamma = [p.row_ordinal(row) for row in p.gamma_rows(failed)]
     helpers = [p.node_ordinal(nd) for nd in p.nodes() if nd != failed]

@@ -517,26 +517,32 @@ def test_plans_write_only_output_slots_and_run_plan_reads_inputs_in_place(q, t, 
                 run_plan(plan, [column_at(col, s) for col in inputs], n_out, p.gf)
 
 
-@pytest.mark.parametrize("m", [1, 2, 3, 8, 16])
-def test_plane_program_is_the_plan_in_any_field(m):
-    # a plan with every kind of op (an XOR, a scaled XOR, an in-place scale,
-    # then reads of the scaled slot) gives the scalar results on each stripe,
-    # for every coefficient of small fields and sampled ones of large
+# the coefficients each field is run with: all of a small field, sampled
+# ones of a large; and for each coefficient c one plan with every kind of
+# op (an XOR, a scaled XOR, an in-place scale, then reads of the scaled
+# slot), built once and run in every field that holds c
+FIELD_COEFFS = {m: range(1 << m) if m <= 3 else
+                [0, 1, 2, (1 << m) - 1, *random.Random(m).sample(range(1 << m), 8)]
+                for m in (1, 2, 3, 8, 16)}
+ALL_OPS_PLANS = {c: [(2, 1, 0), (2, c, 1), (2, c, 2), (3, c, 2), (3, 1, 3), (2, 1, 3)]
+                 for coeffs in FIELD_COEFFS.values() for c in coeffs}
+
+
+@pytest.mark.parametrize("m", list(FIELD_COEFFS))
+def test_block_runner_is_the_plan_in_any_field(m):
+    # on a block, the plan gives the scalar results on each stripe; the
+    # plans of 0 and 1 run in all five fields, so a plan holds no state of
+    # the field it last ran in
     gf = GF2M(m)
     rng = random.Random(m)
-    coeffs = range(gf.order) if m <= 3 else [0, 1, 2, gf.order - 1,
-                                             *rng.sample(range(gf.order), 8)]
-    for c in coeffs:
-        plan = parity.Plan([(2, 1, 0), (2, c, 1), (2, c, 2), (3, c, 2), (3, 1, 3), (2, 1, 3)])
+    for c in FIELD_COEFFS[m]:
+        plan = ALL_OPS_PLANS[c]
         rows = [[rng.randrange(gf.order) for _ in range(11)] for _ in range(2)]
         inputs = [Block(m, 11, [sum((v >> b & 1) << s for s, v in enumerate(row))
                                 for b in range(m)]) for row in rows]
         out = run_plan(plan, inputs, 2, gf)
         for s in range(11):
             assert column_at(out, s) == run_plan(plan, [[row[s]] for row in rows], 2, gf)
-        xors, _, _ = plan.program(2, 2, gf)
-        assert plan.program(2, 2, gf)[0] is xors  # expanded once, kept with the plan
-        assert len(xors) == 2 * m + 3 * len(gf.bit_pairs(c)) + m
 
 
 def test_bit_pairs_are_the_bit_matrix_of_the_coefficient():
