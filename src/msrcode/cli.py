@@ -6,19 +6,21 @@ Shards and the manifest live together in a directory (--out-dir); the
 helper-row byte ranges only.
 
 encode, decode and repair each make one pass over 4096-stripe blocks, so
-their memory does not grow with the file; no command loads numpy.  Every
+their memory does not grow with the file.  No command loads numpy, and
+importing this module loads no dataclasses, inspect, fractions or hashlib
+(stats' rate imports fractions, the first row digest hashlib), so start-up
+is mostly the interpreter's; each command builds its field once.  Every
 file they write goes to a temp file, is fsynced and is renamed into place
 only when complete and checked: decode and repair rename only once every
 CRC they can check matches the manifest (each row they read is checked
 against its own digest as it is read, and a bad one names its shard and
-block), and encode renames the manifest last.  After its
-renames a command fsyncs the directory that holds them, once.  A failure
-before the renames leaves every file as it was.  encode renames its shards
-one by one, so a failed rename can leave some shards new under the old
-manifest; their CRCs then disagree with it, and decode and repair exit 2.
-encode first removes the temp files of the store's own shards and
-manifest, and repair that of the shard it rebuilds, which a killed run may
-have left.
+block), and encode renames the manifest last.  After its renames a command
+fsyncs the directory that holds them, once.  A failure before the renames
+leaves every file as it was.  encode renames its shards one by one, so a
+failed rename can leave some shards new under the old manifest; their CRCs
+then disagree with it, and decode and repair exit 2.  encode first removes
+the temp files of the store's own shards and manifest, and repair that of
+the shard it rebuilds, which a killed run may have left.
 """
 
 from __future__ import annotations
@@ -81,13 +83,9 @@ def _params_of(manifest: Manifest) -> CodeParams:
         raise VerificationFailure(f"manifest parameters are invalid: {err}") from None
 
 
-def _system_for(manifest: Manifest) -> ParityCheckSystem:
-    """The code the manifest names."""
-    params = _params_of(manifest)
-    try:
-        return build_system(params, params.c0)
-    except ValueError as err:
-        raise VerificationFailure(f"manifest parameters are invalid: {err}") from None
+def _system_for(params: CodeParams) -> ParityCheckSystem:
+    """The code `params` name; their fields were checked when they were made."""
+    return build_system(params, params.c0)
 
 
 def _remove_stale(out_dir: Path, names: list[str]) -> None:
@@ -96,18 +94,19 @@ def _remove_stale(out_dir: Path, names: list[str]) -> None:
         (out_dir / (name + ".tmp")).unlink(missing_ok=True)
 
 
-def _check_encoded(manifest: Manifest) -> None:
-    """Fail closed unless the manifest is one that encode wrote: a checksum
-    for every node of the code and for no other, and a stripe count that
-    fits the file length.  Run before `_system_for`, so a dropped line or a
-    garbled parameter is caught before any shard is trusted or the
-    (possibly huge) garbled code is built."""
+def _check_encoded(manifest: Manifest) -> CodeParams:
+    """The manifest's params, once it is checked to be one that encode
+    wrote: a checksum for every node of the code and for no other, and a
+    stripe count that fits the file length.  Run before `_system_for`, so a
+    dropped line or a garbled parameter is caught before any shard is
+    trusted or the (possibly huge) garbled code is built."""
     params = _params_of(manifest)
     if set(manifest.checksums) != set(params.nodes()):
         raise VerificationFailure("manifest checksums do not name exactly the nodes of the code")
     if manifest.stripe_count != shardio.stripe_count_for(
             manifest.file_length, params.message_len, params.gf.m):
         raise VerificationFailure("manifest stripe_count does not fit file_length")
+    return params
 
 
 # -- commands -----------------------------------------------------------------
@@ -128,7 +127,7 @@ def cmd_init(args) -> int:
 
 def cmd_encode(args) -> int:
     manifest = _load_manifest(args.out_dir)
-    sys_ = _system_for(manifest)
+    sys_ = _system_for(_params_of(manifest))
     p = sys_.params
     out_dir = Path(args.out_dir)
     _remove_stale(out_dir, [shardio.MANIFEST_NAME, *map(shard_filename, p.nodes())])
@@ -163,8 +162,7 @@ def cmd_decode(args) -> int:
     manifest_path = Path(args.manifest) if args.manifest else \
         Path(args.shards[0]).parent / shardio.MANIFEST_NAME
     manifest = Manifest.read(manifest_path)
-    _check_encoded(manifest)
-    sys_ = _system_for(manifest)
+    sys_ = _system_for(_check_encoded(manifest))
     p = sys_.params
     if len(args.shards) != p.k:
         raise _UsageError(f"decoding needs exactly k={p.k} shards, got {len(args.shards)}")
@@ -206,8 +204,7 @@ def cmd_decode(args) -> int:
 def cmd_repair(args) -> int:
     failed = _parse_node(args.node)
     manifest = _load_manifest(args.out_dir)
-    _check_encoded(manifest)
-    sys_ = _system_for(manifest)
+    sys_ = _system_for(_check_encoded(manifest))
     p = sys_.params
     p.node_ordinal(failed)
     out_dir = Path(args.out_dir)
@@ -257,7 +254,7 @@ def cmd_repair(args) -> int:
 def cmd_verify(args) -> int:
     if args.trials < 0:
         raise _UsageError(f"--trials must be >= 0, got {args.trials}")
-    sys_ = _system_for(_load_manifest(args.out_dir))
+    sys_ = _system_for(_params_of(_load_manifest(args.out_dir)))
     p = sys_.params
     report = codec.verify_mds(sys_, args.trials)
     if report.deficient:

@@ -26,11 +26,10 @@ plan for the subset's decode round trips.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from .gf import Block
-from .params import Node
+from .params import Node, Record
 from .parity import ParityCheckSystem, check_columns, node_subsets, run_plan
 
 
@@ -83,16 +82,18 @@ def decode_from_k(available: Mapping[Node, Sequence[int]],
     return [v for col in columns.values() for v in col]
 
 
-@dataclass
-class MdsReport:
+class MdsReport(Record):
     """Outcome of the exhaustive MDS check: the size-q node subsets whose
     thick submatrix H_S is singular (in check_mds_ranks order), and the
     (k-subset, message index) round trips that failed."""
 
-    subset_count: int
-    trials: int
-    failures: list[tuple[tuple[Node, ...], int]] = field(default_factory=list)
-    deficient: list[tuple[Node, ...]] = field(default_factory=list)
+    __slots__ = ("subset_count", "trials", "failures", "deficient")
+
+    def __init__(self, subset_count: int, trials: int, failures: list | None = None,
+                 deficient: list | None = None):
+        self.subset_count, self.trials = subset_count, trials
+        self.failures = [] if failures is None else failures
+        self.deficient = [] if deficient is None else deficient
 
     @property
     def ok(self) -> bool:

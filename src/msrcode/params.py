@@ -16,28 +16,43 @@ most significant, nodes class-major.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
-from fractions import Fraction
-from typing import Iterator
+from collections import namedtuple
+from typing import TYPE_CHECKING, Iterator
 
 from .gf import GF2M
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 Row = tuple[int, ...]
 Node = tuple[int, int]
 
 
-@dataclass(frozen=True)
-class CodeParams:
-    """Parameter set of one code instance; the single source of truth for
-    all dimensions.  c0 (the shifted-entry coefficient) starts unset and is
-    filled in by the MDS coefficient search."""
+class Record:
+    """A mutable record of the fields in its __slots__: equal by value, so unhashable."""
 
-    q: int
-    t: int
-    gf: GF2M
-    c0: int | None = None
+    __slots__ = ()
+    __hash__ = None
 
-    def __post_init__(self):
+    def _asdict(self) -> dict:
+        return {f: getattr(self, f) for f in self.__slots__}
+
+    def __eq__(self, other):
+        return self._asdict() == other._asdict() if type(other) is type(self) else NotImplemented
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(f'{f}={v!r}' for f, v in self._asdict().items())})"
+
+
+class CodeParams(namedtuple("CodeParams", "q t gf c0")):
+    """Parameter set of one code instance, the single source of truth for
+    all dimensions: an immutable (q, t, gf, c0) tuple.  c0 (the shifted-entry
+    coefficient) starts unset and is filled in by the MDS coefficient search."""
+
+    __slots__ = ()
+
+    def __new__(cls, q: int, t: int, gf: GF2M, c0: int | None = None):
+        self = super().__new__(cls, q, t, gf, c0)
         if self.q < 2:
             raise ValueError("q must be >= 2 (q=1 leaves no nonzero shifts, so no delta-parities)")
         if self.t < 2:
@@ -50,6 +65,7 @@ class CodeParams:
         if self.c0 is not None:
             if not 0 < self.c0 < self.gf.order:
                 raise ValueError(f"c0={self.c0} must be a nonzero element of GF(2^{self.gf.m})")
+        return self
 
     # -- derived dimensions ---------------------------------------------------
 
@@ -82,11 +98,12 @@ class CodeParams:
 
     @property
     def rate(self) -> Fraction:
+        from fractions import Fraction  # loads decimal, 3-5 ms: only stats prints the rate
         return Fraction(self.t - 1, self.t)
 
     def with_c0(self, c0: int) -> "CodeParams":
-        """A copy with c0 set; __post_init__ refuses any c0 outside 1..2^m-1."""
-        return replace(self, c0=c0)
+        """A copy with c0 set; the constructor refuses any c0 outside 1..2^m-1."""
+        return CodeParams(self.q, self.t, self.gf, c0)
 
     # -- index bijections -------------------------------------------------------
 

@@ -26,16 +26,14 @@ ShardReader.gamma_blocks reads it, the failed node's (alpha, s) Block out.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .gf import Block
 from .params import CodeParams, Node
 from .parity import Op, ParityCheckSystem, check_columns, run_plan
 
 
-@dataclass(frozen=True)
-class BandwidthReport:
+class BandwidthReport(NamedTuple):
     """Repair traffic for one parameter set versus naive full decode."""
 
     per_helper: int     # beta

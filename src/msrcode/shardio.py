@@ -53,12 +53,11 @@ import os
 import struct
 import zlib
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import BinaryIO, Iterable, Iterator, Mapping
+from typing import BinaryIO, Iterable, Iterator, Mapping, NamedTuple
 
 from .gf import Block
-from .params import CodeParams, Node, make_params
+from .params import CodeParams, Node, Record, make_params
 
 MAGIC = b"MSRC"
 FORMAT_VERSION = 3
@@ -85,8 +84,7 @@ class ShardFormatError(ValueError):
     """Malformed or inconsistent shard/manifest contents."""
 
 
-@dataclass(frozen=True)
-class ShardHeader:
+class ShardHeader(NamedTuple):
     q: int
     t: int
     m: int
@@ -116,21 +114,20 @@ class ShardHeader:
         return cls(q, t, m, low_poly | (1 << m), c0, (node_i, node_theta), stripes, length)
 
 
-@dataclass
-class Manifest:
+class Manifest(Record):
     """Plain-text key=value sidecar: code parameters, then params_crc (the
     CRC-32 of the parameter lines, decimal), then one whole-file CRC-32 per
     shard (hex), keyed checksum_<i>_<theta>.  Reading checks params_crc, so
     a garbled parameter fails before any code is built from it."""
 
-    q: int
-    t: int
-    m: int
-    reduction_poly: int
-    c0: int
-    stripe_count: int = 0
-    file_length: int = 0
-    checksums: dict[Node, int] = field(default_factory=dict)
+    __slots__ = (*_MANIFEST_KEYS, "checksums")
+
+    def __init__(self, q: int, t: int, m: int, reduction_poly: int, c0: int,
+                 stripe_count: int = 0, file_length: int = 0,
+                 checksums: dict[Node, int] | None = None):
+        self.q, self.t, self.m, self.reduction_poly, self.c0 = q, t, m, reduction_poly, c0
+        self.stripe_count, self.file_length = stripe_count, file_length
+        self.checksums = {} if checksums is None else checksums
 
     @classmethod
     def for_params(cls, params: CodeParams) -> "Manifest":

@@ -16,7 +16,7 @@ from unittest import mock
 import pytest
 
 import msrcode
-from msrcode import make_params, parity, shardio
+from msrcode import GF2M, make_params, parity, shardio
 from msrcode.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
 from msrcode.shardio import BLOCK_STRIPES, HEADER_LEN, Manifest, read_shard, shard_filename
 
@@ -608,6 +608,53 @@ def test_no_command_loads_numpy(tmp_path):
     assert codes == [EXIT_OK] * 6
     assert same
     assert loaded == []
+
+
+def test_cli_import_loads_no_costly_module():
+    # dataclasses (through inspect), fractions (through decimal), hashlib
+    # and numpy cost start-up time on every command; a module already
+    # loaded by site (a .pth file) does not count against msrcode
+    script = textwrap.dedent("""
+        import json, sys
+        before = set(sys.modules)
+        import msrcode.cli
+        print(json.dumps(sorted(set(sys.modules) - before)))
+    """)
+    env = dict(os.environ, PYTHONPATH=str(Path(msrcode.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, check=True)
+    loaded = json.loads(out.stdout.splitlines()[-1])
+    assert "msrcode.cli" in loaded
+    banned = {"dataclasses", "inspect", "fractions", "decimal", "hashlib", "numpy"}
+    assert [m for m in loaded if m.split(".")[0] in banned] == []
+
+
+def test_each_command_builds_the_field_once(tmp_path, monkeypatch):
+    # GF(2^16)'s tables take tens of ms to build, so no command may build
+    # its field twice
+    store, data, out = tmp_path / "store", tmp_path / "in.bin", tmp_path / "out.bin"
+    data.write_bytes(bytes(range(256)) * 4)
+    builds = []
+    real_init = GF2M.__init__
+
+    def counting_init(self, *args, **kwargs):
+        builds.append(args)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(GF2M, "__init__", counting_init)
+    shards = [str(store / shard_filename(nd)) for nd in [(1, 1), (2, 0)]]
+    counts = []
+    for argv in (["init", "--q", "2", "--t", "2", "--m", "16", "--out-dir", str(store)],
+                 ["encode", str(data), "--out-dir", str(store)],
+                 ["decode", str(out), *shards],
+                 ["repair", "--node", "1,0", "--out-dir", str(store)],
+                 ["verify", "--trials", "1", "--out-dir", str(store)],
+                 ["stats", "--out-dir", str(store)]):
+        builds.clear()
+        assert main(argv) == EXIT_OK
+        counts.append(len(builds))
+    assert counts == [1] * 6
+    assert out.read_bytes() == data.read_bytes()
 
 
 def test_verify_zero_c0_fails(store22):

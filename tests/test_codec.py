@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from conftest import (BAD_C0, column_at, eval_constraints, random_block, rows_of, stripe_array,
                       to_block)
 from msrcode import build_system, decode_from_k, encode, find_code, make_params, verify_mds
-from msrcode.codec import complete_columns, decode_batch, encode_batch
+from msrcode.codec import MdsReport, complete_columns, decode_batch, encode_batch
 from msrcode.gf import Block
 from msrcode.parity import check_mds_ranks, gf_rank
 from msrcode.repair import repair_batch
@@ -182,6 +182,12 @@ def test_verify_mds_clean(sys22):
 def test_verify_mds_zero_trials(sys22):
     report = verify_mds(sys22, trials=0)
     assert report.ok
+    # each report gets its own lists, and reports are equal by value
+    assert report == MdsReport(6, 0) == MdsReport(subset_count=6, trials=0, failures=[])
+    a, b = MdsReport(6, 0), MdsReport(6, 0)
+    assert a.failures is not b.failures and a.deficient is not b.deficient
+    a.deficient.append(((1, 0), (1, 1)))
+    assert b.deficient == [] and a != b
 
 
 def test_verify_mds_catches_bad_c0():

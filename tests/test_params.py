@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from msrcode import make_params
+from msrcode import GF2M, CodeParams, make_params
 from msrcode.params import smallest_field_degree
 
 
@@ -65,10 +65,26 @@ def test_c0_handling():
     assert p.c0 is None
     p2 = p.with_c0(3)
     assert p2.c0 == 3 and p.c0 is None
+    assert repr(p) == "CodeParams(q=2, t=2, gf=GF2M(m=5, poly=0x25))"
+    assert repr(p2) == "CodeParams(q=2, t=2, gf=GF2M(m=5, poly=0x25), c0=3)"
     with pytest.raises(ValueError):
         p.with_c0(0)
     with pytest.raises(ValueError):
-        p.with_c0(32)  # not a field element
+        p.with_c0(p.gf.order)  # 32: not a field element
+
+
+def test_params_are_immutable_values():
+    gf = GF2M(5)
+    p = CodeParams(2, 2, gf, 3)
+    same = CodeParams(q=2, t=2, gf=gf, c0=3)
+    assert p == same and hash(p) == hash(same) and p.with_c0(3) == p
+    assert p != CodeParams(2, 2, gf) and p == CodeParams(2, 2, GF2M(5), 3)
+    for name in ("q", "c0", "gf"):
+        with pytest.raises(AttributeError):
+            setattr(p, name, 1)
+    assert p.c0 == 3
+    with pytest.raises(ValueError):
+        CodeParams(q=1, t=2, gf=gf)  # the keyword form validates too
 
 
 # -- ordinals -------------------------------------------------------------------

@@ -46,6 +46,9 @@ def test_header_is_26_bytes():
     hdr = ShardHeader(2, 3, 7, 0x89, 1, (1, 0), 0, 0)
     assert HEADER_LEN == 26
     assert len(hdr.pack()) == 26
+    for name in ("c0", "stripe_count"):  # immutable
+        with pytest.raises(AttributeError):
+            setattr(hdr, name, 2)
 
 
 def test_header_round_trip_bit_exact():
@@ -56,7 +59,10 @@ def test_header_round_trip_bit_exact():
     ]:
         packed = hdr.pack()
         assert ShardHeader.unpack(packed) == hdr
+        assert hash(ShardHeader.unpack(packed)) == hash(hdr)
         assert ShardHeader.unpack(packed).pack() == packed
+    assert ShardHeader(2, 3, 7, 0x89, 1, node=(1, 0), stripe_count=0, file_length=0) == \
+        ShardHeader(2, 3, 7, 0x89, 1, (1, 0), 0, 0)
 
 
 def test_header_m16_poly_reconstructed():
@@ -99,6 +105,14 @@ def test_manifest_seed_has_no_checksums():
     man = Manifest.for_params(p)
     assert man.stripe_count == 0 and man.file_length == 0 and man.checksums == {}
     assert man.params() == p
+    # each manifest gets its own checksums dict; manifests are equal by
+    # value, and mutable, so unhashable
+    other = Manifest(2, 2, 5, p.gf.poly, 1)
+    assert other == man and other.checksums is not man.checksums
+    other.checksums[(1, 0)] = 7
+    assert man.checksums == {} and other != man
+    with pytest.raises(TypeError):
+        hash(man)
 
 
 def test_manifest_rejects_unknown_and_missing_keys():
