@@ -14,9 +14,14 @@ one per (delta, anchor-row) pair:
 
 Flattened node-by-node this is exactly J0 + c0*E with J0 the Kronecker
 product of the Vandermonde matrix with an alpha x alpha identity.  The MDS
-property is equivalent to every q-thick-column submatrix having full rank
-q^(t+1); find_c0 scans nonzero candidates in ascending order, drops each
-at its first rank-deficient subset and returns the first that passes all.
+property is equivalent to every q-thick-column submatrix H_S = J0_S + c0*E_S
+having full rank q^(t+1); check_mds_ranks checks that on H_S itself.
+find_c0 scans nonzero candidates in ascending order, drops each at its
+first rank-deficient subset and returns the first that passes all.  It
+checks each subset on the strongly connected blocks of I + c*M_S, which is
+nonsingular exactly when H_S is (module btf): each subset's blocks are
+built once, and each (subset, c) is one rank check of their
+block-diagonal I + c*M_S.
 
 H is held in one form: constraint delta*alpha + r, anchored on row ordinal
 r, is a tuple of (node ordinal, row ordinal, coeff) triples.  thick_rows
@@ -39,7 +44,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .gf import GF2M, Block, ring_sub
 from .params import CodeParams, Node, make_params, smallest_field_degree
@@ -358,18 +363,12 @@ def node_subsets(params: CodeParams, size: int) -> Iterable[tuple[Node, ...]]:
     return itertools.combinations(params.nodes(), size)
 
 
-def _deficient_subsets(system: ParityCheckSystem) -> Iterator[tuple[Node, ...]]:
-    """Lazily yield the size-q node subsets whose thick submatrix is singular."""
-    p = system.params
-    full = p.q * p.alpha
-    return (s for s in node_subsets(p, p.q)
-            if gf_rank(system.thick_rows(s), p.gf) != full)
-
-
 def check_mds_ranks(system: ParityCheckSystem) -> list[tuple[Node, ...]]:
     """Rank-check every size-q thick-column submatrix; returns the subsets
     that are NOT full rank (empty list = MDS certificate)."""
-    return list(_deficient_subsets(system))
+    p = system.params
+    return [s for s in node_subsets(p, p.q)
+            if gf_rank(system.thick_rows(s), p.gf) != p.q * p.alpha]
 
 
 def sufficient_field_size(params: CodeParams) -> int:
@@ -380,13 +379,33 @@ def sufficient_field_size(params: CodeParams) -> int:
     return math.comb(p.n, p.k) * p.alpha * (p.q - 1) + 1
 
 
+def _blocks_full_rank(blocks: list[tuple[int, SparseRow]], c: int, gf: GF2M) -> bool:
+    """Whether I + c*M_S is nonsingular, from its btf.shift_blocks: one rank
+    check of the block-diagonal I + c*(the blocks' entries)."""
+    rows = [{**{v: gf.mul(c, x) for v, x in entries.items()},
+             u: 1 ^ gf.mul(c, entries.get(u, 0))} for u, entries in blocks]
+    return gf_rank(rows, gf) == len(rows)
+
+
 def find_c0(params: CodeParams) -> int:
     """Smallest nonzero coefficient making every size-q thick submatrix full
-    rank, each candidate dropped at its first singular one.  Ascending scan
-    gives a canonical, reproducible choice; exhaustion means the field is too
-    small (guaranteed not to happen once it exceeds sufficient_field_size)."""
+    rank, each candidate dropped at its first singular one.  Each subset's
+    btf.shift_blocks are built once, at the first candidate that reaches
+    it, and each (subset, candidate) costs one _blocks_full_rank.  Ascending
+    scan gives a canonical, reproducible choice; exhaustion means the field
+    is too small (guaranteed not to happen once it exceeds
+    sufficient_field_size)."""
+    from .btf import shift_blocks  # deferred, so only a search compiles it
+
+    unit = build_system(params, 1)
+    blocks: dict[tuple[Node, ...], list[tuple[int, SparseRow]]] = {}
     for c in range(1, params.gf.order):
-        if next(_deficient_subsets(build_system(params, c)), None) is None:
+        for s in node_subsets(params, params.q):
+            if s not in blocks:
+                blocks[s] = shift_blocks(unit, s)
+            if not _blocks_full_rank(blocks[s], c, params.gf):
+                break
+        else:
             return c
     raise ValueError(
         f"no valid c0 in GF(2^{params.gf.m}); retry with a larger field "

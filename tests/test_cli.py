@@ -611,9 +611,10 @@ def test_no_command_loads_numpy(tmp_path):
 
 
 def test_cli_import_loads_no_costly_module():
-    # dataclasses (through inspect), fractions (through decimal), hashlib
-    # and numpy cost start-up time on every command; a module already
-    # loaded by site (a .pth file) does not count against msrcode
+    # dataclasses (through inspect), fractions (through decimal), hashlib,
+    # numpy and msrcode.btf (only init's c0 search uses it) cost start-up
+    # time on every command; a module already loaded by site (a .pth file)
+    # does not count against msrcode
     script = textwrap.dedent("""
         import json, sys
         before = set(sys.modules)
@@ -627,6 +628,7 @@ def test_cli_import_loads_no_costly_module():
     assert "msrcode.cli" in loaded
     banned = {"dataclasses", "inspect", "fractions", "decimal", "hashlib", "numpy"}
     assert [m for m in loaded if m.split(".")[0] in banned] == []
+    assert "msrcode.btf" not in loaded
 
 
 def test_each_command_builds_the_field_once(tmp_path, monkeypatch):

@@ -4,7 +4,8 @@ fingerprints, and the c0 search.
 Independent oracles used here: rank via row-space enumeration (small
 matrices), rank via dense first-nonzero-pivot elimination, an explicit
 Kronecker-product builder, rows of H read straight off the constraint
-triples, and multiply-then-solve round trips.
+triples, multiply-then-solve round trips, and the rank of the whole
+thick submatrix for the search's check on the blocks of I + c*M_S.
 """
 
 import hashlib
@@ -15,6 +16,7 @@ import pytest
 
 from conftest import BAD_C0, FOUND_C0, column_at, random_block
 from msrcode import make_params
+from msrcode.btf import shift_blocks
 from msrcode.gf import GF2M, Block
 from msrcode import parity
 from msrcode.parity import (
@@ -608,6 +610,45 @@ def test_find_code_q4_t2_picks_m6_c0_6():
     # the code the certify benchmark initialises: m=4 and m=5 are exhausted
     params = find_code(4, 2)
     assert (params.gf.m, params.c0) == (6, 6)
+
+
+def test_find_code_q3_t3_and_q3_t4():
+    assert [(p.gf.m, p.c0) for p in (find_code(3, 3), find_code(3, 4))] == [(5, 1), (6, 8)]
+
+
+@pytest.mark.parametrize("q,t,m", [(2, 2, 5), (3, 2, 4), (2, 3, 7), (4, 2, 4), (4, 2, 5)])
+def test_block_check_is_the_full_rank_check(q, t, m):
+    # the search's check on the strongly connected blocks of I + c*M_S
+    # agrees with the rank of the whole H_S for every subset and nonzero c;
+    # GF(2^4) and GF(2^5) are the fields the (4, 2) search rejects
+    p = make_params(q, t, m)
+    unit = build_system(p, 1)
+    blocks = [shift_blocks(unit, s) for s in node_subsets(p, q)]
+    verdicts = set()
+    for c in range(1, p.gf.order):
+        sys_ = build_system(p, c)
+        for s, b in zip(node_subsets(p, q), blocks):
+            full = gf_rank(sys_.thick_rows(s), p.gf) == q * p.alpha
+            assert parity._blocks_full_rank(b, c, p.gf) == full, (s, c)
+            verdicts.add(full)
+    assert verdicts == {True, False}
+
+
+def test_find_c0_reads_no_thick_submatrix(monkeypatch):
+    # the search has no fallback to the whole H_S, and it makes one rank
+    # check per (subset, candidate) it reaches: as many as the search on
+    # the whole H_S made, 6, 33 and 15 at FOUND_C0's codes and 138 at (4,2,6)
+    def refuse(self, nodes):
+        raise AssertionError("find_c0 read a thick submatrix")
+
+    calls = []
+    rank = parity.gf_rank
+    monkeypatch.setattr(ParityCheckSystem, "thick_rows", refuse)
+    monkeypatch.setattr(parity, "gf_rank", lambda mat, gf: calls.append(1) or rank(mat, gf))
+    for (q, t, m), expected in FOUND_C0.items():
+        assert find_c0(make_params(q, t, m)) == expected
+    assert find_c0(make_params(4, 2, 6)) == 6
+    assert len(calls) == 6 + 33 + 15 + 138
 
 
 def test_find_code_fixed_m():
