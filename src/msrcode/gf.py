@@ -1,17 +1,19 @@
 """GF(2^m) arithmetic on integer-coded polynomials, bit-sliced blocks of
 symbols, plus the mod-q index ring.
 
-Field elements are plain ints in [0, 2^m).  Addition is XOR; multiplication,
-division and inversion go through log/antilog tables built once per field
-from a generator of the multiplicative group -- the usual construction in
-erasure-code libraries.  Multiplication by a constant c is GF(2)-linear in
-the bits of the symbol, so it is also an m x m bit matrix
-(GF2M.bit_pairs): on a Block, whose symbols are stored as m bit planes per
-row, multiplying by c is a few plane XORs, the XOR-based coding of Bloemer
-et al. (1995) and of Cauchy Reed-Solomon.  GF2M.mul_vec multiplies a whole
-Block by c by shift-and-add on its planes, and bit_pairs reads the bit
-matrix of c off c times the basis 1, x, ..., x^(m-1).  m is capped at
-16.
+Field elements are plain ints in [0, 2^m).  Addition is XOR; multiplication
+and inversion go through log/antilog tables built once per field.  There is
+one field per m: its reduction polynomial is the primitive DEFAULT_POLYS[m],
+so the antilog table is the powers of x, one multiply by x (shift left,
+reduce) per entry, with no generator search -- the construction in Plank's
+tutorial on Reed-Solomon coding for RAID (SP&E 1997).  Multiplication by a
+constant c is GF(2)-linear in the bits of the symbol, so it is also an
+m x m bit matrix (GF2M.bit_pairs): on a Block, whose symbols are stored as
+m bit planes per row, multiplying by c is a few plane XORs, the XOR-based
+coding of Bloemer et al. (1995) and of Cauchy Reed-Solomon.  GF2M.mul_vec
+multiplies a whole Block by c by shift-and-add on its planes, and
+bit_pairs reads the bit matrix of c off c times the basis 1, x, ...,
+x^(m-1).  m is capped at 16.
 
 Row/column index arithmetic of the code lives in a separate, much simpler
 structure: the ring of integers mod q (any q >= 2), provided here as
@@ -24,10 +26,10 @@ from typing import Iterable
 
 MAX_DEGREE = 16
 
-# Default reduction polynomial per extension degree.  All entries are
+# The reduction polynomial of each extension degree.  All entries are
 # primitive, so x (= 2) generates the multiplicative group and the same m
-# always yields the same tables.  Changing any entry breaks decodability of
-# previously written shards.
+# always yields the same tables; GF2M refuses an entry that is not.
+# Changing any entry breaks decodability of previously written shards.
 DEFAULT_POLYS = {
     1: 0b11,       # x + 1
     2: 0b111,      # x^2 + x + 1
@@ -48,59 +50,6 @@ DEFAULT_POLYS = {
 }
 
 
-def default_poly(m: int) -> int:
-    """Return the fixed reduction polynomial for GF(2^m), 1 <= m <= 16."""
-    if m not in DEFAULT_POLYS:
-        raise ValueError(f"extension degree m={m} out of range 1..{MAX_DEGREE}")
-    return DEFAULT_POLYS[m]
-
-
-def _clmul_mod(a: int, b: int, poly: int, m: int) -> int:
-    """Carry-less (polynomial) multiply of a and b, reduced mod poly."""
-    hi = 1 << (m - 1)
-    mask = (1 << m) - 1
-    low_poly = poly & mask
-    r = 0
-    while b:
-        if b & 1:
-            r ^= a
-        b >>= 1
-        carry = a & hi
-        a = (a << 1) & mask
-        if carry:
-            a ^= low_poly
-    return r
-
-
-def _poly_mod(a: int, b: int) -> int:
-    """Remainder of polynomial division a mod b over GF(2)."""
-    db = b.bit_length()
-    while a.bit_length() >= db:
-        a ^= b << (a.bit_length() - db)
-    return a
-
-
-def is_irreducible(poly: int) -> bool:
-    """Exhaustive trial-division irreducibility test over GF(2).
-
-    Intended for degrees up to 16; a reducible polynomial of degree m has an
-    irreducible factor of degree <= m/2, so dividing by every polynomial of
-    degree 1..m//2 is a complete check.
-    """
-    m = poly.bit_length() - 1
-    if m < 1:
-        return False
-    if m == 1:
-        return True
-    if poly & 1 == 0:  # x divides
-        return False
-    for d in range(1, m // 2 + 1):
-        for low in range(1 << d):
-            if _poly_mod(poly, (1 << d) | low) == 0:
-                return False
-    return True
-
-
 class GF2M:
     """The symbol field GF(2^m), with its arithmetic tables.
 
@@ -114,93 +63,43 @@ class GF2M:
     they are equal and a dict store is atomic, so either one serves.
     """
 
-    def __init__(self, m: int, poly: int | None = None):
+    def __init__(self, m: int):
         if not 1 <= m <= MAX_DEGREE:
             raise ValueError(f"extension degree m={m} out of range 1..{MAX_DEGREE}")
-        if poly is None:
-            poly = DEFAULT_POLYS[m]
-        if poly.bit_length() - 1 != m:
-            raise ValueError(f"reduction polynomial {poly:#x} does not have degree {m}")
-        if not is_irreducible(poly):
-            raise ValueError(f"reduction polynomial {poly:#x} is reducible")
         self.m = m
-        self.poly = poly
-        self.order = 1 << m  # field size; multiplicative group has order-1 elements
-        self._build_tables()
+        self.poly = poly = DEFAULT_POLYS[m]
+        self.order = order = 1 << m  # field size; multiplicative group has order-1 elements
+        # exp[i] = x^i and log[x^i] = i, one multiply by x a step: shift
+        # left, then reduce when the x^m bit is set.  exp is doubled so mul()
+        # needs no modulo.
+        exp, log = [0] * (2 * (order - 1)), [0] * order
+        a = 1
+        for i in range(order - 1):
+            exp[i] = exp[i + order - 1] = a
+            log[a] = i
+            a <<= 1
+            if a & order:
+                a ^= poly
+        if a != 1 or log[1] != 0:  # x^(2^m - 1) != 1, or x^i = 1 for some 0 < i < 2^m - 1
+            raise ValueError(f"{poly:#x} is not primitive: x does not generate GF(2^{m})*")
+        self._exp, self._log = exp, log
         self._bit_pairs: dict[int, tuple[tuple[int, int], ...]] = {}  # c -> bit matrix
 
-    def _build_tables(self) -> None:
-        order = self.order
-        if order == 2:  # GF(2): trivial group, generator 1
-            self.generator = 1
-            self._exp = [1, 1]
-            self._log = [0, 0]
-        else:
-            for g in range(2, order):
-                exp = [0] * (2 * (order - 1))
-                log = [0] * order
-                exp[0] = 1
-                x = 1
-                full_cycle = True
-                for i in range(1, order - 1):
-                    x = _clmul_mod(x, g, self.poly, self.m)
-                    if x == 1:  # order of g divides i < order-1
-                        full_cycle = False
-                        break
-                    exp[i] = x
-                    log[x] = i
-                if full_cycle:
-                    assert _clmul_mod(x, g, self.poly, self.m) == 1
-                    self.generator = g
-                    # double the antilog table so mul() needs no modulo
-                    for i in range(order - 1, 2 * (order - 1)):
-                        exp[i] = exp[i - (order - 1)]
-                    self._exp = exp
-                    self._log = log
-                    break
-            else:
-                raise ValueError(f"no generator found; {self.poly:#x} is not irreducible?")
-
     # -- scalar ops ---------------------------------------------------------
-
-    @staticmethod
-    def add(a: int, b: int) -> int:
-        return a ^ b
-
-    sub = add  # characteristic 2
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
         return self._exp[self._log[a] + self._log[b]]
 
-    def div(self, a: int, b: int) -> int:
-        if b == 0:
-            raise ZeroDivisionError("division by zero in GF(2^m)")
-        if a == 0:
-            return 0
-        return self._exp[self._log[a] - self._log[b] + self.order - 1]
-
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("zero has no multiplicative inverse")
         return self._exp[self.order - 1 - self._log[a]]
 
-    def pow(self, a: int, e: int) -> int:
-        if e < 0:
-            raise ValueError("negative exponent")
-        if a == 0:
-            return 0 if e else 1
-        return self._exp[(self._log[a] * e) % (self.order - 1)]
-
     def exp(self, i: int) -> int:
-        """i-th power of the fixed generator."""
-        return self._exp[i % (self.order - 1)] if self.order > 2 else 1
-
-    def log(self, a: int) -> int:
-        if a == 0:
-            raise ValueError("log of zero is undefined")
-        return self._log[a]
+        """x^i, for any integer i."""
+        return self._exp[i % (self.order - 1)]
 
     def validate(self, a: int) -> int:
         if not 0 <= a < self.order:

@@ -179,7 +179,6 @@ def smallest_field_degree(n: int) -> int:
     return m
 
 
-def make_params(q: int, t: int, m: int, poly: int | None = None) -> CodeParams:
-    """Build a parameter set over GF(2^m) with the default (or given)
-    reduction polynomial.  c0 is left unset."""
-    return CodeParams(q=q, t=t, gf=GF2M(m, poly))
+def make_params(q: int, t: int, m: int) -> CodeParams:
+    """Build a parameter set over GF(2^m).  c0 is left unset."""
+    return CodeParams(q=q, t=t, gf=GF2M(m))

@@ -158,15 +158,12 @@ class ParityCheckSystem:
 
 def build_hmds(params: CodeParams) -> list[list[int]]:
     """The q x n Vandermonde coefficient matrix: entry (r, j) is a_j^r with
-    a_j the (j+1)-th power of the field generator.  Row 0 is all ones; the
+    a_j = x^(j+1), read off the field's table of the powers of x (x is
+    primitive, so no generator is searched for).  Row 0 is all ones; the
     a_j are distinct and nonzero, so any q columns are independent (the
     parity-check of an [n, k] MDS code)."""
     gf = params.gf
-    span = gf.order - 1
-    return [
-        [gf.exp(((j + 1) * r) % span) for j in range(params.n)]
-        for r in range(params.q)
-    ]
+    return [[gf.exp((j + 1) * r) for j in range(params.n)] for r in range(params.q)]
 
 
 def build_system(params: CodeParams, c0: int) -> ParityCheckSystem:

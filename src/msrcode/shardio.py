@@ -17,7 +17,8 @@ zlib's reflected CRC), and a row replaced with its own correct CRC could
 go unseen by the manifest's checksum.
 The header's reduction_poly field stores the polynomial without its
 implicit leading x^m bit so degree-16 polynomials fit in two bytes; the
-plain-text manifest records the full integer.  Other versions are refused.
+plain-text manifest records the full integer, which must be GF2M's own
+polynomial for m (Manifest.params).  Other versions are refused.
 
 Shards are read and written one block at a time, so memory is O(block)
 whatever the file size.  In memory a block is a Block of (rows, stripes)
@@ -49,6 +50,7 @@ recovers the exact byte count.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import os
 import struct
 import zlib
@@ -136,7 +138,13 @@ class Manifest(Record):
         return cls(params.q, params.t, params.gf.m, params.gf.poly, params.c0)
 
     def params(self) -> CodeParams:
-        return make_params(self.q, self.t, self.m, self.reduction_poly).with_c0(self.c0)
+        """The code it names; ValueError unless reduction_poly is the
+        field's own (GF2M fixes one polynomial per m)."""
+        params = make_params(self.q, self.t, self.m).with_c0(self.c0)
+        if self.reduction_poly != params.gf.poly:
+            raise ValueError(f"reduction_poly {self.reduction_poly:#x} is not "
+                             f"GF(2^{self.m})'s polynomial {params.gf.poly:#x}")
+        return params
 
     def _param_lines(self) -> list[str]:
         return [f"{key}={getattr(self, key)}" for key in _MANIFEST_KEYS]
@@ -513,19 +521,14 @@ def read_shard(path: Path | str) -> tuple[ShardHeader, Block]:
 
 
 def gamma_runs(failed: Node, params: CodeParams) -> list[tuple[int, int]]:
-    """Helper-row ordinals coalesced into (start, length) runs of
-    consecutive rows, so each block needs at most beta reads."""
-    ordinals = [params.row_ordinal(r) for r in params.gamma_rows(failed)]
-    runs: list[tuple[int, int]] = []
-    start = prev = ordinals[0]
-    for o in ordinals[1:]:
-        if o == prev + 1:
-            prev = o
-            continue
-        runs.append((start, prev - start + 1))
-        start = prev = o
-    runs.append((start, prev - start + 1))
-    return runs
+    """The helper rows of failed = (i0, theta0) as (start, length) runs of
+    consecutive row ordinals, ascending: one run of q^(t-i0) rows per value
+    of the coordinates before i0, so each block needs q^(i0-1) reads."""
+    i0, theta0 = failed
+    params.node_ordinal(failed)  # validate
+    tail = (0,) * (params.t - i0)
+    return [(params.row_ordinal((*head, theta0) + tail), params.q ** (params.t - i0))
+            for head in itertools.product(range(params.q), repeat=i0 - 1)]
 
 
 def read_gamma(path: Path | str, failed: Node,

@@ -246,7 +246,10 @@ def test_criterion_8_property_suites():
         gf = GF2M(m)
         for a in range(1, gf.order):
             cases += 1
-            if gf.mul(a, gf.inv(a)) != 1 or gf.pow(a, gf.order - 1) != 1:
+            power = a
+            for _ in range(gf.order - 2):
+                power = gf.mul(power, a)  # a^(2^m - 1) when done
+            if gf.mul(a, gf.inv(a)) != 1 or power != 1:
                 problems.append(f"inverse/group-order failure at m={m}, a={a}")
     # field axioms: random triples
     gf = GF2M(8)

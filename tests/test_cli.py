@@ -632,7 +632,7 @@ def test_cli_import_loads_no_costly_module():
 
 
 def test_each_command_builds_the_field_once(tmp_path, monkeypatch):
-    # GF(2^16)'s tables take tens of ms to build, so no command may build
+    # GF(2^16)'s tables take about 10 ms to build, so no command may build
     # its field twice
     store, data, out = tmp_path / "store", tmp_path / "in.bin", tmp_path / "out.bin"
     data.write_bytes(bytes(range(256)) * 4)
@@ -703,6 +703,30 @@ def test_stats_invalid_parameters_under_a_valid_crc(store22, key, value):
     setattr(manifest, key, value)
     manifest.write(store / "manifest.txt")
     assert main(["stats", "--out-dir", str(store)]) == EXIT_VERIFY
+
+
+@pytest.mark.parametrize("command", ["encode", "decode", "repair", "verify", "stats"])
+def test_manifest_with_a_non_default_polynomial_is_refused(tmp_path, command):
+    # 0x11B (x^8+x^4+x^3+x+1) is irreducible but not primitive, and not
+    # GF(2^8)'s polynomial: every command that reads the manifest exits 2,
+    # under a matching params_crc, and leaves every file as it was
+    store, src = tmp_path / "store", tmp_path / "input.bin"
+    src.write_bytes(os.urandom(1000))
+    assert main(["init", "--q", "2", "--t", "2", "--m", "8", "--out-dir", str(store)]) == EXIT_OK
+    assert main(["encode", str(src), "--out-dir", str(store)]) == EXIT_OK
+    manifest = Manifest.read(store / "manifest.txt")
+    manifest.reduction_poly = 0x11B
+    manifest.write(store / "manifest.txt")
+    before = {f: f.read_bytes() for f in tmp_path.rglob("*") if f.is_file()}
+    argv = {
+        "encode": ["encode", str(src), "--out-dir", str(store)],
+        "decode": ["decode", str(tmp_path / "out.bin"), *map(str, shards_in(store)[:2])],
+        "repair": ["repair", "--node", "1,0", "--out-dir", str(store)],
+        "verify": ["verify", "--trials", "1", "--out-dir", str(store)],
+        "stats": ["stats", "--out-dir", str(store)],
+    }[command]
+    assert main(argv) == EXIT_VERIFY
+    assert {f: f.read_bytes() for f in tmp_path.rglob("*") if f.is_file()} == before
 
 
 def test_stats_needs_both_q_and_t():

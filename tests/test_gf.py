@@ -1,11 +1,11 @@
-"""Field arithmetic: fixed polynomials, axioms, and cross-checks against a
-schoolbook carry-less multiply oracle."""
+"""Field arithmetic: the fixed primitive polynomials, axioms, and
+cross-checks against a schoolbook carry-less multiply oracle."""
 
 import random
 
 import pytest
 
-from msrcode.gf import DEFAULT_POLYS, GF2M, Block, default_poly, is_irreducible, ring_sub
+from msrcode.gf import DEFAULT_POLYS, GF2M, Block, ring_sub
 
 
 def slow_mul(a: int, b: int, poly: int, m: int) -> int:
@@ -26,11 +26,11 @@ def slow_mul(a: int, b: int, poly: int, m: int) -> int:
 
 
 def test_default_poly_m1_is_x_plus_1():
-    assert default_poly(1) == 0b11
+    assert DEFAULT_POLYS[1] == GF2M(1).poly == 0b11
 
 
 def test_default_poly_m4_is_x4_x_1():
-    assert default_poly(4) == 0b10011
+    assert DEFAULT_POLYS[4] == GF2M(4).poly == 0b10011
 
 
 def test_default_poly_m4_irreducible_by_trial_division():
@@ -44,56 +44,45 @@ def test_default_poly_m4_irreducible_by_trial_division():
         while rem.bit_length() >= d.bit_length():
             rem ^= d << (rem.bit_length() - d.bit_length())
         assert rem != 0
-    assert is_irreducible(poly)
 
 
 def test_degree_out_of_range_rejected():
-    with pytest.raises(ValueError):
-        default_poly(20)
     with pytest.raises(ValueError):
         GF2M(0)
     with pytest.raises(ValueError):
         GF2M(17)
 
 
-def test_every_default_poly_is_irreducible_with_primitive_x():
-    for m, poly in DEFAULT_POLYS.items():
-        assert poly.bit_length() - 1 == m
-        assert is_irreducible(poly)
-        if m > 1:
-            assert GF2M(m).generator == 2
+def test_tables_are_the_powers_of_x():
+    # exp steps by x (= 2), checked against the oracle, and x first
+    # returns to 1 after exactly 2^m - 1 steps: each DEFAULT_POLYS entry
+    # is primitive, and log inverts exp
+    for m in range(1, 17):
+        gf, span = GF2M(m), (1 << m) - 1
+        assert gf.poly == DEFAULT_POLYS[m] and gf.poly.bit_length() - 1 == m
+        assert len(gf._exp) == 2 * span and gf._exp[:span] == gf._exp[span:]
+        for i in range(span):
+            assert gf._exp[i + 1] == slow_mul(gf._exp[i], 2, gf.poly, m)
+        assert gf._exp[0] == 1 and 1 not in gf._exp[1:span]
+        assert sorted(gf._exp[:span]) == list(range(1, span + 1))
+        assert all(gf._log[gf._exp[i]] == i for i in range(span))
 
 
-def test_reducible_poly_rejected():
-    # x^4 + x^2 + 1 = (x^2 + x + 1)^2
-    assert not is_irreducible(0b10101)
-    with pytest.raises(ValueError):
-        GF2M(4, 0b10101)
+def test_reducible_poly_rejected(monkeypatch):
+    # x^4 + x^2 + 1 = (x^2 + x + 1)^2: x never returns to 1
+    monkeypatch.setitem(DEFAULT_POLYS, 4, 0b10101)
+    with pytest.raises(ValueError, match="not primitive"):
+        GF2M(4)
 
 
-def test_wrong_degree_poly_rejected():
-    with pytest.raises(ValueError):
-        GF2M(4, 0b1011)  # degree 3
-
-
-def test_non_primitive_irreducible_poly_gets_other_generator():
-    # x^4+x^3+x^2+x+1 is irreducible but x has order 5, so the generator
-    # search must move past 2; tables still have to agree with the oracle.
-    gf = GF2M(4, 0b11111)
-    assert gf.generator != 2
-    for a in range(16):
-        for b in range(16):
-            assert gf.mul(a, b) == slow_mul(a, b, 0b11111, 4)
+def test_non_primitive_poly_rejected(monkeypatch):
+    # x^4+x^3+x^2+x+1 is irreducible, but x has order 5, not 15
+    monkeypatch.setitem(DEFAULT_POLYS, 4, 0b11111)
+    with pytest.raises(ValueError, match="not primitive"):
+        GF2M(4)
 
 
 # -- operation examples ----------------------------------------------------------
-
-
-def test_add_is_xor():
-    gf = GF2M(4)
-    assert gf.add(5, 5) == 0
-    assert gf.add(0, 7) == 7
-    assert gf.add(0b1010, 0b0110) == 0b1100
 
 
 def test_mul_identities():
@@ -128,15 +117,6 @@ def test_inverse():
         gf.inv(0)
 
 
-def test_div():
-    gf = GF2M(5)
-    assert gf.div(0, 3) == 0
-    for a in (1, 7, 30):
-        assert gf.div(a, a) == 1
-    with pytest.raises(ZeroDivisionError):
-        gf.div(5, 0)
-
-
 def test_ring_sub_examples():
     assert ring_sub(0, 1, 2) == 1
     assert ring_sub(0, 1, 3) == 2
@@ -159,11 +139,9 @@ def test_field_axioms_random_triples(m):
     rng = random.Random(m)
     for _ in range(200):
         a, b, c = (rng.randrange(gf.order) for _ in range(3))
-        assert gf.add(a, b) == gf.add(b, a)
         assert gf.mul(a, b) == gf.mul(b, a)
-        assert gf.add(gf.add(a, b), c) == gf.add(a, gf.add(b, c))
         assert gf.mul(gf.mul(a, b), c) == gf.mul(a, gf.mul(b, c))
-        assert gf.mul(a, gf.add(b, c)) == gf.add(gf.mul(a, b), gf.mul(a, c))
+        assert gf.mul(a, b ^ c) == gf.mul(a, b) ^ gf.mul(a, c)
 
 
 @pytest.mark.parametrize("m", range(1, 9))
@@ -177,18 +155,10 @@ def test_inverses_exhaustive_up_to_m8(m):
 def test_multiplicative_group_order(m):
     gf = GF2M(m)
     for a in range(1, gf.order):
-        assert gf.pow(a, gf.order - 1) == 1
-
-
-def test_pow_small_cases():
-    gf = GF2M(4)
-    assert gf.pow(0, 0) == 1
-    assert gf.pow(0, 3) == 0
-    assert gf.pow(3, 1) == 3
-    x = 1
-    for e in range(8):
-        assert gf.pow(2, e) == x
-        x = gf.mul(x, 2)
+        power = a
+        for _ in range(gf.order - 2):
+            power = gf.mul(power, a)
+        assert power == 1  # a^(2^m - 1)
 
 
 def test_generator_powers_cover_all_nonzero():
@@ -286,5 +256,4 @@ def test_mul_vec_out_of_field_symbol_is_value_error(m):
 def test_equality_and_hash():
     assert GF2M(4) == GF2M(4)
     assert GF2M(4) != GF2M(5)
-    assert GF2M(4, 0b11111) != GF2M(4)
     assert hash(GF2M(4)) == hash(GF2M(4))
