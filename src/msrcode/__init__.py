@@ -12,7 +12,7 @@ stripes, Blocks of (rows, stripes) symbols held as bit planes (Python
 ints).  Neither loads numpy.
 """
 
-from .gf import GF2M, Block, ring_sub
+from .gf import GF2M, Block
 from .params import CodeParams, make_params
 from .parity import (
     ParityCheckSystem,
@@ -32,7 +32,6 @@ __version__ = "0.1.0"
 __all__ = [
     "GF2M",
     "Block",
-    "ring_sub",
     "CodeParams",
     "make_params",
     "ParityCheckSystem",

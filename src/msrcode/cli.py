@@ -3,7 +3,8 @@
 Exit status: 0 success, 1 usage error, 2 verification failure, 3 I/O error.
 Shards and the manifest live together in a directory (--out-dir); the
 "network" between nodes is plain file reads, which repair keeps to the
-helper-row byte ranges only.
+helper rows' byte ranges: the runs of CodeParams.gamma_runs, the same list
+its repair plan reads its slots from.
 
 encode, decode and repair each make one pass over 4096-stripe blocks, so
 their memory does not grow with the file.  No command loads numpy, and
@@ -188,7 +189,7 @@ def cmd_decode(args) -> int:
         with shardio.replacing(args.output) as out:
             # next(), unlike zip, keeps no block: each one is freed once
             # decoded, before its symbols are unpacked
-            readers = [shard.blocks() for shard in shards]
+            readers = [shard.blocks([(0, p.alpha)]) for shard in shards]
             for _, nbytes in shardio.message_blocks(manifest.file_length, p):
                 out.write(shardio.bytes_from_symbols(
                     codec.decode_batch({nd: next(r) for nd, r in zip(nodes, readers)}, sys_),
@@ -206,7 +207,7 @@ def cmd_repair(args) -> int:
     manifest = _load_manifest(args.out_dir)
     sys_ = _system_for(_check_encoded(manifest))
     p = sys_.params
-    p.node_ordinal(failed)
+    runs = p.gamma_runs(failed)  # the helper rows; ValueError on a node not in the code
     out_dir = Path(args.out_dir)
     helpers = [nd for nd in p.nodes() if nd != failed]
     missing = [nd for nd in helpers if not (out_dir / shard_filename(nd)).exists()]
@@ -216,7 +217,6 @@ def cmd_repair(args) -> int:
             + ", ".join(shard_filename(nd) for nd in missing))
     path = out_dir / shard_filename(failed)
     _remove_stale(out_dir, [path.name])
-    runs = shardio.gamma_runs(failed, p)
     with contextlib.ExitStack() as stack:
         shards = [stack.enter_context(shardio.open_shard(out_dir / shard_filename(nd)))
                   for nd in helpers]
@@ -230,7 +230,7 @@ def cmd_repair(args) -> int:
         # as in encode, keeps no block between calls
         crc = shardio.write_shard(
             {path: manifest.header_for(failed)},
-            map(rebuilt, *(shard.gamma_blocks(runs) for shard in shards)),
+            map(rebuilt, *(shard.blocks(runs) for shard in shards)),
             stack)[failed]
         if crc != manifest.checksums[failed]:
             raise VerificationFailure(f"rebuilt {path.name} does not match manifest checksum")

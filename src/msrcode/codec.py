@@ -6,9 +6,9 @@ thick columns (node-major, then row-ordinal); the remaining q parity
 columns are the unique solution of the parity-check constraints.  Decoding
 from any k nodes solves the same kind of system for whichever q columns
 are missing.  All four entry points go through one column completion,
-complete_columns: it checks the known columns, and when a wanted column is
-missing it runs the plan ParityCheckSystem.completion_map compiles for the
-missing nodes, through parity.run_plan.
+complete_columns: it checks the system's c0 and the known columns, and when
+a wanted column is missing it runs the plan ParityCheckSystem.completion_map
+compiles for the missing nodes, through parity.run_plan.
 
 Both paths pass a codeword as {node: column}.  The scalar encode and
 decode_from_k work on one stripe, a column being a list of alpha ints;
@@ -33,19 +33,17 @@ from .params import Node, Record
 from .parity import ParityCheckSystem, check_columns, node_subsets, run_plan
 
 
-def _require_valid_c0(sys: ParityCheckSystem) -> None:
-    if not sys.c0:
-        raise ValueError("parity-check system has no valid c0 (run the coefficient search)")
-
-
 def complete_columns(sys: ParityCheckSystem, known: Mapping[Node, Sequence],
                      wanted: Iterable[Node]) -> dict[Node, Sequence]:
     """The columns of the `wanted` nodes of the codeword with the k `known`
     columns, in `wanted` order: lists of alpha ints on one stripe, or
     (alpha, s) Blocks on a block of s stripes.  Raises ValueError
-    unless `known` is k nodes of the code, each column alpha field
-    symbols.  The plan runs only when a wanted column is missing."""
+    unless the system has a valid c0 and `known` is k nodes of the code,
+    each column alpha field symbols.  The plan runs only when a wanted
+    column is missing."""
     p = sys.params
+    if not sys.c0:
+        raise ValueError("parity-check system has no valid c0 (run the coefficient search)")
     missing = [nd for nd in p.nodes() if nd not in known]
     if len(known) != p.k or len(missing) != p.q:
         raise ValueError(f"known columns must be k={p.k} nodes of the code")
@@ -63,7 +61,6 @@ def encode(message: Sequence[int], sys: ParityCheckSystem) -> dict[Node, list[in
     """Systematic encode of one stripe of k*alpha symbols; returns each
     node's column of alpha symbols in row-ordinal order."""
     p = sys.params
-    _require_valid_c0(sys)
     if len(message) != p.message_len:
         raise ValueError(f"message must hold {p.message_len} symbols, got {len(message)}")
     return complete_columns(sys, {nd: list(message[o * p.alpha : (o + 1) * p.alpha])
@@ -74,7 +71,6 @@ def decode_from_k(available: Mapping[Node, Sequence[int]],
                   sys: ParityCheckSystem) -> list[int]:
     """Recover the message from exactly k distinct node columns."""
     p = sys.params
-    _require_valid_c0(sys)
     if len(available) != p.k:
         raise ValueError(f"need exactly k={p.k} nodes, got {len(available)}")
     columns = complete_columns(sys, {nd: list(col) for nd, col in available.items()},
@@ -142,7 +138,6 @@ def encode_batch(messages: Block, sys: ParityCheckSystem) -> dict[Node, Block]:
     """Encode a (k*alpha, s) block of stripes; returns one (alpha, s)
     block per node (systematic row slices plus solved parity)."""
     p = sys.params
-    _require_valid_c0(sys)
     if messages.rows != p.message_len:
         raise ValueError(f"messages must be ({p.message_len}, stripes)")
     return complete_columns(sys, {nd: messages[o * p.alpha : (o + 1) * p.alpha]
@@ -153,7 +148,6 @@ def decode_batch(available: Mapping[Node, Block], sys: ParityCheckSystem) -> Blo
     """Recover the (k*alpha, s) message block from k (alpha, s) node
     blocks: the systematic ones, known or solved, stacked in node order."""
     p = sys.params
-    _require_valid_c0(sys)
     if len(available) != p.k:
         raise ValueError(f"need exactly k={p.k} nodes, got {len(available)}")
     return Block.stack(complete_columns(sys, available, p.systematic_nodes()).values())

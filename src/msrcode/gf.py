@@ -1,5 +1,5 @@
-"""GF(2^m) arithmetic on integer-coded polynomials, bit-sliced blocks of
-symbols, plus the mod-q index ring.
+"""GF(2^m) arithmetic on integer-coded polynomials, and bit-sliced blocks
+of symbols.
 
 Field elements are plain ints in [0, 2^m).  Addition is XOR; multiplication
 and inversion go through log/antilog tables built once per field.  There is
@@ -13,11 +13,7 @@ m bit planes per row, multiplying by c is a few plane XORs, the XOR-based
 coding of Bloemer et al. (1995) and of Cauchy Reed-Solomon.  GF2M.mul_vec
 multiplies a whole Block by c by shift-and-add on its planes, and
 bit_pairs reads the bit matrix of c off c times the basis 1, x, ...,
-x^(m-1).  m is capped at 16.
-
-Row/column index arithmetic of the code lives in a separate, much simpler
-structure: the ring of integers mod q (any q >= 2), provided here as
-:func:`ring_sub`.
+x^(m-1).  m is capped at MAX_DEGREE = 16.
 """
 
 from __future__ import annotations
@@ -147,10 +143,10 @@ class GF2M:
     # -- identity -----------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, GF2M) and (self.m, self.poly) == (other.m, other.poly)
+        return isinstance(other, GF2M) and self.m == other.m  # poly is DEFAULT_POLYS[m]
 
     def __hash__(self) -> int:
-        return hash((self.m, self.poly))
+        return hash(self.m)
 
     def __repr__(self) -> str:
         return f"GF2M(m={self.m}, poly={self.poly:#x})"
@@ -232,7 +228,3 @@ class Block:
     def __repr__(self) -> str:
         return f"Block(m={self.m}, rows={self.rows}, stripes={self.stripes})"
 
-
-def ring_sub(a: int, b: int, q: int) -> int:
-    """(a - b) mod q in the index ring Z_q; q need not be a prime power."""
-    return (a - b) % q

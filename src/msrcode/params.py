@@ -19,7 +19,7 @@ import itertools
 from collections import namedtuple
 from typing import TYPE_CHECKING, Iterator
 
-from .gf import GF2M
+from .gf import GF2M, MAX_DEGREE
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -156,15 +156,17 @@ class CodeParams(namedtuple("CodeParams", "q t gf c0")):
 
     # -- repair geometry --------------------------------------------------------
 
-    def gamma_rows(self, failed: Node) -> list[Row]:
-        """Helper rows for repairing `failed`: the q^(t-1) rows whose
-        coordinate i0 is pinned to theta0, ascending ordinal order."""
+    def gamma_runs(self, failed: Node) -> list[tuple[int, int]]:
+        """The helper rows for repairing failed = (i0, theta0), the q^(t-1)
+        rows whose coordinate i0 is theta0, as (start ordinal, length) runs
+        of consecutive rows, ascending: one run of q^(t-i0) rows per value
+        of the coordinates before i0.  The one definition of a helper's
+        rows: repair's plan slots and the shard reads both follow it."""
         i0, theta0 = failed
         self.node_ordinal(failed)  # validate
-        rows = []
-        for free in itertools.product(range(self.q), repeat=self.t - 1):
-            rows.append(free[: i0 - 1] + (theta0,) + free[i0 - 1 :])
-        return rows
+        length = self.q ** (self.t - i0)
+        return [((head * self.q + theta0) * length, length)
+                for head in range(self.q ** (i0 - 1))]
 
     def __repr__(self) -> str:
         c = f", c0={self.c0}" if self.c0 is not None else ""
@@ -172,10 +174,10 @@ class CodeParams(namedtuple("CodeParams", "q t gf c0")):
 
 
 def smallest_field_degree(n: int) -> int:
-    """The least m whose GF(2^m) has n nonzero evaluation points, m <= 16."""
+    """The least m whose GF(2^m) has n nonzero evaluation points, m <= MAX_DEGREE."""
     m = max(n, 1).bit_length()  # the least m with 2^m - 1 >= n
-    if m > 16:
-        raise ValueError(f"n={n} nodes need more nonzero elements than GF(2^16) has")
+    if m > MAX_DEGREE:
+        raise ValueError(f"n={n} nodes need more nonzero elements than GF(2^{MAX_DEGREE}) has")
     return m
 
 

@@ -46,7 +46,7 @@ import itertools
 import math
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
-from .gf import GF2M, Block, ring_sub
+from .gf import GF2M, MAX_DEGREE, Block
 from .params import CodeParams, Node, make_params, smallest_field_degree
 
 # Exhaustive-check ceiling: refuse (rather than silently sample) when the
@@ -184,7 +184,7 @@ def build_system(params: CodeParams, c0: int) -> ParityCheckSystem:
                 # class j's shifted term: node (j, x_j) on the anchor row
                 # with x_j replaced by x_j - delta (mod q)
                 for j, xj in enumerate(anchor, start=1):
-                    shift = (ring_sub(xj, delta, q) - xj) * q ** (t - j)
+                    shift = ((xj - delta) % q - xj) * q ** (t - j)
                     con.append((params.node_ordinal((j, xj)), r + shift, c0))
             terms.append(con)
     return ParityCheckSystem(params, hmds, c0, terms)
@@ -420,10 +420,10 @@ def find_code(q: int, t: int, m: int | None = None) -> CodeParams:
         return params.with_c0(find_c0(params))
     start = smallest_field_degree(t * q)
     last_err: Exception | None = None
-    for mm in range(start, 17):
+    for mm in range(start, MAX_DEGREE + 1):
         params = make_params(q, t, mm)
         try:
             return params.with_c0(find_c0(params))
         except ValueError as err:
             last_err = err
-    raise ValueError(f"no valid c0 up to GF(2^16): {last_err}")
+    raise ValueError(f"no valid c0 up to GF(2^{MAX_DEGREE}): {last_err}")

@@ -3,9 +3,12 @@ survivors.
 
 Each helper ships, verbatim, its beta = q^(t-1) symbols on the gamma rows,
 whose coordinate i0 equals theta0 (the failed node's class coordinate
-pinned to its theta).  Repair is a completion: the failed thick column is
-solved from the q*beta constraints anchored on the gamma rows, by the
-syndrome-plus-elimination any-k decode runs.  Two phases make those
+pinned to its theta).  CodeParams.gamma_runs is their one definition, as
+runs of consecutive row ordinals: the plan's helper slots and the shard
+reads both follow it, so they agree by construction.  Repair is a
+completion: the failed thick column is solved from the q*beta constraints
+anchored on the gamma rows, by the syndrome-plus-elimination any-k decode
+runs.  Two phases make those
 constraints triangular in the failed column:
 
   1. every row-parity anchored on a gamma row has exactly one unknown, the
@@ -21,7 +24,8 @@ repair_plan compiles that completion once into a list of ops
 (ParityCheckSystem.compile_plan checks that it reads only sent symbols);
 repair_batch, the one repair entry point, runs it through parity.run_plan
 on a block, each op as plane XORs: each helper's (beta, s) Block in, as
-ShardReader.gamma_blocks reads it, the failed node's (alpha, s) Block out.
+ShardReader.blocks(gamma_runs) reads it, the failed node's (alpha, s) Block
+out.
 """
 
 from __future__ import annotations
@@ -47,8 +51,9 @@ def repair_plan(failed: Node, sys: ParityCheckSystem) -> list[Op]:
     """The completion of the failed thick column over the q*beta
     constraints anchored on its gamma rows, on a workspace of
     d*beta + alpha slots: slot h*beta + g holds the g-th gamma-row symbol
-    of the h-th helper (helpers in node order), and the last alpha slots,
-    zero on entry, receive the failed column in row-ordinal order.
+    of the h-th helper (rows in gamma_runs order, helpers in node order),
+    and the last alpha slots, zero on entry, receive the failed column in
+    row-ordinal order.
     Raises ValueError if they read an unsent symbol or do not determine
     the failed column.  Memoised on `sys` for the last failed node, so a
     repair compiles it once."""
@@ -57,7 +62,7 @@ def repair_plan(failed: Node, sys: ParityCheckSystem) -> list[Op]:
 
 def _repair_plan(failed: Node, sys: ParityCheckSystem) -> list[Op]:
     p = sys.params
-    gamma = [p.row_ordinal(row) for row in p.gamma_rows(failed)]
+    gamma = [start + g for start, length in p.gamma_runs(failed) for g in range(length)]
     helpers = [p.node_ordinal(nd) for nd in p.nodes() if nd != failed]
     slot_of = {h * p.alpha + row: i * p.beta + g
                for i, h in enumerate(helpers) for g, row in enumerate(gamma)}
@@ -69,9 +74,10 @@ def repair_batch(failed: Node, gamma_columns: Mapping[Node, Block],
                  sys: ParityCheckSystem) -> Block:
     """Rebuild the failed node on a block of s stripes: `gamma_columns` maps
     each of the d helpers to a (beta, s) Block of its stored helper-row
-    symbols (ascending row ordinal), sent as-is; returns the failed node's
-    (alpha, s) Block.  Raises ValueError unless the helpers are exactly the
-    d other nodes, each with a (beta, s) Block over the code's field."""
+    symbols (the rows of gamma_runs, in order), sent as-is; returns the
+    failed node's (alpha, s) Block.  Raises ValueError unless the helpers
+    are exactly the d other nodes, each with a (beta, s) Block over the
+    code's field."""
     p = sys.params
     plan = repair_plan(failed, sys)
     helpers = [nd for nd in p.nodes() if nd != failed]

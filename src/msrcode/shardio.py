@@ -23,19 +23,23 @@ polynomial for m (Manifest.params).  Other versions are refused.
 Shards are read and written one block at a time, so memory is O(block)
 whatever the file size.  In memory a block is a Block of (rows, stripes)
 bit planes, exactly as stored.  `open_shard` yields a ShardReader, which
-checks the header and the file size before any payload read, then streams
-whole (alpha, stripes) blocks as read (keeping a running CRC-32 of the
-bytes it read, in file order) or only the helper-row runs of each block,
-as (beta, stripes); it checks every row it reads against the row's digest,
-and names the shard and the block of a row that fails.  read_shard and
-read_gamma join the blocks.  No reader or writer keeps a block once the
-next one is read.  `write_shard` writes one or more shards in one pass
-over a stream of blocks, through a ShardWriter per shard that takes
-exactly the next block and keeps a running CRC-32.  Every file written
-here goes to <name>.tmp, is fsynced, and only then is renamed over <name>
-(`renaming`, `replacing`), so an error or a crash part-way never leaves a
-partial file under the real name; a command fsyncs each directory once
-after its last rename there (`sync_dir`), so the renames are durable too.
+checks the header and the file size before any payload read.  Its one read
+loop, `blocks(runs)`, streams the rows of the given (start, length) runs
+of every block, with one seek and one read per run per block: the whole
+shard is the single run (0, alpha), and a helper's rows for a repair are
+the runs of CodeParams.gamma_runs.  It checks every row it reads against
+the row's digest, names the shard, the block and the row of one that
+fails, and keeps a running CRC-32 of the bytes it read, which after a
+whole read is the file's.  read_shard and read_gamma join the blocks.
+No reader or writer keeps a block once the next one is read.
+`write_shard` writes one or more shards in one pass over a stream of
+blocks, through a ShardWriter per shard that takes exactly the next block
+and keeps a running CRC-32.  Every file written here goes to <name>.tmp,
+is fsynced (`synced`, the one place that fsyncs a file), and only then is
+renamed over <name> (`renaming`, `replacing`), so an error or a crash
+part-way never leaves a partial file under the real name; a command fsyncs
+each directory once after its last rename there (`sync_dir`), so the
+renames are durable too.
 
 The input needs no packing: the input bits of each block of `stripes`
 stripes *are* the systematic planes of that block, stripes bits each, in
@@ -50,7 +54,6 @@ recovers the exact byte count.
 from __future__ import annotations
 
 import contextlib
-import itertools
 import os
 import struct
 import zlib
@@ -264,11 +267,6 @@ def renaming(path: Path | str) -> Iterator[Path]:
         tmp.unlink(missing_ok=True)
 
 
-def _sync(f: BinaryIO) -> None:
-    f.flush()
-    os.fsync(f.fileno())
-
-
 def sync_dir(path: Path | str) -> None:
     """fsync the directory `path`, so the renames made in it are durable:
     a rename is in the directory's entries, which a file's fsync leaves
@@ -282,10 +280,12 @@ def sync_dir(path: Path | str) -> None:
 
 @contextmanager
 def synced(path: Path | str) -> Iterator[BinaryIO]:
-    """Yield `path` open for writing; on a clean exit it is fsynced."""
+    """Yield `path` open for writing; on a clean exit it is flushed and
+    fsynced.  Every file written here is fsynced through it."""
     with open(path, "wb") as f:
         yield f
-        _sync(f)
+        f.flush()
+        os.fsync(f.fileno())
 
 
 @contextmanager
@@ -393,16 +393,16 @@ def write_shard(shards: Mapping[Path | str, ShardHeader],
                 renames: contextlib.ExitStack) -> dict[Node, int]:
     """Write one shard per (path, header) of `shards` in a single pass over
     `blocks`, each of which maps every header's node to its next payload
-    block.  Every shard is written to its temp file and fsynced; a shard
-    short of stripes raises.  The shards are renamed into place (see
-    `renaming`) when `renames` closes, so the caller can check or record
+    block.  Every shard is written to its temp file and fsynced (`synced`)
+    before this returns; a shard short of stripes raises.  The shards are
+    renamed into place (see `renaming`) when `renames` closes, so the caller can check or record
     their CRCs first.  Returns the CRC-32 of each node's file, from the
     bytes as written."""
     with contextlib.ExitStack() as files:
         writers = {}
         for path, header in shards.items():
             tmp = renames.enter_context(renaming(path))
-            writers[path] = ShardWriter(files.enter_context(open(tmp, "wb")), header)
+            writers[path] = ShardWriter(files.enter_context(synced(tmp)), header)
         for block in blocks:
             for writer in writers.values():
                 writer.write(block[writer.header.node])
@@ -411,7 +411,6 @@ def write_shard(shards: Mapping[Path | str, ShardHeader],
             if writer.stripes_written != writer.header.stripe_count:
                 raise ValueError(f"{path}: {writer.stripes_written} of "
                                  f"{writer.header.stripe_count} stripes written")
-            _sync(writer.file)
     return {writer.header.node: writer.crc for writer in writers.values()}
 
 
@@ -436,65 +435,50 @@ class CountingReader:
 
 class ShardReader:
     """An open shard whose header and file size were checked on opening,
-    before any payload read.  Stream the payload with blocks() or
-    gamma_blocks(), which check the digest of every row they read;
-    `counter` counts the bytes and read() calls made."""
+    before any payload read.  Stream the payload with blocks(runs), which
+    checks the digest of every row it reads; `counter` counts the bytes and
+    read() calls made."""
 
     def __init__(self, f: BinaryIO, path):
         self.path = path
         self.counter = CountingReader(f)
         head = self.counter.read(HEADER_LEN)
         self.header = ShardHeader.unpack(head)
-        self.crc = zlib.crc32(head)  # of the bytes read in file order so far
+        self.crc = zlib.crc32(head)  # of the bytes read so far, in the order read
         size, expected = os.fstat(f.fileno()).st_size, shard_bytes(self.header)
         if size != expected:
             raise ShardFormatError(f"{path}: file is {size} bytes, header implies {expected}")
 
-    def _rows(self, index: int, first: int, rows: int, stripes: int,
-              at: int | None = None) -> Block:
-        """Rows first..first+rows-1 of block `index`, whose stripe count is
-        `stripes`, each checked against its digest: read in file order,
-        which extends `crc`, or, with `at`, from that byte offset."""
-        if at is not None:
-            self.counter.seek(at)
-        size = payload_bytes(stripes, rows, self.header.m)
-        data = self.counter.read(size)
-        if len(data) != size:
-            raise ShardFormatError(f"{self.path}: truncated shard payload")
-        if at is None:
-            self.crc = zlib.crc32(data, self.crc)
-        m, view = self.header.m, memoryview(data)
-        row_bytes = payload_bytes(stripes, 1, m)
-        planes = []
-        for r in range(rows):
-            end = (r + 1) * row_bytes - DIGEST_LEN
-            row = view[r * row_bytes : end]
-            if row_digest(row) != view[end : end + DIGEST_LEN]:
-                raise ShardFormatError(f"{self.path}: block {index}: row {first + r} "
-                                       "does not match its digest")
-            planes += Block.from_bytes(row, m, 1, stripes).planes
-        return Block(m, stripes, planes)
-
-    def blocks(self) -> Iterator[Block]:
-        """The (alpha, stripes) Block of every payload block, in file order.
-        Once it is exhausted, `crc` is the CRC-32 of the whole file.  Between
-        blocks it holds none of the bytes it read."""
-        alpha = self.header.q**self.header.t
-        for index, (lo, hi) in enumerate(_blocks(self.header.stripe_count)):
-            yield self._rows(index, 0, alpha, hi - lo)
-
-    def gamma_blocks(self, runs: list[tuple[int, int]]) -> Iterator[Block]:
-        """The rows in `runs` ((start ordinal, length) pairs) of every block,
-        stacked as a (sum of run lengths, stripes) Block, reading only those
-        rows and their digests: one seek and read per run per block."""
+    def blocks(self, runs: list[tuple[int, int]]) -> Iterator[Block]:
+        """The rows in `runs` ((start ordinal, length) pairs, ascending) of
+        every payload block, in file order, as one (sum of run lengths,
+        stripes) Block each: one seek and one read per run per block, every
+        row checked against its digest.  Each read extends `crc`, so after
+        a whole read, runs [(0, alpha)], it is the CRC-32 of the whole file.
+        Between blocks it holds none of the bytes it read."""
         hdr = self.header
-        base = HEADER_LEN
+        m, alpha, base = hdr.m, hdr.q**hdr.t, HEADER_LEN
         for index, (lo, hi) in enumerate(_blocks(hdr.stripe_count)):
-            width = hi - lo
-            yield Block.stack([self._rows(index, start, length, width,
-                                          at=base + payload_bytes(width, start, hdr.m))
-                               for start, length in runs])
-            base += payload_bytes(width, hdr.q**hdr.t, hdr.m)
+            stripes = hi - lo
+            row_bytes = payload_bytes(stripes, 1, m)
+            planes = []
+            for start, length in runs:
+                size = length * row_bytes
+                self.counter.seek(base + start * row_bytes)
+                data = self.counter.read(size)
+                if len(data) != size:
+                    raise ShardFormatError(f"{self.path}: truncated shard payload")
+                self.crc = zlib.crc32(data, self.crc)
+                view = memoryview(data)
+                for r in range(length):
+                    end = (r + 1) * row_bytes - DIGEST_LEN
+                    row = view[r * row_bytes : end]
+                    if row_digest(row) != view[end : end + DIGEST_LEN]:
+                        raise ShardFormatError(f"{self.path}: block {index}: row {start + r} "
+                                               "does not match its digest")
+                    planes += Block.from_bytes(row, m, 1, stripes).planes
+            yield Block(m, stripes, planes)
+            base += alpha * row_bytes
 
 
 @contextmanager
@@ -516,31 +500,21 @@ def read_shard(path: Path | str) -> tuple[ShardHeader, Block]:
     """Read a whole shard back as (header, (alpha, stripe_count) Block)."""
     with open_shard(path) as shard:
         hdr = shard.header
-        rows = _join(shard.blocks(), hdr.q**hdr.t, hdr.m)
+        alpha = hdr.q**hdr.t
+        rows = _join(shard.blocks([(0, alpha)]), alpha, hdr.m)
     return hdr, rows
-
-
-def gamma_runs(failed: Node, params: CodeParams) -> list[tuple[int, int]]:
-    """The helper rows of failed = (i0, theta0) as (start, length) runs of
-    consecutive row ordinals, ascending: one run of q^(t-i0) rows per value
-    of the coordinates before i0, so each block needs q^(i0-1) reads."""
-    i0, theta0 = failed
-    params.node_ordinal(failed)  # validate
-    tail = (0,) * (params.t - i0)
-    return [(params.row_ordinal((*head, theta0) + tail), params.q ** (params.t - i0))
-            for head in itertools.product(range(params.q), repeat=i0 - 1)]
 
 
 def read_gamma(path: Path | str, failed: Node,
                params: CodeParams) -> tuple[ShardHeader, Block, int]:
     """Read only the helper rows of a shard, with their digests: one seek and
-    read per run of gamma_runs per block.  Returns the header, the (beta,
-    stripe_count) Block, and the byte count read."""
+    read per run of params.gamma_runs(failed) per block.  Returns the
+    header, the (beta, stripe_count) Block, and the byte count read."""
     with open_shard(path) as shard:
         hdr = shard.header
         if (hdr.q, hdr.t, hdr.m) != (params.q, params.t, params.gf.m):
             raise ShardFormatError(f"{path}: header parameters do not match")
-        rows = _join(shard.gamma_blocks(gamma_runs(failed, params)), params.beta, hdr.m)
+        rows = _join(shard.blocks(params.gamma_runs(failed)), params.beta, hdr.m)
     return hdr, rows, shard.counter.bytes_read
 
 

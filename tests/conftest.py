@@ -6,6 +6,8 @@ search; test_parity re-runs the search and asserts it still lands on them.
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from msrcode import build_system, make_params
@@ -64,6 +66,25 @@ def eval_constraints(codeword, sys_):
             acc ^= p.gf.mul(coeff, codeword[p.node_at(node)][row])
         residuals.append(acc)
     return residuals
+
+
+def gamma_rows(params, failed):
+    """Oracle, the paper's definition of the helper rows for repairing
+    failed = (i0, theta0): every row tuple whose coordinate i0 is theta0,
+    in ascending order."""
+    i0, theta0 = failed
+    return sorted(row for row in itertools.product(range(params.q), repeat=params.t)
+                  if row[i0 - 1] == theta0)
+
+
+def gamma_ordinals(params, failed):
+    """The row ordinals of gamma_rows(params, failed), ascending."""
+    return [params.row_ordinal(row) for row in gamma_rows(params, failed)]
+
+
+def run_ordinals(runs):
+    """The row ordinals that (start, length) runs cover, in run order."""
+    return [start + g for start, length in runs for g in range(length)]
 
 
 def to_block(rows, m, stripes=None):

@@ -12,7 +12,7 @@ import re
 import time
 from fractions import Fraction
 
-from conftest import FOUND_C0, eval_constraints, random_block, system_for
+from conftest import FOUND_C0, eval_constraints, gamma_ordinals, random_block, system_for
 from msrcode import (
     build_system,
     check_mds_ranks,
@@ -70,7 +70,7 @@ def test_criterion_2_repair_exact_and_bandwidth():
         p = sys_.params
         columns = encode_batch(random_block(p, rng, stripes), sys_)
         for failed in p.nodes():
-            gamma = [p.row_ordinal(r) for r in p.gamma_rows(failed)]
+            gamma = gamma_ordinals(p, failed)
             helpers = {h: columns[h].take(gamma) for h in p.nodes() if h != failed}
             if any((stack.rows, stack.stripes) != (p.q ** (p.t - 1), stripes)
                    for stack in helpers.values()):
@@ -167,7 +167,7 @@ def test_criterion_6_help_by_transfer(tmp_path, capsys):
         p = Manifest.read(store / "manifest.txt").params()
         stored = {nd: read_shard(store / shard_filename(nd))[1] for nd in p.nodes()}
         for failed in p.nodes():
-            gamma = [p.row_ordinal(r) for r in p.gamma_rows(failed)]
+            gamma = gamma_ordinals(p, failed)
             for helper in p.nodes():
                 if helper == failed:
                     continue

@@ -16,6 +16,7 @@ from unittest import mock
 import pytest
 
 import msrcode
+from conftest import gamma_ordinals
 from msrcode import GF2M, make_params, parity, shardio
 from msrcode.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
 from msrcode.shardio import BLOCK_STRIPES, HEADER_LEN, Manifest, read_shard, shard_filename
@@ -464,7 +465,7 @@ def test_a_bad_row_names_the_shard_and_the_block(tmp_path, monkeypatch, capsys, 
     p = Manifest.read(store / "manifest.txt").params()
     assert Manifest.read(store / "manifest.txt").stripe_count == 24
     if command == "repair":
-        bad, row = (2, 0), p.row_ordinal(p.gamma_rows((1, 0))[0])
+        bad, row = (2, 0), gamma_ordinals(p, (1, 0))[0]
         (store / shard_filename((1, 0))).unlink()
         argv = ["repair", "--node", "1,0", "--out-dir", str(store)]
     else:
@@ -495,7 +496,7 @@ def test_repair_checksum_mismatch_leaves_no_file(store22, capsys):
     helper = store / shard_filename((2, 0))
     blob = bytearray(helper.read_bytes())
     width = min(read_shard(helper)[0].stripe_count, BLOCK_STRIPES)
-    row = p.row_ordinal(p.gamma_rows(failed)[0])
+    row = gamma_ordinals(p, failed)[0]
     at = HEADER_LEN + shardio.payload_bytes(width, row, p.gf.m)
     row_bytes = shardio.payload_bytes(width, 1, p.gf.m) - 4
     blob[at] ^= 1

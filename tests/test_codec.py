@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (BAD_C0, column_at, eval_constraints, random_block, rows_of, stripe_array,
-                      to_block)
+from conftest import (BAD_C0, column_at, eval_constraints, gamma_ordinals, random_block, rows_of,
+                      stripe_array, to_block)
 from msrcode import build_system, decode_from_k, encode, find_code, make_params, verify_mds
 from msrcode.codec import MdsReport, complete_columns, decode_batch, encode_batch
 from msrcode.gf import Block
@@ -74,6 +74,23 @@ def test_encode_rejects_bad_input(sys22):
     plain = build_system(sys22.params, 0)
     with pytest.raises(ValueError):
         encode([0] * sys22.params.message_len, plain)
+
+
+def test_every_path_refuses_a_system_without_c0(sys22):
+    # complete_columns checks c0 for all four entry points, also on a decode
+    # from the systematic nodes, which runs no plan
+    p = sys22.params
+    plain = build_system(p, 0)
+    message = [0] * p.message_len
+    block = Block(p.gf.m, 2, [0] * (p.message_len * p.gf.m))
+    columns, blocks = encode(message, sys22), encode_batch(block, sys22)
+    for picked in (p.systematic_nodes(), list(p.nodes())[-p.k:]):
+        for call in (lambda: encode(message, plain),
+                     lambda: decode_from_k({nd: columns[nd] for nd in picked}, plain),
+                     lambda: encode_batch(block, plain),
+                     lambda: decode_batch({nd: blocks[nd] for nd in picked}, plain)):
+            with pytest.raises(ValueError, match="no valid c0"):
+                call()
 
 
 def test_encode_is_one_stripe_of_encode_batch(all_systems):
@@ -327,7 +344,7 @@ def test_batch_paths_property(all_systems, data):
     columns = encode_batch(msgs, sys_)
     assert decode_batch({nd: columns[nd] for nd in subset}, sys_) == msgs
     for failed in p.nodes():
-        gamma_idx = [p.row_ordinal(r) for r in p.gamma_rows(failed)]
+        gamma_idx = gamma_ordinals(p, failed)
         helpers = {h: columns[h].take(gamma_idx) for h in p.nodes() if h != failed}
         assert repair_batch(failed, helpers, sys_) == columns[failed]
     for s in range(stripes):

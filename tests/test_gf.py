@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from msrcode.gf import DEFAULT_POLYS, GF2M, Block, ring_sub
+from msrcode.gf import DEFAULT_POLYS, GF2M, Block
 
 
 def slow_mul(a: int, b: int, poly: int, m: int) -> int:
@@ -115,19 +115,6 @@ def test_inverse():
     assert gf.inv(0b0010) == 0b1001
     with pytest.raises(ZeroDivisionError):
         gf.inv(0)
-
-
-def test_ring_sub_examples():
-    assert ring_sub(0, 1, 2) == 1
-    assert ring_sub(0, 1, 3) == 2
-    assert ring_sub(3, 0, 5) == 3
-
-
-def test_ring_sub_identities():
-    for q in (2, 3, 5, 6):
-        for a in range(q):
-            assert ring_sub(a, 0, q) == a
-            assert ring_sub(a, a, q) == 0
 
 
 # -- field axioms -----------------------------------------------------------------

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import gamma_ordinals, run_ordinals
 from msrcode import GF2M, CodeParams, make_params
 from msrcode.params import smallest_field_degree
 
@@ -155,14 +156,19 @@ def test_systematic_and_parity_split():
 # -- repair rows -----------------------------------------------------------------
 
 
+def expanded(p, node):
+    """The row tuples gamma_runs(node) covers, in run order."""
+    return [p.row_at(o) for o in run_ordinals(p.gamma_runs(node))]
+
+
 def test_gamma_rows_first_class():
     p = make_params(2, 3, 7)
-    assert p.gamma_rows((1, 0)) == [(0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1)]
+    assert expanded(p, (1, 0)) == [(0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1)]
 
 
 def test_gamma_rows_last_class():
     p = make_params(2, 3, 7)
-    assert p.gamma_rows((3, 1)) == [(0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, 1)]
+    assert expanded(p, (3, 1)) == [(0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, 1)]
 
 
 @pytest.mark.parametrize("q,t,m", [(2, 2, 5), (3, 2, 4), (2, 3, 7), (3, 3, 8)])
@@ -170,7 +176,7 @@ def test_gamma_rows_shape_and_order(q, t, m):
     p = make_params(q, t, m)
     for node in p.nodes():
         i0, theta0 = node
-        rows = p.gamma_rows(node)
+        rows = expanded(p, node)
         assert len(rows) == p.beta
         assert len(set(rows)) == p.beta
         assert all(r[i0 - 1] == theta0 for r in rows)
@@ -183,6 +189,21 @@ def test_gamma_rows_partition_row_space(q, t, m):
     p = make_params(q, t, m)
     for i0 in range(1, t + 1):
         union = list(itertools.chain.from_iterable(
-            p.gamma_rows((i0, theta)) for theta in range(q)))
+            expanded(p, (i0, theta)) for theta in range(q)))
         assert len(union) == p.alpha
         assert set(union) == set(p.rows())
+
+
+@pytest.mark.parametrize("q,t", [(2, 2), (3, 2), (2, 3), (4, 2), (3, 3), (2, 4), (3, 4)])
+def test_gamma_runs_are_the_papers_rows_in_separate_runs(q, t):
+    # the one definition of a helper's rows against the paper's: every row
+    # whose coordinate i0 is theta0, ascending.  No two runs touch, so a
+    # reader cannot merge them: rebuild makes one read per run per block
+    p = make_params(q, t, smallest_field_degree(q * t))
+    for node in p.nodes():
+        runs = p.gamma_runs(node)
+        assert run_ordinals(runs) == gamma_ordinals(p, node)
+        assert all(length > 0 for _, length in runs)
+        assert all(a + n < b for (a, n), (b, _) in zip(runs, runs[1:]))
+    with pytest.raises(ValueError):
+        p.gamma_runs((t + 1, 0))

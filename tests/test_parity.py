@@ -14,7 +14,7 @@ import random
 
 import pytest
 
-from conftest import BAD_C0, FOUND_C0, column_at, random_block
+from conftest import BAD_C0, FOUND_C0, column_at, gamma_ordinals, random_block
 from msrcode import make_params
 from msrcode.btf import shift_blocks
 from msrcode.gf import GF2M, Block
@@ -483,7 +483,7 @@ def test_compile_plan_refuses_a_system_that_is_not_square(sys23):
 def test_compile_plan_refuses_a_symbol_neither_missing_nor_known(sys23):
     # repair's constraints for (1, 0), with helper (3, 1)'s rows unsent
     p = sys23.params
-    gamma = [p.row_ordinal(row) for row in p.gamma_rows((1, 0))]
+    gamma = gamma_ordinals(p, (1, 0))
     anchored = [delta * p.alpha + row for delta in range(p.q) for row in gamma]
     slot_of = {o * p.alpha + row: i * p.beta + g
                for i, o in enumerate(range(1, p.n - 1)) for g, row in enumerate(gamma)}

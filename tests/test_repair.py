@@ -14,19 +14,19 @@ import random
 import pytest
 
 import msrcode
-from conftest import eval_constraints, random_block, rows_of, stripe_array, system_for
+from conftest import (eval_constraints, gamma_ordinals, gamma_rows, random_block, rows_of,
+                      run_ordinals, stripe_array, system_for)
 from msrcode import bandwidth_report, build_system, make_params
 from msrcode.codec import encode_batch
 from msrcode.gf import Block
 from msrcode.repair import repair_batch
-from msrcode.shardio import gamma_runs
 
 
 def helper_rows(columns, failed, params):
     """What each helper sends: its stored (alpha, s) block cut along the
     gamma_runs the CLI reads, a (beta, s) block of rows copied as-is."""
     return {h: Block.stack([columns[h][start : start + length]
-                            for start, length in gamma_runs(failed, params)])
+                            for start, length in params.gamma_runs(failed)])
             for h in params.nodes() if h != failed}
 
 
@@ -47,10 +47,8 @@ def test_extract_zero_content(sys23):
 
 def test_extract_rows_are_gamma(sys23):
     p = sys23.params
-    ordinals = [o for start, length in gamma_runs((1, 0), p)
-                for o in range(start, start + length)]
-    assert ordinals == [p.row_ordinal(r) for r in p.gamma_rows((1, 0))]
-    assert all(r[0] == 0 for r in p.gamma_rows((1, 0)))
+    assert run_ordinals(p.gamma_runs((1, 0))) == gamma_ordinals(p, (1, 0))
+    assert all(p.row_at(o)[0] == 0 for o in run_ordinals(p.gamma_runs((1, 0))))
 
 
 def test_extract_packet_size_all_nodes(all_systems):
@@ -68,8 +66,8 @@ def test_extract_is_verbatim(sys23):
     for failed in p.nodes():
         for helper, stack in helper_rows(columns, failed, p).items():
             stored = rows_of(columns[helper])
-            for g, row in enumerate(p.gamma_rows(failed)):
-                assert rows_of(stack)[g] == stored[p.row_ordinal(row)]
+            for g, row in enumerate(gamma_ordinals(p, failed)):
+                assert rows_of(stack)[g] == stored[row]
 
 
 # -- repair_batch -------------------------------------------------------------------
@@ -144,7 +142,7 @@ def test_repair_coverage_each_row_once(sys23):
     p = sys23.params
     for failed in p.nodes():
         i0, theta0 = failed
-        gamma = p.gamma_rows(failed)
+        gamma = gamma_rows(p, failed)
         written = list(gamma)
         for row in gamma:
             for delta in range(1, p.q):

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_block, rows_of, stripes_of, to_block
+from conftest import gamma_ordinals, random_block, rows_of, stripes_of, to_block
 from msrcode import make_params, shardio
 from msrcode.gf import Block
 from msrcode.shardio import (
@@ -27,7 +27,6 @@ from msrcode.shardio import (
     ShardHeader,
     bytes_from_symbols,
     crc32_file,
-    gamma_runs,
     open_shard,
     payload_bytes,
     read_gamma,
@@ -344,23 +343,36 @@ def test_a_garbled_stripe_count_is_refused_at_once(tmp_path, monkeypatch):
     assert time.perf_counter() - start < 1
 
 
-@pytest.mark.parametrize("reader", ["blocks", "gamma_blocks"])
-def test_a_bad_row_names_the_shard_and_the_block(tmp_path, monkeypatch, reader):
+@pytest.mark.parametrize("read", ["whole", "gamma_runs"])
+def test_a_bad_row_names_the_shard_and_the_block(tmp_path, monkeypatch, read):
     monkeypatch.setattr(shardio, "BLOCK_STRIPES", 8)
     p = make_params(2, 3, 7)
     hdr = ShardHeader(2, 3, 7, 0x89, 1, (2, 0), 24, 133)
     path = tmp_path / "s.msrc"
     write_whole(path, hdr, random_rows(p, 2, 24))
     blob = bytearray(path.read_bytes())
-    row = p.row_ordinal(p.gamma_rows((1, 0))[1])  # row 1, inside the first run
+    row = gamma_ordinals(p, (2, 0))[3]  # row 5: runs (0, 2), (4, 2); second row of the second
     blob[HEADER_LEN + payload_bytes(8, p.alpha, 7) + payload_bytes(8, row, 7) + 3] ^= 0x10
     path.write_bytes(bytes(blob))
     with open_shard(path) as shard:
-        blocks = shard.blocks() if reader == "blocks" else \
-            shard.gamma_blocks(gamma_runs((1, 0), p))
+        blocks = shard.blocks([(0, p.alpha)] if read == "whole" else p.gamma_runs((2, 0)))
         next(blocks)  # block 0 is intact
         with pytest.raises(ShardFormatError, match=rf"s\.msrc: block 1: row {row} "):
             next(blocks)
+
+
+@pytest.mark.parametrize("stripes", [0, 5, 24])
+def test_a_whole_read_leaves_the_file_crc(tmp_path, monkeypatch, stripes):
+    # blocks of 8 stripes: none, one partial, and three full blocks
+    monkeypatch.setattr(shardio, "BLOCK_STRIPES", 8)
+    p = make_params(2, 3, 7)
+    hdr = ShardHeader(2, 3, 7, p.gf.poly, 1, (2, 0), stripes, 0)
+    path = tmp_path / "s.msrc"
+    write_whole(path, hdr, random_rows(p, 4, stripes))
+    with open_shard(path) as shard:
+        for _ in shard.blocks([(0, p.alpha)]):
+            pass
+        assert shard.crc == crc32_file(path)
 
 
 def test_whole_file_crc_sees_every_row(tmp_path):
@@ -510,12 +522,12 @@ def recording_reader():
 
 def test_gamma_runs_coalesced():
     p = make_params(2, 3, 7)
-    assert gamma_runs((1, 0), p) == [(0, 4)]  # rows 0..3 are contiguous
-    assert gamma_runs((1, 1), p) == [(4, 4)]
-    assert gamma_runs((3, 1), p) == [(1, 1), (3, 1), (5, 1), (7, 1)]
-    assert gamma_runs((2, 0), p) == [(0, 2), (4, 2)]
+    assert p.gamma_runs((1, 0)) == [(0, 4)]  # rows 0..3 are contiguous
+    assert p.gamma_runs((1, 1)) == [(4, 4)]
+    assert p.gamma_runs((3, 1)) == [(1, 1), (3, 1), (5, 1), (7, 1)]
+    assert p.gamma_runs((2, 0)) == [(0, 2), (4, 2)]
     for node in p.nodes():
-        assert sum(length for _, length in gamma_runs(node, p)) == p.beta
+        assert sum(length for _, length in p.gamma_runs(node)) == p.beta
 
 
 def test_read_gamma_matches_full_read(tmp_path, sys23):
@@ -525,10 +537,9 @@ def test_read_gamma_matches_full_read(tmp_path, sys23):
     path = tmp_path / "s.msrc"
     write_whole(path, hdr, rows)
     for failed in [(1, 0), (3, 0), (3, 1)]:
-        got_hdr, gamma_rows, nbytes = read_gamma(path, failed, p)
+        got_hdr, sent, nbytes = read_gamma(path, failed, p)
         assert got_hdr == hdr
-        idx = [p.row_ordinal(r) for r in p.gamma_rows(failed)]
-        assert gamma_rows == rows.take(idx)
+        assert sent == rows.take(gamma_ordinals(p, failed))
         # exact accounting: the header, then beta rows of m planes of 16
         # stripes, each with its digest, and nothing else
         assert nbytes == HEADER_LEN + p.beta * (7 * 16 // 8 + 4)
@@ -590,13 +601,13 @@ def test_block_layout_property(qtm, eights, block, seed):
         write_whole(path, hdr, rows)
         got_hdr, got = read_shard(path)
         assert got_hdr == hdr and got == rows
+        assert made[-1].reads == 1 + blocks  # the header, then one read per block
         for failed in p.nodes():
-            _, gamma_rows, nbytes = read_gamma(path, failed, p)
-            idx = [p.row_ordinal(r) for r in p.gamma_rows(failed)]
-            assert gamma_rows == rows.take(idx)
+            _, sent, nbytes = read_gamma(path, failed, p)
+            assert sent == rows.take(gamma_ordinals(p, failed))
             assert nbytes == HEADER_LEN + p.beta * (p.gf.m * stripes // 8 + 4 * blocks)
             # the header, then one read per run per block
-            assert made[-1].reads == 1 + blocks * len(gamma_runs(failed, p))
+            assert made[-1].reads == 1 + blocks * len(p.gamma_runs(failed))
 
 
 def test_counting_reader(tmp_path):

@@ -147,7 +147,7 @@ def test_blocks_are_the_payload_as_stored(tmp_path, monkeypatch):
         path = store / shard_filename(node)
         payload = path.read_bytes()[shardio.HEADER_LEN :]
         with shardio.open_shard(path) as shard:
-            blocks = list(shard.blocks())
+            blocks = list(shard.blocks([(0, p.alpha)]))
         assert [(b.m, b.rows, b.stripes) for b in blocks] == \
             [(p.gf.m, p.alpha, 8)] * 3 + [(p.gf.m, p.alpha, 1)]
         rows, at = [], 0
@@ -407,3 +407,41 @@ def test_each_command_fsyncs_its_directory_once_after_its_renames(tmp_path, monk
         assert [e for e in events if e[0] == "fsync"] == [synced], argv[0]
         assert ("rename", ident(directory)) in events and events[-1] == synced, argv[0]
     assert (elsewhere / "out.bin").read_bytes() == src.read_bytes()
+
+
+def test_every_file_is_fsynced_before_the_first_rename(tmp_path, monkeypatch):
+    # a rename must not name a file whose data is not yet durable: every
+    # file a command renames into place, each shard included, is fsynced
+    # before the command's first rename
+    monkeypatch.setattr(shardio, "BLOCK_STRIPES", 8)
+    fsynced, renamed = set(), []
+    real_fsync, real_replace = os.fsync, os.replace
+
+    def fsync(fd):
+        if not renamed:
+            st = os.fstat(fd)
+            fsynced.add((st.st_dev, st.st_ino))
+        return real_fsync(fd)
+
+    def replace(src, dst):
+        st = os.stat(src)
+        renamed.append((st.st_dev, st.st_ino))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(os, "replace", replace)
+    store, src = tmp_path / "store", tmp_path / "in.bin"
+    src.write_bytes(os.urandom(5 * 8 * 8 * 3 // 8))  # 5 blocks at (2,2,3)
+    for argv, count in [
+        (["init", "--q", "2", "--t", "2", "--out-dir", str(store)], 1),
+        (["encode", str(src), "--out-dir", str(store)], 5),  # 4 shards, the manifest
+        (["repair", "--node", "1,0", "--out-dir", str(store)], 1),
+        (["decode", str(tmp_path / "out.bin"), str(store / shard_filename((1, 1))),
+          str(store / shard_filename((2, 0)))], 1),
+    ]:
+        if argv[0] == "repair":
+            (store / shard_filename((1, 0))).unlink()
+        fsynced.clear()
+        renamed.clear()
+        assert main(argv) == EXIT_OK
+        assert len(set(renamed)) == count and set(renamed) <= fsynced, argv[0]
