@@ -25,7 +25,7 @@ from .parity import (
     sufficient_field_size,
 )
 from .codec import MdsReport, decode_batch, decode_from_k, encode, encode_batch, verify_mds
-from .repair import BandwidthReport, bandwidth_report, repair_batch
+from .repair import repair_batch
 
 __version__ = "0.1.0"
 
@@ -48,8 +48,6 @@ __all__ = [
     "encode_batch",
     "decode_batch",
     "verify_mds",
-    "BandwidthReport",
     "repair_batch",
-    "bandwidth_report",
     "__version__",
 ]

@@ -1,6 +1,8 @@
 """Command-line front end: init, encode, decode, repair, verify, stats.
 
 Exit status: 0 success, 1 usage error, 2 verification failure, 3 I/O error.
+A manifest naming no valid code exits 2 (Manifest.params); its CodeParams
+then hold every number a command uses, c0 and the repair figures included.
 Shards and the manifest live together in a directory (--out-dir); the
 "network" between nodes is plain file reads, which repair keeps to the
 helper rows' byte ranges: the runs of CodeParams.gamma_runs, the same list
@@ -35,7 +37,7 @@ from pathlib import Path
 
 from . import codec, repair, shardio
 from .params import CodeParams, Node, make_params, smallest_field_degree
-from .parity import ParityCheckSystem, build_system, find_code
+from .parity import build_system, find_code
 from .shardio import Manifest, ShardFormatError, shard_filename
 
 EXIT_OK = 0
@@ -77,18 +79,6 @@ def _load_manifest(out_dir: str) -> Manifest:
     return Manifest.read(path)
 
 
-def _params_of(manifest: Manifest) -> CodeParams:
-    try:
-        return manifest.params()
-    except ValueError as err:
-        raise VerificationFailure(f"manifest parameters are invalid: {err}") from None
-
-
-def _system_for(params: CodeParams) -> ParityCheckSystem:
-    """The code `params` name; their fields were checked when they were made."""
-    return build_system(params, params.c0)
-
-
 def _remove_stale(out_dir: Path, names: list[str]) -> None:
     """Remove the <name>.tmp files that a killed run of this command left."""
     for name in names:
@@ -98,10 +88,10 @@ def _remove_stale(out_dir: Path, names: list[str]) -> None:
 def _check_encoded(manifest: Manifest) -> CodeParams:
     """The manifest's params, once it is checked to be one that encode
     wrote: a checksum for every node of the code and for no other, and a
-    stripe count that fits the file length.  Run before `_system_for`, so a
-    dropped line or a garbled parameter is caught before any shard is
+    stripe count that fits the file length.  Run before `build_system`, so
+    a dropped line or a garbled parameter is caught before any shard is
     trusted or the (possibly huge) garbled code is built."""
-    params = _params_of(manifest)
+    params = manifest.params()
     if set(manifest.checksums) != set(params.nodes()):
         raise VerificationFailure("manifest checksums do not name exactly the nodes of the code")
     if manifest.stripe_count != shardio.stripe_count_for(
@@ -128,7 +118,7 @@ def cmd_init(args) -> int:
 
 def cmd_encode(args) -> int:
     manifest = _load_manifest(args.out_dir)
-    sys_ = _system_for(_params_of(manifest))
+    sys_ = build_system(manifest.params())
     p = sys_.params
     out_dir = Path(args.out_dir)
     _remove_stale(out_dir, [shardio.MANIFEST_NAME, *map(shard_filename, p.nodes())])
@@ -163,7 +153,7 @@ def cmd_decode(args) -> int:
     manifest_path = Path(args.manifest) if args.manifest else \
         Path(args.shards[0]).parent / shardio.MANIFEST_NAME
     manifest = Manifest.read(manifest_path)
-    sys_ = _system_for(_check_encoded(manifest))
+    sys_ = build_system(_check_encoded(manifest))
     p = sys_.params
     if len(args.shards) != p.k:
         raise _UsageError(f"decoding needs exactly k={p.k} shards, got {len(args.shards)}")
@@ -205,7 +195,7 @@ def cmd_decode(args) -> int:
 def cmd_repair(args) -> int:
     failed = _parse_node(args.node)
     manifest = _load_manifest(args.out_dir)
-    sys_ = _system_for(_check_encoded(manifest))
+    sys_ = build_system(_check_encoded(manifest))
     p = sys_.params
     runs = p.gamma_runs(failed)  # the helper rows; ValueError on a node not in the code
     out_dir = Path(args.out_dir)
@@ -239,22 +229,21 @@ def cmd_repair(args) -> int:
 
     read_total = sum(bytes_per_helper.values())
     naive = p.k * shardio.shard_bytes(manifest.header_for(failed))
-    report = repair.bandwidth_report(p)
     print(f"rebuilt {path.name} from {p.d} helpers")
     print(f"per-helper read : {max(bytes_per_helper.values(), default=0)} bytes "
           f"(header {shardio.HEADER_LEN} + {p.beta} of {p.alpha} rows of every block, "
           f"{p.gf.m} bits per symbol, each row with its digest)")
     print(f"total read      : {read_total} bytes")
     print(f"naive (k full shards): {naive} bytes")
-    print(f"per-stripe symbols: {report.total} repair vs {report.naive} naive "
-          f"(ratio {report.ratio:.4f})")
+    print(f"per-stripe symbols: {p.d * p.beta} repair vs {p.message_len} naive "
+          f"(ratio {p.d * p.beta / p.message_len:.4f})")
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
     if args.trials < 0:
         raise _UsageError(f"--trials must be >= 0, got {args.trials}")
-    sys_ = _system_for(_params_of(_load_manifest(args.out_dir)))
+    sys_ = build_system(_load_manifest(args.out_dir).params())
     p = sys_.params
     report = codec.verify_mds(sys_, args.trials)
     if report.deficient:
@@ -272,13 +261,12 @@ def cmd_stats(args) -> int:
     if args.q is None and args.t is None:
         if args.m is not None:
             raise _UsageError("stats takes --m only with --q and --t")
-        p = _params_of(_load_manifest(args.out_dir))
+        p = _load_manifest(args.out_dir).params()
     elif args.q is None or args.t is None:
         raise _UsageError("stats needs both --q and --t (or neither)")
     else:
         m = args.m if args.m is not None else smallest_field_degree(args.q * args.t)
         p = make_params(args.q, args.t, m)
-    report = repair.bandwidth_report(p)
     print(f"q={p.q} t={p.t} field=GF(2^{p.gf.m})")
     print(f"n      = {p.n}")
     print(f"k      = {p.k}")
@@ -287,8 +275,8 @@ def cmd_stats(args) -> int:
     print(f"beta   = {p.beta}")
     print(f"B      = {p.message_len}")
     print(f"rate   = {p.rate} ({float(p.rate):.4f})")
-    print(f"repair = {report.total} symbols (d*beta), naive {report.naive}, "
-          f"ratio {report.ratio:.4f}")
+    print(f"repair = {p.d * p.beta} symbols (d*beta), naive {p.message_len}, "
+          f"ratio {p.d * p.beta / p.message_len:.4f}")
     return EXIT_OK
 
 

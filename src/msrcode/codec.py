@@ -6,9 +6,10 @@ thick columns (node-major, then row-ordinal); the remaining q parity
 columns are the unique solution of the parity-check constraints.  Decoding
 from any k nodes solves the same kind of system for whichever q columns
 are missing.  All four entry points go through one column completion,
-complete_columns: it checks the system's c0 and the known columns, and when
-a wanted column is missing it runs the plan ParityCheckSystem.completion_map
-compiles for the missing nodes, through parity.run_plan.
+complete_columns: it checks the known columns, and when a wanted column is
+missing it runs the plan ParityCheckSystem.completion_map compiles for the
+missing nodes, through parity.run_plan.  A system exists only for a code
+with a valid c0 (build_system), so none is checked here.
 
 Both paths pass a codeword as {node: column}.  The scalar encode and
 decode_from_k work on one stripe, a column being a list of alpha ints;
@@ -38,12 +39,9 @@ def complete_columns(sys: ParityCheckSystem, known: Mapping[Node, Sequence],
     """The columns of the `wanted` nodes of the codeword with the k `known`
     columns, in `wanted` order: lists of alpha ints on one stripe, or
     (alpha, s) Blocks on a block of s stripes.  Raises ValueError
-    unless the system has a valid c0 and `known` is k nodes of the code,
-    each column alpha field symbols.  The plan runs only when a wanted
-    column is missing."""
+    unless `known` is k nodes of the code, each column alpha field
+    symbols.  The plan runs only when a wanted column is missing."""
     p = sys.params
-    if not sys.c0:
-        raise ValueError("parity-check system has no valid c0 (run the coefficient search)")
     missing = [nd for nd in p.nodes() if nd not in known]
     if len(known) != p.k or len(missing) != p.q:
         raise ValueError(f"known columns must be k={p.k} nodes of the code")

@@ -16,6 +16,7 @@ Flattened node-by-node this is exactly J0 + c0*E with J0 the Kronecker
 product of the Vandermonde matrix with an alpha x alpha identity.  The MDS
 property is equivalent to every q-thick-column submatrix H_S = J0_S + c0*E_S
 having full rank q^(t+1); check_mds_ranks checks that on H_S itself.
+build_system builds H for CodeParams.c0, and refuses params without one.
 find_c0 scans nonzero candidates in ascending order, drops each at its
 first rank-deficient subset and returns the first that passes all.  It
 checks each subset on the strongly connected blocks of I + c*M_S, which is
@@ -63,11 +64,10 @@ class ParityCheckSystem:
     built (the memoised last plan of each kind is confined to
     single-threaded use)."""
 
-    def __init__(self, params: CodeParams, hmds: list[list[int]], c0: int,
+    def __init__(self, params: CodeParams, hmds: list[list[int]],
                  terms: Iterable[Iterable[tuple[int, int, int]]]):
         self.params = params
         self.hmds = hmds
-        self.c0 = c0
         self.terms = tuple(map(tuple, terms))
         self._sorted_terms = [sorted(terms) for terms in self.terms]
         # support disjointness: no two terms of one constraint on one symbol
@@ -166,28 +166,26 @@ def build_hmds(params: CodeParams) -> list[list[int]]:
     return [[gf.exp((j + 1) * r) for j in range(params.n)] for r in range(params.q)]
 
 
-def build_system(params: CodeParams, c0: int) -> ParityCheckSystem:
-    """Assemble all constraints for the given shifted-entry coefficient.
-
-    c0 = 0 is permitted only for diagnostics (it yields exactly the
-    Kronecker block matrix without the shifted entries); encoders reject it.
-    """
-    q, t = params.q, params.t
-    params.gf.validate(c0)
+def build_system(params: CodeParams) -> ParityCheckSystem:
+    """Assemble all constraints of the code `params` names, with its c0 as
+    the shifted-entry coefficient; ValueError when c0 is unset."""
+    q, t, c0 = params.q, params.t, params.c0
+    if c0 is None:
+        raise ValueError("no valid c0 (run the coefficient search)")
     hmds = build_hmds(params)
     terms = []
     for delta in range(q):
         coeff_row = hmds[delta]
         for r, anchor in enumerate(params.rows()):
             con = [(node, r, coeff_row[node]) for node in range(params.n)]
-            if delta != 0 and c0 != 0:
+            if delta != 0:
                 # class j's shifted term: node (j, x_j) on the anchor row
                 # with x_j replaced by x_j - delta (mod q)
                 for j, xj in enumerate(anchor, start=1):
                     shift = ((xj - delta) % q - xj) * q ** (t - j)
                     con.append((params.node_ordinal((j, xj)), r + shift, c0))
             terms.append(con)
-    return ParityCheckSystem(params, hmds, c0, terms)
+    return ParityCheckSystem(params, hmds, terms)
 
 
 # -- solve plans and GF linear algebra ----------------------------------------
@@ -384,17 +382,24 @@ def _blocks_full_rank(blocks: list[tuple[int, SparseRow]], c: int, gf: GF2M) -> 
     return gf_rank(rows, gf) == len(rows)
 
 
+class NoValidC0(ValueError):
+    """find_c0 tried every nonzero candidate of its field: a larger one may
+    hold a valid c0."""
+
+
 def find_c0(params: CodeParams) -> int:
     """Smallest nonzero coefficient making every size-q thick submatrix full
     rank, each candidate dropped at its first singular one.  Each subset's
     btf.shift_blocks are built once, at the first candidate that reaches
     it, and each (subset, candidate) costs one _blocks_full_rank.  Ascending
-    scan gives a canonical, reproducible choice; exhaustion means the field
-    is too small (guaranteed not to happen once it exceeds
-    sufficient_field_size)."""
+    scan gives a canonical, reproducible choice.  A code with more subsets
+    than MAX_SUBSET_CHECKS raises ValueError before any system is built;
+    exhaustion raises NoValidC0, the field being too small (guaranteed not
+    to happen once it exceeds sufficient_field_size)."""
     from .btf import shift_blocks  # deferred, so only a search compiles it
 
-    unit = build_system(params, 1)
+    node_subsets(params, params.q)  # the cap, checked before the build
+    unit = build_system(params.with_c0(1))
     blocks: dict[tuple[Node, ...], list[tuple[int, SparseRow]]] = {}
     for c in range(1, params.gf.order):
         for s in node_subsets(params, params.q):
@@ -404,7 +409,7 @@ def find_c0(params: CodeParams) -> int:
                 break
         else:
             return c
-    raise ValueError(
+    raise NoValidC0(
         f"no valid c0 in GF(2^{params.gf.m}); retry with a larger field "
         f"(size > {sufficient_field_size(params)} always suffices)"
     )
@@ -413,17 +418,15 @@ def find_c0(params: CodeParams) -> int:
 def find_code(q: int, t: int, m: int | None = None) -> CodeParams:
     """Parameter search entry point: fix the smallest workable field (or the
     one given) and the canonical c0.  With m omitted, starts at the smallest
-    m whose field holds n evaluation points and escalates on search failure.
+    m whose field holds n evaluation points and moves to the next field only
+    while the search exhausts one (NoValidC0); any other ValueError, such as
+    the subset cap, ends the search at once.
     """
-    if m is not None:
-        params = make_params(q, t, m)
-        return params.with_c0(find_c0(params))
-    start = smallest_field_degree(t * q)
-    last_err: Exception | None = None
-    for mm in range(start, MAX_DEGREE + 1):
+    degrees = range(smallest_field_degree(t * q), MAX_DEGREE + 1) if m is None else [m]
+    for mm in degrees:
         params = make_params(q, t, mm)
         try:
             return params.with_c0(find_c0(params))
-        except ValueError as err:
-            last_err = err
-    raise ValueError(f"no valid c0 up to GF(2^{MAX_DEGREE}): {last_err}")
+        except NoValidC0:
+            if mm == degrees[-1]:
+                raise

@@ -18,7 +18,8 @@ constraints triangular in the failed column:
 
 The q-1 shifts of each gamma row cover the other alpha - beta symbols
 exactly once, so d*beta downloaded symbols rebuild the column -- the
-minimum-storage optimum beta = alpha/(d-k+1).
+minimum-storage optimum beta = alpha/(d-k+1), against k*alpha for a naive
+any-k decode (CodeParams' d, beta and message_len).
 
 repair_plan compiles that completion once into a list of ops
 (ParityCheckSystem.compile_plan checks that it reads only sent symbols);
@@ -30,21 +31,11 @@ out.
 
 from __future__ import annotations
 
-from typing import Mapping, NamedTuple
+from typing import Mapping
 
 from .gf import Block
-from .params import CodeParams, Node
+from .params import Node
 from .parity import Op, ParityCheckSystem, check_columns, run_plan
-
-
-class BandwidthReport(NamedTuple):
-    """Repair traffic for one parameter set versus naive full decode."""
-
-    per_helper: int     # beta
-    helpers: int        # d
-    total: int          # d * beta
-    naive: int          # B = k * alpha, the any-k download
-    ratio: float        # total / naive
 
 
 def repair_plan(failed: Node, sys: ParityCheckSystem) -> list[Op]:
@@ -86,16 +77,3 @@ def repair_batch(failed: Node, gamma_columns: Mapping[Node, Block],
     blocks = [gamma_columns[h] for h in helpers]
     check_columns(blocks, p.beta, p.gf)
     return run_plan(plan, blocks, p.alpha, p.gf)
-
-
-def bandwidth_report(params: CodeParams) -> BandwidthReport:
-    """Repair bandwidth versus the naive any-k download, in symbols."""
-    total = params.d * params.beta
-    naive = params.message_len
-    return BandwidthReport(
-        per_helper=params.beta,
-        helpers=params.d,
-        total=total,
-        naive=naive,
-        ratio=total / naive,
-    )

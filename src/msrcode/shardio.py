@@ -141,12 +141,16 @@ class Manifest(Record):
         return cls(params.q, params.t, params.gf.m, params.gf.poly, params.c0)
 
     def params(self) -> CodeParams:
-        """The code it names; ValueError unless reduction_poly is the
-        field's own (GF2M fixes one polynomial per m)."""
-        params = make_params(self.q, self.t, self.m).with_c0(self.c0)
-        if self.reduction_poly != params.gf.poly:
-            raise ValueError(f"reduction_poly {self.reduction_poly:#x} is not "
-                             f"GF(2^{self.m})'s polynomial {params.gf.poly:#x}")
+        """The code it names; ShardFormatError unless the parameters make a
+        code with a valid c0 and reduction_poly is the field's own (GF2M
+        fixes one polynomial per m)."""
+        try:
+            params = make_params(self.q, self.t, self.m).with_c0(self.c0)
+            if self.reduction_poly != params.gf.poly:
+                raise ValueError(f"reduction_poly {self.reduction_poly:#x} is not "
+                                 f"GF(2^{self.m})'s polynomial {params.gf.poly:#x}")
+        except ValueError as err:
+            raise ShardFormatError(f"manifest parameters are invalid: {err}") from None
         return params
 
     def _param_lines(self) -> list[str]:

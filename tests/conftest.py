@@ -10,7 +10,7 @@ import itertools
 
 import pytest
 
-from msrcode import build_system, make_params
+from msrcode import ParityCheckSystem, build_system, make_params
 from msrcode.gf import Block
 
 # (q, t, m) -> first c0 the ascending search accepts
@@ -28,8 +28,14 @@ BAD_C0 = {
 
 
 def system_for(q: int, t: int, m: int):
-    params = make_params(q, t, m).with_c0(FOUND_C0[(q, t, m)])
-    return build_system(params, params.c0)
+    return build_system(make_params(q, t, m).with_c0(FOUND_C0[(q, t, m)]))
+
+
+def kronecker_system(sys_):
+    """J0 alone, the system without the shifted entries (H at c0 = 0):
+    each constraint's n in-row terms, through the public constructor."""
+    n = sys_.params.n
+    return ParityCheckSystem(sys_.params, sys_.hmds, [con[:n] for con in sys_.terms])
 
 
 @pytest.fixture(scope="session")

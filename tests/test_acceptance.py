@@ -12,7 +12,8 @@ import re
 import time
 from fractions import Fraction
 
-from conftest import FOUND_C0, eval_constraints, gamma_ordinals, random_block, system_for
+from conftest import (FOUND_C0, eval_constraints, gamma_ordinals, kronecker_system, random_block,
+                      system_for)
 from msrcode import (
     build_system,
     check_mds_ranks,
@@ -45,7 +46,9 @@ def test_criterion_1_mds_exhaustive():
     problems = []
     for q, t, m in PARAM_SETS:
         params = make_params(q, t, m)
-        sys_ = build_system(params.with_c0(find_c0(params)), FOUND_C0[(q, t, m)])
+        if find_c0(params) != FOUND_C0[(q, t, m)]:
+            problems.append(f"c0 search missed {FOUND_C0[(q, t, m)]} at {(q, t, m)}")
+        sys_ = build_system(params.with_c0(FOUND_C0[(q, t, m)]))
         if check_mds_ranks(sys_):
             problems.append(f"rank deficiency at {(q, t, m)}")
         rep = verify_mds(sys_, trials=10)
@@ -113,8 +116,8 @@ def test_criterion_3_search_within_sufficient_field_bound():
 
 def test_criterion_4_kronecker_at_zero():
     problems = []
-    params = make_params(2, 2, 5)
-    plain = build_system(params, 0)
+    plain = kronecker_system(system_for(2, 2, 5))
+    params = plain.params
     hmds = build_hmds(params)
     alpha = params.alpha
     rows = plain.thick_rows(params.nodes())  # H, as sparse rows
@@ -134,7 +137,7 @@ def test_criterion_5_parameter_identities():
     tested = PARAM_SETS + [(3, 3, 8), (6, 2, 4)]
     for q, t, m in tested:
         p = make_params(q, t, m)
-        sys_ = build_system(p, 1)
+        sys_ = build_system(p.with_c0(1))
         checks = [
             p.alpha == (p.d - p.k + 1) * p.beta,
             p.message_len == p.k * p.alpha,

@@ -680,6 +680,22 @@ def test_stats_from_flags(capsys):
     assert "repair = 72 symbols" in out
 
 
+def test_repair_and_stats_print_the_bandwidth_lines(tmp_path, capsys):
+    # d*beta against k*alpha, to the byte: (2,3) repairs from 5 x 4 of 4 x 8
+    # symbols, (3,3) from 8 x 9 of 6 x 27
+    store, src = tmp_path / "store", tmp_path / "input.bin"
+    src.write_bytes(os.urandom(500))
+    assert main(["init", "--q", "2", "--t", "3", "--out-dir", str(store)]) == EXIT_OK
+    assert main(["encode", str(src), "--out-dir", str(store)]) == EXIT_OK
+    (store / shard_filename((1, 0))).unlink()
+    capsys.readouterr()
+    assert main(["repair", "--node", "1,0", "--out-dir", str(store)]) == EXIT_OK
+    assert "per-stripe symbols: 20 repair vs 32 naive (ratio 0.6250)\n" in \
+        capsys.readouterr().out
+    assert main(["stats", "--q", "3", "--t", "3"]) == EXIT_OK
+    assert "repair = 72 symbols (d*beta), naive 162, ratio 0.4444\n" in capsys.readouterr().out
+
+
 def test_stats_from_manifest(store22, capsys):
     store, _ = store22
     assert main(["stats", "--out-dir", str(store)]) == EXIT_OK

@@ -146,7 +146,7 @@ def test_each_stripe_of_the_shards_is_the_scalar_encode(tmp_path, monkeypatch, q
     # whose planes are not whole bytes
     monkeypatch.setattr(shardio, "BLOCK_STRIPES", 16)
     p = find_code(*qtm)
-    sys_ = build_system(p, p.c0)
+    sys_ = build_system(p)
     data = random.Random(sum(qtm)).randbytes(9 * p.message_len * p.gf.m // 2 + 3)
     (tmp_path / "in.bin").write_bytes(data)
     st = tmp_path / "store"

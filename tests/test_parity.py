@@ -14,8 +14,8 @@ import random
 
 import pytest
 
-from conftest import BAD_C0, FOUND_C0, column_at, gamma_ordinals, random_block
-from msrcode import make_params
+from conftest import BAD_C0, FOUND_C0, column_at, gamma_ordinals, kronecker_system, random_block
+from msrcode import CodeParams, make_params
 from msrcode.btf import shift_blocks
 from msrcode.gf import GF2M, Block
 from msrcode import parity
@@ -228,7 +228,7 @@ def test_delta_parity_shifted_terms(all_systems):
                 expected[j - 1] = (xj - delta) % p.q
                 assert row == tuple(expected)
                 assert row != anchor
-                assert coeff == sys_.c0
+                assert coeff == sys_.params.c0
 
 
 def test_in_row_coefficients_come_from_hmds(all_systems):
@@ -290,14 +290,14 @@ def test_flatten_support_disjointness(all_systems):
             assert len(cols) == len(set(cols))
         clash = sys_.terms[-1] + sys_.terms[-1][-1:]
         with pytest.raises(ValueError, match="must not collide"):
-            ParityCheckSystem(p, sys_.hmds, sys_.c0, [*sys_.terms[:-1], clash])
+            ParityCheckSystem(p, sys_.hmds, [*sys_.terms[:-1], clash])
 
 
 def test_flatten_at_c0_zero_is_kronecker(sys22, sys23):
     # criterion 4: H at c0 = 0 is the Vandermonde matrix Kronecker identity
     for sys_ in (sys22, sys23):
         p = sys_.params
-        plain = build_system(p, 0)
+        plain = kronecker_system(sys_)
         h = dense(plain.thick_rows(p.nodes()), p.n * p.alpha)
         assert h == kron_with_identity(plain.hmds, p.alpha)
 
@@ -361,7 +361,7 @@ def test_rank_matches_dense_oracle_on_thick_submatrices(q, t, m, last_c):
     p = make_params(q, t, m)
     deficient = 0
     for c in range(1, last_c + 1):
-        sys_ = build_system(p, c)
+        sys_ = build_system(p.with_c0(c))
         for subset in node_subsets(p, p.q):
             rows = sys_.thick_rows(subset)
             assert rows == oracle_rows(sys_, subset)
@@ -450,7 +450,7 @@ PLAN_FINGERPRINTS = {
 @pytest.mark.parametrize("q,t,m,c0", list(PLAN_FINGERPRINTS))
 def test_plan_fingerprint(q, t, m, c0):
     p = make_params(q, t, m)
-    sys_ = build_system(p, c0)
+    sys_ = build_system(p.with_c0(c0))
     completion, repaired = hashlib.sha256(), hashlib.sha256()
     singular = 0
     for subset in node_subsets(p, p.q):
@@ -497,7 +497,7 @@ def test_plans_write_only_output_slots_and_run_plan_reads_inputs_in_place(q, t, 
     # run_plan leaves its input blocks as they were, and on a block its
     # plane XORs compute what the scalar runner does on each stripe
     p = make_params(q, t, m)
-    sys_ = build_system(p, c0)
+    sys_ = build_system(p.with_c0(c0))
     cases = []  # (plan, input column count, rows per input column, output rows)
     for subset in node_subsets(p, p.q):
         try:
@@ -565,7 +565,7 @@ def test_full_rank_at_c_zero(sys22, sys23):
     # with no shifted entries the Kronecker structure already makes every
     # size-q thick submatrix full rank
     for sys_ in (sys22, sys23):
-        assert check_mds_ranks(build_system(sys_.params, 0)) == []
+        assert check_mds_ranks(kronecker_system(sys_)) == []
 
 
 def test_found_c0_regression_constants():
@@ -580,7 +580,7 @@ def test_found_systems_pass_all_subset_ranks(all_systems):
 
 def test_bad_c0_fails_rank_checks():
     for (q, t, m), bad in BAD_C0.items():
-        assert check_mds_ranks(build_system(make_params(q, t, m), bad))
+        assert check_mds_ranks(build_system(make_params(q, t, m).with_c0(bad)))
 
 
 def test_find_c0_respects_field_size_bound():
@@ -622,11 +622,11 @@ def test_block_check_is_the_full_rank_check(q, t, m):
     # agrees with the rank of the whole H_S for every subset and nonzero c;
     # GF(2^4) and GF(2^5) are the fields the (4, 2) search rejects
     p = make_params(q, t, m)
-    unit = build_system(p, 1)
+    unit = build_system(p.with_c0(1))
     blocks = [shift_blocks(unit, s) for s in node_subsets(p, q)]
     verdicts = set()
     for c in range(1, p.gf.order):
-        sys_ = build_system(p, c)
+        sys_ = build_system(p.with_c0(c))
         for s, b in zip(node_subsets(p, q), blocks):
             full = gf_rank(sys_.thick_rows(s), p.gf) == q * p.alpha
             assert parity._blocks_full_rank(b, c, p.gf) == full, (s, c)
@@ -663,6 +663,27 @@ def test_subset_cap_refuses_instead_of_sampling(monkeypatch):
         list(node_subsets(p, p.q))
 
 
+def test_find_code_refuses_an_oversized_code_before_building_it(monkeypatch):
+    # (10, 4) has comb(40, 10) size-q subsets: the cap ends the search in the
+    # first field, with no system built and no larger field tried
+    def refuse(params):
+        raise AssertionError("built a system for a code over the cap")
+
+    made = []
+    new = CodeParams.__new__
+    monkeypatch.setattr(parity, "build_system", refuse)
+    monkeypatch.setattr(CodeParams, "__new__",
+                        staticmethod(lambda cls, *a, **kw: made.append(a) or new(cls, *a, **kw)))
+    with pytest.raises(ValueError, match="exhaustive-check cap"):
+        find_code(10, 4)
+    assert len(made) <= 1
+
+
 def test_build_system_validates_c0_range(sys22):
     with pytest.raises(ValueError):
-        build_system(sys22.params, 32)
+        build_system(sys22.params.with_c0(32))
+
+
+def test_build_system_needs_c0():
+    with pytest.raises(ValueError, match="no valid c0"):
+        build_system(make_params(2, 2, 5))

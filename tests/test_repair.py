@@ -14,9 +14,9 @@ import random
 import pytest
 
 import msrcode
-from conftest import (eval_constraints, gamma_ordinals, gamma_rows, random_block, rows_of,
-                      run_ordinals, stripe_array, system_for)
-from msrcode import bandwidth_report, build_system, make_params
+from conftest import (eval_constraints, gamma_ordinals, gamma_rows, kronecker_system,
+                      random_block, rows_of, run_ordinals, stripe_array, system_for)
+from msrcode import make_params
 from msrcode.codec import encode_batch
 from msrcode.gf import Block
 from msrcode.repair import repair_batch
@@ -131,7 +131,7 @@ def test_repair_packet_from_failed_node(sys23):
 
 def test_repair_rejects_system_without_c0(sys23):
     p = sys23.params
-    plain = build_system(p, 0)
+    plain = kronecker_system(sys23)
     with pytest.raises(ValueError):
         repair_batch((1, 0), helper_rows(zero_columns(p), (1, 0), p), plain)
 
@@ -208,13 +208,13 @@ def repair_tampered_under_optimize(node, row):
         from msrcode.repair import repair_batch
 
         p = make_params(2, 2, 5).with_c0(1)
-        good = build_system(p, p.c0)
+        good = build_system(p)
         failed, node, anchor = (1, 0), p.node_ordinal({node!r}), p.row_ordinal((0, 0))
         terms = list(good.terms)
         idx = p.alpha + anchor  # delta = 1, anchor (0, 0)
         terms[idx] = tuple((o, p.row_ordinal({row!r}), c) if o == node and r != anchor
                            else (o, r, c) for o, r, c in terms[idx])
-        sys_ = ParityCheckSystem(p, good.hmds, good.c0, terms)
+        sys_ = ParityCheckSystem(p, good.hmds, terms)
         helpers = {{h: Block(p.gf.m, 2, [0] * (p.beta * p.gf.m)) for h in p.nodes() if h != failed}}
         try:
             repair_batch(failed, helpers, sys_)
@@ -240,24 +240,11 @@ def test_constraint_reading_an_unsent_row_raises_under_optimize():
     assert out.startswith("ValueError: ") and "node (2, 0)'s symbol on row (1, 1)" in out, out
 
 
-# -- bandwidth report ------------------------------------------------------------------
+# -- bandwidth ------------------------------------------------------------------------
 
 
-def test_bandwidth_report_q2_t3():
-    report = bandwidth_report(make_params(2, 3, 7))
-    assert (report.per_helper, report.total, report.naive) == (4, 20, 32)
-    assert report.ratio == 0.625
-
-
-def test_bandwidth_report_q3_t3():
-    report = bandwidth_report(make_params(3, 3, 8))
-    assert (report.per_helper, report.total, report.naive) == (9, 72, 162)
-    assert abs(report.ratio - 0.444) < 1e-3
-    # beta = alpha / (d-k+1): 9 = 27/3
-    p = make_params(3, 3, 8)
-    assert p.beta == p.alpha // (p.d - p.k + 1) == 9
-
-
-def test_bandwidth_report_q2_t2():
-    report = bandwidth_report(make_params(2, 2, 5))
-    assert (report.per_helper, report.total, report.naive) == (2, 6, 8)
+def test_repair_bandwidth_in_symbols():
+    # beta per helper and d*beta in all, against the naive any-k download k*alpha
+    assert [(p.beta, p.d * p.beta, p.message_len)
+            for p in (make_params(2, 3, 7), make_params(3, 3, 8), make_params(2, 2, 5))] == \
+        [(4, 20, 32), (9, 72, 162), (2, 6, 8)]

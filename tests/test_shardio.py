@@ -533,7 +533,7 @@ def test_gamma_runs_coalesced():
 def test_read_gamma_matches_full_read(tmp_path, sys23):
     p = sys23.params
     rows = random_rows(p, 2, 16)
-    hdr = ShardHeader(2, 3, 7, p.gf.poly, sys23.c0, (2, 1), 16, 616)
+    hdr = ShardHeader(2, 3, 7, p.gf.poly, p.c0, (2, 1), 16, 616)
     path = tmp_path / "s.msrc"
     write_whole(path, hdr, rows)
     for failed in [(1, 0), (3, 0), (3, 1)]:

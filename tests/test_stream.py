@@ -87,7 +87,7 @@ def snapshot(root: Path) -> dict[str, bytes]:
 def test_streamed_shards_match_whole_file_encode(tmp_path, monkeypatch, qtm, block):
     monkeypatch.setattr(shardio, "BLOCK_STRIPES", block)
     p = find_code(*qtm)
-    sys_ = build_system(p, p.c0)
+    sys_ = build_system(p)
     block_bytes = block * p.message_len * p.gf.m // 8
     store = tmp_path / "store"
     new_store(store, p)
