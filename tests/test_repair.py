@@ -243,8 +243,24 @@ def test_constraint_reading_an_unsent_row_raises_under_optimize():
 # -- bandwidth ------------------------------------------------------------------------
 
 
-def test_repair_bandwidth_in_symbols():
-    # beta per helper and d*beta in all, against the naive any-k download k*alpha
-    assert [(p.beta, p.d * p.beta, p.message_len)
-            for p in (make_params(2, 3, 7), make_params(3, 3, 8), make_params(2, 2, 5))] == \
-        [(4, 20, 32), (9, 72, 162), (2, 6, 8)]
+def bandwidth(p):
+    """(beta, d*beta, k*alpha): per helper, in all, and the naive any-k download."""
+    return p.beta, p.d * p.beta, p.message_len
+
+
+def test_bandwidth_report_q2_t3():
+    p = make_params(2, 3, 7)
+    assert bandwidth(p) == (4, 20, 32)
+    assert p.d * p.beta / p.message_len == 0.625
+
+
+def test_bandwidth_report_q3_t3():
+    p = make_params(3, 3, 8)
+    assert bandwidth(p) == (9, 72, 162)
+    assert abs(p.d * p.beta / p.message_len - 0.444) < 1e-3
+    # beta = alpha / (d-k+1): 9 = 27/3
+    assert p.beta == p.alpha // (p.d - p.k + 1) == 9
+
+
+def test_bandwidth_report_q2_t2():
+    assert bandwidth(make_params(2, 2, 5)) == (2, 6, 8)
