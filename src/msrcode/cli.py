@@ -3,10 +3,12 @@
 Exit status: 0 success, 1 usage error, 2 verification failure, 3 I/O error.
 A manifest naming no valid code exits 2 (Manifest.params); its CodeParams
 then hold every number a command uses, c0 and the repair figures included.
-Shards and the manifest live together in a directory (--out-dir); the
-"network" between nodes is plain file reads, which repair keeps to the
-helper rows' byte ranges: the runs of CodeParams.gamma_runs, the same list
-its repair plan reads its slots from.
+Shards and the manifest live together in a directory (--out-dir); decode
+reads the manifest next to its first shard and writes over no file of the
+store next to any input shard.  decode and repair check shard headers in
+one place, shardio.open_shard.  The "network" between nodes is plain file
+reads, which repair keeps to the helper rows' byte ranges: the runs of
+CodeParams.gamma_runs, the same list its repair plan reads its slots from.
 
 encode, decode and repair each make one pass over 4096-stripe blocks, so
 their memory does not grow with the file.  No command loads numpy, and
@@ -36,7 +38,7 @@ import sys
 from pathlib import Path
 
 from . import codec, repair, shardio
-from .params import CodeParams, Node, make_params, smallest_field_degree
+from .params import Node, make_params, smallest_field_degree
 from .parity import build_system, find_code
 from .shardio import Manifest, ShardFormatError, shard_filename
 
@@ -68,38 +70,6 @@ def _parse_node(text: str) -> Node:
         raise _UsageError(f"--node expects i,theta (got {text!r})") from None
 
 
-def _manifest_path(out_dir: str) -> Path:
-    return Path(out_dir) / shardio.MANIFEST_NAME
-
-
-def _load_manifest(out_dir: str) -> Manifest:
-    path = _manifest_path(out_dir)
-    if not path.exists():
-        raise FileNotFoundError(f"{path} not found; run `msrcode init` first")
-    return Manifest.read(path)
-
-
-def _remove_stale(out_dir: Path, names: list[str]) -> None:
-    """Remove the <name>.tmp files that a killed run of this command left."""
-    for name in names:
-        (out_dir / (name + ".tmp")).unlink(missing_ok=True)
-
-
-def _check_encoded(manifest: Manifest) -> CodeParams:
-    """The manifest's params, once it is checked to be one that encode
-    wrote: a checksum for every node of the code and for no other, and a
-    stripe count that fits the file length.  Run before `build_system`, so
-    a dropped line or a garbled parameter is caught before any shard is
-    trusted or the (possibly huge) garbled code is built."""
-    params = manifest.params()
-    if set(manifest.checksums) != set(params.nodes()):
-        raise VerificationFailure("manifest checksums do not name exactly the nodes of the code")
-    if manifest.stripe_count != shardio.stripe_count_for(
-            manifest.file_length, params.message_len, params.gf.m):
-        raise VerificationFailure("manifest stripe_count does not fit file_length")
-    return params
-
-
 # -- commands -----------------------------------------------------------------
 
 
@@ -107,8 +77,7 @@ def cmd_init(args) -> int:
     params = find_code(args.q, args.t, args.m)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    manifest = Manifest.for_params(params)
-    manifest.write(_manifest_path(args.out_dir))
+    Manifest.for_params(params).write(out_dir / shardio.MANIFEST_NAME)
     shardio.sync_dir(out_dir)
     print(f"initialized (q={params.q}, t={params.t}) over GF(2^{params.gf.m}), "
           f"poly={params.gf.poly:#x}, c0={params.c0}")
@@ -117,11 +86,12 @@ def cmd_init(args) -> int:
 
 
 def cmd_encode(args) -> int:
-    manifest = _load_manifest(args.out_dir)
+    manifest = Manifest.load(args.out_dir)
     sys_ = build_system(manifest.params())
     p = sys_.params
     out_dir = Path(args.out_dir)
-    _remove_stale(out_dir, [shardio.MANIFEST_NAME, *map(shard_filename, p.nodes())])
+    manifest_path = out_dir / shardio.MANIFEST_NAME
+    shardio.remove_stale([manifest_path, *(out_dir / shard_filename(nd) for nd in p.nodes())])
     with open(args.input, "rb") as src, contextlib.ExitStack() as renames:
         st = os.fstat(src.fileno())
         if not stat.S_ISREG(st.st_mode):  # a pipe's size is 0, whatever it holds
@@ -133,7 +103,7 @@ def cmd_encode(args) -> int:
         manifest.file_length = length
         # entered first, so renamed last: until then the old manifest's CRCs
         # disagree with any shard already replaced
-        manifest_tmp = renames.enter_context(shardio.renaming(_manifest_path(args.out_dir)))
+        manifest_tmp = renames.enter_context(shardio.renaming(manifest_path))
         manifest.checksums = shardio.write_shard(
             {out_dir / shard_filename(node): manifest.header_for(node) for node in p.nodes()},
             # map, unlike a generator expression, keeps no block between
@@ -150,30 +120,23 @@ def cmd_encode(args) -> int:
 
 
 def cmd_decode(args) -> int:
-    manifest_path = Path(args.manifest) if args.manifest else \
-        Path(args.shards[0]).parent / shardio.MANIFEST_NAME
-    manifest = Manifest.read(manifest_path)
-    sys_ = build_system(_check_encoded(manifest))
+    manifest = Manifest.load(Path(args.shards[0]).parent)
+    sys_ = build_system(manifest.encoded_params())
     p = sys_.params
     if len(args.shards) != p.k:
         raise _UsageError(f"decoding needs exactly k={p.k} shards, got {len(args.shards)}")
     inputs = {Path(s).resolve() for s in args.shards}
     if len(inputs) != p.k:
         raise _UsageError("the same shard file is given twice")
-    store = {manifest_path.resolve(),
-             *((manifest_path.parent / shard_filename(nd)).resolve() for nd in p.nodes())}
-    if Path(args.output).resolve() in inputs | store:
-        raise _UsageError(f"{args.output} is the manifest or a shard file; "
-                          "decode does not overwrite its store")
+    names = [shardio.MANIFEST_NAME, *map(shard_filename, p.nodes())]
+    stores = {(folder / name).resolve()
+              for folder in {Path(s).parent for s in args.shards} for name in names}
+    if Path(args.output).resolve() in inputs | stores:
+        raise _UsageError(f"{args.output} is the manifest or a shard file of an input's "
+                          "store; decode does not overwrite a store")
     with contextlib.ExitStack() as stack:
-        shards = [stack.enter_context(shardio.open_shard(s)) for s in args.shards]
+        shards = [stack.enter_context(shardio.open_shard(s, manifest)) for s in args.shards]
         nodes = [shard.header.node for shard in shards]
-        for shard in shards:
-            if not manifest.matches_header(shard.header):
-                raise VerificationFailure(f"{shard.path}: header disagrees with manifest")
-            if shard.header.node not in manifest.checksums:
-                raise VerificationFailure(
-                    f"{shard.path}: header names node {shard.header.node}, not in the code")
         if len(set(nodes)) != p.k:
             raise VerificationFailure("two shard headers name the same node")
         with shardio.replacing(args.output) as out:
@@ -194,25 +157,17 @@ def cmd_decode(args) -> int:
 
 def cmd_repair(args) -> int:
     failed = _parse_node(args.node)
-    manifest = _load_manifest(args.out_dir)
-    sys_ = build_system(_check_encoded(manifest))
+    manifest = Manifest.load(args.out_dir)
+    sys_ = build_system(manifest.encoded_params())
     p = sys_.params
     runs = p.gamma_runs(failed)  # the helper rows; ValueError on a node not in the code
     out_dir = Path(args.out_dir)
     helpers = [nd for nd in p.nodes() if nd != failed]
-    missing = [nd for nd in helpers if not (out_dir / shard_filename(nd)).exists()]
-    if missing:
-        raise FileNotFoundError(
-            f"repair needs all d={p.d} helper shards; missing: "
-            + ", ".join(shard_filename(nd) for nd in missing))
     path = out_dir / shard_filename(failed)
-    _remove_stale(out_dir, [path.name])
-    with contextlib.ExitStack() as stack:
-        shards = [stack.enter_context(shardio.open_shard(out_dir / shard_filename(nd)))
-                  for nd in helpers]
-        for nd, shard in zip(helpers, shards):
-            if not manifest.matches_header(shard.header) or shard.header.node != nd:
-                raise VerificationFailure(f"{shard_filename(nd)}: header disagrees with manifest")
+    shardio.remove_stale([path])
+    with contextlib.ExitStack() as stack:  # a missing helper raises FileNotFoundError
+        shards = [stack.enter_context(shardio.open_shard(out_dir / shard_filename(nd),
+                                                         manifest, nd)) for nd in helpers]
         def rebuilt(*blocks):
             return {failed: repair.repair_batch(failed, dict(zip(helpers, blocks)), sys_)}
 
@@ -243,7 +198,7 @@ def cmd_repair(args) -> int:
 def cmd_verify(args) -> int:
     if args.trials < 0:
         raise _UsageError(f"--trials must be >= 0, got {args.trials}")
-    sys_ = build_system(_load_manifest(args.out_dir).params())
+    sys_ = build_system(Manifest.load(args.out_dir).params())
     p = sys_.params
     report = codec.verify_mds(sys_, args.trials)
     if report.deficient:
@@ -261,7 +216,7 @@ def cmd_stats(args) -> int:
     if args.q is None and args.t is None:
         if args.m is not None:
             raise _UsageError("stats takes --m only with --q and --t")
-        p = _load_manifest(args.out_dir).params()
+        p = Manifest.load(args.out_dir).params()
     elif args.q is None or args.t is None:
         raise _UsageError("stats needs both --q and --t (or neither)")
     else:
@@ -305,9 +260,8 @@ def _build_parser() -> _Parser:
 
     sp = add("decode", cmd_decode, "recover the file from any k shards")
     sp.add_argument("output", help="where to write the recovered file")
-    sp.add_argument("shards", nargs="+", help="exactly k shard files")
-    sp.add_argument("--manifest", default=None,
-                    help="manifest path (default: next to the first shard)")
+    sp.add_argument("shards", nargs="+",
+                    help="exactly k shard files; the manifest is read next to the first")
 
     sp = add("repair", cmd_repair, "rebuild one shard from the other n-1")
     sp.add_argument("--node", required=True, help="failed node as i,theta")

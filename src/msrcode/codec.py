@@ -5,11 +5,11 @@ A stripe of k*alpha message symbols is placed verbatim into the first k
 thick columns (node-major, then row-ordinal); the remaining q parity
 columns are the unique solution of the parity-check constraints.  Decoding
 from any k nodes solves the same kind of system for whichever q columns
-are missing.  All four entry points go through one column completion,
-complete_columns: it checks the known columns, and when a wanted column is
-missing it runs the plan ParityCheckSystem.completion_map compiles for the
-missing nodes, through parity.run_plan.  A system exists only for a code
-with a valid c0 (build_system), so none is checked here.
+are missing, and repair is the same completion from the d helpers' gamma
+rows.  All of them go through complete_columns: it checks the known
+columns, and when a wanted column is missing it runs the plan
+ParityCheckSystem.completion_map compiles, through parity.run_plan.  A
+system exists only for a code with a valid c0 (build_system).
 
 Both paths pass a codeword as {node: column}.  The scalar encode and
 decode_from_k work on one stripe, a column being a list of alpha ints;
@@ -35,22 +35,27 @@ from .parity import ParityCheckSystem, check_columns, node_subsets, run_plan
 
 
 def complete_columns(sys: ParityCheckSystem, known: Mapping[Node, Sequence],
-                     wanted: Iterable[Node]) -> dict[Node, Sequence]:
-    """The columns of the `wanted` nodes of the codeword with the k `known`
-    columns, in `wanted` order: lists of alpha ints on one stripe, or
-    (alpha, s) Blocks on a block of s stripes.  Raises ValueError
-    unless `known` is k nodes of the code, each column alpha field
+                     wanted: Iterable[Node], rows: Sequence[int] | None = None
+                     ) -> dict[Node, Sequence]:
+    """The columns of the `wanted` nodes, in `wanted` order, of the codeword
+    whose `known` nodes send the row ordinals `rows` (ascending; None: all
+    alpha), as lists of ints on one stripe or Blocks on a block.  Raises
+    ValueError unless `known` is nodes of the code whose rows determine the
+    rest (q*len(rows) = alpha per missing node), each column len(rows) field
     symbols.  The plan runs only when a wanted column is missing."""
     p = sys.params
+    sent = p.alpha if rows is None else len(rows)
     missing = [nd for nd in p.nodes() if nd not in known]
-    if len(known) != p.k or len(missing) != p.q:
-        raise ValueError(f"known columns must be k={p.k} nodes of the code")
+    if not known or len(known) + len(missing) != p.n or len(missing) * p.alpha != p.q * sent:
+        raise ValueError(f"known columns must be nodes of the code that leave "
+                         f"{p.q * sent // p.alpha} missing")
     columns = [known[nd] for nd in p.nodes() if nd in known]
-    check_columns(columns, p.alpha, p.gf)
+    check_columns(columns, sent, p.gf)
     wanted = list(wanted)
     solved = {}
     if any(nd in missing for nd in wanted):
-        out = run_plan(sys.completion_map(missing), columns, p.q * p.alpha, p.gf)
+        out = run_plan(sys.completion_map(missing, rows), columns,
+                       len(missing) * p.alpha, p.gf)
         solved = {nd: out[i * p.alpha : (i + 1) * p.alpha] for i, nd in enumerate(missing)}
     return {nd: solved[nd] if nd in solved else known[nd] for nd in wanted}
 

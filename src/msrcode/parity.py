@@ -34,18 +34,19 @@ list of GF ops (dst, coeff, src) on a workspace of symbol slots: it solves
 missing thick columns from chosen constraints, as the syndrome of the
 known symbols then the recorded sparse elimination (inverse_for), and
 refuses a constraint that reads a symbol neither missing nor known.
-completion_map is that for q erased nodes over every constraint;
-repair.repair_plan that for one failed node over its gamma-anchored ones.
-run_plan, the one runner, executes a plan's ops on one stripe of ints, or
-on a (rows, stripes) gf.Block of bit planes, each op as plane XORs
-through the bit matrix of its coefficient (GF2M.bit_pairs).
+completion_map, the one plan entry, compiles it over the constraints
+anchored on the rows the other nodes send: all rows for any-k decode, a
+failed node's gamma rows for its repair.  run_plan, the one runner,
+executes a plan's ops on one stripe of ints, or on a (rows, stripes)
+gf.Block of bit planes, each op as plane XORs through the bit matrix of
+its coefficient (GF2M.bit_pairs).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .gf import GF2M, MAX_DEGREE, Block
 from .params import CodeParams, Node, make_params, smallest_field_degree
@@ -61,8 +62,7 @@ class ParityCheckSystem:
     order (the n in-row terms in node order, then for delta != 0 the t
     shifted terms in class order), which the syndrome of a plan reads; a
     sorted copy, the column order of H, gives thick_rows.  Immutable once
-    built (the memoised last plan of each kind is confined to
-    single-threaded use)."""
+    built (the memoised last plan is confined to single-threaded use)."""
 
     def __init__(self, params: CodeParams, hmds: list[list[int]],
                  terms: Iterable[Iterable[tuple[int, int, int]]]):
@@ -75,7 +75,7 @@ class ParityCheckSystem:
         if any(len({(node, row) for node, row, _ in terms}) != len(terms)
                for terms in self._sorted_terms):
             raise ValueError("J0/E supports must not collide")
-        self._last_plans: dict[str, tuple[object, list[Op]]] = {}  # kind -> (key, plan)
+        self._last: tuple[tuple, list[Op]] | None = None  # (key, plan) of completion_map
 
     @property
     def n_constraints(self) -> int:
@@ -108,14 +108,6 @@ class ParityCheckSystem:
                              f"{len(key) * p.alpha} unknowns")
         return _eliminate(rows, p.gf)
 
-    def last_plan(self, kind: str, key, compile_: Callable[[], list[Op]]) -> list[Op]:
-        """The plan compile_() returns, memoised for the last key of each
-        kind of plan, since a command runs one plan on every block."""
-        last = self._last_plans.get(kind)
-        if last is None or last[0] != key:
-            last = self._last_plans[kind] = (key, compile_())
-        return last[1]
-
     def compile_plan(self, missing: Sequence[Node], constraints: Sequence[int],
                      slot_of: Mapping[int, int]) -> list[Op]:
         """The plan that solves the `missing` thick columns from `constraints`.
@@ -141,19 +133,26 @@ class ParityCheckSystem:
         plan += [(out + dst, coeff, out + src) for dst, coeff, src in elim.plan]
         return plan
 
-    def completion_map(self, missing: Iterable[Node]) -> list[Op]:
-        """compile_plan for the q `missing` nodes over every constraint, on
-        a workspace of n*alpha slots: the known columns, then the missing
-        ones, in node order.  Only the last plan is memoised."""
-        key = tuple(sorted(set(missing), key=self.params.node_ordinal))
-        return self.last_plan("completion", key, lambda: self._completion_plan(key))
-
-    def _completion_plan(self, key: tuple[Node, ...]) -> list[Op]:
+    def completion_map(self, missing: Iterable[Node],
+                       rows: Sequence[int] | None = None) -> list[Op]:
+        """compile_plan for the `missing` nodes over the constraints
+        anchored on `rows`, the row ordinals (ascending; None: all alpha)
+        each other node sends.  Slot i*len(rows) + g holds the g-th sent row
+        of the i-th other node, in node order; the missing columns follow.
+        Only the last plan is memoised: a command runs one on every block."""
         p = self.params
-        known = [p.node_ordinal(nd) for nd in p.nodes() if nd not in key]
-        slot_of = {o * p.alpha + row: i * p.alpha + row
-                   for i, o in enumerate(known) for row in range(p.alpha)}
-        return self.compile_plan(key, range(self.n_constraints), slot_of)
+        key = (tuple(sorted(set(missing), key=p.node_ordinal)),
+               None if rows is None else tuple(rows))
+        if self._last is None or self._last[0] != key:
+            lost, sent = key[0], range(p.alpha) if rows is None else key[1]
+            if list(sent) != sorted(set(sent) & set(range(p.alpha))):
+                raise ValueError("rows must be ascending row ordinals of the code")
+            others = [p.node_ordinal(nd) for nd in p.nodes() if nd not in lost]
+            slot_of = {o * p.alpha + row: i * len(sent) + g
+                       for i, o in enumerate(others) for g, row in enumerate(sent)}
+            anchored = [delta * p.alpha + row for delta in range(p.q) for row in sent]
+            self._last = (key, self.compile_plan(lost, anchored, slot_of))
+        return self._last[1]
 
 
 def build_hmds(params: CodeParams) -> list[list[int]]:

@@ -23,11 +23,12 @@ polynomial for m (Manifest.params).  Other versions are refused.
 Shards are read and written one block at a time, so memory is O(block)
 whatever the file size.  In memory a block is a Block of (rows, stripes)
 bit planes, exactly as stored.  `open_shard` yields a ShardReader, which
-checks the header and the file size before any payload read.  Its one read
-loop, `blocks(runs)`, streams the rows of the given (start, length) runs
-of every block, with one seek and one read per run per block: the whole
-shard is the single run (0, alpha), and a helper's rows for a repair are
-the runs of CodeParams.gamma_runs.  It checks every row it reads against
+checks the header and the file size before any payload read and, given
+the manifest, that the header is the manifest's for a node of the code.
+Its one read loop, `blocks(runs)`, streams the rows of the given (start,
+length) runs of every block, with one seek and one read per run per
+block: the whole shard is the single run (0, alpha), and a helper's rows
+for a repair are the runs of CodeParams.gamma_runs.  It checks every row it reads against
 the row's digest, names the shard, the block and the row of one that
 fails, and keeps a running CRC-32 of the bytes it read, which after a
 whole read is the file's.  read_shard and read_gamma join the blocks.
@@ -39,7 +40,7 @@ is fsynced (`synced`, the one place that fsyncs a file), and only then is
 renamed over <name> (`renaming`, `replacing`), so an error or a crash
 part-way never leaves a partial file under the real name; a command fsyncs
 each directory once after its last rename there (`sync_dir`), so the
-renames are durable too.
+renames are durable too; `remove_stale` removes those a killed run left.
 
 The input needs no packing: the input bits of each block of `stripes`
 stripes *are* the systematic planes of that block, stripes bits each, in
@@ -153,6 +154,19 @@ class Manifest(Record):
             raise ShardFormatError(f"manifest parameters are invalid: {err}") from None
         return params
 
+    def encoded_params(self) -> CodeParams:
+        """params(), once this is checked to be a manifest encode wrote: a
+        checksum for every node of the code and no other, and a stripe count
+        that fits the file length (ShardFormatError), before any shard is
+        trusted or system built."""
+        params = self.params()
+        if set(self.checksums) != set(params.nodes()):
+            raise ShardFormatError("manifest checksums do not name exactly the nodes of the code")
+        if self.stripe_count != stripe_count_for(self.file_length, params.message_len,
+                                                 params.gf.m):
+            raise ShardFormatError("manifest stripe_count does not fit file_length")
+        return params
+
     def _param_lines(self) -> list[str]:
         return [f"{key}={getattr(self, key)}" for key in _MANIFEST_KEYS]
 
@@ -218,12 +232,22 @@ class Manifest(Record):
                                    f"(byte {err.start})") from None
         return cls.from_text(text)
 
+    @classmethod
+    def load(cls, directory: Path | str) -> "Manifest":
+        """The manifest in `directory`; FileNotFoundError if it has none."""
+        path = Path(directory) / MANIFEST_NAME
+        if not path.exists():
+            raise FileNotFoundError(f"{path} not found; run `msrcode init` first")
+        return cls.read(path)
+
     def header_for(self, node: Node) -> ShardHeader:
         return ShardHeader(self.q, self.t, self.m, self.reduction_poly, self.c0,
                            node, self.stripe_count, self.file_length)
 
     def matches_header(self, hdr: ShardHeader) -> bool:
-        return hdr == self.header_for(hdr.node)
+        """Whether `hdr` is header_for(n) for a node n with a checksum here:
+        after encoded_params, a node of the code."""
+        return hdr.node in self.checksums and hdr == self.header_for(hdr.node)
 
 
 def shard_filename(node: Node) -> str:
@@ -258,17 +282,26 @@ def bytes_from_symbols(symbols: Block, m: int, byte_length: int) -> bytes:
 # -- crash-safe writes ---------------------------------------------------------
 
 
+def _temp_of(path: Path | str) -> Path:
+    return Path(f"{path}.tmp")
+
+
 @contextmanager
 def renaming(path: Path | str) -> Iterator[Path]:
     """Yield the temp name <path>.tmp.  On a clean exit it is renamed over
     `path`; on an exception it is removed and `path` is left as it was."""
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
+    tmp = _temp_of(path)
     try:
         yield tmp
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+
+
+def remove_stale(paths: Iterable[Path | str]) -> None:
+    """Remove the temp files (see `renaming`) of `paths` a killed run left."""
+    for path in paths:
+        _temp_of(path).unlink(missing_ok=True)
 
 
 def sync_dir(path: Path | str) -> None:
@@ -486,9 +519,17 @@ class ShardReader:
 
 
 @contextmanager
-def open_shard(path: Path | str) -> Iterator[ShardReader]:
+def open_shard(path: Path | str, manifest: Manifest | None = None,
+               node: Node | None = None) -> Iterator[ShardReader]:
+    """The ShardReader of `path`.  Given a manifest, ShardFormatError naming
+    the path unless the header is manifest.header_for(n) for a node n of the
+    code (matches_header), n = `node` when given."""
     with open(path, "rb") as f:
-        yield ShardReader(f, path)
+        shard = ShardReader(f, path)
+        if manifest is not None and not (manifest.matches_header(shard.header)
+                                         and node in (None, shard.header.node)):
+            raise ShardFormatError(f"{path}: header disagrees with manifest")
+        yield shard
 
 
 def _join(blocks: Iterable[Block], rows: int, m: int) -> Block:

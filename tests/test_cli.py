@@ -6,6 +6,7 @@ import itertools
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 import textwrap
@@ -391,6 +392,95 @@ def test_decode_refuses_to_overwrite_its_store(store22, target):
     before = {f.name: f.read_bytes() for f in store.iterdir()}
     assert main(["decode", str(out), *map(str, picked)]) == EXIT_USAGE
     assert {f.name: f.read_bytes() for f in store.iterdir()} == before
+
+
+def test_decode_refuses_to_overwrite_the_store_of_any_input(store22, tmp_path):
+    # a copied store B: decoding from A's shard and B's over B's manifest
+    # used to pass, since only the first shard's store was refused, and
+    # left B unreadable; into a file of neither store it decodes
+    a, data = store22
+    b = tmp_path / "copy"
+    shutil.copytree(a, b)
+    before = {f.name: f.read_bytes() for f in b.iterdir()}
+    picked = [str(a / shard_filename((1, 0))), str(b / shard_filename((2, 1)))]
+    for name in ("manifest.txt", shard_filename((1, 1))):
+        assert main(["decode", str(b / name), *picked]) == EXIT_USAGE
+    assert {f.name: f.read_bytes() for f in b.iterdir()} == before
+    assert main(["decode", str(tmp_path / "out.bin"), *picked]) == EXIT_OK
+    assert (tmp_path / "out.bin").read_bytes() == data
+
+
+def refused(store22, tmp_path, case):
+    """Set up one refusal on the (2,2) store; return the argv of `case` and
+    what its stderr must hold: the file at fault, or "same node" for two
+    shards of one node, whose message names neither."""
+    store, data = store22
+    shard = {nd: store / shard_filename(nd) for nd in make_params(2, 2, 3).nodes()}
+    out = str(tmp_path / "out.bin")
+
+    def relabel(nd, at, value):  # a header byte: 12 is node_i, 13 node_theta
+        blob = bytearray(shard[nd].read_bytes())
+        blob[at] = value
+        shard[nd].write_bytes(bytes(blob))
+
+    if case == "decode_another_code":
+        other = tmp_path / "other"
+        src = tmp_path / "input.bin"
+        src.write_bytes(data)
+        assert main(["init", "--q", "2", "--t", "2", "--m", "8", "--out-dir", str(other)]) == 0
+        assert main(["encode", str(src), "--out-dir", str(other)]) == 0
+        return ["decode", out, str(shard[1, 0]), str(other / shard_filename((2, 1)))], \
+            str(other / shard_filename((2, 1)))
+    if case == "decode_foreign_node":
+        relabel((1, 0), 12, 9)
+        return ["decode", out, str(shard[1, 0]), str(shard[2, 1])], str(shard[1, 0])
+    if case == "decode_one_node_twice":
+        relabel((1, 0), 13, 1)
+        return ["decode", out, str(shard[1, 1]), str(shard[1, 0])], "same node"
+    if case == "decode_checksum_line_missing":
+        path = store / "manifest.txt"
+        path.write_text(re.sub(r"^checksum_2_1=.*\n", "", path.read_text(), flags=re.M))
+        return ["decode", out, str(shard[1, 0]), str(shard[2, 1])], "manifest"
+    if case == "decode_no_manifest":
+        lone = tmp_path / "lone"
+        lone.mkdir()
+        for nd in (1, 0), (2, 1):
+            shutil.copy(shard[nd], lone)
+        return ["decode", out, str(lone / shard_filename((1, 0))),
+                str(lone / shard_filename((2, 1)))], str(lone / "manifest.txt")
+    shard[1, 0].unlink()
+    if case == "repair_mislabeled_helper":
+        shard[2, 1].write_bytes(shard[2, 0].read_bytes())
+    else:  # a missing helper
+        shard[2, 1].unlink()
+    return ["repair", "--node", "1,0", "--out-dir", str(store)], shard_filename((2, 1))
+
+
+@pytest.mark.parametrize("case,code", [
+    ("decode_another_code", EXIT_VERIFY), ("decode_foreign_node", EXIT_VERIFY),
+    ("decode_one_node_twice", EXIT_VERIFY), ("decode_checksum_line_missing", EXIT_VERIFY),
+    ("decode_no_manifest", EXIT_IO), ("repair_mislabeled_helper", EXIT_VERIFY),
+    ("repair_missing_helper", EXIT_IO)])
+def test_each_refusal_keeps_its_exit_code_and_names_the_file(store22, tmp_path, capsys,
+                                                             case, code):
+    # the header and manifest checks decode and repair make, wherever they
+    # live: each exits as it did, names the shard or manifest at fault, and
+    # writes nothing
+    argv, named = refused(store22, tmp_path, case)
+    before = {f: f.read_bytes() for f in tmp_path.rglob("*") if f.is_file()}
+    capsys.readouterr()
+    assert main(argv) == code
+    assert named in capsys.readouterr().err
+    assert {f: f.read_bytes() for f in tmp_path.rglob("*") if f.is_file()} == before
+
+
+def test_decode_has_no_manifest_option(store22, tmp_path):
+    # decode reads the manifest next to its first shard; --manifest is gone
+    store, _ = store22
+    out = tmp_path / "out.bin"
+    assert main(["decode", "--manifest", str(store / "manifest.txt"), str(out),
+                 *map(str, shards_in(store)[:2])]) == EXIT_USAGE
+    assert not out.exists()
 
 
 # -- repair -------------------------------------------------------------------

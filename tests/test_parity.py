@@ -33,7 +33,6 @@ from msrcode.parity import (
     run_plan,
     sufficient_field_size,
 )
-from msrcode.repair import repair_plan
 
 
 def span_rank(rows, gf):
@@ -433,8 +432,8 @@ def test_solve_singular_rejected():
 # Two SHA-256 digests per code, recorded before repair became a completion
 # (at cbce9d1).  The first covers every completion_map, one per size-q
 # subset (a singular one recorded as its error), op for op; the second
-# every repair_plan as its sorted op list, since repair now records the
-# same ops in elimination order.
+# every repair plan (the completion of one node from its gamma rows) as its
+# sorted op list, since repair now records the same ops in elimination order.
 PLAN_FINGERPRINTS = {
     (3, 3, 8, 1): ("ffdecae6450ef9111e2fae183a925026ad1915af9bb0902c25a37604270ca50d",
                    "4772f96fe6038bb01c8bf6cd9d65c4a5bba6a68a6e6885c0e5aa219e1026bfa1"),
@@ -461,7 +460,8 @@ def test_plan_fingerprint(q, t, m, c0):
             singular += 1
         completion.update(f"{subset} {entry}\n".encode())
     for node in p.nodes():
-        repaired.update(f"{node} {sorted(repair_plan(node, sys_))!r}\n".encode())
+        plan = sys_.completion_map((node,), gamma_ordinals(p, node))
+        repaired.update(f"{node} {sorted(plan)!r}\n".encode())
     assert (completion.hexdigest(), repaired.hexdigest()) == PLAN_FINGERPRINTS[(q, t, m, c0)]
     assert singular == (3 if c0 == 7 else 0)  # c0 = 7 at (3,2,4) is not MDS
 
@@ -504,7 +504,8 @@ def test_plans_write_only_output_slots_and_run_plan_reads_inputs_in_place(q, t, 
             cases.append((sys_.completion_map(subset), p.k, p.alpha, p.q * p.alpha))
         except ValueError:  # a singular H_S has no plan
             pass
-    cases += [(repair_plan(node, sys_), p.d, p.beta, p.alpha) for node in p.nodes()]
+    cases += [(sys_.completion_map((node,), gamma_ordinals(p, node)), p.d, p.beta, p.alpha)
+              for node in p.nodes()]
     rng = random.Random(m)
     for plan, count, rows, n_out in cases:
         n_in = count * rows

@@ -16,8 +16,8 @@ import pytest
 import msrcode
 from conftest import (eval_constraints, gamma_ordinals, gamma_rows, kronecker_system,
                       random_block, rows_of, run_ordinals, stripe_array, system_for)
-from msrcode import make_params
-from msrcode.codec import encode_batch
+from msrcode import build_system, make_params
+from msrcode.codec import complete_columns, decode_batch, encode_batch
 from msrcode.gf import Block
 from msrcode.repair import repair_batch
 
@@ -180,6 +180,58 @@ def test_repair_plan_is_compiled_once_per_failed_node():
             rebuilt = repair_batch(failed, helper_rows(columns, failed, p), sys_)
             assert rebuilt == columns[failed]
     assert [c.args[0] for c in spy.call_args_list] == [(nodes[0],), (nodes[1],), (nodes[0],)]
+
+
+@pytest.mark.parametrize("q,t,m,c0", [(2, 3, 7, 1), (3, 3, 8, 1)])
+def test_one_memo_serves_decode_and_repair_plans(q, t, m, c0):
+    # completion_map keeps one plan, keyed by the missing nodes and the sent
+    # rows: decode and repair keys, interleaved on one system, each get the
+    # plan a fresh system compiles, and a key differing only in its rows is
+    # compiled anew (one failed node from every row is not square)
+    p = make_params(q, t, m).with_c0(c0)
+    sys_ = build_system(p)
+    nodes = list(p.nodes())
+    keys = []
+    for i, failed in enumerate(nodes[:4]):
+        keys += [(tuple(nodes[i : i + p.q]), None), ((failed,), gamma_ordinals(p, failed)),
+                 ((failed,), gamma_ordinals(p, nodes[i + 1]))]
+    for missing, rows in keys:
+        try:
+            fresh = build_system(p).completion_map(missing, rows)
+        except ValueError:
+            with pytest.raises(ValueError):
+                sys_.completion_map(missing, rows)
+            continue
+        assert sys_.completion_map(missing, rows) == fresh
+    sys_.completion_map(nodes[:1], gamma_ordinals(p, nodes[0]))
+    with pytest.raises(ValueError, match="cannot solve"):
+        sys_.completion_map(nodes[:1])
+    for rows in ([p.alpha - 1, 0], [0, 0], [p.alpha]):  # not ascending row ordinals
+        with pytest.raises(ValueError, match="ascending row ordinals"):
+            sys_.completion_map(nodes[:1], rows)
+    # the batch paths, interleaved on the same system, return exact blocks
+    rng = random.Random(q * 10 + t)
+    message = random_block(p, rng, 5)
+    columns = encode_batch(message, sys_)
+    for i, failed in enumerate(nodes):
+        kept = {nd: columns[nd] for nd in nodes if nd not in nodes[i : i + p.q]}
+        assert decode_batch(dict(list(kept.items())[: p.k]), sys_) == message
+        assert repair_batch(failed, helper_rows(columns, failed, p), sys_) == columns[failed]
+
+
+def test_two_nodes_of_one_class_complete_from_the_union_of_their_gamma_rows():
+    # the plan entry is not tied to one failed node: the (n - 2) * 2 * beta
+    # symbols on the union R of two same-class nodes' gamma rows determine
+    # both, as the constraints anchored on R are square (the cut-set bound)
+    p = make_params(3, 3, 8).with_c0(1)
+    sys_ = build_system(p)
+    columns = encode_batch(random_block(p, random.Random(24), 4), sys_)
+    lost = [(2, 0), (2, 2)]
+    union = sorted({*gamma_ordinals(p, lost[0]), *gamma_ordinals(p, lost[1])})
+    sent = {nd: Block.stack([columns[nd][r : r + 1] for r in union])
+            for nd in p.nodes() if nd not in lost}
+    assert len(union) == 2 * p.beta
+    assert complete_columns(sys_, sent, lost, union) == {nd: columns[nd] for nd in lost}
 
 
 def test_repair_batch_validates_helpers(sys22):

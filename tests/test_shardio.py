@@ -153,10 +153,12 @@ def test_manifest_params_crc_guards_the_parameter_lines():
 
 
 def test_manifest_matches_header():
-    man = Manifest(2, 3, 7, 0x89, 1, stripe_count=9, file_length=55)
+    man = Manifest(2, 3, 7, 0x89, 1, stripe_count=9, file_length=55,
+                   checksums={nd: 0 for nd in make_params(2, 3, 7).nodes()})
     assert man.matches_header(man.header_for((2, 1)))
     other = ShardHeader(2, 3, 7, 0x89, 1, (2, 1), 8, 55)
     assert not man.matches_header(other)
+    assert not man.matches_header(man.header_for((9, 0)))  # no node of the code
 
 
 def test_shard_filename():
