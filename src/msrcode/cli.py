@@ -39,7 +39,7 @@ from pathlib import Path
 
 from . import codec, repair, shardio
 from .params import Node, make_params, smallest_field_degree
-from .parity import build_system, find_code
+from .parity import build_system, find_code, valid_c0s
 from .shardio import Manifest, ShardFormatError, shard_filename
 
 EXIT_OK = 0
@@ -75,6 +75,7 @@ def _parse_node(text: str) -> Node:
 
 def cmd_init(args) -> int:
     params = find_code(args.q, args.t, args.m)
+    valid = valid_c0s(params._replace(c0=None))  # the search's own, kept: no second pass
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     Manifest.for_params(params).write(out_dir / shardio.MANIFEST_NAME)
@@ -82,6 +83,7 @@ def cmd_init(args) -> int:
     print(f"initialized (q={params.q}, t={params.t}) over GF(2^{params.gf.m}), "
           f"poly={params.gf.poly:#x}, c0={params.c0}")
     print(f"n={params.n} k={params.k} d={params.d} alpha={params.alpha} beta={params.beta}")
+    print(f"valid c0: {len(valid)} of {params.gf.order - 1}")
     return EXIT_OK
 
 
@@ -120,7 +122,8 @@ def cmd_encode(args) -> int:
 
 
 def cmd_decode(args) -> int:
-    manifest = Manifest.load(Path(args.shards[0]).parent)
+    manifest = Manifest.load(Path(args.shards[0]).parent,
+                             "decode reads the manifest next to its first shard")
     sys_ = build_system(manifest.encoded_params())
     p = sys_.params
     if len(args.shards) != p.k:
@@ -136,9 +139,13 @@ def cmd_decode(args) -> int:
                           "store; decode does not overwrite a store")
     with contextlib.ExitStack() as stack:
         shards = [stack.enter_context(shardio.open_shard(s, manifest)) for s in args.shards]
-        nodes = [shard.header.node for shard in shards]
-        if len(set(nodes)) != p.k:
-            raise VerificationFailure("two shard headers name the same node")
+        first = {}  # node -> its first shard, in input order
+        for shard in shards:
+            other = first.setdefault(shard.header.node, shard)
+            if other is not shard:
+                raise VerificationFailure(f"{other.path} and {shard.path}: both headers "
+                                          f"name node {shard.header.node}")
+        nodes = list(first)
         with shardio.replacing(args.output) as out:
             # next(), unlike zip, keeps no block: each one is freed once
             # decoded, before its symbols are unpacked

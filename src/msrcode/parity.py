@@ -17,12 +17,14 @@ product of the Vandermonde matrix with an alpha x alpha identity.  The MDS
 property is equivalent to every q-thick-column submatrix H_S = J0_S + c0*E_S
 having full rank q^(t+1); check_mds_ranks checks that on H_S itself.
 build_system builds H for CodeParams.c0, and refuses params without one.
-find_c0 scans nonzero candidates in ascending order, drops each at its
-first rank-deficient subset and returns the first that passes all.  It
-checks each subset on the strongly connected blocks of I + c*M_S, which is
-nonsingular exactly when H_S is (module btf): each subset's blocks are
-built once, and each (subset, c) is one rank check of their
-block-diagonal I + c*M_S.
+find_c0 returns the smallest valid c0 without a rank check: H_S is
+nonsingular exactly when every strongly connected block B of I + c*M_S is,
+and B is singular only at the c whose inverse is a root of its
+characteristic polynomial (module btf).  valid_c0s collects the c that
+each distinct block forbids, in one pass over the subsets per field, and
+keeps the rest; the smallest is the c0 an ascending scan of rank checks
+would return.  The certificate does not rest on it: check_mds_ranks and
+codec.verify_mds eliminate every whole H_S.
 
 H is held in one form: constraint delta*alpha + r, anchored on row ordinal
 r, is a tuple of (node ordinal, row ordinal, coeff) triples.  thick_rows
@@ -44,6 +46,7 @@ its coefficient (GF2M.bit_pairs).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -373,45 +376,47 @@ def sufficient_field_size(params: CodeParams) -> int:
     return math.comb(p.n, p.k) * p.alpha * (p.q - 1) + 1
 
 
-def _blocks_full_rank(blocks: list[tuple[int, SparseRow]], c: int, gf: GF2M) -> bool:
-    """Whether I + c*M_S is nonsingular, from its btf.shift_blocks: one rank
-    check of the block-diagonal I + c*(the blocks' entries)."""
-    rows = [{**{v: gf.mul(c, x) for v, x in entries.items()},
-             u: 1 ^ gf.mul(c, entries.get(u, 0))} for u, entries in blocks]
-    return gf_rank(rows, gf) == len(rows)
-
-
 class NoValidC0(ValueError):
-    """find_c0 tried every nonzero candidate of its field: a larger one may
-    hold a valid c0."""
+    """valid_c0s found every nonzero candidate of its field forbidden: a
+    larger field may hold a valid c0."""
+
+
+@functools.lru_cache(maxsize=1)
+def valid_c0s(params: CodeParams) -> tuple[int, ...]:
+    """Every nonzero coefficient making each size-q thick submatrix full
+    rank, ascending, for `params` without c0, in one pass over the subsets.
+    Each subset's btf.shift_blocks are the diagonal blocks B of I + c*M_S
+    that can be singular; each distinct B adds the c it forbids
+    (btf.forbidden_c) to the field's forbidden set, and the valid c0s are
+    the rest.  A code with more subsets than MAX_SUBSET_CHECKS raises
+    ValueError before any system is built; a full forbidden set raises
+    NoValidC0 at once, the field being too small (guaranteed not to happen
+    once it exceeds sufficient_field_size).  The last field's answer is
+    kept, so init's count after find_code costs no second pass."""
+    from .btf import forbidden_c, shift_blocks  # deferred, so only a search compiles it
+
+    gf = params.gf
+    node_subsets(params, params.q)  # the cap, checked before the build
+    unit = build_system(params.with_c0(1))
+    forbidden, seen = set(), set()
+    for s in node_subsets(params, params.q):
+        for block in shift_blocks(unit, s):
+            if block not in seen:
+                seen.add(block)
+                forbidden |= forbidden_c(block, gf)
+        if len(forbidden) == gf.order - 1:
+            raise NoValidC0(
+                f"no valid c0 in GF(2^{gf.m}); retry with a larger field "
+                f"(size > {sufficient_field_size(params)} always suffices)"
+            )
+    return tuple(c for c in range(1, gf.order) if c not in forbidden)
 
 
 def find_c0(params: CodeParams) -> int:
-    """Smallest nonzero coefficient making every size-q thick submatrix full
-    rank, each candidate dropped at its first singular one.  Each subset's
-    btf.shift_blocks are built once, at the first candidate that reaches
-    it, and each (subset, candidate) costs one _blocks_full_rank.  Ascending
-    scan gives a canonical, reproducible choice.  A code with more subsets
-    than MAX_SUBSET_CHECKS raises ValueError before any system is built;
-    exhaustion raises NoValidC0, the field being too small (guaranteed not
-    to happen once it exceeds sufficient_field_size)."""
-    from .btf import shift_blocks  # deferred, so only a search compiles it
-
-    node_subsets(params, params.q)  # the cap, checked before the build
-    unit = build_system(params.with_c0(1))
-    blocks: dict[tuple[Node, ...], list[tuple[int, SparseRow]]] = {}
-    for c in range(1, params.gf.order):
-        for s in node_subsets(params, params.q):
-            if s not in blocks:
-                blocks[s] = shift_blocks(unit, s)
-            if not _blocks_full_rank(blocks[s], c, params.gf):
-                break
-        else:
-            return c
-    raise NoValidC0(
-        f"no valid c0 in GF(2^{params.gf.m}); retry with a larger field "
-        f"(size > {sufficient_field_size(params)} always suffices)"
-    )
+    """The smallest valid c0 (valid_c0s, whose errors it raises), the one
+    an ascending scan that drops each candidate at its first singular H_S
+    would return: a canonical, reproducible choice."""
+    return valid_c0s(params)[0]
 
 
 def find_code(q: int, t: int, m: int | None = None) -> CodeParams:

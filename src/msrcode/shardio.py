@@ -233,11 +233,12 @@ class Manifest(Record):
         return cls.from_text(text)
 
     @classmethod
-    def load(cls, directory: Path | str) -> "Manifest":
-        """The manifest in `directory`; FileNotFoundError if it has none."""
+    def load(cls, directory: Path | str, advice: str = "run `msrcode init` first") -> "Manifest":
+        """The manifest in `directory`; FileNotFoundError, with `advice`
+        after the path, if it has none."""
         path = Path(directory) / MANIFEST_NAME
         if not path.exists():
-            raise FileNotFoundError(f"{path} not found; run `msrcode init` first")
+            raise FileNotFoundError(f"{path} not found; {advice}")
         return cls.read(path)
 
     def header_for(self, node: Node) -> ShardHeader:

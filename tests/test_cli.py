@@ -50,6 +50,18 @@ def test_init_writes_manifest(tmp_path):
     assert man.m <= 5
 
 
+def test_init_prints_its_valid_c0_count(tmp_path, capsys):
+    # the forbidden set of the field the search settles on gives the count:
+    # 56 of GF(2^6)'s 63 nonzero c are forbidden at (4,2), and c0 = 6 is the
+    # smallest of the 7 left; the lines before it are unchanged
+    assert main(["init", "--q", "4", "--t", "2", "--out-dir", str(tmp_path)]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines() == [
+        "initialized (q=4, t=2) over GF(2^6), poly=0x43, c0=6",
+        "n=8 k=4 d=7 alpha=16 beta=4",
+        "valid c0: 7 of 63",
+    ]
+
+
 def test_init_auto_m_escalates(tmp_path):
     assert main(["init", "--q", "3", "--t", "2", "--out-dir", str(tmp_path)]) == EXIT_OK
     man = Manifest.read(tmp_path / "manifest.txt")
@@ -199,6 +211,25 @@ def test_encode_without_init_is_io_error(tmp_path):
     src = tmp_path / "in.bin"
     src.write_bytes(b"x")
     assert main(["encode", str(src), "--out-dir", str(tmp_path)]) == EXIT_IO
+
+
+def test_a_missing_manifest_gets_the_advice_of_its_command(store22, tmp_path, capsys):
+    # init makes a new, empty code, so decode, which reads the manifest next
+    # to its first shard, is not told to run it; encode is
+    store, _ = store22
+    lone = tmp_path / "lone"
+    lone.mkdir()
+    for nd in (1, 0), (2, 1):
+        shutil.copy(store / shard_filename(nd), lone)
+    capsys.readouterr()
+    assert main(["decode", str(tmp_path / "out.bin"), str(lone / shard_filename((1, 0))),
+                 str(lone / shard_filename((2, 1)))]) == EXIT_IO
+    assert capsys.readouterr().err == (f"i/o error: {lone / 'manifest.txt'} not found; "
+                                       "decode reads the manifest next to its first shard\n")
+    (tmp_path / "in.bin").write_bytes(b"x")
+    assert main(["encode", str(tmp_path / "in.bin"), "--out-dir", str(lone)]) == EXIT_IO
+    assert capsys.readouterr().err == (f"i/o error: {lone / 'manifest.txt'} not found; "
+                                       "run `msrcode init` first\n")
 
 
 # -- decode -------------------------------------------------------------------
@@ -412,8 +443,8 @@ def test_decode_refuses_to_overwrite_the_store_of_any_input(store22, tmp_path):
 
 def refused(store22, tmp_path, case):
     """Set up one refusal on the (2,2) store; return the argv of `case` and
-    what its stderr must hold: the file at fault, or "same node" for two
-    shards of one node, whose message names neither."""
+    what its stderr must hold: the file at fault, or both files for two
+    shards of one node."""
     store, data = store22
     shard = {nd: store / shard_filename(nd) for nd in make_params(2, 2, 3).nodes()}
     out = str(tmp_path / "out.bin")
@@ -436,7 +467,8 @@ def refused(store22, tmp_path, case):
         return ["decode", out, str(shard[1, 0]), str(shard[2, 1])], str(shard[1, 0])
     if case == "decode_one_node_twice":
         relabel((1, 0), 13, 1)
-        return ["decode", out, str(shard[1, 1]), str(shard[1, 0])], "same node"
+        return ["decode", out, str(shard[1, 1]), str(shard[1, 0])], \
+            f"{shard[1, 1]} and {shard[1, 0]}: both headers name node (1, 1)"
     if case == "decode_checksum_line_missing":
         path = store / "manifest.txt"
         path.write_text(re.sub(r"^checksum_2_1=.*\n", "", path.read_text(), flags=re.M))

@@ -4,8 +4,9 @@ fingerprints, and the c0 search.
 Independent oracles used here: rank via row-space enumeration (small
 matrices), rank via dense first-nonzero-pivot elimination, an explicit
 Kronecker-product builder, rows of H read straight off the constraint
-triples, multiply-then-solve round trips, and the rank of the whole
-thick submatrix for the search's check on the blocks of I + c*M_S.
+triples, multiply-then-solve round trips, the rank of the whole thick
+submatrix for the c the search forbids from the blocks of I + c*M_S, and
+I + c*B eliminated at every c for the c a block B forbids.
 """
 
 import hashlib
@@ -13,13 +14,16 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import BAD_C0, FOUND_C0, column_at, gamma_ordinals, kronecker_system, random_block
 from msrcode import CodeParams, make_params
-from msrcode.btf import shift_blocks
+from msrcode.btf import forbidden_c, shift_blocks
 from msrcode.gf import GF2M, Block
 from msrcode import parity
 from msrcode.parity import (
+    NoValidC0,
     ParityCheckSystem,
     _eliminate,
     _sparse,
@@ -32,6 +36,7 @@ from msrcode.parity import (
     node_subsets,
     run_plan,
     sufficient_field_size,
+    valid_c0s,
 )
 
 
@@ -617,28 +622,76 @@ def test_find_code_q3_t3_and_q3_t4():
     assert [(p.gf.m, p.c0) for p in (find_code(3, 3), find_code(3, 4))] == [(5, 1), (6, 8)]
 
 
-@pytest.mark.parametrize("q,t,m", [(2, 2, 5), (3, 2, 4), (2, 3, 7), (4, 2, 4), (4, 2, 5)])
-def test_block_check_is_the_full_rank_check(q, t, m):
-    # the search's check on the strongly connected blocks of I + c*M_S
-    # agrees with the rank of the whole H_S for every subset and nonzero c;
-    # GF(2^4) and GF(2^5) are the fields the (4, 2) search rejects
+@pytest.mark.parametrize("q,t,m,last_c", [
+    pytest.param(q, t, m, last_c, id=f"{q}-{t}-{m}" + ("" if last_c is None else f"-to-{last_c}"))
+    for q, t, m, last_c in [
+        (2, 2, 3, None), (2, 3, 3, None), (3, 2, 3, None), (3, 2, 4, None),  # find_code's fields
+        (3, 3, 4, None), (4, 2, 4, None), (4, 2, 5, None),  # the fields (3,3) and (4,2) exhaust
+        (3, 3, 5, 1), (4, 2, 6, 6),  # the fields they settle on, up to c0
+        (2, 2, 5, None), (2, 3, 7, None),
+    ]])
+def test_block_check_is_the_full_rank_check(q, t, m, last_c):
+    # the c the search forbids for a subset, from the blocks of I + c*M_S and
+    # the roots of their characteristic polynomials, are exactly the c at
+    # which the whole H_S loses rank; so the search's valid c0s are the c at
+    # which every H_S is full rank
     p = make_params(q, t, m)
     unit = build_system(p.with_c0(1))
-    blocks = [shift_blocks(unit, s) for s in node_subsets(p, q)]
-    verdicts = set()
-    for c in range(1, p.gf.order):
+    subsets = list(node_subsets(p, q))
+    forbids = [set().union(*(forbidden_c(b, p.gf) for b in shift_blocks(unit, s)))
+               for s in subsets]
+    valid = []
+    for c in range(1, (last_c or p.gf.order - 1) + 1):
         sys_ = build_system(p.with_c0(c))
-        for s, b in zip(node_subsets(p, q), blocks):
-            full = gf_rank(sys_.thick_rows(s), p.gf) == q * p.alpha
-            assert parity._blocks_full_rank(b, c, p.gf) == full, (s, c)
-            verdicts.add(full)
-    assert verdicts == {True, False}
+        full = [gf_rank(sys_.thick_rows(s), p.gf) == q * p.alpha for s in subsets]
+        assert [c not in f for f in forbids] == full, c
+        if all(full):
+            valid.append(c)
+    if last_c is not None:
+        assert valid == [last_c] == [find_c0(p)]
+    elif valid:
+        assert valid_c0s(p) == tuple(valid)
+    else:
+        with pytest.raises(NoValidC0):
+            valid_c0s(p)
+
+
+def block_is_singular(rows, c, gf):
+    """Oracle: whether I + c*B is singular, by dense elimination."""
+    mat = [[gf.mul(c, x) ^ (i == j) for j, x in enumerate(row)] for i, row in enumerate(rows)]
+    return dense_rank(mat, gf) < len(rows)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_forbidden_c_are_the_singular_c(data):
+    # any block, not only a strongly connected one: the roots of its
+    # characteristic polynomial give every c with det(I + c*B) = 0
+    m = data.draw(st.sampled_from([3, 6, 8, 11]), label="m")
+    gf = GF2M(m)
+    size = data.draw(st.integers(1, 12), label="size")
+    zero = data.draw(st.floats(0, 0.9), label="share of zeros")
+    rnd = data.draw(st.randoms(use_true_random=False))
+    rows = [[0 if rnd.random() < zero else rnd.randrange(1, gf.order) for _ in range(size)]
+            for _ in range(size)]
+    block = tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in rows)
+    assert forbidden_c(block, gf) == {c for c in range(1, gf.order)
+                                      if block_is_singular(rows, c, gf)}
+
+
+def test_forbidden_c_of_every_2x2_block():
+    # the closed form for [[0, a], [b, 0]] and the polynomial path for the
+    # other patterns, against every 2 x 2 block over GF(2^3)
+    gf = GF2M(3)
+    for rows in itertools.product(itertools.product(range(8), repeat=2), repeat=2):
+        block = tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in rows)
+        assert forbidden_c(block, gf) == {c for c in range(1, 8)
+                                          if block_is_singular(rows, c, gf)}, rows
 
 
 def test_find_c0_reads_no_thick_submatrix(monkeypatch):
-    # the search has no fallback to the whole H_S, and it makes one rank
-    # check per (subset, candidate) it reaches: as many as the search on
-    # the whole H_S made, 6, 33 and 15 at FOUND_C0's codes and 138 at (4,2,6)
+    # the search has no fallback to the whole H_S and makes no rank check:
+    # the forbidden set comes from the blocks' characteristic polynomials
     def refuse(self, nodes):
         raise AssertionError("find_c0 read a thick submatrix")
 
@@ -646,10 +699,11 @@ def test_find_c0_reads_no_thick_submatrix(monkeypatch):
     rank = parity.gf_rank
     monkeypatch.setattr(ParityCheckSystem, "thick_rows", refuse)
     monkeypatch.setattr(parity, "gf_rank", lambda mat, gf: calls.append(1) or rank(mat, gf))
+    valid_c0s.cache_clear()
     for (q, t, m), expected in FOUND_C0.items():
         assert find_c0(make_params(q, t, m)) == expected
     assert find_c0(make_params(4, 2, 6)) == 6
-    assert len(calls) == 6 + 33 + 15 + 138
+    assert len(calls) == 0
 
 
 def test_find_code_fixed_m():

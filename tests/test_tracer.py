@@ -34,7 +34,7 @@ TRACED = {
     "codec.encode_batch", "codec.decode_batch", "codec.verify_mds", "codec.encode",
     "codec.decode_from_k", "repair.repair_batch", "shardio.symbols_from_bytes",
     "shardio.bytes_from_symbols", "shardio.write_shard", "parity.find_code",
-    "parity.build_system", "parity.gf_rank", "gf.mul_vec", "parity.completion_map",
+    "parity.build_system", "gf.mul_vec", "parity.completion_map",
     "parity.inverse_for",
 }
 
