@@ -1,4 +1,4 @@
-"""The block triangular form behind the c0 search, parity.find_c0, and the
+"""The block triangular form behind the c0 search, parity.valid_c0s, and the
 values of c each block forbids.
 
 For a size-q node set S the thick submatrix H_S = J0_S + c*E_S is
@@ -18,7 +18,7 @@ forbids c = sqrt(1/(ab)) alone.  Any other block's chi_B comes from its
 Hessenberg form and the Hessenberg recurrence, and its roots from the gcd
 with x^(2^m) + x, split by gcds with the trace Tr(beta*x) (Berlekamp, Math.
 Comp. 1970; Rabin, SIAM J. Comput. 1980).  Polynomials are lists of
-coefficients by ascending power, with no trailing zero.  Only find_c0
+coefficients by ascending power, with no trailing zero.  Only valid_c0s
 imports this module, so no other command compiles it.
 """
 

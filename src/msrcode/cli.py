@@ -137,6 +137,8 @@ def cmd_decode(args) -> int:
     if Path(args.output).resolve() in inputs | stores:
         raise _UsageError(f"{args.output} is the manifest or a shard file of an input's "
                           "store; decode does not overwrite a store")
+    if not Path(args.output).parent.is_dir():
+        raise FileNotFoundError(f"{args.output}: no directory {Path(args.output).parent}")
     with contextlib.ExitStack() as stack:
         shards = [stack.enter_context(shardio.open_shard(s, manifest)) for s in args.shards]
         first = {}  # node -> its first shard, in input order
@@ -187,15 +189,13 @@ def cmd_repair(args) -> int:
         if crc != manifest.checksums[failed]:
             raise VerificationFailure(f"rebuilt {path.name} does not match manifest checksum")
     shardio.sync_dir(out_dir)
-    bytes_per_helper = {nd: shard.counter.bytes_read for nd, shard in zip(helpers, shards)}
-
-    read_total = sum(bytes_per_helper.values())
+    read = [shard.bytes_read for shard in shards]
     naive = p.k * shardio.shard_bytes(manifest.header_for(failed))
     print(f"rebuilt {path.name} from {p.d} helpers")
-    print(f"per-helper read : {max(bytes_per_helper.values(), default=0)} bytes "
+    print(f"per-helper read : {max(read, default=0)} bytes "
           f"(header {shardio.HEADER_LEN} + {p.beta} of {p.alpha} rows of every block, "
           f"{p.gf.m} bits per symbol, each row with its digest)")
-    print(f"total read      : {read_total} bytes")
+    print(f"total read      : {sum(read)} bytes")
     print(f"naive (k full shards): {naive} bytes")
     print(f"per-stripe symbols: {p.d * p.beta} repair vs {p.message_len} naive "
           f"(ratio {p.d * p.beta / p.message_len:.4f})")

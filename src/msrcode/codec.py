@@ -31,7 +31,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .gf import Block
 from .params import Node, Record
-from .parity import ParityCheckSystem, check_columns, node_subsets, run_plan
+from .parity import ParityCheckSystem, node_subsets, run_plan
 
 
 def complete_columns(sys: ParityCheckSystem, known: Mapping[Node, Sequence],
@@ -42,20 +42,37 @@ def complete_columns(sys: ParityCheckSystem, known: Mapping[Node, Sequence],
     alpha), as lists of ints on one stripe or Blocks on a block.  Raises
     ValueError unless `known` is nodes of the code whose rows determine the
     rest (q*len(rows) = alpha per missing node), each column len(rows) field
-    symbols.  The plan runs only when a wanted column is missing."""
+    symbols: ints on one stripe, or Blocks over the field of (len(rows),
+    stripes) with one stripe count, each plane a bit string of that many
+    stripes.  The plan runs only when a wanted column is missing."""
     p = sys.params
     sent = p.alpha if rows is None else len(rows)
     missing = [nd for nd in p.nodes() if nd not in known]
     if not known or len(known) + len(missing) != p.n or len(missing) * p.alpha != p.q * sent:
         raise ValueError(f"known columns must be nodes of the code that leave "
                          f"{p.q * sent // p.alpha} missing")
-    columns = [known[nd] for nd in p.nodes() if nd in known]
-    check_columns(columns, sent, p.gf)
+    columns, gf = [known[nd] for nd in p.nodes() if nd in known], p.gf
+    if isinstance(columns[0], list):
+        if any(len(col) != sent for col in columns):
+            raise ValueError(f"columns must hold {sent} symbols each")
+        for col in columns:
+            for v in col:
+                gf.validate(v)
+    else:
+        stripes = columns[0].stripes
+        for col in columns:
+            if col.m != gf.m:
+                raise ValueError(f"a block of {col.m}-bit symbols: not an element of GF(2^{gf.m})")
+            if col.stripes != stripes or len(col.planes) != sent * gf.m:
+                raise ValueError(f"column blocks must all be ({sent}, stripes)")
+            if any(plane < 0 or plane.bit_length() > stripes for plane in col.planes):
+                raise ValueError(f"a plane has bits outside its {stripes} stripes: "
+                                 f"not an element of GF(2^{gf.m})")
     wanted = list(wanted)
     solved = {}
     if any(nd in missing for nd in wanted):
         out = run_plan(sys.completion_map(missing, rows), columns,
-                       len(missing) * p.alpha, p.gf)
+                       len(missing) * p.alpha, gf)
         solved = {nd: out[i * p.alpha : (i + 1) * p.alpha] for i, nd in enumerate(missing)}
     return {nd: solved[nd] if nd in solved else known[nd] for nd in wanted}
 

@@ -107,17 +107,6 @@ class CodeParams(namedtuple("CodeParams", "q t gf c0")):
 
     # -- index bijections -------------------------------------------------------
 
-    def row_ordinal(self, row: Row) -> int:
-        """Lexicographic ordinal of a row tuple, first coordinate most significant."""
-        if len(row) != self.t:
-            raise ValueError(f"row {row} does not have {self.t} coordinates")
-        o = 0
-        for x in row:
-            if not 0 <= x < self.q:
-                raise ValueError(f"row coordinate {x} out of [0, {self.q})")
-            o = o * self.q + x
-        return o
-
     def row_at(self, ordinal: int) -> Row:
         if not 0 <= ordinal < self.alpha:
             raise ValueError(f"row ordinal {ordinal} out of [0, {self.alpha})")

@@ -31,14 +31,13 @@ r, is a tuple of (node ordinal, row ordinal, coeff) triples.  thick_rows
 reads any thick submatrix off a sorted copy, as sparse {column: coeff}
 rows; no dense matrix is formed.
 
-Every solve is compiled once by compile_plan into a plan, a straight-line
-list of GF ops (dst, coeff, src) on a workspace of symbol slots: it solves
-missing thick columns from chosen constraints, as the syndrome of the
-known symbols then the recorded sparse elimination (inverse_for), and
-refuses a constraint that reads a symbol neither missing nor known.
-completion_map, the one plan entry, compiles it over the constraints
-anchored on the rows the other nodes send: all rows for any-k decode, a
-failed node's gamma rows for its repair.  run_plan, the one runner,
+Every solve is compiled once, by completion_map, into a plan, a
+straight-line list of GF ops (dst, coeff, src) on a workspace of symbol
+slots: it solves missing thick columns from the constraints anchored on
+the rows the other nodes send (all rows for any-k decode, a failed node's
+gamma rows for its repair), as the syndrome of the sent symbols then the
+recorded sparse elimination (inverse_for), and refuses a constraint that
+reads a symbol neither missing nor sent.  run_plan, the one runner,
 executes a plan's ops on one stripe of ints, or on a (rows, stripes)
 gf.Block of bit planes, each op as plane XORs through the bit matrix of
 its coefficient (GF2M.bit_pairs).
@@ -49,7 +48,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 from .gf import GF2M, MAX_DEGREE, Block
 from .params import CodeParams, Node, make_params, smallest_field_degree
@@ -57,6 +56,10 @@ from .params import CodeParams, Node, make_params, smallest_field_degree
 # Exhaustive-check ceiling: refuse (rather than silently sample) when the
 # number of size-q node subsets exceeds this.
 MAX_SUBSET_CHECKS = 10**6
+# Size ceiling on H's q^(t+1)*(n+t) terms, checked before anything is built:
+# build_system peaks at 66 MiB for (2,13)'s 638,976 and 127 MiB for (2,14)'s
+# 1,376,256, and with the encode plan at 131 and 255 MiB.
+MAX_TERMS = 2**20
 
 
 class ParityCheckSystem:
@@ -80,10 +83,6 @@ class ParityCheckSystem:
             raise ValueError("J0/E supports must not collide")
         self._last: tuple[tuple, list[Op]] | None = None  # (key, plan) of completion_map
 
-    @property
-    def n_constraints(self) -> int:
-        return len(self.terms)
-
     def thick_rows(self, nodes: Iterable[Node]) -> list[SparseRow]:
         """The rows of the thick submatrix over `nodes`, sparse: one
         {column: coeff} dict per constraint, columns ascending.  The columns
@@ -98,10 +97,11 @@ class ParityCheckSystem:
         return [{base[node] + row: coeff for node, row, coeff in terms if node in base}
                 for terms in self._sorted_terms]
 
-    def inverse_for(self, missing: Iterable[Node], constraints: Sequence[int]) -> Elimination:
+    def inverse_for(self, missing: Iterable[Node],
+                    constraints: Sequence[int]) -> tuple[list[int], list[Op]]:
         """Recorded elimination of the thick submatrix over `missing` on the
-        rows of `constraints`; raises ValueError unless it is square and
-        nonsingular."""
+        rows of `constraints` (_eliminate); raises ValueError unless it is
+        square and nonsingular."""
         p = self.params
         key = sorted(set(missing), key=p.node_ordinal)
         all_rows = self.thick_rows(key)
@@ -111,51 +111,44 @@ class ParityCheckSystem:
                              f"{len(key) * p.alpha} unknowns")
         return _eliminate(rows, p.gf)
 
-    def compile_plan(self, missing: Sequence[Node], constraints: Sequence[int],
-                     slot_of: Mapping[int, int]) -> list[Op]:
-        """The plan that solves the `missing` thick columns from `constraints`.
-        `slot_of` maps each known symbol, by its column node*alpha + row of
-        H, to its input slot, 0..len(slot_of)-1; the missing columns follow,
-        node-major in node order, alpha row-ordinal slots each.  Raises
-        ValueError if a constraint reads a symbol neither missing nor known,
-        or unless the system is square and nonsingular."""
-        p = self.params
-        elim = self.inverse_for(missing, constraints)
-        lost = {p.node_ordinal(nd) for nd in missing}
-        out, alpha, slot = len(slot_of), p.alpha, slot_of.get
-        plan = []
-        for r, c in enumerate(constraints):
-            dst = out + elim.slot_of_row[r]
-            for node, row, coeff in self.terms[c]:
-                src = slot(node * alpha + row)
-                if src is not None:
-                    plan.append((dst, coeff, src))
-                elif node not in lost:
-                    raise ValueError(f"constraint {c} reads node {p.node_at(node)}'s symbol on "
-                                     f"row {p.row_at(row)}, which is neither missing nor sent")
-        plan += [(out + dst, coeff, out + src) for dst, coeff, src in elim.plan]
-        return plan
-
     def completion_map(self, missing: Iterable[Node],
                        rows: Sequence[int] | None = None) -> list[Op]:
-        """compile_plan for the `missing` nodes over the constraints
-        anchored on `rows`, the row ordinals (ascending; None: all alpha)
-        each other node sends.  Slot i*len(rows) + g holds the g-th sent row
-        of the i-th other node, in node order; the missing columns follow.
-        Only the last plan is memoised: a command runs one on every block."""
+        """The plan that solves the `missing` thick columns from the
+        constraints anchored on `rows`, the row ordinals (ascending; None:
+        all alpha) each other node sends: the syndrome of the sent symbols,
+        in term order, then the recorded elimination (inverse_for).  Slot
+        i*len(rows) + g holds the g-th sent row of the i-th other node, in
+        node order; the missing columns follow, alpha slots each.  Raises
+        ValueError if a constraint reads a symbol neither missing nor sent,
+        or unless the system is square and nonsingular.  Only the last plan
+        is memoised: a command runs one on every block."""
         p = self.params
         key = (tuple(sorted(set(missing), key=p.node_ordinal)),
                None if rows is None else tuple(rows))
-        if self._last is None or self._last[0] != key:
-            lost, sent = key[0], range(p.alpha) if rows is None else key[1]
-            if list(sent) != sorted(set(sent) & set(range(p.alpha))):
-                raise ValueError("rows must be ascending row ordinals of the code")
-            others = [p.node_ordinal(nd) for nd in p.nodes() if nd not in lost]
-            slot_of = {o * p.alpha + row: i * len(sent) + g
-                       for i, o in enumerate(others) for g, row in enumerate(sent)}
-            anchored = [delta * p.alpha + row for delta in range(p.q) for row in sent]
-            self._last = (key, self.compile_plan(lost, anchored, slot_of))
-        return self._last[1]
+        if self._last is not None and self._last[0] == key:
+            return self._last[1]
+        lost, sent = key[0], range(p.alpha) if rows is None else key[1]
+        if list(sent) != sorted(set(sent) & set(range(p.alpha))):
+            raise ValueError("rows must be ascending row ordinals of the code")
+        lost_ordinals = {p.node_ordinal(nd) for nd in lost}
+        others = [o for o in range(p.n) if o not in lost_ordinals]
+        slot = {o * p.alpha + row: i * len(sent) + g
+                for i, o in enumerate(others) for g, row in enumerate(sent)}.get
+        anchored = [delta * p.alpha + row for delta in range(p.q) for row in sent]
+        slot_of_row, elimination = self.inverse_for(lost, anchored)
+        out, plan = len(others) * len(sent), []
+        for r, c in enumerate(anchored):
+            dst = out + slot_of_row[r]
+            for node, row, coeff in self.terms[c]:
+                src = slot(node * p.alpha + row)
+                if src is not None:
+                    plan.append((dst, coeff, src))
+                elif node not in lost_ordinals:
+                    raise ValueError(f"constraint {c} reads node {p.node_at(node)}'s symbol on "
+                                     f"row {p.row_at(row)}, which is neither missing nor sent")
+        plan += [(out + dst, coeff, out + src) for dst, coeff, src in elimination]
+        self._last = (key, plan)
+        return plan
 
 
 def build_hmds(params: CodeParams) -> list[list[int]]:
@@ -168,12 +161,22 @@ def build_hmds(params: CodeParams) -> list[list[int]]:
     return [[gf.exp((j + 1) * r) for j in range(params.n)] for r in range(params.q)]
 
 
+def _check_size(params: CodeParams) -> None:
+    """Refuse a code whose H would hold more than MAX_TERMS terms."""
+    terms = params.q ** (params.t + 1) * (params.n + params.t)
+    if terms > MAX_TERMS:
+        raise ValueError(f"(q={params.q}, t={params.t}) needs {terms} parity-check terms, "
+                         f"over the size cap {MAX_TERMS}")
+
+
 def build_system(params: CodeParams) -> ParityCheckSystem:
     """Assemble all constraints of the code `params` names, with its c0 as
-    the shifted-entry coefficient; ValueError when c0 is unset."""
+    the shifted-entry coefficient; ValueError when c0 is unset or the code
+    is over the size cap, before anything is built."""
     q, t, c0 = params.q, params.t, params.c0
     if c0 is None:
         raise ValueError("no valid c0 (run the coefficient search)")
+    _check_size(params)
     hmds = build_hmds(params)
     terms = []
     for delta in range(q):
@@ -233,44 +236,7 @@ def run_plan(plan: list[Op], columns: Sequence, n_out: int,
     return Block(m, columns[0].stripes, [plane for slot in ws[len(ws) - n_out :] for plane in slot])
 
 
-def check_columns(columns: Sequence, rows: int, gf: GF2M) -> None:
-    """Refuse plan inputs that are not `rows` field symbols each: lists of
-    ints on one stripe, or Blocks over gf of (rows, stripes) with one
-    stripe count, each plane a bit string of that many stripes."""
-    if isinstance(columns[0], list):
-        if any(len(col) != rows for col in columns):
-            raise ValueError(f"columns must hold {rows} symbols each")
-        for col in columns:
-            for v in col:
-                gf.validate(v)
-        return
-    stripes = columns[0].stripes
-    for col in columns:
-        if col.m != gf.m:
-            raise ValueError(f"a block of {col.m}-bit symbols: not an element of GF(2^{gf.m})")
-        if col.stripes != stripes or len(col.planes) != rows * gf.m:
-            raise ValueError(f"column blocks must all be ({rows}, stripes)")
-        if any(plane < 0 or plane.bit_length() > stripes for plane in col.planes):
-            raise ValueError(f"a plane has bits outside its {stripes} stripes: "
-                             f"not an element of GF(2^{gf.m})")
-
-
-class Elimination(NamedTuple):
-    """Recorded Gaussian elimination of a square matrix M: load rhs[r] into
-    slot slot_of_row[r] of a len(rhs)-slot workspace and run `plan`; slot j
-    then holds x[j] of the solution of M.x = rhs."""
-
-    slot_of_row: list[int]
-    plan: list[Op]
-
-
 SparseRow = dict[int, int]  # {column: nonzero value}
-
-
-def _sparse(mat: Sequence[Sequence[int] | SparseRow]) -> list[SparseRow]:
-    """Fresh sparse copies of dense or sparse rows, zeros dropped."""
-    return [{c: v for c, v in (r.items() if isinstance(r, dict) else enumerate(r)) if v}
-            for r in mat]
 
 
 def _reduce(rows: list[SparseRow], gf: GF2M) -> tuple[list[SparseRow], list[int], list[Op]]:
@@ -321,14 +287,19 @@ def _reduce(rows: list[SparseRow], gf: GF2M) -> tuple[list[SparseRow], list[int]
 
 def gf_rank(mat: Sequence[Sequence[int] | SparseRow], gf: GF2M) -> int:
     """Row rank, by the sparse elimination behind every solve.  Rows may be
-    dense sequences or {column: value} dicts, such as thick_rows gives."""
-    return len(_reduce(_sparse(mat), gf)[1])
+    dense sequences or {column: value} dicts, such as thick_rows gives;
+    the elimination runs on fresh sparse copies, zeros dropped."""
+    rows = [{c: v for c, v in (r.items() if isinstance(r, dict) else enumerate(r)) if v}
+            for r in mat]
+    return len(_reduce(rows, gf)[1])
 
 
-def _eliminate(rows: list[SparseRow], gf: GF2M) -> Elimination:
-    """Elimination of the sparse rows of a square, nonsingular matrix (in
-    place), recorded as a plan on the right-hand side: the forward ops of
-    _reduce, then back substitution."""
+def _eliminate(rows: list[SparseRow], gf: GF2M) -> tuple[list[int], list[Op]]:
+    """Elimination of the sparse rows of a square, nonsingular matrix M (in
+    place), recorded as (slot_of_row, plan) on the right-hand side: load
+    rhs[r] into slot slot_of_row[r] of a len(rhs)-slot workspace and run
+    plan, the forward ops of _reduce then back substitution; slot j then
+    holds x[j] of the solution of M.x = rhs."""
     n = len(rows)
     rows, pivot_row, forward = _reduce(rows, gf)
     if len(pivot_row) != n:
@@ -344,7 +315,7 @@ def _eliminate(rows: list[SparseRow], gf: GF2M) -> Elimination:
         pinv = gf.inv(prow[j])
         if pinv != 1:
             plan.append((j, pinv, j))
-    return Elimination(slot_of_row, plan)
+    return slot_of_row, plan
 
 
 # -- MDS verification and the c0 search ---------------------------------------

@@ -64,6 +64,7 @@ from typing import BinaryIO, Iterable, Iterator, Mapping, NamedTuple
 
 from .gf import Block
 from .params import CodeParams, Node, Record, make_params
+from .parity import _check_size
 
 MAGIC = b"MSRC"
 FORMAT_VERSION = 3
@@ -143,10 +144,11 @@ class Manifest(Record):
 
     def params(self) -> CodeParams:
         """The code it names; ShardFormatError unless the parameters make a
-        code with a valid c0 and reduction_poly is the field's own (GF2M
-        fixes one polynomial per m)."""
+        code with a valid c0 within the size cap (parity.MAX_TERMS), and
+        reduction_poly is the field's own (GF2M fixes one polynomial per m)."""
         try:
             params = make_params(self.q, self.t, self.m).with_c0(self.c0)
+            _check_size(params)
             if self.reduction_poly != params.gf.poly:
                 raise ValueError(f"reduction_poly {self.reduction_poly:#x} is not "
                                  f"GF(2^{self.m})'s polynomial {params.gf.poly:#x}")
@@ -351,15 +353,10 @@ def read_messages(src: BinaryIO, file_length: int, params: CodeParams) -> Iterat
     the systematic planes, in (node, row, bit) order.  Between blocks it
     holds nothing it read."""
     for stripes, nbytes in message_blocks(file_length, params):
-        yield _message_block(src, stripes, nbytes, file_length, params)
-
-
-def _message_block(src: BinaryIO, stripes: int, nbytes: int, file_length: int,
-                   params: CodeParams) -> Block:
-    data = src.read(nbytes)
-    if len(data) != nbytes:
-        raise OSError(f"input is shorter than {file_length} bytes; it changed while read")
-    return symbols_from_bytes(data, params.gf.m, params.message_len, stripes)
+        data = src.read(nbytes)
+        if len(data) != nbytes:
+            raise OSError(f"input is shorter than {file_length} bytes; it changed while read")
+        yield symbols_from_bytes(data, params.gf.m, params.message_len, stripes)
 
 
 # -- shard reading/writing ----------------------------------------------------
@@ -452,40 +449,32 @@ def write_shard(shards: Mapping[Path | str, ShardHeader],
     return {writer.header.node: writer.crc for writer in writers.values()}
 
 
-class CountingReader:
-    """Thin file wrapper that accounts every byte and read() call actually
-    requested; the instrumentation behind the partial-read guarantees."""
-
-    def __init__(self, f: BinaryIO):
-        self._f = f
-        self.bytes_read = 0
-        self.reads = 0
-
-    def seek(self, pos: int) -> None:
-        self._f.seek(pos)
-
-    def read(self, size: int) -> bytes:
-        data = self._f.read(size)
-        self.bytes_read += len(data)
-        self.reads += 1
-        return data
-
-
 class ShardReader:
     """An open shard whose header and file size were checked on opening,
     before any payload read.  Stream the payload with blocks(runs), which
-    checks the digest of every row it reads; `counter` counts the bytes and
-    read() calls made."""
+    checks the digest of every row it reads.  `bytes_read` and `reads`
+    count the bytes and read() calls made, the header's included."""
 
     def __init__(self, f: BinaryIO, path):
-        self.path = path
-        self.counter = CountingReader(f)
-        head = self.counter.read(HEADER_LEN)
-        self.header = ShardHeader.unpack(head)
-        self.crc = zlib.crc32(head)  # of the bytes read so far, in the order read
+        self.path, self._f = path, f
+        self.bytes_read = self.reads = self.crc = 0
+        self.header = ShardHeader.unpack(self._read(0, HEADER_LEN))
         size, expected = os.fstat(f.fileno()).st_size, shard_bytes(self.header)
         if size != expected:
             raise ShardFormatError(f"{path}: file is {size} bytes, header implies {expected}")
+
+    def _read(self, offset: int, size: int) -> bytes:
+        """`size` bytes at `offset`, in one seek and one read(), counted and
+        added to `crc`: the CRC-32 of the bytes read so far, in read order.
+        ShardFormatError if the file ends first."""
+        self._f.seek(offset)
+        data = self._f.read(size)
+        self.bytes_read += len(data)
+        self.reads += 1
+        if len(data) != size:
+            raise ShardFormatError(f"{self.path}: truncated shard")
+        self.crc = zlib.crc32(data, self.crc)
+        return data
 
     def blocks(self, runs: list[tuple[int, int]]) -> Iterator[Block]:
         """The rows in `runs` ((start ordinal, length) pairs, ascending) of
@@ -501,13 +490,7 @@ class ShardReader:
             row_bytes = payload_bytes(stripes, 1, m)
             planes = []
             for start, length in runs:
-                size = length * row_bytes
-                self.counter.seek(base + start * row_bytes)
-                data = self.counter.read(size)
-                if len(data) != size:
-                    raise ShardFormatError(f"{self.path}: truncated shard payload")
-                self.crc = zlib.crc32(data, self.crc)
-                view = memoryview(data)
+                view = memoryview(self._read(base + start * row_bytes, length * row_bytes))
                 for r in range(length):
                     end = (r + 1) * row_bytes - DIGEST_LEN
                     row = view[r * row_bytes : end]
@@ -561,7 +544,7 @@ def read_gamma(path: Path | str, failed: Node,
         if (hdr.q, hdr.t, hdr.m) != (params.q, params.t, params.gf.m):
             raise ShardFormatError(f"{path}: header parameters do not match")
         rows = _join(shard.blocks(params.gamma_runs(failed)), params.beta, hdr.m)
-    return hdr, rows, shard.counter.bytes_read
+    return hdr, rows, shard.bytes_read
 
 
 def crc32_file(path: Path | str) -> int:

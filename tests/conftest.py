@@ -83,9 +83,15 @@ def gamma_rows(params, failed):
                   if row[i0 - 1] == theta0)
 
 
+def row_ordinal(params, row):
+    """Oracle, the inverse of CodeParams.row_at: the lexicographic ordinal
+    of a row tuple, first coordinate most significant."""
+    return sum(x * params.q ** (params.t - 1 - j) for j, x in enumerate(row))
+
+
 def gamma_ordinals(params, failed):
     """The row ordinals of gamma_rows(params, failed), ascending."""
-    return [params.row_ordinal(row) for row in gamma_rows(params, failed)]
+    return [row_ordinal(params, row) for row in gamma_rows(params, failed)]
 
 
 def run_ordinals(runs):

@@ -13,7 +13,7 @@ import time
 from fractions import Fraction
 
 from conftest import (FOUND_C0, eval_constraints, gamma_ordinals, kronecker_system, random_block,
-                      system_for)
+                      row_ordinal, system_for)
 from msrcode import (
     build_system,
     check_mds_ranks,
@@ -144,7 +144,7 @@ def test_criterion_5_parameter_identities():
             # alpha as an exact polynomial in k (see decisions ledger):
             p.alpha == (p.k // (p.t - 1)) ** p.t == (p.n // p.t) ** p.t,
             p.rate == Fraction(t - 1, t),
-            sys_.n_constraints == q ** (t + 1),
+            len(sys_.terms) == q ** (t + 1),
             # constraint idx has delta = divmod(idx, alpha)[0]
             all(len(con) == p.n for idx, con in enumerate(sys_.terms)
                 if divmod(idx, p.alpha)[0] == 0),
@@ -286,7 +286,7 @@ def test_criterion_8_property_suites():
         pp = make_params(q, t, m)
         for o in range(pp.alpha):
             cases += 1
-            if pp.row_ordinal(pp.row_at(o)) != o:
+            if row_ordinal(pp, pp.row_at(o)) != o:
                 problems.append(f"row bijection failure at {o}")
         for o in range(pp.n):
             cases += 1

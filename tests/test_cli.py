@@ -441,6 +441,18 @@ def test_decode_refuses_to_overwrite_the_store_of_any_input(store22, tmp_path):
     assert (tmp_path / "out.bin").read_bytes() == data
 
 
+def test_decode_into_a_missing_directory_names_the_output(store22, tmp_path, capsys):
+    # the error names the path given, not its temp file, and comes before
+    # any payload is read; nothing is written
+    store, _ = store22
+    out = tmp_path / "nodir" / "out.bin"
+    with mock.patch.object(shardio.ShardReader, "blocks") as blocks:
+        assert main(["decode", str(out), *map(str, shards_in(store)[:2])]) == EXIT_IO
+    assert blocks.call_count == 0
+    assert capsys.readouterr().err == f"i/o error: {out}: no directory {out.parent}\n"
+    assert not out.parent.exists()
+
+
 def refused(store22, tmp_path, case):
     """Set up one refusal on the (2,2) store; return the argv of `case` and
     what its stderr must hold: the file at fault, or both files for two
@@ -878,6 +890,43 @@ def test_too_many_nodes_for_any_field_is_usage_error(tmp_path, capsys, command):
     assert main([command, "--q", "300", "--t", "300", "--out-dir", str(tmp_path)]) == EXIT_USAGE
     assert capsys.readouterr().err.startswith("error: n=90000 nodes")
     assert list(tmp_path.iterdir()) == []
+
+
+def test_init_refuses_a_code_over_the_size_cap_at_once(tmp_path, capsys):
+    # (2,20) has 2^21 constraints of up to 60 terms, over parity.MAX_TERMS:
+    # refused before its parity-check system is built
+    start = time.perf_counter()
+    assert main(["init", "--q", "2", "--t", "20", "--out-dir", str(tmp_path)]) == EXIT_USAGE
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err == ("error: (q=2, t=20) needs 125829120 parity-check "
+                                       f"terms, over the size cap {parity.MAX_TERMS}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_stats_prints_a_code_over_the_size_cap(capsys):
+    assert main(["stats", "--q", "2", "--t", "20"]) == EXIT_OK
+    assert "alpha  = 1048576 " in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["encode", "decode", "repair", "verify"])
+def test_manifest_naming_a_code_over_the_size_cap_is_refused(store22, tmp_path, capsys, command):
+    # a hand-edited manifest under a matching params_crc exits 2 at once
+    # and leaves every file as it was
+    store, _ = store22
+    src = tmp_path / "input.bin"
+    Manifest(2, 20, 6, GF2M(6).poly, 1).write(store / "manifest.txt")
+    before = {f: f.read_bytes() for f in tmp_path.rglob("*") if f.is_file()}
+    argv = {
+        "encode": ["encode", str(src), "--out-dir", str(store)],
+        "decode": ["decode", str(tmp_path / "out.bin"), *map(str, shards_in(store)[:2])],
+        "repair": ["repair", "--node", "1,0", "--out-dir", str(store)],
+        "verify": ["verify", "--trials", "1", "--out-dir", str(store)],
+    }[command]
+    start = time.perf_counter()
+    assert main(argv) == EXIT_VERIFY
+    assert time.perf_counter() - start < 1
+    assert "manifest parameters are invalid: (q=2, t=20) needs 125829120" in capsys.readouterr().err
+    assert {f: f.read_bytes() for f in tmp_path.rglob("*") if f.is_file()} == before
 
 
 def test_stats_m_without_q_and_t_is_usage_error(store22, capsys):

@@ -38,7 +38,7 @@ def test_encode_satisfies_every_constraint(sys22, sys23):
         codeword = encode(random_message(sys_.params, rng), sys_)
         assert list(codeword) == list(sys_.params.nodes())
         assert all(len(col) == sys_.params.alpha for col in codeword.values())
-        assert eval_constraints(codeword, sys_) == [0] * sys_.n_constraints
+        assert eval_constraints(codeword, sys_) == [0] * len(sys_.terms)
 
 
 def test_encode_is_systematic(sys23):
@@ -90,7 +90,7 @@ def test_encode_is_one_stripe_of_encode_batch(all_systems):
 
 
 def test_all_zero_array_is_codeword(sys22):
-    assert eval_constraints(zero_codeword(sys22.params), sys22) == [0] * sys22.n_constraints
+    assert eval_constraints(zero_codeword(sys22.params), sys22) == [0] * len(sys22.terms)
 
 
 def test_single_perturbation_detected(sys22, sys23):
@@ -228,7 +228,7 @@ def test_encode_batch_satisfies_constraints(sys22, sys23):
         columns = encode_batch(msgs, sys_)
         for s in range(msgs.stripes):
             codeword = stripe_array(columns, s, p)
-            assert eval_constraints(codeword, sys_) == [0] * sys_.n_constraints
+            assert eval_constraints(codeword, sys_) == [0] * len(sys_.terms)
             systematic = [v for nd in p.systematic_nodes() for v in codeword[nd]]
             assert systematic == column_at(msgs, s)
 

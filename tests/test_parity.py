@@ -17,7 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import BAD_C0, FOUND_C0, column_at, gamma_ordinals, kronecker_system, random_block
+from conftest import (BAD_C0, FOUND_C0, column_at, gamma_ordinals, kronecker_system, random_block,
+                      row_ordinal)
 from msrcode import CodeParams, make_params
 from msrcode.btf import forbidden_c, shift_blocks
 from msrcode.gf import GF2M, Block
@@ -26,7 +27,6 @@ from msrcode.parity import (
     NoValidC0,
     ParityCheckSystem,
     _eliminate,
-    _sparse,
     build_hmds,
     build_system,
     check_mds_ranks,
@@ -138,9 +138,9 @@ def solve_linear(mat, rhs, gf):
     """Solve M.x = rhs with the recorded elimination, loaded and run the way
     completion_map and run_plan do: rhs[r] into slot slot_of_row[r]."""
     n = len(rhs)
-    elim = _eliminate(_sparse(mat), gf)
-    plan = [(n + elim.slot_of_row[r], 1, r) for r in range(n)]
-    plan += [(n + dst, coeff, n + src) for dst, coeff, src in elim.plan]
+    slot_of_row, elimination = _eliminate([{c: v for c, v in enumerate(r) if v} for r in mat], gf)
+    plan = [(n + slot_of_row[r], 1, r) for r in range(n)]
+    plan += [(n + dst, coeff, n + src) for dst, coeff, src in elimination]
     return run_plan(plan, [list(rhs)], n, gf)
 
 
@@ -192,7 +192,7 @@ def test_hmds_all_q_column_subsets_full_rank():
 
 def test_constraint_counts_and_weights(sys23):
     p = sys23.params
-    assert sys23.n_constraints == 16 == p.q ** (p.t + 1)
+    assert len(sys23.terms) == 16 == p.q ** (p.t + 1)
     row_parities = [terms for delta, _, terms in decoded(sys23) if delta == 0]
     delta_parities = [terms for delta, _, terms in decoded(sys23) if delta != 0]
     assert len(row_parities) == 8 and len(delta_parities) == 8
@@ -203,7 +203,7 @@ def test_constraint_counts_and_weights(sys23):
 def test_constraint_count_matches_alpha_times_redundancy(all_systems):
     for sys_ in all_systems:
         p = sys_.params
-        assert sys_.n_constraints == p.alpha * (p.n - p.k) == p.q ** (p.t + 1)
+        assert len(sys_.terms) == p.alpha * (p.n - p.k) == p.q ** (p.t + 1)
 
 
 def test_row_parity_terms_stay_on_anchor(all_systems):
@@ -251,10 +251,10 @@ def test_constraint_ordering_delta_major(sys23):
     for delta in range(p.q):
         for row in p.rows():
             in_row = sys23.terms[idx][: p.n]
-            assert in_row == tuple((o, p.row_ordinal(row), sys23.hmds[delta][o])
+            assert in_row == tuple((o, row_ordinal(p, row), sys23.hmds[delta][o])
                                    for o in range(p.n))
             idx += 1
-    assert idx == sys23.n_constraints
+    assert idx == len(sys23.terms)
 
 
 def test_all_coefficients_nonzero(all_systems):
@@ -479,21 +479,20 @@ def test_compile_plan_refuses_a_system_that_is_not_square(sys23):
         sys23.completion_map(nodes[: p.q - 1])
     with pytest.raises(ValueError, match="cannot solve"):
         sys23.inverse_for(nodes[:1], range(p.alpha - 1))
-    slot_of = {o * p.alpha + row: (o - 1) * p.alpha + row
-               for o in range(1, p.n) for row in range(p.alpha)}
     with pytest.raises(ValueError, match="cannot solve"):  # all 16 constraints, 8 unknowns
-        sys23.compile_plan(nodes[:1], range(sys23.n_constraints), slot_of)
+        sys23.inverse_for(nodes[:1], range(len(sys23.terms)))
 
 
 def test_compile_plan_refuses_a_symbol_neither_missing_nor_known(sys23):
-    # repair's constraints for (1, 0), with helper (3, 1)'s rows unsent
+    # repair's plan for (1, 0), with helper (3, 1)'s term of the row-parity
+    # anchored on row (0, 0, 0) moved to row (1, 0, 0), outside gamma
     p = sys23.params
-    gamma = gamma_ordinals(p, (1, 0))
-    anchored = [delta * p.alpha + row for delta in range(p.q) for row in gamma]
-    slot_of = {o * p.alpha + row: i * p.beta + g
-               for i, o in enumerate(range(1, p.n - 1)) for g, row in enumerate(gamma)}
-    with pytest.raises(ValueError, match=r"node \(3, 1\)'s symbol on row \(0, 0, 0\)"):
-        sys23.compile_plan([(1, 0)], anchored, slot_of)
+    helper, moved = p.node_ordinal((3, 1)), row_ordinal(p, (1, 0, 0))
+    terms = list(sys23.terms)
+    terms[0] = tuple((o, moved if o == helper else r, c) for o, r, c in terms[0])
+    tampered = ParityCheckSystem(p, sys23.hmds, terms)
+    with pytest.raises(ValueError, match=r"node \(3, 1\)'s symbol on row \(1, 0, 0\)"):
+        tampered.completion_map([(1, 0)], gamma_ordinals(p, (1, 0)))
 
 
 @pytest.mark.parametrize("q,t,m,c0", list(PLAN_FINGERPRINTS))
@@ -742,3 +741,15 @@ def test_build_system_validates_c0_range(sys22):
 def test_build_system_needs_c0():
     with pytest.raises(ValueError, match="no valid c0"):
         build_system(make_params(2, 2, 5))
+
+
+def test_build_system_refuses_a_code_over_the_size_cap(monkeypatch):
+    # the cap counts q^(t+1) constraints of at most n + t terms each
+    p = make_params(2, 3, 7).with_c0(1)
+    bound = 2**4 * (6 + 3)
+    assert sum(map(len, build_system(p).terms)) <= bound
+    monkeypatch.setattr(parity, "MAX_TERMS", bound)
+    build_system(p)
+    monkeypatch.setattr(parity, "MAX_TERMS", bound - 1)
+    with pytest.raises(ValueError, match=f"needs {bound} parity-check terms, over the size cap"):
+        build_system(p)

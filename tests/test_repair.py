@@ -15,7 +15,7 @@ import pytest
 
 import msrcode
 from conftest import (eval_constraints, gamma_ordinals, gamma_rows, kronecker_system,
-                      random_block, rows_of, run_ordinals, stripe_array, system_for)
+                      random_block, row_ordinal, rows_of, run_ordinals, stripe_array, system_for)
 from msrcode import build_system, make_params
 from msrcode.codec import complete_columns, decode_batch, encode_batch
 from msrcode.gf import Block
@@ -162,7 +162,7 @@ def test_repair_batch_rebuilds_codeword_column(sys22, sys23):
         p = sys_.params
         columns = encode_batch(random_block(p, rng, 9), sys_)
         for s in range(9):
-            assert eval_constraints(stripe_array(columns, s, p), sys_) == [0] * sys_.n_constraints
+            assert eval_constraints(stripe_array(columns, s, p), sys_) == [0] * len(sys_.terms)
         for failed in p.nodes():
             rebuilt = repair_batch(failed, helper_rows(columns, failed, p), sys_)
             assert rebuilt == columns[failed]
@@ -175,7 +175,7 @@ def test_repair_plan_is_compiled_once_per_failed_node():
     p = sys_.params
     columns = encode_batch(random_block(p, random.Random(23), 3), sys_)
     nodes = list(p.nodes())
-    with mock.patch.object(sys_, "compile_plan", side_effect=sys_.compile_plan) as spy:
+    with mock.patch.object(sys_, "inverse_for", side_effect=sys_.inverse_for) as spy:
         for failed in (nodes[0], nodes[0], nodes[0], nodes[1], nodes[1], nodes[0]):
             rebuilt = repair_batch(failed, helper_rows(columns, failed, p), sys_)
             assert rebuilt == columns[failed]
@@ -254,6 +254,7 @@ def repair_tampered_under_optimize(node, row):
     """Under `python -O`, repair node (1, 0) at (2,2) with the shifted term
     on `node` of the delta = 1 constraint anchored on row (0, 0) moved to
     `row`, the system built from those tampered triples; the output."""
+    moved = row_ordinal(make_params(2, 2, 5), row)
     script = textwrap.dedent(f"""
         from msrcode import ParityCheckSystem, build_system, make_params
         from msrcode.gf import Block
@@ -261,10 +262,10 @@ def repair_tampered_under_optimize(node, row):
 
         p = make_params(2, 2, 5).with_c0(1)
         good = build_system(p)
-        failed, node, anchor = (1, 0), p.node_ordinal({node!r}), p.row_ordinal((0, 0))
+        failed, node, anchor = (1, 0), p.node_ordinal({node!r}), 0  # anchor row (0, 0)
         terms = list(good.terms)
         idx = p.alpha + anchor  # delta = 1, anchor (0, 0)
-        terms[idx] = tuple((o, p.row_ordinal({row!r}), c) if o == node and r != anchor
+        terms[idx] = tuple((o, {moved}, c) if o == node and r != anchor
                            else (o, r, c) for o, r, c in terms[idx])
         sys_ = ParityCheckSystem(p, good.hmds, terms)
         helpers = {{h: Block(p.gf.m, 2, [0] * (p.beta * p.gf.m)) for h in p.nodes() if h != failed}}

@@ -21,10 +21,10 @@ from msrcode.gf import Block
 from msrcode.shardio import (
     BLOCK_STRIPES,
     HEADER_LEN,
-    CountingReader,
     Manifest,
     ShardFormatError,
     ShardHeader,
+    ShardReader,
     bytes_from_symbols,
     crc32_file,
     open_shard,
@@ -510,14 +510,15 @@ def test_payload_is_row_contiguous_per_block(tmp_path, monkeypatch):
 
 
 def recording_reader():
-    """A CountingReader subclass that keeps its instances, so a test can
-    inspect the one read_gamma used, and the list they go to."""
+    """A ShardReader subclass that keeps its instances, so a test can
+    inspect the one read_gamma used, and the list they go to.  Each is
+    recorded before its header is read, so a refused open is kept too."""
     made = []
 
-    class Recording(CountingReader):
-        def __init__(self, f):
-            super().__init__(f)
+    class Recording(ShardReader):
+        def __init__(self, f, path):
             made.append(self)
+            super().__init__(f, path)
 
     return Recording, made
 
@@ -570,7 +571,7 @@ def test_read_gamma_truncated(tmp_path):
 def test_read_gamma_checks_file_size_before_payload(tmp_path, monkeypatch):
     # repair of (1,0) reads rows 0-3 only, which a short tail does not touch
     reader, made = recording_reader()
-    monkeypatch.setattr(shardio, "CountingReader", reader)
+    monkeypatch.setattr(shardio, "ShardReader", reader)
     p = make_params(2, 3, 7)
     hdr = ShardHeader(2, 3, 7, p.gf.poly, 1, (1, 0), 24, 80)
     path = tmp_path / "s.msrc"
@@ -598,7 +599,7 @@ def test_block_layout_property(qtm, eights, block, seed):
     reader, made = recording_reader()
     with tempfile.TemporaryDirectory() as tmp, \
             mock.patch.object(shardio, "BLOCK_STRIPES", block), \
-            mock.patch.object(shardio, "CountingReader", reader):
+            mock.patch.object(shardio, "ShardReader", reader):
         path = Path(tmp) / "s.msrc"
         write_whole(path, hdr, rows)
         got_hdr, got = read_shard(path)
@@ -613,14 +614,15 @@ def test_block_layout_property(qtm, eights, block, seed):
 
 
 def test_counting_reader(tmp_path):
-    path = tmp_path / "f.bin"
-    path.write_bytes(bytes(range(100)))
-    with open(path, "rb") as f:
-        reader = CountingReader(f)
-        reader.read(10)
-        reader.seek(50)
-        assert reader.read(5) == bytes(range(50, 55))
-        assert reader.bytes_read == 15
+    # a ShardReader counts the header read on opening, then every payload read
+    p = make_params(2, 3, 7)
+    hdr = ShardHeader(2, 3, 7, p.gf.poly, 1, (1, 0), 24, 80)
+    path = tmp_path / "s.msrc"
+    write_whole(path, hdr, zeros(8, 24))
+    with open_shard(path) as shard:
+        assert (shard.bytes_read, shard.reads) == (HEADER_LEN, 1)
+        list(shard.blocks([(1, 2), (5, 1)]))
+        assert (shard.bytes_read, shard.reads) == (HEADER_LEN + 3 * payload_bytes(24, 1, 7), 3)
 
 
 def test_crc32_file(tmp_path):
