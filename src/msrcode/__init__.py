@@ -22,7 +22,6 @@ from .parity import (
     find_c0,
     find_code,
     gf_rank,
-    sufficient_field_size,
 )
 from .codec import MdsReport, decode_batch, decode_from_k, encode, encode_batch, verify_mds
 from .repair import repair_batch
@@ -41,7 +40,6 @@ __all__ = [
     "find_c0",
     "find_code",
     "gf_rank",
-    "sufficient_field_size",
     "MdsReport",
     "encode",
     "decode_from_k",

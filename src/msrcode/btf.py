@@ -25,7 +25,7 @@ imports this module, so no other command compiles it.
 from __future__ import annotations
 
 from itertools import zip_longest
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from .gf import GF2M
 from .params import Node

@@ -21,13 +21,18 @@ systematic nodes only stacks their planes.  Neither path loads numpy.
 
 verify_mds is the whole MDS certificate: it eliminates the thick submatrix
 of every size-q node subset once, which is the rank check, and reuses that
-plan for the subset's decode round trips.
+plan for the subset's decode round trips.  The subsets are independent, so
+it encodes its messages once and then deals the k-subsets out to one
+os.fork()ed worker per usable CPU (_forked_map), each sending its results
+back through a pipe; the report is the serial loop's, field for field.
 """
 
 from __future__ import annotations
 
+import marshal
+import os
 import random
-from typing import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 
 from .gf import Block
 from .params import Node, Record
@@ -55,9 +60,10 @@ def complete_columns(sys: ParityCheckSystem, known: Mapping[Node, Sequence],
     if isinstance(columns[0], list):
         if any(len(col) != sent for col in columns):
             raise ValueError(f"columns must hold {sent} symbols each")
-        for col in columns:
-            for v in col:
-                gf.validate(v)
+        if any(col and (min(col) < 0 or max(col) >= gf.order) for col in columns):
+            for col in columns:  # only to name the first bad symbol
+                for v in col:
+                    gf.validate(v)
     else:
         stripes = columns[0].stripes
         for col in columns:
@@ -123,32 +129,138 @@ def verify_mds(sys: ParityCheckSystem, trials: int, seed: int = 0) -> MdsReport:
     `deficient` (so `deficient == check_mds_ranks(sys)`, for any number of
     trials), and otherwise its plan decodes each of `trials` random
     messages from the k-subset.  A mismatch, or a round trip through a
-    singular H_S, is recorded as a failure."""
+    singular H_S, is recorded as a failure.  The messages are encoded once,
+    up front, and the k-subsets are shared among forked workers
+    (_forked_map); the report is the same for any number of them.  A
+    worker that fails raises WorkerFailure: no report leaves a subset
+    unchecked."""
     p = sys.params
     rng = random.Random(seed)
     subsets = list(node_subsets(p, p.k))
-    report = MdsReport(subset_count=len(subsets), trials=trials)
     messages = [
         [rng.randrange(p.gf.order) for _ in range(p.message_len)]
         for _ in range(trials)
     ]
-    codewords = None
-    for subset in subsets:
+    try:  # compiles the plan of the first subset, which leaves out the parity nodes
+        codewords = [encode(msg, sys) for msg in messages]
+    except ValueError:  # that H_S is singular: nothing encodes
+        codewords = None
+
+    def failed_trials(subset: tuple[Node, ...]) -> list[int] | None:
+        """None when the H_S of the nodes outside `subset` is singular, else
+        the indices of the messages that do not decode from `subset`."""
         missing = tuple(nd for nd in p.nodes() if nd not in subset)
         try:
-            sys.completion_map(missing)  # memoised: the calls below reuse it
+            sys.completion_map(missing)  # memoised: the decodes below reuse it
         except ValueError:  # H_S is singular
-            report.deficient.append(missing)
-            report.failures.extend((subset, idx) for idx in range(trials))
-            continue
-        if missing == p.parity_nodes():  # the first subset; its plan encodes
-            codewords = [encode(msg, sys) for msg in messages]
-        for idx, msg in enumerate(messages):
-            if codewords is None or decode_from_k(
-                    {nd: codewords[idx][nd] for nd in subset}, sys) != msg:
-                report.failures.append((subset, idx))
+            return None
+        return [idx for idx, msg in enumerate(messages) if codewords is None or decode_from_k(
+            {nd: codewords[idx][nd] for nd in subset}, sys) != msg]
+
+    report = MdsReport(subset_count=len(subsets), trials=trials)
+    for subset, failed in zip(subsets, _forked_map(failed_trials, subsets)):
+        if failed is None:
+            report.deficient.append(tuple(nd for nd in p.nodes() if nd not in subset))
+            failed = range(trials)
+        report.failures.extend((subset, idx) for idx in failed)
     report.deficient.sort()  # complements of k-subsets come in reverse order
     return report
+
+
+# -- verify's workers -----------------------------------------------------------
+
+# The fewest k-subsets worth a worker of their own.  A fork and exit take
+# about 2.3 ms, and a subset 0.3 ms at (2,2) to 1.1 ms at (4,2,6) with 3
+# trials, so 16 subsets outweigh a fork twice over even at the cheapest.
+# (2,2)'s 6 and (2,3)'s 15 subsets stay in-process.
+_MIN_SUBSETS_PER_WORKER = 16
+
+
+class WorkerFailure(Exception):
+    """A forked verify worker raised or died, leaving its subsets unchecked."""
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _forked_map(fn, items: list) -> list:
+    """[fn(x) for x in items], shared among W workers: items[w::W] go to
+    worker w, this process being worker 0 and the others os.fork()ed
+    children that send their results (marshallable, as fn's must be) back
+    through a pipe.  W is the usable CPU count, capped so that each worker
+    gets _MIN_SUBSETS_PER_WORKER items at least; at W = 1, or without
+    os.fork, every item runs here.  A child that raises or dies raises
+    WorkerFailure here, naming it.  Every pipe is read to its end before
+    its child is reaped, and on any exception here, KeyboardInterrupt
+    included, every child not yet reaped is killed and reaped, so none
+    outlives the call.  Forking is safe here because msrcode starts no
+    thread, and cheap because the children share the parent's memory."""
+    workers = min(_usable_cpus(), len(items) // _MIN_SUBSETS_PER_WORKER)
+    if workers < 2 or not hasattr(os, "fork"):
+        return [fn(x) for x in items]
+    results = [None] * len(items)
+    children = {}  # pid -> (worker, the read end of its pipe)
+    try:
+        for w in range(1, workers):
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _work(fn, items[w::workers], write,
+                          [read, *(pipe.fileno() for _, pipe in children.values())])
+            except BaseException:
+                os.close(read)
+                raise
+            finally:  # the child never gets here
+                os.close(write)
+            children[pid] = w, open(read, "rb")
+        results[::workers] = [fn(x) for x in items[::workers]]
+        for pid, (w, pipe) in list(children.items()):
+            with pipe:
+                data = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[pid]
+            try:
+                ok, sent = marshal.loads(data)
+            except (EOFError, ValueError, TypeError):
+                ok, sent = False, None
+            if not ok or code:
+                raise WorkerFailure(f"verify worker {w} (pid {pid}) " + (
+                    f"raised {sent}" if isinstance(sent, str) else f"ended with status {code}"))
+            results[w::workers] = sent
+    except BaseException:
+        from signal import SIGKILL  # 1.6 ms of enum set-up: not on every command's import
+        for pid, (_, pipe) in children.items():
+            pipe.close()
+            os.kill(pid, SIGKILL)
+            os.waitpid(pid, 0)
+        raise
+    return results
+
+
+def _work(fn, items: list, write: int, inherited: list[int]) -> None:
+    """A forked worker's whole life: close the pipe ends it inherited, send
+    (True, [fn(x) for x in items]) through `write`, or (False, the error)
+    if fn raises, and os._exit on every path.  It never returns, so the
+    child never unwinds into the frames, and the finally blocks, of the
+    parent's callers."""
+    code = 1
+    try:
+        for fd in inherited:
+            os.close(fd)
+        try:
+            sent = True, [fn(x) for x in items]
+        except Exception as exc:
+            sent = False, f"{type(exc).__name__}: {exc}"
+        with open(write, "wb") as pipe:
+            pipe.write(marshal.dumps(sent))
+        code = 0 if sent[0] else 1
+    finally:
+        os._exit(code)
 
 
 # -- batched (multi-stripe) paths ---------------------------------------------

@@ -18,7 +18,7 @@ x^(m-1).  m is capped at MAX_DEGREE = 16.
 
 from __future__ import annotations
 
-from typing import Iterable
+from collections.abc import Iterable
 
 MAX_DEGREE = 16
 

@@ -17,10 +17,11 @@ from __future__ import annotations
 
 import itertools
 from collections import namedtuple
-from typing import TYPE_CHECKING, Iterator
+from collections.abc import Iterator
 
 from .gf import GF2M, MAX_DEGREE
 
+TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
 if TYPE_CHECKING:
     from fractions import Fraction
 

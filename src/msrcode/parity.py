@@ -48,7 +48,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from .gf import GF2M, MAX_DEGREE, Block
 from .params import CodeParams, Node, make_params, smallest_field_degree
@@ -206,22 +206,24 @@ def run_plan(plan: list[Op], columns: Sequence, n_out: int,
     order, then n_out output rows, zero on entry, and return the output
     rows.  Every op writes an output slot; the inputs are never written.
     On one stripe the columns are lists of ints, the workspace is a list of
-    ints, the ops use gf.mul and the output comes back as a new list.  On a
-    block the columns are Blocks of one stripe count, a slot is a list of
-    its row's m planes, and an op (dst, c, src) XORs plane i of slot src
-    into plane r of slot dst for each pair (r, i) of gf.bit_pairs(c); an
-    in-place scale (dst == src) sets the slot's planes aside and XORs them
-    into a zero slot.  The output is a new (n_out, stripes) Block."""
+    ints, each op multiplies through the field's log/antilog tables, and
+    the output comes back as a new list.  On a block the columns are Blocks
+    of one stripe count, a slot is a list of its row's m planes, and an op
+    (dst, c, src) XORs plane i of slot src into plane r of slot dst for
+    each pair (r, i) of gf.bit_pairs(c); an in-place scale (dst == src)
+    sets the slot's planes aside and XORs them into a zero slot.  The
+    output is a new (n_out, stripes) Block."""
     if isinstance(columns[0], list):
         ws = [v for col in columns for v in col] + [0] * n_out
-        mul = gf.mul
+        exp, log = gf._exp, gf._log
         for dst, coeff, src in plan:
+            v = ws[src]
+            if v:
+                v = exp[log[coeff] + log[v]] if coeff else 0
             if dst == src:
-                ws[dst] = mul(coeff, ws[dst])
-            elif coeff == 1:
-                ws[dst] ^= ws[src]
+                ws[dst] = v
             else:
-                ws[dst] ^= mul(coeff, ws[src])
+                ws[dst] ^= v
         return ws[len(ws) - n_out :]
     m, bit_pairs = gf.m, gf.bit_pairs
     ws = [col.planes[at : at + m] for col in columns for at in range(0, len(col.planes), m)]
@@ -339,14 +341,6 @@ def check_mds_ranks(system: ParityCheckSystem) -> list[tuple[Node, ...]]:
             if gf_rank(system.thick_rows(s), p.gf) != p.q * p.alpha]
 
 
-def sufficient_field_size(params: CodeParams) -> int:
-    """Field size above which a valid c0 is guaranteed to exist: one more
-    than the degree bound comb(n, k) * q^t * (q-1) of the subset-determinant
-    product polynomial."""
-    p = params
-    return math.comb(p.n, p.k) * p.alpha * (p.q - 1) + 1
-
-
 class NoValidC0(ValueError):
     """valid_c0s found every nonzero candidate of its field forbidden: a
     larger field may hold a valid c0."""
@@ -361,9 +355,10 @@ def valid_c0s(params: CodeParams) -> tuple[int, ...]:
     (btf.forbidden_c) to the field's forbidden set, and the valid c0s are
     the rest.  A code with more subsets than MAX_SUBSET_CHECKS raises
     ValueError before any system is built; a full forbidden set raises
-    NoValidC0 at once, the field being too small (guaranteed not to happen
-    once it exceeds sufficient_field_size).  The last field's answer is
-    kept, so init's count after find_code costs no second pass."""
+    NoValidC0 at once, the field being too small (the subsets' determinants
+    multiply to a nonzero polynomial in c, so a large enough field holds a
+    valid c0).  The last field's answer is kept, so init's count after
+    find_code costs no second pass."""
     from .btf import forbidden_c, shift_blocks  # deferred, so only a search compiles it
 
     gf = params.gf
@@ -376,10 +371,7 @@ def valid_c0s(params: CodeParams) -> tuple[int, ...]:
                 seen.add(block)
                 forbidden |= forbidden_c(block, gf)
         if len(forbidden) == gf.order - 1:
-            raise NoValidC0(
-                f"no valid c0 in GF(2^{gf.m}); retry with a larger field "
-                f"(size > {sufficient_field_size(params)} always suffices)"
-            )
+            raise NoValidC0(f"no valid c0 in GF(2^{gf.m}); retry with a larger field")
     return tuple(c for c in range(1, gf.order) if c not in forbidden)
 
 

@@ -29,7 +29,7 @@ the failed node's (alpha, s) Block out.
 
 from __future__ import annotations
 
-from typing import Mapping
+from collections.abc import Mapping
 
 from .codec import complete_columns
 from .gf import Block

@@ -58,13 +58,18 @@ import contextlib
 import os
 import struct
 import zlib
+from collections import namedtuple
+from collections.abc import Iterable, Iterator, Mapping
 from contextlib import contextmanager
 from pathlib import Path
-from typing import BinaryIO, Iterable, Iterator, Mapping, NamedTuple
 
 from .gf import Block
 from .params import CodeParams, Node, Record, make_params
 from .parity import _check_size
+
+TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
+if TYPE_CHECKING:
+    from typing import BinaryIO
 
 MAGIC = b"MSRC"
 FORMAT_VERSION = 3
@@ -91,15 +96,12 @@ class ShardFormatError(ValueError):
     """Malformed or inconsistent shard/manifest contents."""
 
 
-class ShardHeader(NamedTuple):
-    q: int
-    t: int
-    m: int
-    reduction_poly: int  # full polynomial, leading bit included
-    c0: int
-    node: Node
-    stripe_count: int
-    file_length: int
+class ShardHeader(namedtuple("ShardHeader",
+                             "q t m reduction_poly c0 node stripe_count file_length")):
+    """A shard's fixed-size header; reduction_poly is the full polynomial,
+    leading bit included."""
+
+    __slots__ = ()
 
     def pack(self) -> bytes:
         low_poly = self.reduction_poly & ((1 << self.m) - 1)

@@ -7,10 +7,11 @@ search; test_parity re-runs the search and asserts it still lands on them.
 from __future__ import annotations
 
 import itertools
+import os
 
 import pytest
 
-from msrcode import ParityCheckSystem, build_system, make_params
+from msrcode import ParityCheckSystem, build_system, codec, make_params
 from msrcode.gf import Block
 
 # (q, t, m) -> first c0 the ascending search accepts
@@ -59,6 +60,28 @@ def sys23():
 @pytest.fixture(scope="session")
 def all_systems(sys22, sys32, sys23):
     return [sys22, sys32, sys23]
+
+
+@pytest.fixture
+def forking(monkeypatch):
+    """set_cpus(n): make codec.verify_mds see n usable CPUs, with a worker
+    worth even one subset, so that a code of any size is shared among n
+    workers.  Returns the list of the pids each os.fork gave the parent."""
+    forks = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        forks.append(pid)
+        return pid
+
+    def set_cpus(n):
+        monkeypatch.setattr(codec, "_usable_cpus", lambda: n)
+        return forks
+
+    monkeypatch.setattr(codec, "_MIN_SUBSETS_PER_WORKER", 1)
+    monkeypatch.setattr(os, "fork", fork)
+    return set_cpus
 
 
 def eval_constraints(codeword, sys_):

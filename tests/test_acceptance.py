@@ -6,6 +6,7 @@ their stated wall-clock budgets.
 """
 
 import itertools
+import math
 import os
 import random
 import re
@@ -22,7 +23,6 @@ from msrcode import (
     find_c0,
     make_params,
     repair_batch,
-    sufficient_field_size,
     verify_mds,
 )
 from msrcode.cli import EXIT_OK, main
@@ -92,6 +92,13 @@ def test_criterion_2_repair_exact_and_bandwidth():
         problems.append(f"took {elapsed:.1f}s (budget 30s)")
     report(2, problems, "every node of every set repaired bit-identically; "
                         f"downloads exactly beta per helper, d*beta total; {elapsed:.1f}s")
+
+
+def sufficient_field_size(p):
+    """The field size above which a valid c0 exists: one more than the
+    degree bound comb(n, k) * q^t * (q-1) of the product of the subset
+    determinants, a polynomial in c0."""
+    return math.comb(p.n, p.k) * p.alpha * (p.q - 1) + 1
 
 
 def test_criterion_3_search_within_sufficient_field_bound():

@@ -7,6 +7,7 @@ import json
 import os
 import re
 import shutil
+import signal
 import subprocess
 import sys
 import textwrap
@@ -18,7 +19,7 @@ import pytest
 
 import msrcode
 from conftest import gamma_ordinals
-from msrcode import GF2M, make_params, parity, shardio
+from msrcode import GF2M, codec, make_params, parity, shardio
 from msrcode.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
 from msrcode.shardio import BLOCK_STRIPES, HEADER_LEN, Manifest, read_shard, shard_filename
 
@@ -687,12 +688,63 @@ def test_verify_tampered_c0_fails(store22):
     assert main(["verify", "--trials", "2", "--out-dir", str(store)]) == EXIT_VERIFY
 
 
-def test_verify_eliminates_each_subset_once(store22):
-    # one elimination per size-q subset serves the rank check and the decodes
+def test_verify_eliminates_each_subset_once(store22, forking, monkeypatch, tmp_path):
+    # one elimination per size-q subset serves the rank check and the
+    # decodes, in exactly one of the two processes that share the subsets;
+    # each process logs its eliminations to one file
     store, _ = store22
-    with mock.patch.object(parity, "_reduce", wraps=parity._reduce) as reduce:
-        assert main(["verify", "--trials", "3", "--out-dir", str(store)]) == EXIT_OK
-    assert reduce.call_count == 6  # comb(n=4, q=2)
+    forking(2)
+    log = tmp_path / "eliminations.txt"
+    real_inverse_for, real_reduce = parity.ParityCheckSystem.inverse_for, parity._reduce
+
+    def logged(what):
+        with open(log, "a") as f:
+            f.write(f"{os.getpid()} {what}\n")
+
+    def inverse_for(self, missing, constraints):
+        logged(sorted(missing))
+        return real_inverse_for(self, missing, constraints)
+
+    def reduce(rows, gf):
+        logged("reduce")
+        return real_reduce(rows, gf)
+
+    monkeypatch.setattr(parity.ParityCheckSystem, "inverse_for", inverse_for)
+    monkeypatch.setattr(parity, "_reduce", reduce)
+    assert main(["verify", "--trials", "3", "--out-dir", str(store)]) == EXIT_OK
+    lines = [line.split(" ", 1) for line in log.read_text().splitlines()]
+    reduces = sorted(pid for pid, what in lines if what == "reduce")
+    subsets = [(what, pid) for pid, what in lines if what != "reduce"]
+    assert len(reduces) == len(subsets) == len(dict(subsets)) == 6  # comb(n=4, q=2)
+    assert sorted(pid for _, pid in subsets) == reduces
+    assert len(set(reduces)) == 2
+
+
+@pytest.mark.parametrize("fault", ["raises", "dies"])
+def test_a_failed_verify_worker_exits_2_and_leaves_no_child(store22, forking, monkeypatch,
+                                                            capsys, fault):
+    # a worker that raises or dies leaves its subsets unchecked: verify
+    # names it and exits 2, and reaps every child
+    store, _ = store22
+    forks = forking(3)
+    parent, real_decode = os.getpid(), codec.decode_from_k
+
+    def decode_from_k(available, sys_):
+        if os.getpid() != parent:
+            if fault == "raises":
+                raise ValueError("no decode here")
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real_decode(available, sys_)
+
+    monkeypatch.setattr(codec, "decode_from_k", decode_from_k)
+    assert main(["verify", "--trials", "1", "--out-dir", str(store)]) == EXIT_VERIFY
+    err = capsys.readouterr().err
+    assert len(forks) == 2
+    assert f"verify worker 1 (pid {forks[0]})" in err
+    assert ("raised ValueError: no decode here" if fault == "raises" else "ended with status -9") \
+        in err
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_verify_negative_trials_is_usage_error(store22, capsys):
@@ -747,9 +799,10 @@ def test_no_command_loads_numpy(tmp_path):
 
 def test_cli_import_loads_no_costly_module():
     # dataclasses (through inspect), fractions (through decimal), hashlib,
-    # numpy and msrcode.btf (only init's c0 search uses it) cost start-up
-    # time on every command; a module already loaded by site (a .pth file)
-    # does not count against msrcode
+    # typing, signal (only a failed verify's clean-up uses it), numpy and
+    # msrcode.btf (only init's c0 search uses it) cost start-up time on
+    # every command; the child runs without site (-S), so a module that a
+    # .pth file would load first still counts
     script = textwrap.dedent("""
         import json, sys
         before = set(sys.modules)
@@ -757,11 +810,12 @@ def test_cli_import_loads_no_costly_module():
         print(json.dumps(sorted(set(sys.modules) - before)))
     """)
     env = dict(os.environ, PYTHONPATH=str(Path(msrcode.__file__).parents[1]))
-    out = subprocess.run([sys.executable, "-c", script], env=env,
+    out = subprocess.run([sys.executable, "-S", "-c", script], env=env,
                          capture_output=True, text=True, check=True)
     loaded = json.loads(out.stdout.splitlines()[-1])
     assert "msrcode.cli" in loaded
-    banned = {"dataclasses", "inspect", "fractions", "decimal", "hashlib", "numpy"}
+    banned = {"dataclasses", "inspect", "fractions", "decimal", "hashlib", "typing", "signal",
+              "numpy"}
     assert [m for m in loaded if m.split(".")[0] in banned] == []
     assert "msrcode.btf" not in loaded
 

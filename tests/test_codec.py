@@ -2,6 +2,7 @@
 and the batched Block paths checked against the term-list oracle."""
 
 import itertools
+import os
 import random
 
 import pytest
@@ -10,7 +11,8 @@ from hypothesis import strategies as st
 
 from conftest import (BAD_C0, column_at, eval_constraints, gamma_ordinals, random_block, rows_of,
                       stripe_array, to_block)
-from msrcode import build_system, decode_from_k, encode, find_code, make_params, verify_mds
+from msrcode import (build_system, codec, decode_from_k, encode, find_code, make_params,
+                     verify_mds)
 from msrcode.codec import MdsReport, complete_columns, decode_batch, encode_batch
 from msrcode.gf import Block
 from msrcode.parity import check_mds_ranks, gf_rank
@@ -217,6 +219,58 @@ def test_verify_mds_deficient_is_the_rank_check(all_systems, trials):
         assert report.deficient == [] and report.ok
 
 
+# -- verify's workers -----------------------------------------------------------------
+
+
+# a valid (4,2,6) code; test_verify_mds_catches_bad_c0's c0; c0 = 24 at (2,2,5),
+# where the parity nodes' H_S is singular, so nothing encodes
+WORKER_CODES = [(4, 2, 6, 6), (2, 2, 5, BAD_C0[(2, 2, 5)]), (2, 2, 5, 24)]
+
+
+@pytest.mark.parametrize("trials", [0, 3])
+@pytest.mark.parametrize("q, t, m, c0", WORKER_CODES)
+def test_workers_report_what_one_process_reports(forking, q, t, m, c0, trials):
+    sys_ = build_system(make_params(q, t, m).with_c0(c0))
+    forking(1)
+    serial = verify_mds(sys_, trials)
+    assert serial.ok == ((q, t, m) == (4, 2, 6))
+    for workers in (2, 3):
+        forks = forking(workers)
+        forks.clear()
+        sys_._last = None  # as a fresh command has it: no plan compiled yet
+        assert verify_mds(sys_, trials) == serial
+        assert len(forks) == workers - 1
+        with pytest.raises(ChildProcessError):  # every child is reaped
+            os.waitpid(-1, os.WNOHANG)
+
+
+def test_verify_without_fork_is_the_serial_loop(forking, monkeypatch, sys32):
+    forks = forking(3)
+    monkeypatch.delattr(os, "fork")
+    report = verify_mds(sys32, 2)
+    assert report.ok and report.subset_count == 20 and forks == []
+
+
+def test_an_interrupted_verify_leaves_no_worker(forking, monkeypatch):
+    # the parent's own slice raises KeyboardInterrupt: the children still
+    # running are killed and reaped, and the interrupt propagates
+    sys_ = build_system(make_params(4, 2, 6).with_c0(6))
+    forks = forking(3)
+    parent, real_decode = os.getpid(), codec.decode_from_k
+
+    def decode_from_k(available, sys_):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        return real_decode(available, sys_)
+
+    monkeypatch.setattr(codec, "decode_from_k", decode_from_k)
+    with pytest.raises(KeyboardInterrupt):
+        verify_mds(sys_, 3)
+    assert len(forks) == 2
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 # -- batched paths ------------------------------------------------------------------------
 
 
@@ -292,6 +346,17 @@ def test_out_of_field_symbol_rejected(entry):
         else:
             helpers = {nd: to_block([[9] * 3] * p.beta, 4) for nd in nodes[1:]}
             repair_batch(nodes[0], helpers, sys_)
+
+
+@pytest.mark.parametrize("bad", [-1, 8])
+def test_scalar_symbol_check_names_the_first_symbol_outside_the_field(bad):
+    # each column is checked by its min and max; the error names the first
+    # bad symbol in column order, as a check of every symbol would
+    sys_ = build_system(find_code(2, 2, 3))
+    message = [0] * sys_.params.message_len
+    message[3], message[-1] = bad, 100
+    with pytest.raises(ValueError, match=rf"^{bad} is not an element of GF\(2\^3\)$"):
+        encode(message, sys_)
 
 
 def test_encode_batch_shape_validation(sys22):

@@ -35,7 +35,6 @@ from msrcode.parity import (
     gf_rank,
     node_subsets,
     run_plan,
-    sufficient_field_size,
     valid_c0s,
 )
 
@@ -586,17 +585,6 @@ def test_found_systems_pass_all_subset_ranks(all_systems):
 def test_bad_c0_fails_rank_checks():
     for (q, t, m), bad in BAD_C0.items():
         assert check_mds_ranks(build_system(make_params(q, t, m).with_c0(bad)))
-
-
-def test_find_c0_respects_field_size_bound():
-    # the product polynomial has degree <= comb(n,k) * q^t * (q-1); a field
-    # larger than that bound must contain a valid nonzero c0
-    p22 = make_params(2, 2, 5)
-    assert sufficient_field_size(p22) == 25 < 32
-    find_c0(p22)  # must not raise
-    p23 = make_params(2, 3, 7)
-    assert sufficient_field_size(p23) == 121 < 128
-    find_c0(p23)
 
 
 def test_find_c0_exhaustion_raises():
