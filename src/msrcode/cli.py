@@ -295,7 +295,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as exc:  # --help
         return exc.code or EXIT_OK
-    except (VerificationFailure, ShardFormatError, codec.WorkerFailure) as err:  # before ValueError
+    except (VerificationFailure, ShardFormatError) as err:  # before ValueError
         print(f"verification failed: {err}", file=sys.stderr)
         return EXIT_VERIFY
     except (_UsageError, ValueError) as err:

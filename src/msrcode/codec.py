@@ -23,13 +23,12 @@ verify_mds is the whole MDS certificate: it eliminates the thick submatrix
 of every size-q node subset once, which is the rank check, and reuses that
 plan for the subset's decode round trips.  The subsets are independent, so
 it encodes its messages once and then deals the k-subsets out to one
-os.fork()ed worker per usable CPU (_forked_map), each sending its results
-back through a pipe; the report is the serial loop's, field for field.
+os.fork()ed worker per usable CPU (_forked_map), whose exit status says
+whether its subsets were clean; the report is the serial loop's.
 """
 
 from __future__ import annotations
 
-import marshal
 import os
 import random
 from collections.abc import Iterable, Mapping, Sequence
@@ -131,9 +130,10 @@ def verify_mds(sys: ParityCheckSystem, trials: int, seed: int = 0) -> MdsReport:
     messages from the k-subset.  A mismatch, or a round trip through a
     singular H_S, is recorded as a failure.  The messages are encoded once,
     up front, and the k-subsets are shared among forked workers
-    (_forked_map); the report is the same for any number of them.  A
-    worker that fails raises WorkerFailure: no report leaves a subset
-    unchecked."""
+    (_forked_map); the report is the same for any number of them.  The
+    subsets of a worker that finds something, raises or dies are checked
+    again here: every subset is checked by a process that finished
+    cleanly."""
     p = sys.params
     rng = random.Random(seed)
     subsets = list(node_subsets(p, p.k))
@@ -176,10 +176,6 @@ def verify_mds(sys: ParityCheckSystem, trials: int, seed: int = 0) -> MdsReport:
 _MIN_SUBSETS_PER_WORKER = 16
 
 
-class WorkerFailure(Exception):
-    """A forked verify worker raised or died, leaving its subsets unchecked."""
-
-
 def _usable_cpus() -> int:
     try:
         return len(os.sched_getaffinity(0))
@@ -188,79 +184,48 @@ def _usable_cpus() -> int:
 
 
 def _forked_map(fn, items: list) -> list:
-    """[fn(x) for x in items], shared among W workers: items[w::W] go to
-    worker w, this process being worker 0 and the others os.fork()ed
-    children that send their results (marshallable, as fn's must be) back
-    through a pipe.  W is the usable CPU count, capped so that each worker
-    gets _MIN_SUBSETS_PER_WORKER items at least; at W = 1, or without
-    os.fork, every item runs here.  A child that raises or dies raises
-    WorkerFailure here, naming it.  Every pipe is read to its end before
-    its child is reaped, and on any exception here, KeyboardInterrupt
-    included, every child not yet reaped is killed and reaped, so none
-    outlives the call.  Forking is safe here because msrcode starts no
-    thread, and cheap because the children share the parent's memory."""
+    """[fn(x) for x in items], for an fn that returns [] on a clean x,
+    shared among W workers: items[w::W] go to worker w, this process being
+    worker 0 and the others os.fork()ed children.  W is the usable CPU
+    count, capped at one worker per _MIN_SUBSETS_PER_WORKER items.  A
+    child's exit status says only whether its slice was clean; the slice
+    of a child that was not, or that raised, died or could not be forked,
+    runs again here.  On any exception here, KeyboardInterrupt included,
+    every child not yet reaped is killed and reaped.  Forking is safe
+    because msrcode starts no thread."""
     workers = min(_usable_cpus(), len(items) // _MIN_SUBSETS_PER_WORKER)
     if workers < 2 or not hasattr(os, "fork"):
         return [fn(x) for x in items]
-    results = [None] * len(items)
-    children = {}  # pid -> (worker, the read end of its pipe)
+    results = [[] for _ in items]
+    redo, children = [], {}  # the slices to run again here; pid -> its child's slice
     try:
         for w in range(1, workers):
-            read, write = os.pipe()
             try:
                 pid = os.fork()
-                if pid == 0:
-                    _work(fn, items[w::workers], write,
-                          [read, *(pipe.fileno() for _, pipe in children.values())])
-            except BaseException:
-                os.close(read)
-                raise
-            finally:  # the child never gets here
-                os.close(write)
-            children[pid] = w, open(read, "rb")
+            except OSError:  # no process to spare (EAGAIN)
+                redo.append(w)
+                continue
+            if pid == 0:  # os._exit on every path: the child never unwinds into its callers
+                try:
+                    os._exit(0 if all(fn(x) == [] for x in items[w::workers]) else 1)
+                finally:  # fn raised
+                    os._exit(1)
+            children[pid] = w
         results[::workers] = [fn(x) for x in items[::workers]]
-        for pid, (w, pipe) in list(children.items()):
-            with pipe:
-                data = pipe.read()
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        for pid, w in list(children.items()):
+            status = os.waitpid(pid, 0)[1]
             del children[pid]
-            try:
-                ok, sent = marshal.loads(data)
-            except (EOFError, ValueError, TypeError):
-                ok, sent = False, None
-            if not ok or code:
-                raise WorkerFailure(f"verify worker {w} (pid {pid}) " + (
-                    f"raised {sent}" if isinstance(sent, str) else f"ended with status {code}"))
-            results[w::workers] = sent
+            if status:
+                redo.append(w)
+        for w in redo:
+            results[w::workers] = [fn(x) for x in items[w::workers]]
     except BaseException:
         from signal import SIGKILL  # 1.6 ms of enum set-up: not on every command's import
-        for pid, (_, pipe) in children.items():
-            pipe.close()
+        for pid in children:
             os.kill(pid, SIGKILL)
             os.waitpid(pid, 0)
         raise
     return results
-
-
-def _work(fn, items: list, write: int, inherited: list[int]) -> None:
-    """A forked worker's whole life: close the pipe ends it inherited, send
-    (True, [fn(x) for x in items]) through `write`, or (False, the error)
-    if fn raises, and os._exit on every path.  It never returns, so the
-    child never unwinds into the frames, and the finally blocks, of the
-    parent's callers."""
-    code = 1
-    try:
-        for fd in inherited:
-            os.close(fd)
-        try:
-            sent = True, [fn(x) for x in items]
-        except Exception as exc:
-            sent = False, f"{type(exc).__name__}: {exc}"
-        with open(write, "wb") as pipe:
-            pipe.write(marshal.dumps(sent))
-        code = 0 if sent[0] else 1
-    finally:
-        os._exit(code)
 
 
 # -- batched (multi-stripe) paths ---------------------------------------------

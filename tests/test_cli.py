@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: round trips, exit codes, byte-identical repair,
 and the partial-read bound on the repair path."""
 
+import errno
 import hashlib
 import itertools
 import json
@@ -720,29 +721,42 @@ def test_verify_eliminates_each_subset_once(store22, forking, monkeypatch, tmp_p
     assert len(set(reduces)) == 2
 
 
-@pytest.mark.parametrize("fault", ["raises", "dies"])
-def test_a_failed_verify_worker_exits_2_and_leaves_no_child(store22, forking, monkeypatch,
-                                                            capsys, fault):
-    # a worker that raises or dies leaves its subsets unchecked: verify
-    # names it and exits 2, and reaps every child
+@pytest.mark.parametrize("fault", ["raises", "dies", "no-fork"])
+def test_a_failed_verify_worker_s_subsets_are_checked_here(store22, forking, monkeypatch,
+                                                           capsys, fault):
+    # a worker that raises or dies, or that cannot be forked, leaves its
+    # subsets to the parent: verify prints what one process prints, exits 0
+    # and reaps every child
     store, _ = store22
+    forking(1)
+    assert main(["verify", "--trials", "1", "--out-dir", str(store)]) == EXIT_OK
+    serial = capsys.readouterr().out
     forks = forking(3)
-    parent, real_decode = os.getpid(), codec.decode_from_k
+    parent, real_decode, recorded_fork = os.getpid(), codec.decode_from_k, os.fork
+
+    decoded_here = []  # the k-subsets this process decodes from
 
     def decode_from_k(available, sys_):
-        if os.getpid() != parent:
-            if fault == "raises":
-                raise ValueError("no decode here")
+        if os.getpid() == parent:
+            decoded_here.append(tuple(available))
+        elif fault == "raises":
+            raise ValueError("no decode here")
+        elif fault == "dies":
             os.kill(os.getpid(), signal.SIGKILL)
         return real_decode(available, sys_)
 
+    def fork():
+        if fault == "no-fork" and forks:  # the second fork: no process to spare
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        return recorded_fork()
+
     monkeypatch.setattr(codec, "decode_from_k", decode_from_k)
-    assert main(["verify", "--trials", "1", "--out-dir", str(store)]) == EXIT_VERIFY
-    err = capsys.readouterr().err
-    assert len(forks) == 2
-    assert f"verify worker 1 (pid {forks[0]})" in err
-    assert ("raised ValueError: no decode here" if fault == "raises" else "ended with status -9") \
-        in err
+    monkeypatch.setattr(os, "fork", fork)
+    assert main(["verify", "--trials", "1", "--out-dir", str(store)]) == EXIT_OK
+    assert capsys.readouterr().out == serial
+    assert len(forks) == (1 if fault == "no-fork" else 2)
+    # 3 slices of 2 of the 6 k-subsets: all run here but the clean child's
+    assert len(decoded_here) == len(set(decoded_here)) == (4 if fault == "no-fork" else 6)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 

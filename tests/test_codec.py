@@ -251,6 +251,20 @@ def test_verify_without_fork_is_the_serial_loop(forking, monkeypatch, sys32):
     assert report.ok and report.subset_count == 20 and forks == []
 
 
+def test_a_clean_child_s_results_are_fresh_lists(forking):
+    forks = forking(2)
+    results = codec._forked_map(lambda x: [], list(range(4)))
+    assert results == [[]] * 4 and len(set(map(id, results))) == 4 and len(forks) == 1
+
+
+def test_usable_cpus_without_affinity_is_the_cpu_count(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 5)
+    assert codec._usable_cpus() == 5
+    monkeypatch.setattr(os, "cpu_count", lambda: None)  # undeterminable
+    assert codec._usable_cpus() == 1
+
+
 def test_an_interrupted_verify_leaves_no_worker(forking, monkeypatch):
     # the parent's own slice raises KeyboardInterrupt: the children still
     # running are killed and reaped, and the interrupt propagates
