@@ -12,20 +12,19 @@ is an identity row, and the blocks off the diagonal do not change the
 determinant.
 
 An s x s block B forbids the c with det(I + c*B) = c^s chi_B(1/c) = 0,
-where chi_B(x) = det(xI + B): c = 1/lambda for each nonzero root lambda of
-chi_B in the field.  A block [[0, a], [b, 0]] has chi_B = x^2 + ab, so it
-forbids c = sqrt(1/(ab)) alone.  Any other block's chi_B comes from its
-Hessenberg form and the Hessenberg recurrence, and its roots from the gcd
-with x^(2^m) + x, split by gcds with the trace Tr(beta*x) (Berlekamp, Math.
-Comp. 1970; Rabin, SIAM J. Comput. 1980).  Polynomials are lists of
-coefficients by ascending power, with no trailing zero.  Only valid_c0s
-imports this module, so no other command compiles it.
+where chi_B(x) = det(xI + B).  A block [[0, a], [b, 0]] has
+chi_B = x^2 + ab, so it forbids c = sqrt(1/(ab)) alone.  Any other block's
+chi_B comes from its Hessenberg form and the Hessenberg recurrence, and
+c^s chi_B(1/c), chi_B's coefficients read in reverse, is evaluated by
+Horner at each candidate c the search has not yet ruled out: the field is
+small enough to enumerate.  Polynomials are lists of coefficients by
+ascending power.  Only valid_c0s imports this module, so no other command
+compiles it.
 """
 
 from __future__ import annotations
 
-from itertools import zip_longest
-from collections.abc import Iterable, Sequence
+from collections.abc import Collection, Iterable, Sequence
 
 from .gf import GF2M
 from .params import Node
@@ -122,15 +121,22 @@ def shift_blocks(unit: ParityCheckSystem, nodes: Iterable[Node]) -> list[ShiftBl
     return blocks
 
 
-def forbidden_c(block: ShiftBlock, gf: GF2M) -> set[int]:
-    """The nonzero c with I + c*block singular."""
+def forbidden_c(block: ShiftBlock, gf: GF2M, candidates: Collection[int]) -> set[int]:
+    """The c among the nonzero `candidates` with I + c*block singular."""
     mul, inv = gf.mul, gf.inv
     if len(block) == 2 and [col for row in block for col, _ in row] == [1, 0]:  # [[0, a], [b, 0]]
         c = inv(mul(block[0][0][1], block[1][0][1]))
         for _ in range(gf.m - 1):  # sqrt(y) = y^(2^(m-1))
             c = mul(c, c)
-        return {c}
-    return {inv(root) for root in _split(_nonzero_roots_part(charpoly(block, gf), gf), gf)}
+        return {c} if c in candidates else set()
+    exp, log = gf._exp, gf._log
+    cands = list(candidates)
+    logs = [log[c] for c in cands]
+    chi = charpoly(block, gf)
+    vals = [chi[0]] * len(cands)
+    for v in chi[1:]:  # Horner: det(I + c*B) = sum of chi[i] * c^(s-i)
+        vals = [(exp[log[x] + lc] if x else 0) ^ v for x, lc in zip(vals, logs)]
+    return {c for c, x in zip(cands, vals) if not x}
 
 
 def charpoly(block: ShiftBlock, gf: GF2M) -> list[int]:
@@ -178,79 +184,3 @@ def _add_scaled(acc: list[int], c: int, poly: list[int], gf: GF2M) -> None:
     if c:
         for i, v in enumerate(poly):
             acc[i] ^= gf.mul(c, v)
-
-
-def _trim(poly: list[int]) -> list[int]:
-    while poly and not poly[-1]:
-        poly.pop()
-    return poly
-
-
-def _add(a: list[int], b: list[int]) -> list[int]:
-    return _trim([x ^ y for x, y in zip_longest(a, b, fillvalue=0)])
-
-
-def _divmod(a: list[int], b: list[int], gf: GF2M) -> tuple[list[int], list[int]]:
-    """Quotient and remainder of a by the monic b."""
-    rem, db = list(a), len(b) - 1
-    quot = [0] * max(len(a) - db, 0)
-    for i in reversed(range(db, len(a))):
-        f = rem[i]
-        if f:
-            quot[i - db] = f
-            for j in range(db + 1):
-                rem[i - db + j] ^= gf.mul(f, b[j])
-    return quot, _trim(rem[:db])
-
-
-def _monic(poly: list[int], gf: GF2M) -> list[int]:
-    lead = gf.inv(poly[-1])
-    return [gf.mul(lead, v) for v in poly]
-
-
-def _gcd(a: list[int], b: list[int], gf: GF2M) -> list[int]:
-    """The monic gcd of a and b, not both zero."""
-    while b:
-        b = _monic(b, gf)
-        a, b = b, _divmod(a, b, gf)[1]
-    return _monic(a, gf)
-
-
-def _square_mod(a: list[int], f: list[int], gf: GF2M) -> list[int]:
-    """a^2 mod the monic f: squaring in characteristic 2 squares each
-    coefficient and doubles each power."""
-    sq = [0] * (2 * len(a))
-    for i, v in enumerate(a):
-        sq[2 * i] = gf.mul(v, v)
-    return _divmod(sq, f, gf)[1]
-
-
-def _nonzero_roots_part(chi: list[int], gf: GF2M) -> list[int]:
-    """The monic product of x + lambda over the distinct nonzero roots
-    lambda of the monic chi in GF(2^m): gcd(chi, x^(2^m) + x), less the
-    factor x."""
-    r = _divmod([0, 1], chi, gf)[1]
-    for _ in range(gf.m):  # x^(2^m) mod chi
-        r = _square_mod(r, chi, gf)
-    g = _gcd(chi, _add(r, [0, 1]), gf)
-    return g[1:] if not g[0] else g
-
-
-def _split(g: list[int], gf: GF2M, first: int = 0) -> list[int]:
-    """The roots of the monic g, a product of distinct x + lambda over the
-    field, whose roots agree on Tr(x^j * lambda) for every j < first.  The
-    trace Tr(y) = y + y^2 + ... + y^(2^(m-1)) is 0 or 1 on the field, and
-    for two distinct roots some basis element x^j gives them different
-    Tr(x^j * lambda), so gcd(g, Tr(x^j * x) mod g) splits g."""
-    if len(g) <= 2:
-        return g[:1] if len(g) == 2 else []  # x + lambda: the root lambda
-    for j in range(first, gf.m):
-        y = _divmod([0, gf.exp(j)], g, gf)[1]  # x^j * x mod g
-        tr = list(y)
-        for _ in range(gf.m - 1):
-            y = _square_mod(y, g, gf)
-            tr = _add(tr, y)
-        d = _gcd(g, tr, gf)
-        if 1 < len(d) < len(g):
-            return _split(d, gf, j + 1) + _split(_divmod(g, d, gf)[0], gf, j + 1)
-    raise ArithmeticError(f"{g} is not a product of distinct linear factors over GF(2^{gf.m})")

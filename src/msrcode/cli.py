@@ -74,11 +74,17 @@ def _parse_node(text: str) -> Node:
 
 
 def cmd_init(args) -> int:
+    out_dir = Path(args.out_dir)
+    manifest_path = out_dir / shardio.MANIFEST_NAME
+    # an encoded store's manifest holds the only copy of its shards'
+    # checksums, stripe count and file length
+    if manifest_path.exists() and Manifest.read(manifest_path).checksums:
+        raise _UsageError(f"{manifest_path} records encoded shards; init would leave them "
+                          "undecodable")
     params = find_code(args.q, args.t, args.m)
     valid = valid_c0s(params._replace(c0=None))  # the search's own, kept: no second pass
-    out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    Manifest.for_params(params).write(out_dir / shardio.MANIFEST_NAME)
+    Manifest.for_params(params).write(manifest_path)
     shardio.sync_dir(out_dir)
     print(f"initialized (q={params.q}, t={params.t}) over GF(2^{params.gf.m}), "
           f"poly={params.gf.poly:#x}, c0={params.c0}")

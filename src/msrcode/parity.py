@@ -20,9 +20,9 @@ build_system builds H for CodeParams.c0, and refuses params without one.
 find_c0 returns the smallest valid c0 without a rank check: H_S is
 nonsingular exactly when every strongly connected block B of I + c*M_S is,
 and B is singular only at the c whose inverse is a root of its
-characteristic polynomial (module btf).  valid_c0s collects the c that
-each distinct block forbids, in one pass over the subsets per field, and
-keeps the rest; the smallest is the c0 an ascending scan of rank checks
+characteristic polynomial (module btf).  valid_c0s removes the c that
+each distinct block forbids from a live set, in one pass over the subsets
+per field; the smallest c left is the c0 an ascending scan of rank checks
 would return.  The certificate does not rest on it: check_mds_ranks and
 codec.verify_mds eliminate every whole H_S.
 
@@ -351,28 +351,29 @@ def valid_c0s(params: CodeParams) -> tuple[int, ...]:
     """Every nonzero coefficient making each size-q thick submatrix full
     rank, ascending, for `params` without c0, in one pass over the subsets.
     Each subset's btf.shift_blocks are the diagonal blocks B of I + c*M_S
-    that can be singular; each distinct B adds the c it forbids
-    (btf.forbidden_c) to the field's forbidden set, and the valid c0s are
-    the rest.  A code with more subsets than MAX_SUBSET_CHECKS raises
-    ValueError before any system is built; a full forbidden set raises
-    NoValidC0 at once, the field being too small (the subsets' determinants
-    multiply to a nonzero polynomial in c, so a large enough field holds a
-    valid c0).  The last field's answer is kept, so init's count after
-    find_code costs no second pass."""
+    that can be singular.  The live set starts as every nonzero c of the
+    field, and each distinct B removes the live c it forbids
+    (btf.forbidden_c), so a block is checked only against the c still
+    alive; the valid c0s are what is left.  A code with more subsets than
+    MAX_SUBSET_CHECKS raises ValueError before any system is built; an
+    empty live set raises NoValidC0 at once, the field being too small (the
+    subsets' determinants multiply to a nonzero polynomial in c, so a large
+    enough field holds a valid c0).  The last field's answer is kept, so
+    init's count after find_code costs no second pass."""
     from .btf import forbidden_c, shift_blocks  # deferred, so only a search compiles it
 
     gf = params.gf
     node_subsets(params, params.q)  # the cap, checked before the build
     unit = build_system(params.with_c0(1))
-    forbidden, seen = set(), set()
+    live, seen = set(range(1, gf.order)), set()
     for s in node_subsets(params, params.q):
         for block in shift_blocks(unit, s):
             if block not in seen:
                 seen.add(block)
-                forbidden |= forbidden_c(block, gf)
-        if len(forbidden) == gf.order - 1:
+                live -= forbidden_c(block, gf, live)
+        if not live:
             raise NoValidC0(f"no valid c0 in GF(2^{gf.m}); retry with a larger field")
-    return tuple(c for c in range(1, gf.order) if c not in forbidden)
+    return tuple(sorted(live))
 
 
 def find_c0(params: CodeParams) -> int:

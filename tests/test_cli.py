@@ -53,8 +53,8 @@ def test_init_writes_manifest(tmp_path):
 
 
 def test_init_prints_its_valid_c0_count(tmp_path, capsys):
-    # the forbidden set of the field the search settles on gives the count:
-    # 56 of GF(2^6)'s 63 nonzero c are forbidden at (4,2), and c0 = 6 is the
+    # the live set of the field the search settles on gives the count: 56
+    # of GF(2^6)'s 63 nonzero c are forbidden at (4,2), and c0 = 6 is the
     # smallest of the 7 left; the lines before it are unchanged
     assert main(["init", "--q", "4", "--t", "2", "--out-dir", str(tmp_path)]) == EXIT_OK
     assert capsys.readouterr().out.splitlines() == [
@@ -81,6 +81,20 @@ def test_init_is_idempotent(tmp_path):
     first = (tmp_path / "manifest.txt").read_bytes()
     main(["init", "--q", "2", "--t", "3", "--m", "7", "--out-dir", str(tmp_path)])
     assert (tmp_path / "manifest.txt").read_bytes() == first
+
+
+def test_init_refuses_an_encoded_store(store22, capsys):
+    # a new manifest would drop the shards' checksums, stripe count and file
+    # length, and every decode would then exit 2: init writes nothing
+    store, data = store22
+    before = {path.name: path.read_bytes() for path in store.iterdir()}
+    assert main(["init", "--q", "2", "--t", "2", "--out-dir", str(store)]) == EXIT_USAGE
+    assert "records encoded shards" in capsys.readouterr().err
+    assert {path.name: path.read_bytes() for path in store.iterdir()} == before
+    out = store.parent / "out.bin"
+    assert main(["decode", str(out), str(store / shard_filename((1, 0))),
+                 str(store / shard_filename((2, 1)))]) == EXIT_OK
+    assert out.read_bytes() == data
 
 
 def test_init_q1_is_usage_error(tmp_path):

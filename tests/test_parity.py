@@ -609,6 +609,15 @@ def test_find_code_q3_t3_and_q3_t4():
     assert [(p.gf.m, p.c0) for p in (find_code(3, 3), find_code(3, 4))] == [(5, 1), (6, 8)]
 
 
+def test_valid_c0s_at_m8():
+    # beyond the m <= 7 fields of the rank-check oracle: (4,3)'s field, and
+    # the (3,3,8) code the ingest benchmark initialises, whose blocks reach
+    # sizes 6, 8 and 12
+    assert valid_c0s(make_params(4, 3, 8)) == (28, 35, 41, 54, 59, 71, 141, 150, 165, 174, 186,
+                                               221, 231)
+    assert len(valid_c0s(make_params(3, 3, 8))) == 203
+
+
 @pytest.mark.parametrize("q,t,m,last_c", [
     pytest.param(q, t, m, last_c, id=f"{q}-{t}-{m}" + ("" if last_c is None else f"-to-{last_c}"))
     for q, t, m, last_c in [
@@ -619,13 +628,14 @@ def test_find_code_q3_t3_and_q3_t4():
     ]])
 def test_block_check_is_the_full_rank_check(q, t, m, last_c):
     # the c the search forbids for a subset, from the blocks of I + c*M_S and
-    # the roots of their characteristic polynomials, are exactly the c at
-    # which the whole H_S loses rank; so the search's valid c0s are the c at
-    # which every H_S is full rank
+    # their characteristic polynomials, are exactly the c at which the whole
+    # H_S loses rank; so the search's valid c0s are the c at which every H_S
+    # is full rank
     p = make_params(q, t, m)
     unit = build_system(p.with_c0(1))
     subsets = list(node_subsets(p, q))
-    forbids = [set().union(*(forbidden_c(b, p.gf) for b in shift_blocks(unit, s)))
+    nonzero = range(1, p.gf.order)
+    forbids = [set().union(*(forbidden_c(b, p.gf, nonzero) for b in shift_blocks(unit, s)))
                for s in subsets]
     valid = []
     for c in range(1, (last_c or p.gf.order - 1) + 1):
@@ -652,8 +662,9 @@ def block_is_singular(rows, c, gf):
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_forbidden_c_are_the_singular_c(data):
-    # any block, not only a strongly connected one: the roots of its
-    # characteristic polynomial give every c with det(I + c*B) = 0
+    # any block, not only a strongly connected one: its characteristic
+    # polynomial, evaluated at the candidates, gives every c among them with
+    # det(I + c*B) = 0, and only those
     m = data.draw(st.sampled_from([3, 6, 8, 11]), label="m")
     gf = GF2M(m)
     size = data.draw(st.integers(1, 12), label="size")
@@ -662,18 +673,25 @@ def test_forbidden_c_are_the_singular_c(data):
     rows = [[0 if rnd.random() < zero else rnd.randrange(1, gf.order) for _ in range(size)]
             for _ in range(size)]
     block = tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in rows)
-    assert forbidden_c(block, gf) == {c for c in range(1, gf.order)
-                                      if block_is_singular(rows, c, gf)}
+    nonzero = range(1, gf.order)
+    singular = {c for c in nonzero if block_is_singular(rows, c, gf)}
+    assert forbidden_c(block, gf, nonzero) == singular
+    live = set(rnd.sample(nonzero, rnd.randrange(gf.order)))
+    assert forbidden_c(block, gf, live) == singular & live
 
 
 def test_forbidden_c_of_every_2x2_block():
     # the closed form for [[0, a], [b, 0]] and the polynomial path for the
-    # other patterns, against every 2 x 2 block over GF(2^3)
+    # other patterns, against every 2 x 2 block over GF(2^3), over all
+    # nonzero c and over a random subset of them
     gf = GF2M(3)
+    rnd = random.Random(3)
     for rows in itertools.product(itertools.product(range(8), repeat=2), repeat=2):
         block = tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in rows)
-        assert forbidden_c(block, gf) == {c for c in range(1, 8)
-                                          if block_is_singular(rows, c, gf)}, rows
+        singular = {c for c in range(1, 8) if block_is_singular(rows, c, gf)}
+        assert forbidden_c(block, gf, range(1, 8)) == singular, rows
+        live = set(rnd.sample(range(1, 8), rnd.randrange(8)))
+        assert forbidden_c(block, gf, live) == singular & live, (rows, live)
 
 
 def test_find_c0_reads_no_thick_submatrix(monkeypatch):
