@@ -11,11 +11,13 @@ reads, which repair keeps to the helper rows' byte ranges: the runs of
 CodeParams.gamma_runs, the same list its repair plan reads its slots from.
 
 encode, decode and repair each make one pass over 4096-stripe blocks, so
-their memory does not grow with the file.  No command loads numpy, and
-importing this module loads no dataclasses, inspect, fractions or hashlib
-(stats' rate imports fractions, the first row digest hashlib), so start-up
-is mostly the interpreter's; each command builds its field once.  Every
-file they write goes to a temp file, is fsynced and is renamed into place
+their memory does not grow with the file.  No command loads numpy or
+hashlib (a row digest is _blake2's), and importing this module loads no
+dataclasses, inspect or fractions (stats' rate imports fractions), so
+start-up is mostly the interpreter's; each command builds its field once.
+A command run as a process (run) flushes its output and ends in os._exit,
+skipping the interpreter's teardown; a failed flush exits 3.  Every file
+they write goes to a temp file, is fsynced and is renamed into place
 only when complete and checked: decode and repair rename only once every
 CRC they can check matches the manifest (each row they read is checked
 against its own digest as it is read, and a bad one names its shard and
@@ -312,5 +314,24 @@ def main(argv=None) -> int:
         return EXIT_IO
 
 
+def run():
+    """The process entry (`python -m msrcode.cli`, the `msrcode` script):
+    main, a flush of stdout and stderr, then os._exit with main's status,
+    which skips the interpreter's teardown, about 10 ms.  Every file a
+    command writes is closed before main returns.  A flush that fails
+    exits EXIT_IO; an exception from main propagates as from main."""
+    status = main()
+    for stream in (sys.stdout, sys.stderr):  # None under pythonw or with fd 1 or 2 closed
+        try:
+            if stream is not None:
+                stream.flush()
+        except OSError as err:
+            status = EXIT_IO
+            if stream is sys.stdout and sys.stderr is not None:
+                with contextlib.suppress(OSError):
+                    print(f"i/o error: standard output: {err}", file=sys.stderr)
+    os._exit(status)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -794,7 +794,8 @@ def test_verify_garbled_parameter_fails_fast(tmp_path):
 def test_no_command_loads_numpy(tmp_path):
     # every command runs on ints: with a numpy that raises when executed
     # first on the path, init, encode, decode, repair, verify and stats all
-    # succeed in one process and leave no numpy module loaded
+    # succeed in one process and leave no numpy module loaded; nor hashlib
+    # or _hashlib (OpenSSL), 3-5 ms of import: a row digest is _blake2's
     script = textwrap.dedent("""
         import json, sys
         from msrcode.cli import main
@@ -807,7 +808,8 @@ def test_no_command_loads_numpy(tmp_path):
                  main(["verify", "--trials", "1", "--out-dir", store]),
                  main(["stats", "--out-dir", store])]
         same = open(out, "rb").read() == open(data, "rb").read()
-        loaded = sorted(m for m in sys.modules if m.startswith("numpy."))
+        loaded = sorted(m for m in sys.modules
+                        if m.split(".")[0] in ("numpy", "hashlib", "_hashlib"))
         print(json.dumps([codes, same, loaded]))
     """)
     stub = tmp_path / "stub" / "numpy"
@@ -846,6 +848,59 @@ def test_cli_import_loads_no_costly_module():
               "numpy"}
     assert [m for m in loaded if m.split(".")[0] in banned] == []
     assert "msrcode.btf" not in loaded
+
+
+def cli_process(args, **kwargs):
+    """Run `python -m msrcode.cli` with block-buffered stdout (no
+    PYTHONUNBUFFERED), as a shell or the benchmark runs it."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(msrcode.__file__).parents[1])
+    return subprocess.run([sys.executable, "-m", "msrcode.cli", *map(str, args)], env=env,
+                          stderr=subprocess.PIPE, text=True, **kwargs)
+
+
+def test_a_command_process_keeps_its_output_files_and_status(tmp_path, capsys):
+    # the process ends in os._exit, after main: no buffered line is lost,
+    # every file written is complete, and the status is main's
+    assert main(["stats", "--q", "3", "--t", "3"]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    child = cli_process(["stats", "--q", "3", "--t", "3"], stdout=subprocess.PIPE)
+    assert (child.returncode, child.stdout.splitlines()) == (EXIT_OK, lines)
+    store, src, out = tmp_path / "store", tmp_path / "in.bin", tmp_path / "out.bin"
+    src.write_bytes(os.urandom(300_000))  # more than one block
+    shards = [store / shard_filename(nd) for nd in [(1, 0), (2, 1), (3, 0), (3, 1)]]
+    for args in (["init", "--q", "2", "--t", "3", "--out-dir", store],
+                 ["encode", src, "--out-dir", store],
+                 ["decode", out, *shards]):
+        assert cli_process(args, stdout=subprocess.PIPE).returncode == EXIT_OK
+    assert out.read_bytes() == src.read_bytes()
+    shard = store / shard_filename((2, 1))
+    saved = shard.read_bytes()
+    shard.unlink()
+    child = cli_process(["repair", "--node", "2,1", "--out-dir", store], stdout=subprocess.PIPE)
+    assert child.returncode == EXIT_OK
+    assert child.stdout.splitlines()[-1].startswith("per-stripe symbols: 20 repair vs 32")
+    assert shard.read_bytes() == saved
+    # a usage error and a verification failure: main's status, and its message
+    manifest = store / "manifest.txt"
+    manifest.write_text(re.sub(r"^q=.*$", "q=1", manifest.read_text(), flags=re.M))
+    for argv, status in ((["stats", "--q", "3"], EXIT_USAGE),
+                         (["stats", "--out-dir", str(store)], EXIT_VERIFY)):
+        assert main(argv) == status
+        err = capsys.readouterr().err
+        child = cli_process(argv, stdout=subprocess.PIPE)
+        assert (child.returncode, child.stderr) == (status, err)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_a_full_stdout_exits_io_error():
+    # the output fits stdout's buffer, so only the flush after main fails:
+    # exit 3 with an i/o error, not the interpreter's 120
+    with open("/dev/full", "w") as full:
+        child = cli_process(["stats", "--q", "2", "--t", "2"], stdout=full)
+    assert child.returncode == EXIT_IO
+    assert child.stderr.startswith("i/o error: standard output: ")
+    assert "Exception ignored" not in child.stderr
 
 
 def test_each_command_builds_the_field_once(tmp_path, monkeypatch):
