@@ -14,15 +14,7 @@ ints).  Neither loads numpy.
 
 from .gf import GF2M, Block
 from .params import CodeParams, make_params
-from .parity import (
-    ParityCheckSystem,
-    build_hmds,
-    build_system,
-    check_mds_ranks,
-    find_c0,
-    find_code,
-    gf_rank,
-)
+from .parity import ParityCheckSystem, build_system, find_code
 from .codec import MdsReport, decode_batch, decode_from_k, encode, encode_batch, verify_mds
 from .repair import repair_batch
 
@@ -34,12 +26,8 @@ __all__ = [
     "CodeParams",
     "make_params",
     "ParityCheckSystem",
-    "build_hmds",
     "build_system",
-    "check_mds_ranks",
-    "find_c0",
     "find_code",
-    "gf_rank",
     "MdsReport",
     "encode",
     "decode_from_k",

@@ -16,7 +16,8 @@ hashlib (a row digest is _blake2's), and importing this module loads no
 dataclasses, inspect or fractions (stats' rate imports fractions), so
 start-up is mostly the interpreter's; each command builds its field once.
 A command run as a process (run) flushes its output and ends in os._exit,
-skipping the interpreter's teardown; a failed flush exits 3.  Every file
+skipping the interpreter's teardown; a closed stdout or stderr exits 3
+before the command runs, and a failed flush exits 3 after it.  Every file
 they write goes to a temp file, is fsynced and is renamed into place
 only when complete and checked: decode and repair rename only once every
 CRC they can check matches the manifest (each row they read is checked
@@ -229,14 +230,11 @@ def cmd_verify(args) -> int:
 
 def cmd_stats(args) -> int:
     if args.q is None and args.t is None:
-        if args.m is not None:
-            raise _UsageError("stats takes --m only with --q and --t")
         p = Manifest.load(args.out_dir).params()
     elif args.q is None or args.t is None:
         raise _UsageError("stats needs both --q and --t (or neither)")
     else:
-        m = args.m if args.m is not None else smallest_field_degree(args.q * args.t)
-        p = make_params(args.q, args.t, m)
+        p = make_params(args.q, args.t, smallest_field_degree(args.q * args.t))
     print(f"q={p.q} t={p.t} field=GF(2^{p.gf.m})")
     print(f"n      = {p.n}")
     print(f"k      = {p.k}")
@@ -290,7 +288,6 @@ def _build_parser() -> _Parser:
     sp = add("stats", cmd_stats, "print the parameter/bandwidth table")
     sp.add_argument("--q", type=int, default=None)
     sp.add_argument("--t", type=int, default=None)
-    sp.add_argument("--m", type=int, default=None)
     sp.add_argument("--out-dir", default=".")
 
     return parser
@@ -318,16 +315,22 @@ def run():
     """The process entry (`python -m msrcode.cli`, the `msrcode` script):
     main, a flush of stdout and stderr, then os._exit with main's status,
     which skips the interpreter's teardown, about 10 ms.  Every file a
-    command writes is closed before main returns.  A flush that fails
-    exits EXIT_IO; an exception from main propagates as from main."""
+    command writes is closed before main returns.  A closed stdout or
+    stderr (fd 1 or 2 closed at start, or pythonw) exits EXIT_IO before
+    main runs, as does a flush that fails; an exception from main
+    propagates as from main."""
+    if sys.stdout is None or sys.stderr is None:
+        if sys.stderr is not None:
+            with contextlib.suppress(OSError):
+                print("i/o error: standard output is closed", file=sys.stderr, flush=True)
+        os._exit(EXIT_IO)
     status = main()
-    for stream in (sys.stdout, sys.stderr):  # None under pythonw or with fd 1 or 2 closed
+    for stream in (sys.stdout, sys.stderr):
         try:
-            if stream is not None:
-                stream.flush()
+            stream.flush()
         except OSError as err:
             status = EXIT_IO
-            if stream is sys.stdout and sys.stderr is not None:
+            if stream is sys.stdout:
                 with contextlib.suppress(OSError):
                     print(f"i/o error: standard output: {err}", file=sys.stderr)
     os._exit(status)

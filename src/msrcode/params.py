@@ -141,9 +141,6 @@ class CodeParams(namedtuple("CodeParams", "q t gf c0")):
         """The first k node ordinals: every class except the last."""
         return tuple((i, theta) for i in range(1, self.t) for theta in range(self.q))
 
-    def parity_nodes(self) -> tuple[Node, ...]:
-        return tuple((self.t, theta) for theta in range(self.q))
-
     # -- repair geometry --------------------------------------------------------
 
     def gamma_runs(self, failed: Node) -> list[tuple[int, int]]:

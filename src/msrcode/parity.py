@@ -17,7 +17,7 @@ product of the Vandermonde matrix with an alpha x alpha identity.  The MDS
 property is equivalent to every q-thick-column submatrix H_S = J0_S + c0*E_S
 having full rank q^(t+1); check_mds_ranks checks that on H_S itself.
 build_system builds H for CodeParams.c0, and refuses params without one.
-find_c0 returns the smallest valid c0 without a rank check: H_S is
+find_code picks the smallest valid c0 without a rank check: H_S is
 nonsingular exactly when every strongly connected block B of I + c*M_S is,
 and B is singular only at the c whose inverse is a root of its
 characteristic polynomial (module btf).  valid_c0s removes the c that
@@ -376,25 +376,18 @@ def valid_c0s(params: CodeParams) -> tuple[int, ...]:
     return tuple(sorted(live))
 
 
-def find_c0(params: CodeParams) -> int:
-    """The smallest valid c0 (valid_c0s, whose errors it raises), the one
-    an ascending scan that drops each candidate at its first singular H_S
-    would return: a canonical, reproducible choice."""
-    return valid_c0s(params)[0]
-
-
 def find_code(q: int, t: int, m: int | None = None) -> CodeParams:
     """Parameter search entry point: fix the smallest workable field (or the
-    one given) and the canonical c0.  With m omitted, starts at the smallest
-    m whose field holds n evaluation points and moves to the next field only
-    while the search exhausts one (NoValidC0); any other ValueError, such as
-    the subset cap, ends the search at once.
-    """
+    one given) and the canonical c0, the smallest of valid_c0s.  With m
+    omitted, starts at the smallest m whose field holds n evaluation points
+    and moves to the next field only while the search exhausts one
+    (NoValidC0); any other ValueError, such as the subset cap, ends the
+    search at once."""
     degrees = range(smallest_field_degree(t * q), MAX_DEGREE + 1) if m is None else [m]
     for mm in degrees:
         params = make_params(q, t, mm)
         try:
-            return params.with_c0(find_c0(params))
+            return params.with_c0(valid_c0s(params)[0])
         except NoValidC0:
             if mm == degrees[-1]:
                 raise

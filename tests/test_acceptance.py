@@ -15,19 +15,10 @@ from fractions import Fraction
 
 from conftest import (FOUND_C0, eval_constraints, gamma_ordinals, kronecker_system, random_block,
                       row_ordinal, system_for)
-from msrcode import (
-    build_system,
-    check_mds_ranks,
-    encode,
-    encode_batch,
-    find_c0,
-    make_params,
-    repair_batch,
-    verify_mds,
-)
+from msrcode import build_system, encode, encode_batch, make_params, repair_batch, verify_mds
 from msrcode.cli import EXIT_OK, main
 from msrcode.gf import GF2M
-from msrcode.parity import build_hmds
+from msrcode.parity import build_hmds, check_mds_ranks, valid_c0s
 from msrcode.shardio import (BLOCK_STRIPES, HEADER_LEN, Manifest, read_gamma, read_shard,
                              shard_filename)
 
@@ -46,7 +37,7 @@ def test_criterion_1_mds_exhaustive():
     problems = []
     for q, t, m in PARAM_SETS:
         params = make_params(q, t, m)
-        if find_c0(params) != FOUND_C0[(q, t, m)]:
+        if valid_c0s(params)[0] != FOUND_C0[(q, t, m)]:
             problems.append(f"c0 search missed {FOUND_C0[(q, t, m)]} at {(q, t, m)}")
         sys_ = build_system(params.with_c0(FOUND_C0[(q, t, m)]))
         if check_mds_ranks(sys_):
@@ -107,14 +98,14 @@ def test_criterion_3_search_within_sufficient_field_bound():
     if sufficient_field_size(p22) != 25:
         problems.append("(2,2) bound != 25")
     try:
-        find_c0(p22)
+        valid_c0s(p22)[0]
     except ValueError:
         problems.append("(2,2) search failed inside GF(2^5)")
     p23 = make_params(2, 3, 7)
     if sufficient_field_size(p23) != 121:
         problems.append("(2,3) bound != 121")
     try:
-        find_c0(p23)
+        valid_c0s(p23)[0]
     except ValueError:
         problems.append("(2,3) search failed inside GF(2^7)")
     report(3, problems, "c0 found within GF(2^5) for (2,2) [25 < 32] and "

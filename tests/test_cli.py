@@ -850,13 +850,20 @@ def test_cli_import_loads_no_costly_module():
     assert "msrcode.btf" not in loaded
 
 
-def cli_process(args, **kwargs):
+def cli_process(args, closed=None, unbuffered=False, **kwargs):
     """Run `python -m msrcode.cli` with block-buffered stdout (no
-    PYTHONUNBUFFERED), as a shell or the benchmark runs it."""
+    PYTHONUNBUFFERED, unless `unbuffered`), as a shell or the benchmark runs
+    it.  With `closed` (1 or 2), a launcher closes that fd and execs the
+    interpreter, which then starts with sys.stdout or sys.stderr None."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     env["PYTHONPATH"] = str(Path(msrcode.__file__).parents[1])
-    return subprocess.run([sys.executable, "-m", "msrcode.cli", *map(str, args)], env=env,
-                          stderr=subprocess.PIPE, text=True, **kwargs)
+    argv = [sys.executable, "-m", "msrcode.cli", *map(str, args)]
+    if closed is not None:
+        launcher = "import os, sys; os.close(int(sys.argv[1])); os.execv(sys.argv[2], sys.argv[2:])"
+        argv = [sys.executable, "-c", launcher, str(closed), *argv]
+    return subprocess.run(argv, env=env, stderr=subprocess.PIPE, text=True, **kwargs)
 
 
 def test_a_command_process_keeps_its_output_files_and_status(tmp_path, capsys):
@@ -901,6 +908,41 @@ def test_a_full_stdout_exits_io_error():
     assert child.returncode == EXIT_IO
     assert child.stderr.startswith("i/o error: standard output: ")
     assert "Exception ignored" not in child.stderr
+
+
+def test_a_closed_stdout_exits_io_error_before_the_command(tmp_path):
+    # with fd 1 closed the command's output has nowhere to go: exit 3 with
+    # a message on stderr, before the command runs, so a repair leaves
+    # every file of the store as it was
+    child = cli_process(["stats", "--q", "2", "--t", "2"], closed=1)
+    assert (child.returncode, child.stderr) == (EXIT_IO, "i/o error: standard output is closed\n")
+    store, src = tmp_path / "store", tmp_path / "in.bin"
+    src.write_bytes(os.urandom(5000))
+    assert main(["init", "--q", "2", "--t", "2", "--out-dir", str(store)]) == EXIT_OK
+    assert main(["encode", str(src), "--out-dir", str(store)]) == EXIT_OK
+    (store / shard_filename((1, 0))).unlink()
+    before = {f: f.read_bytes() for f in store.iterdir()}
+    child = cli_process(["repair", "--node", "1,0", "--out-dir", store], closed=1)
+    assert child.returncode == EXIT_IO
+    assert {f: f.read_bytes() for f in store.iterdir()} == before
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_a_closed_stderr_and_a_full_stdout_exit_io_error():
+    # nowhere to say that the output failed, whether in the flush after the
+    # command or, unbuffered, in its first write: exit 3 either way, not 1
+    for unbuffered in (False, True):
+        with open("/dev/full", "w") as full:
+            child = cli_process(["stats", "--q", "2", "--t", "2"], closed=2,
+                                unbuffered=unbuffered, stdout=full)
+        assert child.returncode == EXIT_IO, unbuffered
+
+
+def test_a_closed_stderr_keeps_errors_off_stdout():
+    # a usage error has nowhere to go either: exit 3, and stdout stays
+    # empty rather than carrying the error line
+    child = cli_process(["stats", "--q", "2"], closed=2, stdout=subprocess.PIPE)
+    assert (child.returncode, child.stdout) == (EXIT_IO, "")
 
 
 def test_each_command_builds_the_field_once(tmp_path, monkeypatch):
@@ -1067,10 +1109,12 @@ def test_manifest_naming_a_code_over_the_size_cap_is_refused(store22, tmp_path, 
 
 
 def test_stats_m_without_q_and_t_is_usage_error(store22, capsys):
+    # stats takes no --m: with --q and --t it prints the smallest workable field
     store, _ = store22
     capsys.readouterr()
-    assert main(["stats", "--m", "7", "--out-dir", str(store)]) == EXIT_USAGE
-    assert capsys.readouterr().out == ""
+    for flags in (["--m", "7"], ["--q", "3", "--t", "3", "--m", "8"]):
+        assert main(["stats", *flags, "--out-dir", str(store)]) == EXIT_USAGE
+        assert capsys.readouterr().out == ""
 
 
 def test_unknown_command_is_usage_error():

@@ -146,7 +146,6 @@ def test_systematic_and_parity_split():
     sysn = p.systematic_nodes()
     assert sysn == ((1, 0), (1, 1), (2, 0), (2, 1))
     assert [p.node_ordinal(nd) for nd in sysn] == [0, 1, 2, 3]
-    assert p.parity_nodes() == ((3, 0), (3, 1))
 
 
 # -- repair rows -----------------------------------------------------------------

@@ -30,7 +30,6 @@ from msrcode.parity import (
     build_hmds,
     build_system,
     check_mds_ranks,
-    find_c0,
     find_code,
     gf_rank,
     node_subsets,
@@ -574,7 +573,7 @@ def test_full_rank_at_c_zero(sys22, sys23):
 
 def test_found_c0_regression_constants():
     for (q, t, m), expected in FOUND_C0.items():
-        assert find_c0(make_params(q, t, m)) == expected
+        assert find_code(q, t, m).c0 == expected
 
 
 def test_found_systems_pass_all_subset_ranks(all_systems):
@@ -589,8 +588,10 @@ def test_bad_c0_fails_rank_checks():
 
 def test_find_c0_exhaustion_raises():
     # every nonzero candidate in GF(2^3) fails for (q=3, t=2)
-    with pytest.raises(ValueError, match="larger field"):
-        find_c0(make_params(3, 2, 3))
+    with pytest.raises(NoValidC0, match="larger field"):
+        valid_c0s(make_params(3, 2, 3))[0]
+    with pytest.raises(NoValidC0, match="larger field"):
+        find_code(3, 2, 3)
 
 
 def test_find_code_escalates_m():
@@ -645,7 +646,7 @@ def test_block_check_is_the_full_rank_check(q, t, m, last_c):
         if all(full):
             valid.append(c)
     if last_c is not None:
-        assert valid == [last_c] == [find_c0(p)]
+        assert valid == [last_c] == [valid_c0s(p)[0]]
     elif valid:
         assert valid_c0s(p) == tuple(valid)
     else:
@@ -698,7 +699,7 @@ def test_find_c0_reads_no_thick_submatrix(monkeypatch):
     # the search has no fallback to the whole H_S and makes no rank check:
     # the forbidden set comes from the blocks' characteristic polynomials
     def refuse(self, nodes):
-        raise AssertionError("find_c0 read a thick submatrix")
+        raise AssertionError("the c0 search read a thick submatrix")
 
     calls = []
     rank = parity.gf_rank
@@ -706,8 +707,8 @@ def test_find_c0_reads_no_thick_submatrix(monkeypatch):
     monkeypatch.setattr(parity, "gf_rank", lambda mat, gf: calls.append(1) or rank(mat, gf))
     valid_c0s.cache_clear()
     for (q, t, m), expected in FOUND_C0.items():
-        assert find_c0(make_params(q, t, m)) == expected
-    assert find_c0(make_params(4, 2, 6)) == 6
+        assert find_code(q, t, m).c0 == expected
+    assert valid_c0s(make_params(4, 2, 6))[0] == 6
     assert len(calls) == 0
 
 
