@@ -11,7 +11,13 @@ reads, which repair keeps to the helper rows' byte ranges: the runs of
 CodeParams.gamma_runs, the same list its repair plan reads its slots from.
 
 encode, decode and repair each make one pass over 4096-stripe blocks, so
-their memory does not grow with the file.  No command loads numpy or
+their memory does not grow with the file.  encode and decode share the
+blocks among one process per usable CPU, in contiguous ranges
+(shardio.block_ranges, codec.forked_ranges), and write what a one-process
+run writes, byte for byte; a worker that fails leaves its range to the
+parent, which reports a bad row as a one-process run does.  They write a
+systematic row that is whole bytes as they got it: encode from the input,
+decode from the shard it read.  No command loads numpy or
 hashlib (a row digest is _blake2's), and importing this module loads no
 dataclasses, inspect or fractions (stats' rate imports fractions), so
 start-up is mostly the interpreter's; each command builds its field once.
@@ -115,12 +121,24 @@ def cmd_encode(args) -> int:
         # entered first, so renamed last: until then the old manifest's CRCs
         # disagree with any shard already replaced
         manifest_tmp = renames.enter_context(shardio.renaming(manifest_path))
+        systematic = p.systematic_nodes()
+
+        def encoded(block) -> dict:
+            """Every shard's block, from the block's input bytes and Block:
+            systematic rows that are whole bytes are those very bytes."""
+            data, messages = block
+            columns = codec.encode_batch(messages, sys_)
+            if messages.m * messages.stripes % 8 == 0:
+                rows = shardio.byte_rows(data, p.message_len)
+                for o, nd in enumerate(systematic):
+                    columns[nd] = rows[o * p.alpha : (o + 1) * p.alpha]
+            return columns
+
         manifest.checksums = shardio.write_shard(
             {out_dir / shard_filename(node): manifest.header_for(node) for node in p.nodes()},
-            # map, unlike a generator expression, keeps no block between
-            # calls, so the last block is freed before the next one is read
-            map(lambda messages: codec.encode_batch(messages, sys_),
-                shardio.read_messages(src, length, p)),
+            # map, unlike a generator, keeps no block between calls, so the
+            # last block is freed before the next one is read
+            lambda lo, hi: map(encoded, shardio.read_messages(src, length, p, lo, hi)),
             renames)
         with shardio.synced(manifest_tmp) as f:  # written and fsynced before any rename
             f.write(manifest.to_text().encode())
@@ -156,17 +174,46 @@ def cmd_decode(args) -> int:
             if other is not shard:
                 raise VerificationFailure(f"{other.path} and {shard.path}: both headers "
                                           f"name node {shard.header.node}")
-        nodes = list(first)
+        nodes, systematic = list(first), p.systematic_nodes()
+
+        def decoded(rows: dict, stripes: int, nbytes: int) -> bytes:
+            """A block's first nbytes message bytes from the rows of the k
+            shards: known systematic rows that are whole bytes as read."""
+            whole = p.gf.m * stripes % 8 == 0
+            if whole and all(nd in rows for nd in systematic):  # nothing to solve
+                return b"".join(row for nd in systematic for row in rows[nd])[:nbytes]
+            message = codec.decode_batch(
+                {nd: shardio.rows_block(r, p.gf.m, stripes) for nd, r in rows.items()}, sys_)
+            if not whole:
+                return shardio.bytes_from_symbols(message, p.gf.m, nbytes)
+            parts, size = [], p.alpha * p.gf.m * stripes // 8  # a node's rows
+            for o, nd in enumerate(systematic):
+                parts += rows[nd] if nd in rows else [shardio.bytes_from_symbols(
+                    message[o * p.alpha : (o + 1) * p.alpha], p.gf.m, size)]
+            return b"".join(parts)[:nbytes]
+
         with shardio.replacing(args.output) as out:
-            # next(), unlike zip, keeps no block: each one is freed once
-            # decoded, before its symbols are unpacked
-            readers = [shard.blocks([(0, p.alpha)]) for shard in shards]
-            for _, nbytes in shardio.message_blocks(manifest.file_length, p):
-                out.write(shardio.bytes_from_symbols(
-                    codec.decode_batch({nd: next(r) for nd, r in zip(nodes, readers)}, sys_),
-                    p.gf.m, nbytes))
-            for shard in shards:
-                if shard.crc != manifest.checksums[shard.header.node]:
+            def decode_range(lo: int, hi: int) -> list[tuple[int, int]]:
+                """Decode blocks lo..hi-1 into their place in the output, through
+                files of its own; the CRC-32 and length of each shard's bytes read."""
+                with contextlib.ExitStack() as own:
+                    readers = [own.enter_context(shard.reopened()) for shard in shards]
+                    dst = own.enter_context(shardio.reopened(out, "r+b"))
+                    dst.seek(shardio.input_offset(lo, p))
+                    # next(), unlike zip, keeps no block: each one is freed
+                    # once written
+                    streams = [reader.rows([(0, p.alpha)], lo, hi) for reader in readers]
+                    for stripes, nbytes in shardio.message_blocks(manifest.file_length, p, lo, hi):
+                        dst.write(decoded({nd: next(s)[1] for nd, s in zip(nodes, streams)},
+                                          stripes, nbytes))
+                return [(reader.crc, reader.bytes_read) for reader in readers]
+
+            crcs = [shard.crc for shard in shards]  # of the headers
+            ranges = shardio.block_ranges(manifest.stripe_count, manifest.file_length)
+            for part in codec.forked_ranges(decode_range, ranges, len(shards)):
+                crcs = [shardio.crc32_join(crc, *pair) for crc, pair in zip(crcs, part)]
+            for shard, crc in zip(shards, crcs):
+                if crc != manifest.checksums[shard.header.node]:
                     raise VerificationFailure(f"{shard.path}: checksum mismatch")
     shardio.sync_dir(Path(args.output).parent)
     print(f"decoded {manifest.file_length} bytes from {p.k} shards")

@@ -25,12 +25,17 @@ plan for the subset's decode round trips.  The subsets are independent, so
 it encodes its messages once and then deals the k-subsets out to one
 os.fork()ed worker per usable CPU (_forked_map), whose exit status says
 whether its subsets were clean; the report is the serial loop's.
+forked_ranges shares the block ranges of the CLI's encode and decode the
+same way (_forked), with each worker pinned to a usable CPU of its own and
+passing its CRC-32s back through a shared anonymous mmap.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 import random
+import struct
 from collections.abc import Iterable, Mapping, Sequence
 
 from .gf import Block
@@ -70,7 +75,7 @@ def complete_columns(sys: ParityCheckSystem, known: Mapping[Node, Sequence],
                 raise ValueError(f"a block of {col.m}-bit symbols: not an element of GF(2^{gf.m})")
             if col.stripes != stripes or len(col.planes) != sent * gf.m:
                 raise ValueError(f"column blocks must all be ({sent}, stripes)")
-            if any(plane < 0 or plane.bit_length() > stripes for plane in col.planes):
+            if col.planes and (min(col.planes) < 0 or max(col.planes).bit_length() > stripes):
                 raise ValueError(f"a plane has bits outside its {stripes} stripes: "
                                  f"not an element of GF(2^{gf.m})")
     wanted = list(wanted)
@@ -165,7 +170,7 @@ def verify_mds(sys: ParityCheckSystem, trials: int) -> MdsReport:
     return report
 
 
-# -- verify's workers -----------------------------------------------------------
+# -- workers ---------------------------------------------------------------------
 
 # The fewest k-subsets worth a worker of their own.  A fork and exit take
 # about 2.3 ms, and a subset 0.3 ms at (2,2) to 1.1 ms at (4,2,6) with 3
@@ -181,23 +186,25 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _forked_map(fn, items: list) -> list:
-    """[fn(x) for x in items], for an fn that returns [] on a clean x,
-    shared among W workers: items[w::W] go to worker w, this process being
-    worker 0 and the others os.fork()ed children.  W is the usable CPU
-    count, capped at one worker per _MIN_SUBSETS_PER_WORKER items.  A
-    child's exit status says only whether its slice was clean; the slice
-    of a child that was not, or that raised, died or could not be forked,
-    runs again here.  On any exception here, KeyboardInterrupt included,
-    every child not yet reaped is killed and reaped.  Forking is safe
-    because msrcode starts no thread."""
-    workers = min(_usable_cpus(), len(items) // _MIN_SUBSETS_PER_WORKER)
-    if workers < 2 or not hasattr(os, "fork"):
-        return [fn(x) for x in items]
-    results = [[] for _ in items]
-    redo, children = [], {}  # the slices to run again here; pid -> its child's slice
+def _pin(*cpus: int) -> None:
+    with contextlib.suppress(OSError):  # only a speed-up: a CPU gone since is no fault
+        os.sched_setaffinity(0, cpus)
+
+
+def _forked(count: int, child, here, pin: bool = False) -> None:
+    """Work shares 0..count-1: share 0 by here(0) in this process, and each
+    other share w in an os.fork()ed child, whose exit status is 0 when
+    child(w) returned True and 1 when it returned False or raised.  Then
+    here(w) for the share of every child that was not clean, died or could
+    not be forked.  With `pin`, child w runs on usable CPU w (mod their
+    count) and this process on the first one during here(0), its own CPUs
+    restored afterwards.  On any exception here, KeyboardInterrupt
+    included, every child not yet reaped is killed and reaped.  Forking is
+    safe because msrcode starts no thread."""
+    cpus = sorted(os.sched_getaffinity(0)) if pin and hasattr(os, "sched_setaffinity") else []
+    redo, children = [], {}  # the shares to work here; pid -> its child's share
     try:
-        for w in range(1, workers):
+        for w in range(1, count):
             try:
                 pid = os.fork()
             except OSError:  # no process to spare (EAGAIN)
@@ -205,24 +212,82 @@ def _forked_map(fn, items: list) -> list:
                 continue
             if pid == 0:  # os._exit on every path: the child never unwinds into its callers
                 try:
-                    os._exit(0 if all(fn(x) == [] for x in items[w::workers]) else 1)
-                finally:  # fn raised
+                    if cpus:
+                        _pin(cpus[w % len(cpus)])
+                    os._exit(0 if child(w) else 1)
+                finally:  # child raised
                     os._exit(1)
             children[pid] = w
-        results[::workers] = [fn(x) for x in items[::workers]]
+        if cpus:
+            _pin(cpus[0])
+        try:
+            here(0)
+        finally:
+            if cpus:
+                _pin(*cpus)
         for pid, w in list(children.items()):
             status = os.waitpid(pid, 0)[1]
             del children[pid]
             if status:
                 redo.append(w)
         for w in redo:
-            results[w::workers] = [fn(x) for x in items[w::workers]]
+            here(w)
     except BaseException:
         from signal import SIGKILL  # 1.6 ms of enum set-up: not on every command's import
         for pid in children:
             os.kill(pid, SIGKILL)
             os.waitpid(pid, 0)
         raise
+
+
+def _forked_map(fn, items: list) -> list:
+    """[fn(x) for x in items], for an fn that returns [] on a clean x,
+    shared among W workers (_forked): items[w::W] go to worker w.  W is the
+    usable CPU count, capped at one worker per _MIN_SUBSETS_PER_WORKER
+    items.  A child's exit status says only whether its slice was clean;
+    the slice of a child that was not runs again here.  Its workers are
+    not pinned: pinned, certify's `round_s` did not improve."""
+    workers = min(_usable_cpus(), len(items) // _MIN_SUBSETS_PER_WORKER)
+    if workers < 2 or not hasattr(os, "fork"):
+        return [fn(x) for x in items]
+    results = [[] for _ in items]
+
+    def here(w):
+        results[w::workers] = [fn(x) for x in items[w::workers]]
+
+    _forked(workers, lambda w: all(fn(x) == [] for x in items[w::workers]), here)
+    return results
+
+
+def forked_ranges(work, ranges: list[tuple[int, int]], width: int) -> list[list[tuple[int, int]]]:
+    """[work(lo, hi) for lo, hi in ranges], for a work that returns `width`
+    pairs of ints below 2^64, such as a (CRC-32, length) per file it wrote
+    or read.  The ranges are shared among pinned workers (_forked): this
+    process works ranges[0], and child w ranges[w], whose pairs come back
+    through an anonymous shared mmap made before the fork; a child reports
+    nothing else but its exit status, and a range whose child was not
+    clean is worked again here.  So work must be safe to repeat, and must
+    share no file offset with another process."""
+    if len(ranges) < 2 or not hasattr(os, "fork"):
+        return [work(lo, hi) for lo, hi in ranges]
+    import mmap
+
+    slot = struct.Struct(f"<{2 * width}Q")
+    results: list = [None] * len(ranges)
+
+    def child(w):
+        slot.pack_into(shared, w * slot.size, *(v for pair in work(*ranges[w]) for v in pair))
+        return True
+
+    def here(w):
+        results[w] = work(*ranges[w])
+
+    with mmap.mmap(-1, len(ranges) * slot.size) as shared:
+        _forked(len(ranges), child, here, pin=True)
+        for w, got in enumerate(results):
+            if got is None:  # its child's, clean
+                flat = slot.unpack_from(shared, w * slot.size)
+                results[w] = list(zip(flat[::2], flat[1::2]))
     return results
 
 

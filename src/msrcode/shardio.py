@@ -21,40 +21,55 @@ plain-text manifest records the full integer, which must be GF2M's own
 polynomial for m (Manifest.params).  Other versions are refused.
 
 Shards are read and written one block at a time, so memory is O(block)
-whatever the file size.  In memory a block is a Block of (rows, stripes)
-bit planes, exactly as stored.  `open_shard` yields a ShardReader, which
-checks the header and the file size before any payload read and, given
-the manifest, that the header is the manifest's for a node of the code.
-Its one read loop, `blocks(runs)`, streams the rows of the given (start,
-length) runs of every block, with one seek and one read per run per
-block: the whole shard is the single run (0, alpha), and a helper's rows
-for a repair are the runs of CodeParams.gamma_runs.  It checks every row it reads against
-the row's digest, names the shard, the block and the row of one that
-fails, and keeps a running CRC-32 of the bytes it read, which after a
-whole read is the file's.  read_shard and read_gamma join the blocks.
-No reader or writer keeps a block once the next one is read.
-`write_shard` writes one or more shards in one pass over a stream of
-blocks, through a ShardWriter per shard that takes exactly the next block
-and keeps a running CRC-32.  Every file written here goes to <name>.tmp,
-is fsynced (`synced`, the one place that fsyncs a file), and only then is
-renamed over <name> (`renaming`, `replacing`), so an error or a crash
-part-way never leaves a partial file under the real name; a command fsyncs
-each directory once after its last rename there (`sync_dir`), so the
-renames are durable too; `remove_stale` removes those a killed run left.
+per process whatever the file size.  In memory a block is a Block of
+(rows, stripes) bit planes, exactly as stored, or the list of its rows'
+bytes.  `open_shard` yields a ShardReader, which checks the header and
+the file size before any payload read and, given the manifest, that the
+header is the manifest's for a node of the code.  Its one read loop,
+`rows(runs, lo, hi)`, streams the rows of the given (start, length) runs
+of blocks lo..hi-1, with one seek and one read per run per block: the
+whole shard is the single run (0, alpha), and a helper's rows for a
+repair are the runs of CodeParams.gamma_runs.  It checks every row it
+reads against the row's digest, names the shard, the block and the row of
+one that fails, and keeps a running CRC-32 of the bytes it read, which
+after a whole read is the file's.  `blocks(runs)` makes each block's rows
+a Block; read_shard and read_gamma join the blocks.  No reader or writer
+keeps a block once the next one is read.  `write_shard` writes one or
+more shards in one pass over a stream of blocks, through a ShardWriter
+per shard that takes exactly the next block and keeps a running CRC-32.
+Every file written here goes to <name>.tmp, is fsynced (`synced`, the
+one place that fsyncs a file), and only then is renamed over <name>
+(`renaming`, `replacing`), so an error or a crash part-way never leaves a
+partial file under the real name; a command fsyncs each directory once
+after its last rename there (`sync_dir`), so the renames are durable too;
+`remove_stale` removes those a killed run left.
+
+Block b sits at a fixed offset in every file: HEADER_LEN +
+b*payload_bytes(BLOCK_STRIPES, alpha, m) in a shard, input_offset(b) in
+the input and in a decoded output.  So encode (write_shard, given a
+function of a block range) and decode share the blocks among forked
+workers in contiguous ranges balanced by stripes (block_ranges,
+codec.forked_ranges).  Each worker reads and writes through files of its
+own (`reopened`, os.pread), so no process moves another's file offset,
+and returns each file's range CRC-32 and length; a file's CRC-32 is its
+ranges' joined (crc32_join) before it is fsynced.
 
 The input needs no packing: the input bits of each block of `stripes`
 stripes *are* the systematic planes of that block, stripes bits each, in
 (node, row, bit) order (`read_messages`).  The stripe count is the fewest
-stripes that hold the input, so the zero-fill is under one stripe.  A
-full block's planes are whole bytes, so a systematic shard's planes are
-byte slices of the input, and decoding is writing out the systematic
-planes (`bytes_from_symbols`).  file_length in the header/manifest
-recovers the exact byte count.
+stripes that hold the input, so the zero-fill is under one stripe.  Where
+a block's rows are whole bytes (always in a full block), a systematic
+row is a byte slice of the input (`byte_rows`): encode writes it from the
+input's bytes, and decode writes a systematic row it read from the
+digest-checked shard bytes, and only a solved one through
+`bytes_from_symbols`.  file_length in the header/manifest recovers the
+exact byte count.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import os
 import struct
 import zlib
@@ -63,6 +78,7 @@ from collections.abc import Iterable, Iterator, Mapping
 from contextlib import contextmanager
 from pathlib import Path
 
+from . import codec
 from .gf import Block
 from .params import CodeParams, Node, Record, make_params
 from .parity import _check_size
@@ -164,6 +180,9 @@ class Manifest(Record):
         that fits the file length (ShardFormatError), before any shard is
         trusted or system built."""
         params = self.params()
+        if not self.checksums:
+            raise ShardFormatError("manifest records no encoded file: nothing was encoded "
+                                   "into this store, or its checksum lines are lost")
         if set(self.checksums) != set(params.nodes()):
             raise ShardFormatError("manifest checksums do not name exactly the nodes of the code")
         if self.stripe_count != stripe_count_for(self.file_length, params.message_len,
@@ -341,33 +360,119 @@ def replacing(path: Path | str) -> Iterator[BinaryIO]:
 # -- streaming the input ----------------------------------------------------------
 
 
-def message_blocks(file_length: int, params: CodeParams) -> Iterator[tuple[int, int]]:
-    """(stripes, input bytes) of each payload block of a file_length-byte
-    input, in file order."""
+def message_blocks(file_length: int, params: CodeParams, lo: int = 0,
+                   hi: int | None = None) -> Iterator[tuple[int, int]]:
+    """(stripes, input bytes) of payload blocks lo..hi-1 (None: to the
+    last) of a file_length-byte input, in file order."""
     bits = params.message_len * params.gf.m  # per stripe
-    for lo, hi in _blocks(stripe_count_for(file_length, params.message_len, params.gf.m)):
-        yield hi - lo, min(file_length, hi * bits // 8) - lo * bits // 8
+    stripe_count = stripe_count_for(file_length, params.message_len, params.gf.m)
+    for start, end in _blocks(stripe_count, lo, hi):
+        yield end - start, min(file_length, end * bits // 8) - start * bits // 8
 
 
-def read_messages(src: BinaryIO, file_length: int, params: CodeParams) -> Iterator[Block]:
-    """Read a file_length-byte input one payload block at a time, yielding
-    each block's bytes as its (message_len, stripes) Block: the input is
-    the systematic planes, in (node, row, bit) order.  Between blocks it
-    holds nothing it read."""
-    for stripes, nbytes in message_blocks(file_length, params):
-        data = src.read(nbytes)
+def input_offset(block: int, params: CodeParams) -> int:
+    """Where payload block `block` starts in the input (and in a decoded
+    output): a full block is whole bytes, BLOCK_STRIPES being a multiple of 8."""
+    return block * BLOCK_STRIPES * params.message_len * params.gf.m // 8
+
+
+def read_messages(src: BinaryIO, file_length: int, params: CodeParams, lo: int,
+                  hi: int) -> Iterator[tuple[bytes, Block]]:
+    """Read payload blocks lo..hi-1 of a file_length-byte input, each with
+    one os.pread at its own offset, so that no process moves another's file
+    offset.  Yields each block's bytes, zero-filled to whole stripes, and
+    the (message_len, stripes) Block they are: the input is the systematic
+    planes, in (node, row, bit) order.  Between blocks it holds nothing it
+    read."""
+    m, rows = params.gf.m, params.message_len
+    offset = input_offset(lo, params)
+    for stripes, nbytes in message_blocks(file_length, params, lo, hi):
+        data = os.pread(src.fileno(), nbytes, offset)
         if len(data) != nbytes:
             raise OSError(f"input is shorter than {file_length} bytes; it changed while read")
-        yield symbols_from_bytes(data, params.gf.m, params.message_len, stripes)
+        offset += nbytes
+        data = data.ljust(-(-rows * m * stripes // 8), b"\0")
+        yield data, symbols_from_bytes(data, m, rows, stripes)
 
 
 # -- shard reading/writing ----------------------------------------------------
 
 
-def _blocks(stripe_count: int):
-    """The [lo, hi) stripe range of every payload block, in file order."""
-    for lo in range(0, stripe_count, BLOCK_STRIPES):
-        yield lo, min(lo + BLOCK_STRIPES, stripe_count)
+def _blocks(stripe_count: int, lo: int, hi: int | None):
+    """The [start, end) stripe range of payload blocks lo..hi-1 (None: to
+    the last), in file order."""
+    stop = stripe_count if hi is None else min(stripe_count, hi * BLOCK_STRIPES)
+    for start in range(lo * BLOCK_STRIPES, stop, BLOCK_STRIPES):
+        yield start, min(start + BLOCK_STRIPES, stripe_count)
+
+
+# The least input a worker is given: 1 MiB.  Forking a worker costs a
+# command about 4 ms, the work of 0.5 to 1 MiB of input at (2,2,3),
+# (2,2,16) and (3,3,8) alike (in-process, 15 alternating runs each), while
+# a 4096-stripe block holds 12 KiB of input at (2,2,3) and 648 KiB at
+# (3,3,8): a minimum in blocks would fit only one code.
+_MIN_BYTES_PER_WORKER = 1 << 20
+
+
+def block_ranges(stripe_count: int, file_length: int) -> list[tuple[int, int]]:
+    """The payload blocks of the stripe_count stripes that hold a
+    file_length-byte input, as contiguous [lo, hi) ranges of block indices,
+    one per worker of codec.forked_ranges: as many as there are usable CPUs,
+    capped at one per block and per _MIN_BYTES_PER_WORKER input bytes.
+    They are balanced by stripes: range w ends at the block boundary
+    nearest to (w + 1)/W of the stripes."""
+    blocks = -(-stripe_count // BLOCK_STRIPES)
+    workers = max(1, min(codec._usable_cpus(), blocks, file_length // _MIN_BYTES_PER_WORKER))
+    cuts = [0]
+    for w in range(1, workers):  # each cut at most blocks - 1: no range is empty
+        cuts.append(max(cuts[-1] + 1, round(w * stripe_count / (workers * BLOCK_STRIPES))))
+    return list(zip(cuts, [*cuts[1:], blocks]))
+
+
+_CRC32_POLY = 0xEDB88320  # zlib's, bit-reflected: bit 31 is x^0, bit 0 is x^31
+
+
+def _crc32_mulmod(a: int, b: int) -> int:
+    """a * b modulo the CRC-32 polynomial, in its reflected bit order."""
+    product = 0
+    while a:
+        if a & 0x80000000:
+            product ^= b
+        a = a << 1 & 0xFFFFFFFF
+        b = b >> 1 ^ _CRC32_POLY if b & 1 else b >> 1
+    return product
+
+
+@functools.lru_cache(maxsize=64)  # a command joins its n files' ranges at a few lengths
+def _zero_bytes_shift(n: int) -> int:
+    """x^(8n) modulo the CRC-32 polynomial: what n zero bytes do to a CRC."""
+    shift, square = 1 << 31, 1 << 23  # x^0; x^8, one zero byte
+    while n:
+        if n & 1:
+            shift = _crc32_mulmod(square, shift)
+        n >>= 1
+        square = _crc32_mulmod(square, square)
+    return shift
+
+
+def crc32_join(crc1: int, crc2: int, len2: int) -> int:
+    """The CRC-32 of A + B from crc1 = crc32(A), crc2 = crc32(B) and len2 =
+    len(B), as zlib's crc32_combine: crc1 carried through len2 zero bytes,
+    plus crc2."""
+    return _crc32_mulmod(_zero_bytes_shift(len2), crc1) ^ crc2
+
+
+@contextmanager
+def reopened(f: BinaryIO, mode: str) -> Iterator[BinaryIO]:
+    """`f`'s file opened again by name, in `mode`: a file description of
+    its own, whose offset no other process or file object moves.  OSError
+    unless the name still leads to f's file (device and inode)."""
+    st = os.fstat(f.fileno())
+    with open(f.name, mode) as g:
+        new = os.fstat(g.fileno())
+        if (new.st_dev, new.st_ino) != (st.st_dev, st.st_ino):
+            raise OSError(f"{f.name} was replaced while in use")
+        yield g
 
 
 def row_digest(row: bytes) -> bytes:
@@ -397,76 +502,134 @@ def shard_bytes(hdr: ShardHeader) -> int:
         (payload_bytes(last, alpha, hdr.m) if last else 0)
 
 
-class ShardWriter:
-    """Appends a shard's payload, in file order, after its header, keeping
-    the CRC-32 of every byte written so far in `crc`."""
+def byte_rows(data, rows: int) -> list[memoryview]:
+    """`data` cut into `rows` rows of equal length: a block's rows as
+    stored, when its rows are whole bytes (m * stripes a multiple of 8)."""
+    view, size = memoryview(data), len(data) // rows
+    return [view[r * size : (r + 1) * size] for r in range(rows)]
 
-    def __init__(self, f: BinaryIO, header: ShardHeader):
+
+def rows_block(rows, m: int, stripes: int) -> Block:
+    """The Block of a block's rows as stored, one bytes-like per row."""
+    if m * stripes % 8 == 0:  # whole-byte rows: side by side, they are the block's bytes
+        return Block.from_bytes(b"".join(rows), m, len(rows), stripes)
+    return Block(m, stripes, [plane for row in rows
+                              for plane in Block.from_bytes(row, m, 1, stripes).planes])
+
+
+class ShardWriter:
+    """Writes a shard's payload blocks in file order, from block `start`
+    on at its fixed offset in `f`, keeping the CRC-32 of the bytes it wrote
+    in `crc` and their count in `length`."""
+
+    def __init__(self, f: BinaryIO, header: ShardHeader, start: int):
         self.file = f
         self.header = header
-        self.stripes_written = 0
-        self.crc = 0
-        self._put(header.pack())
+        self.stripes_written = start * BLOCK_STRIPES
+        self.crc = self.length = 0
+        f.seek(HEADER_LEN + start * payload_bytes(BLOCK_STRIPES, header.q**header.t, header.m))
 
-    def _put(self, data: bytes) -> None:
-        self.file.write(data)
-        self.crc = zlib.crc32(data, self.crc)
-
-    def write(self, block: Block) -> None:
-        """Append the next payload block: each of its alpha rows' planes,
-        then that row's digest."""
+    def write(self, block) -> None:
+        """Write the next payload block, a Block or, when its rows are whole
+        bytes, the list of its rows' bytes (byte_rows): each of its alpha
+        rows, then that row's digest."""
         hdr = self.header
         shape = (hdr.m, hdr.q**hdr.t, min(BLOCK_STRIPES, hdr.stripe_count - self.stripes_written))
-        if (block.m, block.rows, block.stripes) != shape:
-            raise ValueError(f"a block of (m, rows, stripes) = {(block.m, block.rows, block.stripes)}"
-                             f" is not the next block, {shape}, of a {hdr.stripe_count}-stripe shard")
+        if isinstance(block, Block):
+            if (block.m, block.rows, block.stripes) != shape:
+                raise ValueError(f"a block of (m, rows, stripes) = "
+                                 f"{(block.m, block.rows, block.stripes)} is not the next block, "
+                                 f"{shape}, of a {hdr.stripe_count}-stripe shard")
+            block = byte_rows(block.to_bytes(), block.rows) if block.m * block.stripes % 8 == 0 \
+                else [block[r : r + 1].to_bytes() for r in range(block.rows)]
         parts = []
-        for r in range(block.rows):
-            row = block[r : r + 1].to_bytes()
+        for row in block:
             parts += (row, row_digest(row))
-        self._put(b"".join(parts))
-        self.stripes_written += block.stripes
+        data = b"".join(parts)
+        if shape[2] <= 0 or len(data) != payload_bytes(shape[2], shape[1], shape[0]):
+            raise ValueError(f"{len(data)} bytes of rows and digests are not the next block, "
+                             f"{shape}, of a {hdr.stripe_count}-stripe shard")
+        self.file.write(data)
+        self.crc = zlib.crc32(data, self.crc)
+        self.length += len(data)
+        self.stripes_written += shape[2]
 
 
-def write_shard(shards: Mapping[Path | str, ShardHeader],
-                blocks: Iterable[Mapping[Node, Block]],
+def write_shard(shards: Mapping[Path | str, ShardHeader], blocks,
                 renames: contextlib.ExitStack) -> dict[Node, int]:
-    """Write one shard per (path, header) of `shards` in a single pass over
-    `blocks`, each of which maps every header's node to its next payload
-    block.  Every shard is written to its temp file and fsynced (`synced`)
-    before this returns; a shard short of stripes raises.  The shards are
-    renamed into place (see `renaming`) when `renames` closes, so the caller can check or record
+    """Write one shard per (path, header) of `shards`, all of one stripe
+    count, from `blocks`: the stream of their payload blocks, each mapping
+    every header's node to its next block (as ShardWriter.write takes it),
+    or a function of a block range [lo, hi) that streams that range's
+    blocks.  A function's ranges (block_ranges) are shared among forked
+    workers (codec.forked_ranges), each writing its range at its fixed
+    offsets through files of its own (`reopened`).  Every shard is written
+    to its temp file and fsynced (`synced`) before this returns; a shard
+    short of stripes raises.  The shards are renamed into place (see
+    `renaming`) when `renames` closes, so the caller can check or record
     their CRCs first.  Returns the CRC-32 of each node's file, from the
-    bytes as written."""
+    bytes as written, each range's joined (crc32_join) before any fsync."""
     with contextlib.ExitStack() as files:
-        writers = {}
+        temps = {}  # path -> its temp file, the header written
         for path, header in shards.items():
-            tmp = renames.enter_context(renaming(path))
-            writers[path] = ShardWriter(files.enter_context(synced(tmp)), header)
-        for block in blocks:
-            for writer in writers.values():
-                writer.write(block[writer.header.node])
-            del block  # freed before the next block is built
-        for path, writer in writers.items():
-            if writer.stripes_written != writer.header.stripe_count:
-                raise ValueError(f"{path}: {writer.stripes_written} of "
-                                 f"{writer.header.stripe_count} stripes written")
-    return {writer.header.node: writer.crc for writer in writers.values()}
+            temps[path] = files.enter_context(synced(renames.enter_context(renaming(path))))
+            temps[path].write(header.pack())
+
+        def write_range(lo: int, hi: int, stream) -> list[tuple[int, int]]:
+            with contextlib.ExitStack() as own:
+                writers = {path: ShardWriter(own.enter_context(reopened(f, "r+b")),
+                                             shards[path], lo) for path, f in temps.items()}
+                for block in stream:
+                    for writer in writers.values():
+                        writer.write(block[writer.header.node])
+                    del block  # freed before the next block is built
+            for path, writer in writers.items():
+                stripe_count = writer.header.stripe_count
+                if writer.stripes_written != min(stripe_count, hi * BLOCK_STRIPES):
+                    raise ValueError(f"{path}: {writer.stripes_written} of {stripe_count} "
+                                     "stripes written")
+            return [(writer.crc, writer.length) for writer in writers.values()]
+
+        header = next(iter(shards.values()))
+        if callable(blocks):
+            parts = codec.forked_ranges(lambda lo, hi: write_range(lo, hi, blocks(lo, hi)),
+                                        block_ranges(header.stripe_count, header.file_length),
+                                        len(shards))
+        else:
+            parts = [write_range(0, -(-header.stripe_count // BLOCK_STRIPES), blocks)]
+        crcs = {}
+        for i, header in enumerate(shards.values()):
+            crc = zlib.crc32(header.pack())
+            for part in parts:
+                crc = crc32_join(crc, *part[i])
+            crcs[header.node] = crc
+    return crcs
 
 
 class ShardReader:
     """An open shard whose header and file size were checked on opening,
-    before any payload read.  Stream the payload with blocks(runs), which
-    checks the digest of every row it reads.  `bytes_read` and `reads`
-    count the bytes and read() calls made, the header's included."""
+    before any payload read.  Stream the payload with rows(runs) or
+    blocks(runs), which check the digest of every row they read.
+    `bytes_read` and `reads` count the bytes and read() calls made, the
+    header's included.  A reader made by reopened() shares the header and
+    counts only its own reads."""
 
-    def __init__(self, f: BinaryIO, path):
+    def __init__(self, f: BinaryIO, path, header: ShardHeader | None = None):
         self.path, self._f = path, f
         self.bytes_read = self.reads = self.crc = 0
-        self.header = ShardHeader.unpack(self._read(0, HEADER_LEN))
-        size, expected = os.fstat(f.fileno()).st_size, shard_bytes(self.header)
-        if size != expected:
-            raise ShardFormatError(f"{path}: file is {size} bytes, header implies {expected}")
+        if header is None:
+            header = ShardHeader.unpack(self._read(0, HEADER_LEN))
+            size, expected = os.fstat(f.fileno()).st_size, shard_bytes(header)
+            if size != expected:
+                raise ShardFormatError(f"{path}: file is {size} bytes, header implies {expected}")
+        self.header = header
+
+    @contextmanager
+    def reopened(self) -> Iterator["ShardReader"]:
+        """A reader of the same file through a file description of its own
+        (`reopened`), for a worker: no other reader moves its offset."""
+        with reopened(self._f, "rb") as f:
+            yield ShardReader(f, self.path, self.header)
 
     def _read(self, offset: int, size: int) -> bytes:
         """`size` bytes at `offset`, in one seek and one read(), counted and
@@ -481,30 +644,38 @@ class ShardReader:
         self.crc = zlib.crc32(data, self.crc)
         return data
 
-    def blocks(self, runs: list[tuple[int, int]]) -> Iterator[Block]:
+    def rows(self, runs: list[tuple[int, int]], lo: int = 0,
+             hi: int | None = None) -> Iterator[tuple[int, list[memoryview]]]:
         """The rows in `runs` ((start ordinal, length) pairs, ascending) of
-        every payload block, in file order, as one (sum of run lengths,
-        stripes) Block each: one seek and one read per run per block, every
-        row checked against its digest.  Each read extends `crc`, so after
-        a whole read, runs [(0, alpha)], it is the CRC-32 of the whole file.
+        payload blocks lo..hi-1 (None: to the last), in file order, as
+        (stripes, the bytes of each row) per block: one seek and one read
+        per run per block, every row checked against its digest, which is
+        not part of the row.  Each read extends `crc`, so after a whole read
+        from block 0, runs [(0, alpha)], it is the CRC-32 of the whole file.
         Between blocks it holds none of the bytes it read."""
         hdr = self.header
-        m, alpha, base = hdr.m, hdr.q**hdr.t, HEADER_LEN
-        for index, (lo, hi) in enumerate(_blocks(hdr.stripe_count)):
-            stripes = hi - lo
-            row_bytes = payload_bytes(stripes, 1, m)
-            planes = []
-            for start, length in runs:
-                view = memoryview(self._read(base + start * row_bytes, length * row_bytes))
+        m, alpha = hdr.m, hdr.q**hdr.t
+        base = HEADER_LEN + lo * payload_bytes(BLOCK_STRIPES, alpha, m)
+        for start, end in _blocks(hdr.stripe_count, lo, hi):
+            row_bytes = payload_bytes(end - start, 1, m)
+            rows = []
+            for first, length in runs:
+                view = memoryview(self._read(base + first * row_bytes, length * row_bytes))
                 for r in range(length):
-                    end = (r + 1) * row_bytes - DIGEST_LEN
-                    row = view[r * row_bytes : end]
-                    if row_digest(row) != view[end : end + DIGEST_LEN]:
-                        raise ShardFormatError(f"{self.path}: block {index}: row {start + r} "
-                                               "does not match its digest")
-                    planes += Block.from_bytes(row, m, 1, stripes).planes
-            yield Block(m, stripes, planes)
+                    cut = (r + 1) * row_bytes - DIGEST_LEN
+                    row = view[r * row_bytes : cut]
+                    if row_digest(row) != view[cut : cut + DIGEST_LEN]:
+                        raise ShardFormatError(f"{self.path}: block {start // BLOCK_STRIPES}: "
+                                               f"row {first + r} does not match its digest")
+                    rows.append(row)
+            yield end - start, rows
             base += alpha * row_bytes
+
+    def blocks(self, runs: list[tuple[int, int]]) -> Iterator[Block]:
+        """rows(runs) of every block, each block's as one (sum of run
+        lengths, stripes) Block."""
+        for stripes, rows in self.rows(runs):
+            yield rows_block(rows, self.header.m, stripes)
 
 
 @contextmanager

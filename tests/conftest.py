@@ -11,7 +11,7 @@ import os
 
 import pytest
 
-from msrcode import ParityCheckSystem, build_system, codec, make_params
+from msrcode import ParityCheckSystem, build_system, codec, make_params, shardio
 from msrcode.gf import Block
 
 # (q, t, m) -> first c0 the ascending search accepts
@@ -64,9 +64,11 @@ def all_systems(sys22, sys32, sys23):
 
 @pytest.fixture
 def forking(monkeypatch):
-    """set_cpus(n): make codec.verify_mds see n usable CPUs, with a worker
-    worth even one subset, so that a code of any size is shared among n
-    workers.  Returns the list of the pids each os.fork gave the parent."""
+    """set_cpus(n): make codec.verify_mds, encode and decode see n usable
+    CPUs, with a worker worth even one subset or one input byte, so that a
+    code of any size is shared among n workers, and so is an input of at
+    least n blocks.  Returns the list of the pids each os.fork gave the
+    parent."""
     forks = []
     real_fork = os.fork
 
@@ -80,6 +82,7 @@ def forking(monkeypatch):
         return forks
 
     monkeypatch.setattr(codec, "_MIN_SUBSETS_PER_WORKER", 1)
+    monkeypatch.setattr(shardio, "_MIN_BYTES_PER_WORKER", 1)
     monkeypatch.setattr(os, "fork", fork)
     return set_cpus
 

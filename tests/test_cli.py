@@ -397,6 +397,34 @@ def test_missing_checksum_is_verification_failure(store22, tmp_path, command):
     assert {f.name: f.read_bytes() for f in store.iterdir()} == before
 
 
+@pytest.mark.parametrize("command", ["decode", "repair"])
+def test_an_init_only_store_says_nothing_was_encoded(tmp_path, capsys, command):
+    # a manifest with no checksum line records no encoded file: decode and
+    # repair say so, and exit 2, as for any damaged manifest; one that names
+    # some nodes but not all keeps its own message
+    store = tmp_path / "store"
+    assert main(["init", "--q", "2", "--t", "3", "--out-dir", str(store)]) == EXIT_OK
+    argv = {
+        "decode": ["decode", str(tmp_path / "out.bin"),
+                   *(str(store / shard_filename((1, theta))) for theta in (0, 1)),
+                   *(str(store / shard_filename((2, theta))) for theta in (0, 1))],
+        "repair": ["repair", "--node", "1,0", "--out-dir", str(store)],
+    }[command]
+    before = {f.name: f.read_bytes() for f in tmp_path.rglob("*") if f.is_file()}
+    capsys.readouterr()
+    assert main(argv) == EXIT_VERIFY
+    err = capsys.readouterr().err
+    assert "manifest records no encoded file: nothing was encoded into this store, " \
+        "or its checksum lines are lost" in err
+    assert {f.name: f.read_bytes() for f in tmp_path.rglob("*") if f.is_file()} == before
+    manifest = Manifest.read(store / "manifest.txt")
+    manifest.checksums = {(1, 0): 0}
+    manifest.write(store / "manifest.txt")
+    assert main(argv) == EXIT_VERIFY
+    assert "manifest checksums do not name exactly the nodes of the code" in \
+        capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["decode", "repair", "verify"])
 def test_non_utf8_manifest_is_verification_failure(store22, tmp_path, command):
     store, _ = store22

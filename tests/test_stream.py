@@ -5,9 +5,11 @@ from __future__ import annotations
 
 import contextlib
 import errno
+import itertools
 import hashlib
 import os
 import random
+import signal
 import stat
 import subprocess
 import sys
@@ -287,7 +289,9 @@ def test_faults_give_right_bytes_or_exit_2_3_and_touch_nothing(codes, qt, old, n
     any k shards decode to the old bytes or exit 2, never to wrong bytes;
     and a failed fsync of the directory, which comes after every rename,
     exits 3 with the files as on success.  encode reads no shard, so it
-    only meets write-side faults."""
+    only meets write-side faults.  encode and decode share their blocks
+    with a forked worker, which meets the same faults; no worker is left
+    running."""
     command, fault = job
     pick = random.Random(seed)  # uniform positions, unlike a Hypothesis-drawn Random
     p = codes[qt]
@@ -332,8 +336,15 @@ def test_faults_give_right_bytes_or_exit_2_3_and_touch_nothing(codes, qt, old, n
             "decode": ["decode", str(out), *(str(store / shard_filename(nd)) for nd in read)],
             "repair": ["repair", "--node", f"{failed[0]},{failed[1]}", "--out-dir", str(store)],
         }[command]
-        with mock.patch.object(shardio, "open", probe.open, create=True), syscall:
+        # two workers, each worth a byte: encode's and decode's payload writes
+        # and reads are shared with a forked child, which opens its files
+        # through the same `open`
+        with mock.patch.object(shardio, "open", probe.open, create=True), syscall, \
+                mock.patch.object(codec, "_usable_cpus", lambda: 2), \
+                mock.patch.object(shardio, "_MIN_BYTES_PER_WORKER", 1):
             code = main(argv)
+        with pytest.raises(ChildProcessError):  # every worker is reaped
+            os.waitpid(-1, os.WNOHANG)
         event(f"{command} after {fault}: exit {code}")
         after = snapshot(root)
         assert not [name for name in after if name.endswith(".tmp")]
@@ -445,3 +456,165 @@ def test_every_file_is_fsynced_before_the_first_rename(tmp_path, monkeypatch):
         renamed.clear()
         assert main(argv) == EXIT_OK
         assert len(set(renamed)) == count and set(renamed) <= fsynced, argv[0]
+
+
+# -- workers -----------------------------------------------------------------------
+
+
+def input_of(p, stripes: int, short: int = 0) -> bytes:
+    """Random input that fills `stripes` stripes, `short` bytes short of the last."""
+    return os.urandom(stripes * p.message_len * p.gf.m // 8 - short)
+
+
+W = shardio.BLOCK_STRIPES
+
+
+@pytest.mark.parametrize("qtm,stripes,short", [
+    ((2, 2, 16), 3 * W + W // 2, 3),
+    ((2, 3, 3), 3 * W + 1229, 5),  # the last block's rows are not whole bytes
+    ((3, 3, 8), 2 * W + W // 2, 100),  # a partial last block
+    ((3, 3, 8), 3 * W, 0),  # an exact multiple of BLOCK_STRIPES
+])
+def test_any_number_of_workers_writes_the_same_bytes(tmp_path, forking, qtm, stripes, short):
+    # shards, manifest (with its CRCs) and decoded bytes are the same on one
+    # worker, on two, and on more workers than this machine may have CPUs,
+    # decoding from the systematic nodes and from a set with the parity nodes
+    p = find_code(*qtm)
+    data = input_of(p, stripes, short)
+    src = tmp_path / "in.bin"
+    src.write_bytes(data)
+    stores = {}
+    for cpus in (1, 2, 5):
+        forks = forking(cpus)
+        forks.clear()
+        store = tmp_path / f"store{cpus}"
+        new_store(store, p)
+        assert main(["encode", str(src), "--out-dir", str(store)]) == EXIT_OK
+        assert Manifest.read(store / shardio.MANIFEST_NAME).stripe_count == stripes
+        for nodes in (list(p.nodes())[: p.k], list(p.nodes())[-p.k :]):
+            out = tmp_path / "out.bin"
+            assert main(["decode", str(out),
+                         *(str(store / shard_filename(nd)) for nd in nodes)]) == EXIT_OK
+            assert out.read_bytes() == data
+        # up to one worker per block for each command
+        assert len(forks) == 3 * (min(cpus, -(-stripes // W)) - 1)
+        stores[cpus] = snapshot(store)
+    assert stores[1] == stores[2] == stores[5]
+    man = Manifest.read(tmp_path / "store2" / shardio.MANIFEST_NAME)
+    assert all(man.checksums[nd] == crc32_file(tmp_path / "store2" / shard_filename(nd))
+               for nd in p.nodes())
+
+
+@pytest.mark.parametrize("command", ["encode", "decode"])
+@pytest.mark.parametrize("fault", ["raises", "exits 1", "killed", "no fork"])
+def test_a_failed_worker_s_blocks_are_done_here(tmp_path, forking, monkeypatch, command, fault):
+    # a worker that raises, exits 1 or is killed part-way through its first
+    # block, or that cannot be forked, leaves its blocks to the parent: the
+    # command exits 0 with the bytes one process writes, leaves no temp file
+    # and reaps every child
+    monkeypatch.setattr(shardio, "BLOCK_STRIPES", 8)
+    p = find_code(2, 3)
+    store, src, out = tmp_path / "store", tmp_path / "in.bin", tmp_path / "out.bin"
+    new_store(store, p)
+    data = input_of(p, 8 * 9, 7)  # 9 blocks: 3 workers of 3
+    src.write_bytes(data)
+    forking(1)
+    assert main(["encode", str(src), "--out-dir", str(store)]) == EXIT_OK
+    serial = snapshot(store)
+    forks = forking(3)
+    recorded_fork, real_digest = os.fork, shardio.row_digest
+
+    def fork():
+        if fault == "no fork" and forks:  # the second fork: no process to spare
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        pid = recorded_fork()
+        if pid == 0 and fault != "no fork":
+            calls = itertools.count()
+
+            def row_digest(row):
+                if next(calls) == 5:  # the sixth row of the worker's first block
+                    if fault == "raises":
+                        raise OSError(errno.EIO, "injected worker failure")
+                    if fault == "exits 1":
+                        os._exit(1)
+                    os.kill(os.getpid(), signal.SIGKILL)
+                return real_digest(row)
+
+            shardio.row_digest = row_digest
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    if command == "encode":
+        assert main(["encode", str(src), "--out-dir", str(store)]) == EXIT_OK
+        assert snapshot(store) == serial
+    else:
+        nodes = list(p.nodes())[-p.k :]
+        assert main(["decode", str(out),
+                     *(str(store / shard_filename(nd)) for nd in nodes)]) == EXIT_OK
+        assert out.read_bytes() == data
+    assert len(forks) == (1 if fault == "no fork" else 2)
+    assert not list(tmp_path.rglob("*.tmp"))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_bad_row_in_a_worker_s_range_is_named_as_one_process_names_it(
+        tmp_path, forking, monkeypatch, capsys):
+    # a flipped byte in block 4 of 6, in the second worker's range: decode
+    # exits 2 naming the shard, block and row, as it does in one process
+    monkeypatch.setattr(shardio, "BLOCK_STRIPES", 8)
+    p = find_code(2, 2, 3)
+    store, src, out = tmp_path / "store", tmp_path / "in.bin", tmp_path / "out.bin"
+    new_store(store, p)
+    src.write_bytes(input_of(p, 6 * 8))
+    assert main(["encode", str(src), "--out-dir", str(store)]) == EXIT_OK
+    path = store / shard_filename((1, 1))
+    blob = bytearray(path.read_bytes())
+    blob[shardio.HEADER_LEN + 4 * shardio.payload_bytes(8, p.alpha, 3)
+         + shardio.payload_bytes(8, 2, 3)] ^= 0x20  # row 2
+    path.write_bytes(bytes(blob))
+    before = snapshot(tmp_path)
+    argv = ["decode", str(out), str(path), str(store / shard_filename((2, 0)))]
+    seen = {}
+    for cpus in (1, 2):
+        forks = forking(cpus)
+        forks.clear()
+        capsys.readouterr()
+        seen[cpus] = main(argv), capsys.readouterr().err
+        assert len(forks) == cpus - 1
+        assert snapshot(tmp_path) == before
+    assert seen[1] == seen[2]
+    assert seen[1][0] == EXIT_VERIFY
+    assert f"{path}: block 4: row 2 does not match its digest" in seen[1][1]
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_an_input_that_shrinks_after_its_fstat_exits_io_error(tmp_path, forking, monkeypatch,
+                                                              cpus):
+    # encode takes the input's length from fstat: an input cut short after
+    # that exits 3, on one worker or two, and leaves the store as it was
+    monkeypatch.setattr(shardio, "BLOCK_STRIPES", 8)
+    p = find_code(2, 2, 3)
+    store, src = tmp_path / "store", tmp_path / "in.bin"
+    new_store(store, p)
+    src.write_bytes(input_of(p, 5 * 8))
+    assert main(["encode", str(src), "--out-dir", str(store)]) == EXIT_OK
+    src.write_bytes(input_of(p, 6 * 8))
+    before = snapshot(store)
+    forks = forking(cpus)
+    forks.clear()
+    ident, real_fstat, cut = os.stat(src), os.fstat, []
+
+    def fstat(fd):
+        st = real_fstat(fd)
+        if (st.st_dev, st.st_ino) == (ident.st_dev, ident.st_ino) and not cut:
+            cut.append(fd)
+            os.truncate(src, st.st_size - 30)  # into the last of 6 blocks
+        return st
+
+    monkeypatch.setattr(os, "fstat", fstat)
+    assert main(["encode", str(src), "--out-dir", str(store)]) == EXIT_IO
+    assert cut and len(forks) == cpus - 1
+    assert snapshot(store) == before
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
