@@ -13,11 +13,11 @@ CodeParams.gamma_runs, the same list its repair plan reads its slots from.
 encode, decode and repair each make one pass over 4096-stripe blocks, so
 their memory does not grow with the file.  encode and decode share the
 blocks among one process per usable CPU, in contiguous ranges
-(shardio.block_ranges, codec.forked_ranges), and write what a one-process
-run writes, byte for byte; a worker that fails leaves its range to the
-parent, which reports a bad row as a one-process run does.  They write a
-systematic row that is whole bytes as they got it: encode from the input,
-decode from the shard it read.  No command loads numpy or
+(fanout.forked_ranges, which only they import), and write what a
+one-process run writes, byte for byte; a worker that fails leaves its
+range to the parent, which reports a bad row as a one-process run does.
+They write a systematic row that is whole bytes as they got it: encode
+from the input, decode from the shard it read.  No command loads numpy or
 hashlib (a row digest is _blake2's), and importing this module loads no
 dataclasses, inspect or fractions (stats' rate imports fractions), so
 start-up is mostly the interpreter's; each command builds its field once.
@@ -103,6 +103,8 @@ def cmd_init(args) -> int:
 
 
 def cmd_encode(args) -> int:
+    from . import fanout
+
     manifest = Manifest.load(args.out_dir)
     sys_ = build_system(manifest.params())
     p = sys_.params
@@ -139,7 +141,8 @@ def cmd_encode(args) -> int:
             # map, unlike a generator, keeps no block between calls, so the
             # last block is freed before the next one is read
             lambda lo, hi: map(encoded, shardio.read_messages(src, length, p, lo, hi)),
-            renames)
+            renames,
+            lambda work: fanout.forked_ranges(work, manifest.stripe_count, length, p.n))
         with shardio.synced(manifest_tmp) as f:  # written and fsynced before any rename
             f.write(manifest.to_text().encode())
     shardio.sync_dir(out_dir)
@@ -149,6 +152,8 @@ def cmd_encode(args) -> int:
 
 
 def cmd_decode(args) -> int:
+    from . import fanout
+
     manifest = Manifest.load(Path(args.shards[0]).parent,
                              "decode reads the manifest next to its first shard")
     sys_ = build_system(manifest.encoded_params())
@@ -178,41 +183,47 @@ def cmd_decode(args) -> int:
 
         def decoded(rows: dict, stripes: int, nbytes: int) -> bytes:
             """A block's first nbytes message bytes from the rows of the k
-            shards: known systematic rows that are whole bytes as read."""
-            whole = p.gf.m * stripes % 8 == 0
-            if whole and all(nd in rows for nd in systematic):  # nothing to solve
-                return b"".join(row for nd in systematic for row in rows[nd])[:nbytes]
-            message = codec.decode_batch(
-                {nd: shardio.rows_block(r, p.gf.m, stripes) for nd, r in rows.items()}, sys_)
-            if not whole:
-                return shardio.bytes_from_symbols(message, p.gf.m, nbytes)
-            parts, size = [], p.alpha * p.gf.m * stripes // 8  # a node's rows
+            shards.  Where rows are whole bytes, a known systematic row is
+            written as read, and the block is solved only for a missing one."""
+            def solved():
+                return codec.decode_batch(
+                    {nd: shardio.rows_block(r, p.gf.m, stripes) for nd, r in rows.items()}, sys_)
+
+            if p.gf.m * stripes % 8:  # rows padded to whole bytes: they do not join up
+                return shardio.bytes_from_symbols(solved(), p.gf.m, nbytes)
+            parts, message, size = [], None, p.alpha * p.gf.m * stripes // 8  # a node's rows
             for o, nd in enumerate(systematic):
-                parts += rows[nd] if nd in rows else [shardio.bytes_from_symbols(
-                    message[o * p.alpha : (o + 1) * p.alpha], p.gf.m, size)]
+                if nd in rows:
+                    parts += rows[nd]
+                    continue
+                if message is None:
+                    message = solved()
+                parts.append(shardio.bytes_from_symbols(
+                    message[o * p.alpha : (o + 1) * p.alpha], p.gf.m, size))
             return b"".join(parts)[:nbytes]
 
+        opener = os.getpid()
         with shardio.replacing(args.output) as out:
             def decode_range(lo: int, hi: int) -> list[tuple[int, int]]:
-                """Decode blocks lo..hi-1 into their place in the output, through
-                files of its own; the CRC-32 and length of each shard's bytes read."""
+                """Decode blocks lo..hi-1 into their place in the output
+                (write_at), reading through files of its own; the CRC-32 and
+                length of each shard's bytes read."""
+                forked = os.getpid() != opener
                 with contextlib.ExitStack() as own:
                     readers = [own.enter_context(shard.reopened()) for shard in shards]
-                    dst = own.enter_context(shardio.reopened(out, "r+b"))
-                    dst.seek(shardio.input_offset(lo, p))
-                    # next(), unlike zip, keeps no block: each one is freed
-                    # once written
                     streams = [reader.rows([(0, p.alpha)], lo, hi) for reader in readers]
+                    offset = shardio.input_offset(lo, p)
                     for stripes, nbytes in shardio.message_blocks(manifest.file_length, p, lo, hi):
-                        dst.write(decoded({nd: next(s)[1] for nd, s in zip(nodes, streams)},
-                                          stripes, nbytes))
+                        rows = {nd: next(s)[1] for nd, s in zip(nodes, streams)}
+                        shardio.write_at(out, decoded(rows, stripes, nbytes), offset, forked)
+                        offset += nbytes
+                        del rows  # freed before the next block is read
                 return [(reader.crc, reader.bytes_read) for reader in readers]
 
-            crcs = [shard.crc for shard in shards]  # of the headers
-            ranges = shardio.block_ranges(manifest.stripe_count, manifest.file_length)
-            for part in codec.forked_ranges(decode_range, ranges, len(shards)):
-                crcs = [shardio.crc32_join(crc, *pair) for crc, pair in zip(crcs, part)]
-            for shard, crc in zip(shards, crcs):
+            pairs = fanout.forked_ranges(decode_range, manifest.stripe_count,
+                                         manifest.file_length, len(shards))
+            for shard, (crc, length) in zip(shards, pairs):  # shard.crc: its header's
+                crc = fanout.crc32_join(shard.crc, crc, length)
                 if crc != manifest.checksums[shard.header.node]:
                     raise VerificationFailure(f"{shard.path}: checksum mismatch")
     shardio.sync_dir(Path(args.output).parent)
@@ -240,7 +251,7 @@ def cmd_repair(args) -> int:
         # as in encode, keeps no block between calls
         crc = shardio.write_shard(
             {path: manifest.header_for(failed)},
-            map(rebuilt, *(shard.blocks(runs) for shard in shards)),
+            lambda lo, hi: map(rebuilt, *(shard.blocks(runs, lo, hi) for shard in shards)),
             stack)[failed]
         if crc != manifest.checksums[failed]:
             raise VerificationFailure(f"rebuilt {path.name} does not match manifest checksum")

@@ -24,10 +24,9 @@ of every size-q node subset once, which is the rank check, and reuses that
 plan for the subset's decode round trips.  The subsets are independent, so
 it encodes its messages once and then deals the k-subsets out to one
 os.fork()ed worker per usable CPU (_forked_map), whose exit status says
-whether its subsets were clean; the report is the serial loop's.
-forked_ranges shares the block ranges of the CLI's encode and decode the
-same way (_forked), with each worker pinned to a usable CPU of its own and
-passing its CRC-32s back through a shared anonymous mmap.
+whether its subsets were clean; the report is the serial loop's.  Its
+fork, wait and redo (_forked) also share encode's and decode's block
+ranges (fanout.forked_ranges); each worker runs on a usable CPU of its own.
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ from __future__ import annotations
 import contextlib
 import os
 import random
-import struct
 from collections.abc import Iterable, Mapping, Sequence
 
 from .gf import Block
@@ -191,17 +189,18 @@ def _pin(*cpus: int) -> None:
         os.sched_setaffinity(0, cpus)
 
 
-def _forked(count: int, child, here, pin: bool = False) -> None:
+def _forked(count: int, child, here) -> None:
     """Work shares 0..count-1: share 0 by here(0) in this process, and each
     other share w in an os.fork()ed child, whose exit status is 0 when
     child(w) returned True and 1 when it returned False or raised.  Then
     here(w) for the share of every child that was not clean, died or could
-    not be forked.  With `pin`, child w runs on usable CPU w (mod their
-    count) and this process on the first one during here(0), its own CPUs
-    restored afterwards.  On any exception here, KeyboardInterrupt
-    included, every child not yet reaped is killed and reaped.  Forking is
-    safe because msrcode starts no thread."""
-    cpus = sorted(os.sched_getaffinity(0)) if pin and hasattr(os, "sched_setaffinity") else []
+    not be forked.  Child w runs on usable CPU w (mod their count), and this
+    process on the first one during here(0), its own CPUs restored
+    afterwards: unpinned, a child mostly ran on its parent's CPU.  On any
+    exception here, KeyboardInterrupt included, every child not yet reaped
+    is killed and reaped.  Forking is safe because msrcode starts no
+    thread."""
+    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else []
     redo, children = [], {}  # the shares to work here; pid -> its child's share
     try:
         for w in range(1, count):
@@ -245,8 +244,7 @@ def _forked_map(fn, items: list) -> list:
     shared among W workers (_forked): items[w::W] go to worker w.  W is the
     usable CPU count, capped at one worker per _MIN_SUBSETS_PER_WORKER
     items.  A child's exit status says only whether its slice was clean;
-    the slice of a child that was not runs again here.  Its workers are
-    not pinned: pinned, certify's `round_s` did not improve."""
+    the slice of a child that was not runs again here."""
     workers = min(_usable_cpus(), len(items) // _MIN_SUBSETS_PER_WORKER)
     if workers < 2 or not hasattr(os, "fork"):
         return [fn(x) for x in items]
@@ -256,38 +254,6 @@ def _forked_map(fn, items: list) -> list:
         results[w::workers] = [fn(x) for x in items[w::workers]]
 
     _forked(workers, lambda w: all(fn(x) == [] for x in items[w::workers]), here)
-    return results
-
-
-def forked_ranges(work, ranges: list[tuple[int, int]], width: int) -> list[list[tuple[int, int]]]:
-    """[work(lo, hi) for lo, hi in ranges], for a work that returns `width`
-    pairs of ints below 2^64, such as a (CRC-32, length) per file it wrote
-    or read.  The ranges are shared among pinned workers (_forked): this
-    process works ranges[0], and child w ranges[w], whose pairs come back
-    through an anonymous shared mmap made before the fork; a child reports
-    nothing else but its exit status, and a range whose child was not
-    clean is worked again here.  So work must be safe to repeat, and must
-    share no file offset with another process."""
-    if len(ranges) < 2 or not hasattr(os, "fork"):
-        return [work(lo, hi) for lo, hi in ranges]
-    import mmap
-
-    slot = struct.Struct(f"<{2 * width}Q")
-    results: list = [None] * len(ranges)
-
-    def child(w):
-        slot.pack_into(shared, w * slot.size, *(v for pair in work(*ranges[w]) for v in pair))
-        return True
-
-    def here(w):
-        results[w] = work(*ranges[w])
-
-    with mmap.mmap(-1, len(ranges) * slot.size) as shared:
-        _forked(len(ranges), child, here, pin=True)
-        for w, got in enumerate(results):
-            if got is None:  # its child's, clean
-                flat = slot.unpack_from(shared, w * slot.size)
-                results[w] = list(zip(flat[::2], flat[1::2]))
     return results
 
 

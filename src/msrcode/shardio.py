@@ -46,13 +46,12 @@ after its last rename there (`sync_dir`), so the renames are durable too;
 
 Block b sits at a fixed offset in every file: HEADER_LEN +
 b*payload_bytes(BLOCK_STRIPES, alpha, m) in a shard, input_offset(b) in
-the input and in a decoded output.  So encode (write_shard, given a
-function of a block range) and decode share the blocks among forked
-workers in contiguous ranges balanced by stripes (block_ranges,
-codec.forked_ranges).  Each worker reads and writes through files of its
-own (`reopened`, os.pread), so no process moves another's file offset,
-and returns each file's range CRC-32 and length; a file's CRC-32 is its
-ranges' joined (crc32_join) before it is fsynced.
+the input and in a decoded output.  So the readers and writers here take
+a range of blocks, and a forked worker moves no file offset it shares
+with its parent: the input is read with os.pread, a shard through a file
+description of its own (ShardReader.reopened), and a worker writes with
+os.pwrite (`write_at`).  encode and decode share the blocks among forked
+workers this way (fanout.forked_ranges).
 
 The input needs no packing: the input bits of each block of `stripes`
 stripes *are* the systematic planes of that block, stripes bits each, in
@@ -69,16 +68,14 @@ exact byte count.
 from __future__ import annotations
 
 import contextlib
-import functools
 import os
 import struct
 import zlib
 from collections import namedtuple
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from contextlib import contextmanager
 from pathlib import Path
 
-from . import codec
 from .gf import Block
 from .params import CodeParams, Node, Record, make_params
 from .parity import _check_size
@@ -406,73 +403,21 @@ def _blocks(stripe_count: int, lo: int, hi: int | None):
         yield start, min(start + BLOCK_STRIPES, stripe_count)
 
 
-# The least input a worker is given: 1 MiB.  Forking a worker costs a
-# command about 4 ms, the work of 0.5 to 1 MiB of input at (2,2,3),
-# (2,2,16) and (3,3,8) alike (in-process, 15 alternating runs each), while
-# a 4096-stripe block holds 12 KiB of input at (2,2,3) and 648 KiB at
-# (3,3,8): a minimum in blocks would fit only one code.
-_MIN_BYTES_PER_WORKER = 1 << 20
-
-
-def block_ranges(stripe_count: int, file_length: int) -> list[tuple[int, int]]:
-    """The payload blocks of the stripe_count stripes that hold a
-    file_length-byte input, as contiguous [lo, hi) ranges of block indices,
-    one per worker of codec.forked_ranges: as many as there are usable CPUs,
-    capped at one per block and per _MIN_BYTES_PER_WORKER input bytes.
-    They are balanced by stripes: range w ends at the block boundary
-    nearest to (w + 1)/W of the stripes."""
-    blocks = -(-stripe_count // BLOCK_STRIPES)
-    workers = max(1, min(codec._usable_cpus(), blocks, file_length // _MIN_BYTES_PER_WORKER))
-    cuts = [0]
-    for w in range(1, workers):  # each cut at most blocks - 1: no range is empty
-        cuts.append(max(cuts[-1] + 1, round(w * stripe_count / (workers * BLOCK_STRIPES))))
-    return list(zip(cuts, [*cuts[1:], blocks]))
-
-
-_CRC32_POLY = 0xEDB88320  # zlib's, bit-reflected: bit 31 is x^0, bit 0 is x^31
-
-
-def _crc32_mulmod(a: int, b: int) -> int:
-    """a * b modulo the CRC-32 polynomial, in its reflected bit order."""
-    product = 0
-    while a:
-        if a & 0x80000000:
-            product ^= b
-        a = a << 1 & 0xFFFFFFFF
-        b = b >> 1 ^ _CRC32_POLY if b & 1 else b >> 1
-    return product
-
-
-@functools.lru_cache(maxsize=64)  # a command joins its n files' ranges at a few lengths
-def _zero_bytes_shift(n: int) -> int:
-    """x^(8n) modulo the CRC-32 polynomial: what n zero bytes do to a CRC."""
-    shift, square = 1 << 31, 1 << 23  # x^0; x^8, one zero byte
-    while n:
-        if n & 1:
-            shift = _crc32_mulmod(square, shift)
-        n >>= 1
-        square = _crc32_mulmod(square, square)
-    return shift
-
-
-def crc32_join(crc1: int, crc2: int, len2: int) -> int:
-    """The CRC-32 of A + B from crc1 = crc32(A), crc2 = crc32(B) and len2 =
-    len(B), as zlib's crc32_combine: crc1 carried through len2 zero bytes,
-    plus crc2."""
-    return _crc32_mulmod(_zero_bytes_shift(len2), crc1) ^ crc2
-
-
-@contextmanager
-def reopened(f: BinaryIO, mode: str) -> Iterator[BinaryIO]:
-    """`f`'s file opened again by name, in `mode`: a file description of
-    its own, whose offset no other process or file object moves.  OSError
-    unless the name still leads to f's file (device and inode)."""
-    st = os.fstat(f.fileno())
-    with open(f.name, mode) as g:
-        new = os.fstat(g.fileno())
-        if (new.st_dev, new.st_ino) != (st.st_dev, st.st_ino):
-            raise OSError(f"{f.name} was replaced while in use")
-        yield g
+def write_at(f: BinaryIO, data, offset: int, forked: bool) -> None:
+    """Write all of `data` at `offset` in f's file.  The process that opened
+    f writes through f, as every other write here goes.  A `forked` worker
+    shares f's file description, and so its offset, with that process: it
+    writes with os.pwrite, which moves no offset, on f's descriptor (a new
+    open of f's name could be refused: under a umask such as 0222 the temp
+    file is read-only)."""
+    if not forked:
+        f.seek(offset)
+        f.write(data)
+        return
+    view = memoryview(data)
+    while view:
+        done = os.pwrite(f.fileno(), view, offset)
+        view, offset = view[done:], offset + done
 
 
 def row_digest(row: bytes) -> bytes:
@@ -518,16 +463,27 @@ def rows_block(rows, m: int, stripes: int) -> Block:
 
 
 class ShardWriter:
-    """Writes a shard's payload blocks in file order, from block `start`
-    on at its fixed offset in `f`, keeping the CRC-32 of the bytes it wrote
-    in `crc` and their count in `length`."""
+    """Writes a shard's header and payload blocks in file order, or its
+    blocks from block `start` on, each at its fixed offset in f's file
+    (`write_at`, as a `forked` worker or not), keeping the CRC-32 of the
+    bytes it wrote in `crc` and their count in `length`."""
 
-    def __init__(self, f: BinaryIO, header: ShardHeader, start: int):
-        self.file = f
+    def __init__(self, f: BinaryIO, header: ShardHeader, start: int = 0, forked: bool = False):
+        self.file, self.forked = f, forked
         self.header = header
         self.stripes_written = start * BLOCK_STRIPES
-        self.crc = self.length = 0
-        f.seek(HEADER_LEN + start * payload_bytes(BLOCK_STRIPES, header.q**header.t, header.m))
+        self.crc = self.length = self.offset = 0
+        if start == 0:
+            self._put(header.pack())
+        else:
+            self.offset = HEADER_LEN + start * payload_bytes(BLOCK_STRIPES, header.q**header.t,
+                                                             header.m)
+
+    def _put(self, data: bytes) -> None:
+        write_at(self.file, data, self.offset, self.forked)
+        self.offset += len(data)
+        self.crc = zlib.crc32(data, self.crc)
+        self.length += len(data)
 
     def write(self, block) -> None:
         """Write the next payload block, a Block or, when its rows are whole
@@ -549,40 +505,39 @@ class ShardWriter:
         if shape[2] <= 0 or len(data) != payload_bytes(shape[2], shape[1], shape[0]):
             raise ValueError(f"{len(data)} bytes of rows and digests are not the next block, "
                              f"{shape}, of a {hdr.stripe_count}-stripe shard")
-        self.file.write(data)
-        self.crc = zlib.crc32(data, self.crc)
-        self.length += len(data)
+        self._put(data)
         self.stripes_written += shape[2]
 
 
-def write_shard(shards: Mapping[Path | str, ShardHeader], blocks,
-                renames: contextlib.ExitStack) -> dict[Node, int]:
+def write_shard(shards: Mapping[Path | str, ShardHeader],
+                blocks: Callable[[int, int], Iterable[Mapping[Node, Block]]],
+                renames: contextlib.ExitStack, share=None) -> dict[Node, int]:
     """Write one shard per (path, header) of `shards`, all of one stripe
-    count, from `blocks`: the stream of their payload blocks, each mapping
-    every header's node to its next block (as ShardWriter.write takes it),
-    or a function of a block range [lo, hi) that streams that range's
-    blocks.  A function's ranges (block_ranges) are shared among forked
-    workers (codec.forked_ranges), each writing its range at its fixed
-    offsets through files of its own (`reopened`).  Every shard is written
-    to its temp file and fsynced (`synced`) before this returns; a shard
+    count.  blocks(lo, hi) streams their payload blocks lo..hi-1, each
+    mapping every header's node to its next block (as ShardWriter.write
+    takes it).  share(work) returns what work(0, B) does for the B blocks,
+    where work(lo, hi) writes blocks lo..hi-1 (block 0 with the header)
+    and returns each shard's (CRC-32, length) of the bytes it wrote;
+    without `share`, that one call here.  fanout.forked_ranges shares the
+    blocks among forked workers, which write on the temp files'
+    descriptors with os.pwrite (`write_at`).  Every shard is written to
+    its temp file and fsynced (`synced`) before this returns; a shard
     short of stripes raises.  The shards are renamed into place (see
     `renaming`) when `renames` closes, so the caller can check or record
     their CRCs first.  Returns the CRC-32 of each node's file, from the
-    bytes as written, each range's joined (crc32_join) before any fsync."""
+    bytes as written."""
+    opener = os.getpid()
     with contextlib.ExitStack() as files:
-        temps = {}  # path -> its temp file, the header written
-        for path, header in shards.items():
-            temps[path] = files.enter_context(synced(renames.enter_context(renaming(path))))
-            temps[path].write(header.pack())
+        temps = {path: files.enter_context(synced(renames.enter_context(renaming(path))))
+                 for path in shards}
 
-        def write_range(lo: int, hi: int, stream) -> list[tuple[int, int]]:
-            with contextlib.ExitStack() as own:
-                writers = {path: ShardWriter(own.enter_context(reopened(f, "r+b")),
-                                             shards[path], lo) for path, f in temps.items()}
-                for block in stream:
-                    for writer in writers.values():
-                        writer.write(block[writer.header.node])
-                    del block  # freed before the next block is built
+        def write_range(lo: int, hi: int) -> list[tuple[int, int]]:
+            forked = os.getpid() != opener
+            writers = {path: ShardWriter(f, shards[path], lo, forked) for path, f in temps.items()}
+            for block in blocks(lo, hi):
+                for writer in writers.values():
+                    writer.write(block[writer.header.node])
+                del block  # freed before the next block is built
             for path, writer in writers.items():
                 stripe_count = writer.header.stripe_count
                 if writer.stripes_written != min(stripe_count, hi * BLOCK_STRIPES):
@@ -590,20 +545,9 @@ def write_shard(shards: Mapping[Path | str, ShardHeader], blocks,
                                      "stripes written")
             return [(writer.crc, writer.length) for writer in writers.values()]
 
-        header = next(iter(shards.values()))
-        if callable(blocks):
-            parts = codec.forked_ranges(lambda lo, hi: write_range(lo, hi, blocks(lo, hi)),
-                                        block_ranges(header.stripe_count, header.file_length),
-                                        len(shards))
-        else:
-            parts = [write_range(0, -(-header.stripe_count // BLOCK_STRIPES), blocks)]
-        crcs = {}
-        for i, header in enumerate(shards.values()):
-            crc = zlib.crc32(header.pack())
-            for part in parts:
-                crc = crc32_join(crc, *part[i])
-            crcs[header.node] = crc
-    return crcs
+        stripe_count = next(iter(shards.values())).stripe_count
+        pairs = share(write_range) if share else write_range(0, -(-stripe_count // BLOCK_STRIPES))
+    return {header.node: crc for header, (crc, _) in zip(shards.values(), pairs)}
 
 
 class ShardReader:
@@ -626,9 +570,15 @@ class ShardReader:
 
     @contextmanager
     def reopened(self) -> Iterator["ShardReader"]:
-        """A reader of the same file through a file description of its own
-        (`reopened`), for a worker: no other reader moves its offset."""
-        with reopened(self._f, "rb") as f:
+        """A reader of the same file through a file description of its own,
+        opened again by name, for a worker: no other reader moves its
+        offset.  OSError unless the name still leads to this reader's file
+        (device and inode)."""
+        st = os.fstat(self._f.fileno())
+        with open(self._f.name, "rb") as f:
+            new = os.fstat(f.fileno())
+            if (new.st_dev, new.st_ino) != (st.st_dev, st.st_ino):
+                raise OSError(f"{self.path} was replaced while in use")
             yield ShardReader(f, self.path, self.header)
 
     def _read(self, offset: int, size: int) -> bytes:
@@ -671,10 +621,11 @@ class ShardReader:
             yield end - start, rows
             base += alpha * row_bytes
 
-    def blocks(self, runs: list[tuple[int, int]]) -> Iterator[Block]:
-        """rows(runs) of every block, each block's as one (sum of run
-        lengths, stripes) Block."""
-        for stripes, rows in self.rows(runs):
+    def blocks(self, runs: list[tuple[int, int]], lo: int = 0,
+               hi: int | None = None) -> Iterator[Block]:
+        """rows(runs, lo, hi), each block's as one (sum of run lengths,
+        stripes) Block."""
+        for stripes, rows in self.rows(runs, lo, hi):
             yield rows_block(rows, self.header.m, stripes)
 
 

@@ -11,7 +11,7 @@ import os
 
 import pytest
 
-from msrcode import ParityCheckSystem, build_system, codec, make_params, shardio
+from msrcode import ParityCheckSystem, build_system, codec, fanout, make_params, shardio
 from msrcode.gf import Block
 
 # (q, t, m) -> first c0 the ascending search accepts
@@ -82,7 +82,7 @@ def forking(monkeypatch):
         return forks
 
     monkeypatch.setattr(codec, "_MIN_SUBSETS_PER_WORKER", 1)
-    monkeypatch.setattr(shardio, "_MIN_BYTES_PER_WORKER", 1)
+    monkeypatch.setattr(fanout, "_MIN_BYTES_PER_WORKER", 1)
     monkeypatch.setattr(os, "fork", fork)
     return set_cpus
 

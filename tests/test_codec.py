@@ -258,23 +258,6 @@ def test_a_clean_child_s_results_are_fresh_lists(forking):
     assert results == [[]] * 4 and len(set(map(id, results))) == 4 and len(forks) == 1
 
 
-def test_forked_ranges_gives_each_range_s_pairs_in_order(forking):
-    # ranges[0] runs here and each other range in a child of its own, whose
-    # pairs come back whole through the shared mmap; this process's CPUs are
-    # as they were, and no child is left
-    forks = forking(3)
-    affinity = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
-    ranges = [(0, 2), (2, 3), (3, 5)]
-    got = codec.forked_ranges(lambda lo, hi: [(lo, hi), (os.getpid(), 2**64 - 1)], ranges, 2)
-    assert [pairs[0] for pairs in got] == ranges
-    assert got[0][1] == (os.getpid(), 2**64 - 1)
-    assert len({pairs[1] for pairs in got}) == 3 and len(forks) == 2
-    if affinity is not None:
-        assert os.sched_getaffinity(0) == affinity
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 def test_usable_cpus_without_affinity_is_the_cpu_count(monkeypatch):
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 5)

@@ -25,10 +25,8 @@ from msrcode.shardio import (
     ShardFormatError,
     ShardHeader,
     ShardReader,
-    block_ranges,
     bytes_from_symbols,
     crc32_file,
-    crc32_join,
     open_shard,
     payload_bytes,
     read_gamma,
@@ -294,7 +292,7 @@ def write_whole(path, hdr, rows):
     """Write one shard from its whole (alpha, stripe_count) Block, block by
     block."""
     with contextlib.ExitStack() as renames:
-        write_shard({path: hdr}, whole_blocks(hdr.node, rows), renames)
+        write_shard({path: hdr}, lambda lo, hi: whole_blocks(hdr.node, rows)[lo:hi], renames)
 
 
 def zeros(rows, stripes, m=7):
@@ -389,7 +387,8 @@ def test_whole_file_crc_sees_every_row(tmp_path):
         symbols[row][row] = 1
         with contextlib.ExitStack() as renames:
             crcs |= set(write_shard({tmp_path / "s.msrc": hdr},
-                                    [{hdr.node: to_block(symbols, 7)}], renames).values())
+                                    lambda lo, hi: [{hdr.node: to_block(symbols, 7)}],
+                                    renames).values())
     assert len(crcs) == 8
 
 
@@ -430,7 +429,8 @@ def test_checksum_sees_a_row_restamped_with_its_own_digest(tmp_path):
     hdr = ShardHeader(2, 3, 7, 0x89, 1, (2, 0), 8, 50)
     path = tmp_path / "s.msrc"
     with contextlib.ExitStack() as renames:
-        crc = write_shard({path: hdr}, [{hdr.node: random_rows(p, 5, 8)}], renames)[hdr.node]
+        crc = write_shard({path: hdr}, lambda lo, hi: [{hdr.node: random_rows(p, 5, 8)}],
+                          renames)[hdr.node]
     assert crc32_file(path) == crc
     width = payload_bytes(8, 1, 7) - shardio.DIGEST_LEN
     delta = palindromic_change(width)
@@ -470,18 +470,18 @@ def test_write_shard_renames_only_complete_shards(tmp_path):
 
     with pytest.raises(OSError, match="went away"):
         with contextlib.ExitStack() as renames:
-            write_shard({path: hdr}, failing(), renames)
+            write_shard({path: hdr}, lambda lo, hi: failing(), renames)
     assert [p.name for p in tmp_path.iterdir()] == ["s.msrc"]
     assert path.read_bytes() == b"earlier"
     ones = to_block([[1] * 16] * 8, 7)
     with contextlib.ExitStack() as renames:
-        crc = write_shard({path: hdr}, [{hdr.node: ones}], renames)
+        crc = write_shard({path: hdr}, lambda lo, hi: [{hdr.node: ones}], renames)
         assert path.read_bytes() == b"earlier"  # renamed when the stack closes
     assert crc == {hdr.node: crc32_file(path)}
     assert read_shard(path)[1] == ones
     with pytest.raises(RuntimeError):
         with contextlib.ExitStack() as renames:
-            write_shard({path: hdr}, [{hdr.node: zeros(8, 16)}], renames)
+            write_shard({path: hdr}, lambda lo, hi: [{hdr.node: zeros(8, 16)}], renames)
             raise RuntimeError("checksum mismatch")
     assert [p.name for p in tmp_path.iterdir()] == ["s.msrc"]
     assert read_shard(path)[1] == ones
@@ -631,41 +631,3 @@ def test_crc32_file(tmp_path):
     path = tmp_path / "f.bin"
     path.write_bytes(b"hello world")
     assert crc32_file(path) == 0x0D4A1185
-
-
-# -- workers' ranges and their CRCs ----------------------------------------------------
-
-
-def test_crc32_join_is_the_crc_of_the_concatenation():
-    rng = random.Random(11)
-    for left, right in [(0, 0), (9, 0), (0, 7), (1, 1), (13, 255), (26, 4099), (1001, 65539)]:
-        a, b = rng.randbytes(left), rng.randbytes(right)
-        assert crc32_join(zlib.crc32(a), zlib.crc32(b), len(b)) == zlib.crc32(a + b)
-    # three parts, as a shard's header and two workers' ranges
-    parts = [rng.randbytes(n) for n in (HEADER_LEN, 3333, 40961)]
-    crc = zlib.crc32(parts[0])
-    for part in parts[1:]:
-        crc = crc32_join(crc, zlib.crc32(part), len(part))
-    assert crc == zlib.crc32(b"".join(parts))
-
-
-def test_block_ranges_are_contiguous_and_balanced_by_stripes(monkeypatch):
-    monkeypatch.setattr(codec, "_usable_cpus", lambda: 3)
-    big = 1 << 40  # input enough for any number of workers
-    assert block_ranges(0, 0) == [(0, 0)]
-    assert block_ranges(BLOCK_STRIPES, big) == [(0, 1)]  # one block: one worker
-    # 7 blocks, the last 1096 stripes: 8192, 8192 and 9288 stripes
-    assert block_ranges(7 * BLOCK_STRIPES - 3000, big) == [(0, 2), (2, 4), (4, 7)]
-    # one worker per _MIN_BYTES_PER_WORKER input bytes
-    assert block_ranges(7 * BLOCK_STRIPES, 2 * shardio._MIN_BYTES_PER_WORKER) == [(0, 4), (4, 7)]
-    assert block_ranges(7 * BLOCK_STRIPES, shardio._MIN_BYTES_PER_WORKER - 1) == [(0, 7)]
-    for cpus in (1, 2, 3, 5):
-        monkeypatch.setattr(codec, "_usable_cpus", lambda: cpus)
-        for stripes in range(1, 12 * BLOCK_STRIPES, 977):
-            ranges = block_ranges(stripes, big)
-            blocks = -(-stripes // BLOCK_STRIPES)
-            assert len(ranges) == min(cpus, blocks)
-            assert [lo for lo, _ in ranges] == [0, *(hi for _, hi in ranges[:-1])]
-            assert ranges[-1][1] == blocks and all(lo < hi for lo, hi in ranges)
-            for w, (_, hi) in enumerate(ranges[:-1]):  # each cut within a block of its share
-                assert abs(hi * BLOCK_STRIPES - (w + 1) * stripes / len(ranges)) <= BLOCK_STRIPES

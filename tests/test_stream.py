@@ -24,19 +24,21 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from conftest import stripes_of
-from msrcode import codec, find_code, shardio
+from msrcode import codec, fanout, find_code, shardio
 from msrcode.cli import EXIT_IO, EXIT_OK, EXIT_VERIFY, main
 from msrcode.gf import Block
 from msrcode.parity import build_system
 from msrcode.shardio import Manifest, crc32_file, shard_filename
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+real_pwrite = os.pwrite
 MiB = 1 << 20
 
 
 class ProbeFile:
     """A file from shardio's `open` that counts the bytes read and raises
-    OSError on the write after `writes_left` more have gone through."""
+    OSError on the write after `writes_left` more have gone through, its
+    writes counted with the probe's os.pwrite calls."""
 
     def __init__(self, f, probe):
         self._f = f
@@ -70,6 +72,13 @@ class Probe:
 
     def open(self, *args, **kwargs):
         return ProbeFile(open(*args, **kwargs), self)
+
+    def pwrite(self, fd, data, offset):
+        """os.pwrite, failing as ProbeFile.write does."""
+        if self.writes_left == 0:
+            raise OSError(errno.ENOSPC, "injected write failure")
+        self.writes_left -= 1
+        return real_pwrite(fd, data, offset)
 
 
 def new_store(store: Path, params) -> None:
@@ -118,7 +127,8 @@ def test_streamed_shards_match_whole_file_encode(tmp_path, monkeypatch, qtm, blo
             blocks = [{node: stripes_of(columns[node], lo, min(lo + block, stripes))}
                       for lo in range(0, stripes, block)]
             with contextlib.ExitStack() as renames:
-                shardio.write_shard({ref: man.header_for(node)}, blocks, renames)
+                shardio.write_shard({ref: man.header_for(node)}, lambda lo, hi: blocks[lo:hi],
+                                    renames)
             assert (store / shard_filename(node)).read_bytes() == ref.read_bytes()
             assert man.checksums[node] == crc32_file(ref)
         assert not list(store.glob("*.tmp"))
@@ -338,10 +348,11 @@ def test_faults_give_right_bytes_or_exit_2_3_and_touch_nothing(codes, qt, old, n
         }[command]
         # two workers, each worth a byte: encode's and decode's payload writes
         # and reads are shared with a forked child, which opens its files
-        # through the same `open`
+        # through the same `open` and writes through the same os.pwrite
         with mock.patch.object(shardio, "open", probe.open, create=True), syscall, \
+                mock.patch.object(os, "pwrite", probe.pwrite), \
                 mock.patch.object(codec, "_usable_cpus", lambda: 2), \
-                mock.patch.object(shardio, "_MIN_BYTES_PER_WORKER", 1):
+                mock.patch.object(fanout, "_MIN_BYTES_PER_WORKER", 1):
             code = main(argv)
         with pytest.raises(ChildProcessError):  # every worker is reaped
             os.waitpid(-1, os.WNOHANG)
@@ -618,3 +629,54 @@ def test_an_input_that_shrinks_after_its_fstat_exits_io_error(tmp_path, forking,
     assert snapshot(store) == before
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not hasattr(os, "setuid"), reason="needs POSIX users")
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_commands_write_under_a_umask_that_clears_the_owner_s_write_bit(forking, monkeypatch,
+                                                                        cpus):
+    # under umask 0222 every temp file is made read-only (0444); encode,
+    # repair and decode each write theirs through the descriptor that made
+    # it, as does each worker, so a user other than root, whom a second open
+    # of the name for writing is refused, still gets exit 0 and right bytes
+    monkeypatch.setattr(shardio, "BLOCK_STRIPES", 8)
+    p = find_code(2, 2, 3)
+    forking(cpus)
+    import mmap  # noqa: F401  # as the lazy imports the child makes: loaded while root
+    shardio.row_digest(b"")  # loads _blake2
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        store, src, out = root / "store", root / "in.bin", root / "out.bin"
+        new_store(store, p)
+        data = input_of(p, 6 * 8, 5)  # 6 blocks: 3 for each of 2 workers
+        src.write_bytes(data)
+        for path, mode in [(root, 0o777), (store, 0o777), (src, 0o644)]:
+            path.chmod(mode)
+        nodes = list(p.nodes())
+        argvs = [["encode", str(src), "--out-dir", str(store)],
+                 ["repair", "--node", "1,0", "--out-dir", str(store)],
+                 ["decode", str(out), *(str(store / shard_filename(nd)) for nd in nodes[-p.k:])]]
+        report, done = os.pipe()
+        pid = os.fork()
+        if pid == 0:  # os._exit on every path
+            try:
+                if os.geteuid() == 0:
+                    os.setgroups([])
+                    os.setgid(65534)
+                    os.setuid(65534)
+                os.umask(0o222)
+                codes = [main(argvs[0])]
+                rebuilt = store / shard_filename((1, 0))
+                encoded = rebuilt.read_bytes()
+                rebuilt.unlink()
+                codes += [main(argvs[1]), rebuilt.read_bytes() == encoded, main(argvs[2])]
+                os.write(done, bytes(codes))
+            finally:
+                os._exit(0)
+        os.close(done)
+        os.waitpid(pid, 0)
+        with os.fdopen(report, "rb") as f:
+            assert list(f.read()) == [EXIT_OK, EXIT_OK, True, EXIT_OK]
+        assert out.read_bytes() == data
+        assert stat.S_IMODE(os.stat(store / shard_filename((1, 0))).st_mode) == 0o444
+        assert not list(root.rglob("*.tmp"))
